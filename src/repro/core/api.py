@@ -21,7 +21,9 @@ import pickle
 import tempfile
 import threading
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Callable
 
 from ..analysis.checker import CheckContext, FunctionChecker
 from ..annotations.parse import AnnotationProblem
@@ -294,9 +296,8 @@ def _prelude_symtab() -> SymbolTable:
 
     Walking the prelude AST into a fresh table costs a few milliseconds
     per check; the declarations never change within a process, so the
-    walk happens once and every run copies the result (signatures are
-    replaced, never mutated, on merge, so sharing them is safe; global
-    variables are merged in place, so they are copied per run).
+    walk happens once and every run copies the result's dicts (merges
+    replace entries, never mutate them, so sharing the entries is safe).
     """
     global _PRELUDE_SYMTAB_CACHE
     cached = _PRELUDE_SYMTAB_CACHE
@@ -318,9 +319,7 @@ def build_program_symtab(
     symtab = SymbolTable()
     template = _prelude_symtab()
     symtab.functions.update(template.functions)
-    symtab.globals.update(
-        (name, replace(gvar)) for name, gvar in template.globals.items()
-    )
+    symtab.globals.update(template.globals)
     if base_symtab is not None:
         from ..driver.library import merge_symtabs
 
@@ -330,6 +329,47 @@ def build_program_symtab(
     return symtab
 
 
+def _internal_names(unit: A.TranslationUnit) -> set[str]:
+    """Names the unit declares ``static`` at file scope."""
+    names: set[str] = set()
+    for item in unit.items:
+        if getattr(item, "storage", None) != "static":
+            continue
+        if isinstance(item, A.FunctionDef):
+            names.add(item.name)
+        elif isinstance(item, A.Declaration):
+            names.update(d.name for d in item.declarators if d.name)
+    return names
+
+
+def unit_symtab(
+    symtab: SymbolTable, pu: "ParsedUnit", interface: SymbolTable
+) -> SymbolTable:
+    """The program symbol table as one unit sees it.
+
+    The program table keeps one entry per name, so two units' ``static``
+    functions or file-scope objects of the same name collide there. The
+    unit's own internal-linkage entries, taken from its *interface*
+    slice, shadow whatever another unit put there. Returns *symtab*
+    itself when nothing collides.
+    """
+    functions: dict = {}
+    globals_: dict = {}
+    for name in _internal_names(pu.unit):
+        own = interface.functions.get(name)
+        if own is not None and symtab.functions.get(name) is not own:
+            functions[name] = own
+        own = interface.globals.get(name)
+        if own is not None and symtab.globals.get(name) is not own:
+            globals_[name] = own
+    if not functions and not globals_:
+        return symtab
+    view = SymbolTable()
+    view.functions = {**symtab.functions, **functions}
+    view.globals = {**symtab.globals, **globals_}
+    return view
+
+
 def check_parsed_unit(
     pu: "ParsedUnit",
     symtab: SymbolTable,
@@ -337,8 +377,12 @@ def check_parsed_unit(
     enum_consts: dict[str, int] | None = None,
     crash_dir: str | None = None,
     tracer=NULL_TRACER,
+    interface: SymbolTable | None = None,
 ) -> UnitCheckOutput:
     """Check one parsed unit against a merged interface.
+
+    With the unit's own *interface* slice, its ``static`` functions and
+    objects win over same-named ones of other units (:func:`unit_symtab`).
 
     This is a pure function of its inputs (no module-global state beyond
     the immutable prelude parse), which is what makes per-unit results
@@ -379,6 +423,8 @@ def check_parsed_unit(
             f"Parse error: {error.args[0].split(': ', 1)[-1]} "
             f"(skipped to the next declaration)",
         )
+    if interface is not None:
+        symtab = unit_symtab(symtab, pu, interface)
     ctx = CheckContext(
         symtab=symtab, reporter=reporter, flags=flags,
         enum_consts=dict(enum_consts or {}),
@@ -456,9 +502,22 @@ class CheckResult:
     messages: list[Message]
     suppressed: int = 0
     units: list[A.TranslationUnit] = field(default_factory=list)
-    symtab: SymbolTable | None = None
     degraded_units: list[str] = field(default_factory=list)
     internal_errors: int = 0
+    #: Builds :attr:`symtab` on its first read.
+    symtab_factory: Callable[[], SymbolTable] | None = field(
+        default=None, repr=False, compare=False
+    )
+
+    @cached_property
+    def symtab(self) -> SymbolTable | None:
+        """The merged program symbol table (``-dump``, ``-trace``,
+        :meth:`Checker.save_library`). A checker that did not need it —
+        a fully-warm engine run checks nothing — leaves it to be built
+        here, on first read."""
+        if self.symtab_factory is None:
+            return None
+        return self.symtab_factory()
 
     @property
     def degraded(self) -> bool:
@@ -582,20 +641,20 @@ class Checker:
 
     def check_units(self, parsed: list[ParsedUnit]) -> CheckResult:
         with self.tracer.span("batch", cat="batch", units=len(parsed)):
-            symtab = build_program_symtab(
-                [unit_interface(pu) for pu in parsed], self.base_symtab
-            )
+            interfaces = [unit_interface(pu) for pu in parsed]
+            symtab = build_program_symtab(interfaces, self.base_symtab)
             enum_consts: dict[str, int] = {}
             for pu in parsed:
                 enum_consts.update(pu.enum_consts)
 
             outputs = []
-            for pu in parsed:
+            for pu, interface in zip(parsed, interfaces):
                 cancel_checkpoint()  # requests stop at unit boundaries
                 with self.tracer.span("unit", cat="unit", unit=pu.unit.name):
                     outputs.append(check_parsed_unit(
                         pu, symtab, self.flags, enum_consts,
                         crash_dir=self.crash_dir, tracer=self.tracer,
+                        interface=interface,
                     ))
         messages, suppressed = merge_unit_outputs(outputs)
 
@@ -603,7 +662,7 @@ class Checker:
             messages=messages,
             suppressed=suppressed,
             units=[pu.unit for pu in parsed],
-            symtab=symtab,
+            symtab_factory=lambda: symtab,
             degraded_units=[
                 pu.unit.name
                 for pu, out in zip(parsed, outputs)

@@ -349,9 +349,14 @@ def run(argv: list[str], cache=None, jobs: int | None = None) -> tuple[int, str]
                     flags=flags,
                     cache=cache,
                     jobs=jobs,
+                    # -dump parses every unit too: a slice decoded from
+                    # a memo has the same content, but shares fewer
+                    # interned types, so its library pickle would differ
+                    # from a cold run's.
                     keep_units=(
                         dot_function is not None
                         or trace_function_name is not None
+                        or dump_path is not None
                     ),
                     tracer=obs.tracer if obs is not None else None,
                     metrics=obs.metrics if obs is not None else None,

@@ -9,7 +9,7 @@ standard library and any interface libraries loaded by the driver).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from ..annotations.kinds import AnnotationSet
 from . import cast as A
@@ -171,16 +171,26 @@ class SymbolTable:
             else:
                 merged = _merge_signatures(existing, sig)
             self.functions[name] = merged
+        # Merged globals are replaced, never changed in place: the entry
+        # may be another table's object (a unit's interface slice, the
+        # prelude template), which must stay as that table built it.
         for name, gvar in other.globals.items():
             existing = self.globals.get(name)
             if existing is None:
                 self.globals[name] = gvar
                 continue
-            if existing.annotations.is_empty() and not gvar.annotations.is_empty():
-                existing.annotations = gvar.annotations
-            existing.has_initializer = (
-                existing.has_initializer or gvar.has_initializer
-            )
+            annotations = existing.annotations
+            if annotations.is_empty() and not gvar.annotations.is_empty():
+                annotations = gvar.annotations
+            has_initializer = existing.has_initializer or gvar.has_initializer
+            if (
+                annotations is not existing.annotations
+                or has_initializer != existing.has_initializer
+            ):
+                self.globals[name] = replace(
+                    existing, annotations=annotations,
+                    has_initializer=has_initializer,
+                )
 
     # -- queries --------------------------------------------------------------
 

@@ -38,6 +38,7 @@ import os
 import pickle
 import shutil
 import tempfile
+import threading
 from dataclasses import dataclass, field
 
 from ..messages.message import Message
@@ -86,7 +87,10 @@ class ResultCache:
         self.lock = CacheDirLock(self.root)
         # Result-journal state: the parsed overlay of journal entries
         # (consulted before per-fingerprint files), and writes buffered
-        # by an open batch() awaiting one flush.
+        # by an open batch() awaiting one flush. The checking service's
+        # worker threads share one cache, so all three are guarded by
+        # _state_lock (the cross-process CacheDirLock guards the files).
+        self._state_lock = threading.Lock()
         self._journal: dict[str, dict] = {}
         self._pending: dict[str, dict] = {}
         self._batch_depth = 0
@@ -257,17 +261,19 @@ class ResultCache:
         Journal entries (and results buffered in an open batch) shadow
         per-fingerprint files: they are strictly newer.
         """
-        payload = self._pending.get(fingerprint)
-        if payload is None:
-            payload = self._journal.get(fingerprint)
+        with self._state_lock:
+            payload = self._pending.get(fingerprint)
+            if payload is None:
+                payload = self._journal.get(fingerprint)
         if payload is not None:
             decoded = self._decode_result(payload)
             if decoded is not None:
                 return decoded
             # A garbled overlay entry (corrupt journal line that still
             # parsed as JSON) is dropped like a corrupt file would be.
-            self._journal.pop(fingerprint, None)
-            self._pending.pop(fingerprint, None)
+            with self._state_lock:
+                self._journal.pop(fingerprint, None)
+                self._pending.pop(fingerprint, None)
             self.dropped += 1
             self.metrics.inc("cache.entries.dropped")
         path = self._entry_path("results", fingerprint, ".json")
@@ -294,16 +300,14 @@ class ResultCache:
             "messages": [m.to_dict() for m in messages],
             "suppressed": suppressed,
         }
-        if self._batch_depth > 0:
-            # Validate the key eagerly so a bad fingerprint fails at the
-            # call site, not at flush time.
-            self._entry_path("results", fingerprint, ".json")
-            self._pending[fingerprint] = payload
-            return
-        self._write_bytes(
-            self._entry_path("results", fingerprint, ".json"),
-            json.dumps(payload).encode("utf-8"),
-        )
+        # Validate the key eagerly so a bad fingerprint fails at the call
+        # site, not at flush time.
+        path = self._entry_path("results", fingerprint, ".json")
+        with self._state_lock:
+            if self._batch_depth > 0:
+                self._pending[fingerprint] = payload
+                return
+        self._write_bytes(path, json.dumps(payload).encode("utf-8"))
 
     # -- the results journal -------------------------------------------------
 
@@ -316,11 +320,18 @@ class ResultCache:
         return _Batch(self)
 
     def flush_batch(self) -> None:
-        """Append every buffered result to the journal in one write."""
-        if not self._pending:
+        """Append every buffered result to the journal in one write.
+
+        The buffer is swapped out under the state lock before writing,
+        so a result another thread puts meanwhile lands in the next
+        flush instead of being iterated over or cleared by this one.
+        """
+        with self._state_lock:
+            pending, self._pending = self._pending, {}
+        if not pending:
             return
         lines = []
-        for fingerprint, payload in self._pending.items():
+        for fingerprint, payload in pending.items():
             record = dict(payload)
             record["fp"] = fingerprint
             lines.append(json.dumps(record) + "\n")
@@ -333,13 +344,13 @@ class ResultCache:
                     os.fsync(handle.fileno())
             except OSError:
                 self.metrics.inc("cache.write.failures")
-                self._pending.clear()
                 return
-        self._journal.update(self._pending)
+        with self._state_lock:
+            self._journal.update(pending)
+            oversized = len(self._journal) > JOURNAL_COMPACT_ENTRIES
         self.metrics.inc("cache.journal.flushes")
-        self.metrics.inc("cache.journal.entries", len(self._pending))
-        self._pending.clear()
-        if len(self._journal) > JOURNAL_COMPACT_ENTRIES:
+        self.metrics.inc("cache.journal.entries", len(pending))
+        if oversized:
             self.compact_journal()
 
     def _load_journal(self) -> None:
@@ -433,7 +444,8 @@ class ResultCache:
                 raw_lines = []
             entries, corrupt = self._parse_journal_lines(raw_lines)
             if not entries and not corrupt:
-                self._journal.clear()
+                with self._state_lock:
+                    self._journal.clear()
                 return
             for fingerprint, payload in entries.items():
                 self._write_bytes(
@@ -441,11 +453,15 @@ class ResultCache:
                     json.dumps(payload).encode("utf-8"),
                 )
             self._write_bytes(self._journal_path(), b"")
+            # Cleared under the file lock: a flush appends before it adds
+            # to the overlay, so no entry can be appended after this fold
+            # yet dropped from the overlay.
+            with self._state_lock:
+                self._journal.clear()
         if corrupt:
             self.dropped += corrupt
             self.metrics.inc("cache.entries.dropped", corrupt)
         self.metrics.inc("cache.journal.compactions")
-        self._journal.clear()
 
     # -- integrity ------------------------------------------------------------
 
@@ -459,7 +475,9 @@ class ResultCache:
         "every entry would be a hit, none would be dropped".
         """
         report = {"results": 0, "unit_memos": 0, "journal": 0, "corrupt": 0}
-        for fingerprint, payload in list(self._journal.items()):
+        with self._state_lock:
+            journal = list(self._journal.values())
+        for payload in journal:
             if self._decode_result(payload) is None:
                 report["corrupt"] += 1
             else:
@@ -502,10 +520,13 @@ class _Batch:
         self._cache = cache
 
     def __enter__(self) -> ResultCache:
-        self._cache._batch_depth += 1
+        with self._cache._state_lock:
+            self._cache._batch_depth += 1
         return self._cache
 
     def __exit__(self, *exc) -> None:
-        self._cache._batch_depth -= 1
-        if self._cache._batch_depth == 0:
+        with self._cache._state_lock:
+            self._cache._batch_depth -= 1
+            outermost = self._cache._batch_depth == 0
+        if outermost:
             self._cache.flush_batch()

@@ -9,8 +9,8 @@ directory into a network service:
 * the **server** (``python -m repro.incremental.cacheserver``) is a
   small asyncio JSON-line server, reusing the checking service's
   bounded line framing and address grammar
-  (:class:`repro.service.server.LineReader`,
-  :func:`repro.service.server.parse_addr`) over TCP-on-localhost or a
+  (:class:`repro.service.protocol.LineReader`,
+  :func:`repro.service.protocol.parse_addr`) over TCP-on-localhost or a
   UNIX socket;
 * the **client** (:class:`CacheClient`, wired in with
   ``pylclint --cache-server ADDR``) is consulted by the engine on every
@@ -41,6 +41,12 @@ Result payloads are the cache's own serialized form (``messages`` +
 ``suppressed``); memo payloads carry the pickled interface slice
 base64-encoded (JSON transport). Malformed requests get
 ``{"ok": false, "error": ...}`` and the connection stays up.
+
+The server answers one connection's requests in order, so the client
+pipelines: it writes a window of request lines (at most
+:data:`PIPELINE_WINDOW_BYTES`) and then reads their replies. A warm
+check's 50 memo probes and 50 result probes are two round trips, not
+100.
 """
 
 from __future__ import annotations
@@ -57,7 +63,7 @@ import threading
 
 from ..messages.message import Message
 from ..obs.metrics import GLOBAL_METRICS
-from ..service.server import LineReader, parse_addr
+from ..service.protocol import LineReader, parse_addr
 from .cache import DEFAULT_CACHE_DIR, ResultCache, UnitMemo
 
 #: Line cap for cache traffic. Memo payloads carry a base64 pickled
@@ -69,6 +75,14 @@ CACHE_LINE_MAX_BYTES = 32 << 20
 #: Client-side socket timeout: a probe must never stall a check longer
 #: than this before the client declares the server unavailable.
 CLIENT_TIMEOUT_S = 10.0
+
+#: Request bytes the client writes before it stops to read their replies.
+#: The server answers each connection's lines in order, so a window of
+#: requests costs one round trip. The bound keeps unread requests within
+#: what the socket buffers hold: a client still writing a huge window
+#: while the server blocks on replies nobody reads yet would deadlock.
+#: A line longer than the window travels alone.
+PIPELINE_WINDOW_BYTES = 64 << 10
 
 
 def _encode_memo(memo: UnitMemo) -> dict:
@@ -373,10 +387,13 @@ class CacheServerThread:
 class CacheClient:
     """Synchronous client used by the engine on local cache misses.
 
-    Every method degrades to a miss / no-op on failure; the first
-    transport or protocol error marks the client dead so one unreachable
-    server costs one connect attempt, not one per unit. ``drain_notes``
-    hands the engine the human-readable reason for the run's notes.
+    The batch calls (``get_memos``, ``get_results``, ``put_memos``,
+    ``put_results``) pipeline their requests (:meth:`_exchange`); the
+    per-key calls are their one-key case. Every method degrades to a
+    miss / no-op on failure; the first transport or protocol error
+    marks the client dead so one unreachable server costs one connect
+    attempt, not one per unit. ``drain_notes`` hands the engine the
+    human-readable reason for the run's notes.
     """
 
     def __init__(self, addr: str, metrics=None,
@@ -407,31 +424,55 @@ class CacheClient:
         if not ready.get("ready"):
             raise ConnectionError("cache server did not announce ready")
 
-    def _request(self, payload: dict) -> dict | None:
-        if self.dead:
-            return None
+    def _exchange(self, requests: list[dict]) -> list[dict | None]:
+        """Send *requests* pipelined, one window at a time, and return
+        their replies in request order.
+
+        A request whose reply never arrived (the client failed on it or
+        on an earlier one, and is now dead) gets ``None``.
+        """
+        replies: list[dict | None] = []
+        if self.dead or not requests:
+            return [None] * len(requests)
+        lines = [(json.dumps(r) + "\n").encode("utf-8") for r in requests]
         try:
             if self._file is None:
                 self._connect()
             assert self._file is not None
-            self._file.write((json.dumps(payload) + "\n").encode("utf-8"))
-            self._file.flush()
-            line = self._file.readline()
-            if not line:
-                raise ConnectionError("cache server closed the connection")
-            reply = json.loads(line.decode("utf-8"))
-            if not isinstance(reply, dict) or not reply.get("ok"):
-                raise ValueError(
-                    str((reply or {}).get("error", "malformed reply"))
-                    if isinstance(reply, dict)
-                    else "malformed reply"
-                )
-            return reply
+            start = 0
+            while start < len(lines):
+                end, size = start + 1, len(lines[start])
+                while end < len(lines) and \
+                        size + len(lines[end]) <= PIPELINE_WINDOW_BYTES:
+                    size += len(lines[end])
+                    end += 1
+                self._file.write(b"".join(lines[start:end]))
+                self._file.flush()
+                for _ in range(start, end):
+                    replies.append(self._read_reply())
+                start = end
         except (KeyboardInterrupt, SystemExit):
             raise
         except Exception as exc:
             self._fail(exc)
-            return None
+        return replies + [None] * (len(requests) - len(replies))
+
+    def _read_reply(self) -> dict:
+        assert self._file is not None
+        line = self._file.readline()
+        if not line:
+            raise ConnectionError("cache server closed the connection")
+        reply = json.loads(line.decode("utf-8"))
+        if not isinstance(reply, dict) or not reply.get("ok"):
+            raise ValueError(
+                str((reply or {}).get("error", "malformed reply"))
+                if isinstance(reply, dict)
+                else "malformed reply"
+            )
+        return reply
+
+    def _request(self, payload: dict) -> dict | None:
+        return self._exchange([payload])[0]
 
     def _fail(self, exc: Exception) -> None:
         self.dead = True
@@ -466,57 +507,72 @@ class CacheClient:
     def stats(self) -> dict | None:
         return self._request({"op": "stats"})
 
+    def _get(self, kind: str, keys: list[str], decode) -> list:
+        replies = self._exchange(
+            [{"op": "get", "kind": kind, "key": key} for key in keys]
+        )
+        found = []
+        for reply in replies:
+            value = None
+            if reply is not None and reply.get("hit"):
+                value = decode(reply.get("payload"))
+            self.metrics.inc(
+                "cacheserver.client.misses" if value is None
+                else "cacheserver.client.hits"
+            )
+            found.append(value)
+        return found
+
+    def _put(self, kind: str, entries: list[tuple[str, dict]]) -> None:
+        replies = self._exchange([
+            {"op": "put", "kind": kind, "key": key, "payload": payload}
+            for key, payload in entries
+        ])
+        stored = sum(1 for reply in replies if reply is not None)
+        if stored:
+            self.metrics.inc("cacheserver.client.puts", stored)
+
+    def get_results(self, fingerprints: list[str]) -> list:
+        """One ``(messages, suppressed)`` per fingerprint on a remote hit,
+        ``None`` on a miss, in one pipelined exchange."""
+        return self._get("result", fingerprints, ResultCache._decode_result)
+
+    def get_memos(self, keys: list[str]) -> list[UnitMemo | None]:
+        """One :class:`UnitMemo` (or ``None``) per source key."""
+        return self._get("memo", keys, _decode_memo)
+
+    def put_results(
+        self, entries: list[tuple[str, list[Message], int]]
+    ) -> None:
+        """Publish ``(fingerprint, messages, suppressed)`` results."""
+        self._put("result", [
+            (fingerprint, {
+                "messages": [m.to_dict() for m in messages],
+                "suppressed": suppressed,
+            })
+            for fingerprint, messages, suppressed in entries
+        ])
+
+    def put_memos(self, entries: list[tuple[str, UnitMemo]]) -> None:
+        """Publish ``(source key, memo)`` pairs."""
+        self._put("memo", [
+            (key, _encode_memo(memo)) for key, memo in entries
+        ])
+
     def get_result(self, fingerprint: str):
         """``(messages, suppressed)`` on a remote hit, else ``None``."""
-        reply = self._request(
-            {"op": "get", "kind": "result", "key": fingerprint}
-        )
-        if reply is None or not reply.get("hit"):
-            self.metrics.inc("cacheserver.client.misses")
-            return None
-        decoded = ResultCache._decode_result(reply.get("payload"))
-        if decoded is None:
-            self.metrics.inc("cacheserver.client.misses")
-            return None
-        self.metrics.inc("cacheserver.client.hits")
-        return decoded
+        return self.get_results([fingerprint])[0]
+
+    def get_memo(self, key: str) -> UnitMemo | None:
+        return self.get_memos([key])[0]
 
     def put_result(
         self, fingerprint: str, messages: list[Message], suppressed: int
     ) -> None:
-        reply = self._request({
-            "op": "put",
-            "kind": "result",
-            "key": fingerprint,
-            "payload": {
-                "messages": [m.to_dict() for m in messages],
-                "suppressed": suppressed,
-            },
-        })
-        if reply is not None:
-            self.metrics.inc("cacheserver.client.puts")
-
-    def get_memo(self, key: str) -> UnitMemo | None:
-        reply = self._request({"op": "get", "kind": "memo", "key": key})
-        if reply is None or not reply.get("hit"):
-            self.metrics.inc("cacheserver.client.misses")
-            return None
-        memo = _decode_memo(reply.get("payload"))
-        if memo is None:
-            self.metrics.inc("cacheserver.client.misses")
-            return None
-        self.metrics.inc("cacheserver.client.hits")
-        return memo
+        self.put_results([(fingerprint, messages, suppressed)])
 
     def put_memo(self, key: str, memo: UnitMemo) -> None:
-        reply = self._request({
-            "op": "put",
-            "kind": "memo",
-            "key": key,
-            "payload": _encode_memo(memo),
-        })
-        if reply is not None:
-            self.metrics.inc("cacheserver.client.puts")
+        self.put_memos([(key, memo)])
 
 
 # -- CLI entry ---------------------------------------------------------------

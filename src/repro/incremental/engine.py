@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import os
 import pickle
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 from ..core.api import (
@@ -60,6 +59,7 @@ from ..stdlib.specs import (
 from .cache import ResultCache, UnitMemo
 from .fingerprint import (
     check_fingerprint,
+    defines_digest,
     flags_digest,
     interface_digest,
     program_digest,
@@ -210,14 +210,33 @@ class _UnitPlan:
 
     name: str
     text: str
+    key: str = ""  # source key: where the unit's memo lives
+    memo: UnitMemo | None = None  # set when a memo identified the unit
     parsed: ParsedUnit | None = None
-    interface: SymbolTable | None = None
+    interface: SymbolTable | None = None  # decoded from the memo on demand
     token_digest: str = ""
     iface_digest: str = ""
     enum_consts: dict[str, int] = field(default_factory=dict)
     fingerprint: str = ""
-    cached: tuple | None = None  # (messages, suppressed) on a result hit
     output: UnitCheckOutput | None = None
+
+
+@dataclass
+class _Run:
+    """State the stages of one :meth:`IncrementalChecker.check_sources`
+    call share."""
+
+    files: dict[str, str]
+    stats: CheckStats
+    sources: SourceManager = field(default_factory=SourceManager)
+    plans: list[_UnitPlan] = field(default_factory=list)
+    #: Include name -> digest of its current text (``None`` when it
+    #: cannot be read): each include is digested once per run.
+    include_digests: dict[str, str | None] = field(default_factory=dict)
+    #: For the write stage: remote result hits to copy into the local
+    #: cache, and fresh memos to publish to the cache service.
+    copies: list[tuple[str, list, int]] = field(default_factory=list)
+    new_memos: list[tuple[str, UnitMemo]] = field(default_factory=list)
 
 
 class IncrementalChecker:
@@ -244,8 +263,8 @@ class IncrementalChecker:
         self.flags = flags or DEFAULT_FLAGS
         self.cache = cache
         self.jobs = max(1, int(jobs))
-        # A CacheClient (or anything with its get/put surface) consulted
-        # on local cache misses; see incremental/cacheserver.py.
+        # A CacheClient (or anything with its batch get/put surface)
+        # consulted on local cache misses; see incremental/cacheserver.py.
         self.remote = remote
         if shard_strategy not in STRATEGIES:
             raise ValueError(
@@ -293,6 +312,21 @@ class IncrementalChecker:
         return self.check_sources(files)
 
     def check_sources(self, files: dict[str, str]) -> CheckResult:
+        """Check a program in five stages, one span each:
+
+        * **plan** — a source key per unit;
+        * **probe** — unit memos (local, then one remote batch), the
+          frontend for memo misses, then results (local, then one
+          remote batch);
+        * **symtab** — the merged program symbol table, built only when
+          a unit must be checked;
+        * **check** — the result misses, serially or on the pool;
+        * **write** — one local journal batch, one remote publish.
+
+        A fully-warm run stops after the probe: it decodes no interface
+        slice, and the result builds :attr:`CheckResult.symtab` only if
+        a caller reads it.
+        """
         stats = CheckStats(jobs=self.jobs, remote_used=self.remote is not None)
         metrics = self.metrics
         metrics.inc("engine.runs")
@@ -300,6 +334,8 @@ class IncrementalChecker:
             stats.notes.extend(self.cache.notes)
             del self.cache.notes[:]
         self.stats = stats
+        run = _Run(files=files, stats=stats)
+        symtab = None
 
         batch_span = self.tracer.span("batch", cat="batch")
         try:
@@ -319,152 +355,15 @@ class IncrementalChecker:
                 )
             stats.prelude_s += prelude_span.duration
 
-            sources = SourceManager()
-            for name, text in files.items():
-                if name.endswith(".h"):
-                    sources.add(name, text)
-            unit_names = [n for n in files if not n.endswith(".h")]
-            plans = [_UnitPlan(name=n, text=files[n]) for n in unit_names]
-            stats.units = len(plans)
-            metrics.inc("engine.units", len(plans))
-            batch_span.annotate(units=len(plans))
-
-            # Phase 1: identify every unit (memo fast path or
-            # preprocess+parse). The cancel checkpoints make a service
-            # request stop at unit boundaries once its deadline fires.
-            for plan in plans:
-                cancel_checkpoint()
-                with self.tracer.span(
-                    "unit", cat="unit", unit=plan.name, stage="frontend"
-                ):
-                    self._identify_unit(plan, files, sources, stats)
-
-            # Phase 2: the program-interface digest over all units +
-            # libraries.
-            prog_digest = program_digest(
-                [p.iface_digest for p in plans], self._library_digests
-            )
-            enum_consts: dict[str, int] = {}
-            for plan in plans:
-                enum_consts.update(plan.enum_consts)
-
-            # Phase 3: result-cache lookups. The flags digest is shared
-            # by every unit's fingerprint, so it is computed once here.
-            flags_fp = flags_digest(self.flags)
-            misses: list[_UnitPlan] = []
-            with self.tracer.span("cache", cat="phase") as probe_span:
-                for plan in plans:
-                    if self.cache is not None or self.remote is not None:
-                        plan.fingerprint = check_fingerprint(
-                            plan.token_digest, self.flags, prog_digest,
-                            flags_fp=flags_fp,
-                        )
-                    if self.cache is not None:
-                        plan.cached = self.cache.get_result(plan.fingerprint)
-                    if plan.cached is None and self._remote_alive():
-                        # A local miss may be a fleet-wide hit: another
-                        # worker, machine, or CI run published this
-                        # fingerprint to the cache service. A remote hit
-                        # is copied into the local cache so repeat runs
-                        # stop paying the round trip.
-                        remote_hit = self.remote.get_result(plan.fingerprint)
-                        if remote_hit is not None:
-                            stats.remote_hits += 1
-                            plan.cached = remote_hit
-                            if self.cache is not None:
-                                self.cache.put_result(
-                                    plan.fingerprint, remote_hit[0],
-                                    remote_hit[1],
-                                )
-                        else:
-                            stats.remote_misses += 1
-                    if plan.cached is not None:
-                        stats.cache_hits += 1
-                        metrics.inc("cache.result.hit")
-                        plan.output = UnitCheckOutput(
-                            messages=plan.cached[0], suppressed=plan.cached[1]
-                        )
-                    else:
-                        stats.cache_misses += 1
-                        metrics.inc("cache.result.miss")
-                        misses.append(plan)
-            stats.cache_s += probe_span.duration
-
-            # Phase 4: build the merged symbol table from interface slices.
-            with self.tracer.span("symtab", cat="phase") as symtab_span:
-                symtab = build_program_symtab(
-                    [self._interface_of(p) for p in plans], self.base_symtab
-                )
-            stats.symtab_s += symtab_span.duration
-
-            # Phase 5: check the misses (parallel when asked and possible).
+            self._plan(run)
+            batch_span.annotate(units=len(run.plans))
+            misses = self._probe(run)
             if misses:
-                for plan in misses:
-                    cancel_checkpoint()
-                    if plan.parsed is None:
-                        with self.tracer.span(
-                            "unit", cat="unit", unit=plan.name,
-                            stage="frontend",
-                        ):
-                            self._ensure_parsed(plan, files, sources, stats)
-                check_span = self.tracer.span(
-                    "analyze", cat="phase", units=len(misses)
-                )
-                try:
-                    outputs, par_notes = check_units_parallel(
-                        [p.parsed for p in misses], symtab, self.flags,
-                        enum_consts, self.jobs, crash_dir=self.crash_dir,
-                        metrics=metrics,
-                        shard_strategy=self.shard_strategy,
-                        cluster_keys=[p.iface_digest for p in misses],
-                        weights=[max(1, len(p.text)) for p in misses],
-                    )
-                    stats.notes.extend(par_notes)
-                    if outputs is None:
-                        outputs = []
-                        for p in misses:
-                            cancel_checkpoint()
-                            with self.tracer.span(
-                                "unit", cat="unit", unit=p.name,
-                                stage="analyze",
-                            ) as unit_span:
-                                outputs.append(check_parsed_unit(
-                                    p.parsed, symtab, self.flags, enum_consts,
-                                    crash_dir=self.crash_dir,
-                                    tracer=self.tracer,
-                                ))
-                            metrics.observe(
-                                "engine.unit_check_s", unit_span.duration
-                            )
-                    else:
-                        stats.parallel_used = True
-                        metrics.inc("engine.parallel.runs")
-                finally:
-                    check_span.end()
-                stats.check_s += check_span.duration
-                with self.tracer.span("cache", cat="phase") as write_span:
-                    # One journal append for the whole batch instead of
-                    # one file write per unit (see cache.batch()).
-                    with self.cache.batch() if self.cache is not None \
-                            else nullcontext():
-                        for plan, output in zip(misses, outputs):
-                            plan.output = output
-                            # Degraded results (parse recovery, skipped
-                            # files, contained crashes) are never cached:
-                            # the unit must be re-checked from scratch on
-                            # every run until it is fixed.
-                            if self.cache is not None and not output.degraded:
-                                self.cache.put_result(
-                                    plan.fingerprint, output.messages,
-                                    output.suppressed
-                                )
-                            if not output.degraded and self._remote_alive():
-                                self.remote.put_result(
-                                    plan.fingerprint, output.messages,
-                                    output.suppressed
-                                )
-                stats.cache_s += write_span.duration
+                symtab, enum_consts = self._symtab(run)
+                self._check(run, misses, symtab, enum_consts)
+            self._write(run, misses)
 
+            plans = run.plans
             messages, suppressed = merge_unit_outputs(
                 [p.output for p in plans]
             )
@@ -492,13 +391,17 @@ class IncrementalChecker:
         # explains why the run was slower than expected.
         if self.remote is not None:
             stats.notes.extend(self.remote.drain_notes())
+        base = self.base_symtab
         return CheckResult(
             messages=messages,
             suppressed=suppressed,
             units=[p.parsed.unit for p in plans if p.parsed is not None],
-            symtab=symtab,
             degraded_units=[p.name for p in plans if p.output.degraded],
             internal_errors=stats.internal_errors,
+            symtab_factory=(
+                (lambda: symtab) if symtab is not None
+                else lambda: self._program_symtab(plans, base)
+            ),
         )
 
     def _remote_alive(self) -> bool:
@@ -508,76 +411,265 @@ class IncrementalChecker:
             self.remote, "dead", False
         )
 
+    # -- stages --------------------------------------------------------------
+
+    def _plan(self, run: _Run) -> None:
+        """Stage 1: a plan and a source key per unit; headers become
+        include sources."""
+        with self.tracer.span("plan", cat="stage") as plan_span:
+            cancel_checkpoint()
+            for name, text in run.files.items():
+                if name.endswith(".h"):
+                    run.sources.add(name, text)
+            defines_fp = defines_digest(self.defines)
+            run.plans = [
+                _UnitPlan(
+                    name=name, text=text,
+                    key=source_key(
+                        name, text, self.defines, defines_fp=defines_fp
+                    ),
+                )
+                for name, text in run.files.items()
+                if not name.endswith(".h")
+            ]
+        run.stats.units = len(run.plans)
+        run.stats.fingerprint_s += plan_span.duration
+        self.metrics.inc("engine.units", len(run.plans))
+
+    def _probe(self, run: _Run) -> list[_UnitPlan]:
+        """Stage 2: answer every unit the caches can; return the rest.
+
+        Memos come first because a memo hit skips the frontend; result
+        fingerprints need every unit's interface digest, so the memo
+        misses are preprocessed and parsed in between. The cancel
+        checkpoints make a service request stop at unit boundaries once
+        its deadline fires.
+        """
+        stats = run.stats
+        with self.tracer.span("probe", cat="stage"):
+            cancel_checkpoint()
+            if not self.keep_units:
+                self._probe_memos(run)
+            for plan in run.plans:
+                if plan.memo is not None:
+                    stats.memo_hits += 1
+                    self.metrics.inc("cache.memo.hit")
+                    continue
+                stats.memo_misses += 1
+                self.metrics.inc("cache.memo.miss")
+                cancel_checkpoint()
+                with self.tracer.span(
+                    "unit", cat="unit", unit=plan.name, stage="frontend"
+                ):
+                    self._parse_plan(plan, run, memo_key=plan.key)
+            return self._probe_results(run)
+
+    def _probe_memos(self, run: _Run) -> None:
+        """Local memo probes, then one remote batch for the local misses.
+
+        The memo probe is what makes a remote hit cheap: the result
+        probe needs the token digest, which a memo miss would force us
+        to preprocess and parse for. A remote memo is copied into the
+        local cache for the next run.
+        """
+        stats = run.stats
+        with self.tracer.span("cache", cat="phase") as memo_span:
+            missing = []
+            for plan in run.plans:
+                memo = (
+                    self.cache.get_unit_memo(plan.key)
+                    if self.cache is not None else None
+                )
+                if memo is not None and self._includes_unchanged(
+                    memo.includes, run
+                ):
+                    self._use_memo(plan, memo)
+                else:
+                    missing.append(plan)
+            if missing and self._remote_alive():
+                found = self.remote.get_memos([p.key for p in missing])
+                for plan, memo in zip(missing, found):
+                    if memo is None or not self._includes_unchanged(
+                        memo.includes, run
+                    ):
+                        stats.remote_misses += 1
+                        continue
+                    stats.remote_hits += 1
+                    self._use_memo(plan, memo)
+                    if self.cache is not None:
+                        self.cache.put_unit_memo(plan.key, memo)
+        stats.cache_s += memo_span.duration
+
+    def _probe_results(self, run: _Run) -> list[_UnitPlan]:
+        """Local result probes, then one remote batch for the local
+        misses; returns the units no cache could answer."""
+        stats = run.stats
+        # The program digest and the flags digest are shared by every
+        # unit's fingerprint, so each is computed once here.
+        prog_digest = program_digest(
+            [p.iface_digest for p in run.plans], self._library_digests
+        )
+        flags_fp = flags_digest(self.flags)
+        keyed = self.cache is not None or self.remote is not None
+        with self.tracer.span("cache", cat="phase") as probe_span:
+            misses = []
+            for plan in run.plans:
+                if keyed:
+                    plan.fingerprint = check_fingerprint(
+                        plan.token_digest, self.flags, prog_digest,
+                        flags_fp=flags_fp,
+                    )
+                found = (
+                    self.cache.get_result(plan.fingerprint)
+                    if self.cache is not None else None
+                )
+                if found is None:
+                    misses.append(plan)
+                else:
+                    plan.output = UnitCheckOutput(*found)
+            if misses and self._remote_alive():
+                # A local miss may be a fleet-wide hit: another worker,
+                # machine, or CI run published this fingerprint to the
+                # cache service.
+                found_remote = self.remote.get_results(
+                    [p.fingerprint for p in misses]
+                )
+                local_misses, misses = misses, []
+                for plan, found in zip(local_misses, found_remote):
+                    if found is None:
+                        stats.remote_misses += 1
+                        misses.append(plan)
+                        continue
+                    stats.remote_hits += 1
+                    plan.output = UnitCheckOutput(*found)
+                    run.copies.append((plan.fingerprint, *found))
+        stats.cache_s += probe_span.duration
+        stats.cache_misses = len(misses)
+        stats.cache_hits = len(run.plans) - len(misses)
+        if stats.cache_hits:
+            self.metrics.inc("cache.result.hit", stats.cache_hits)
+        if stats.cache_misses:
+            self.metrics.inc("cache.result.miss", stats.cache_misses)
+        return misses
+
+    def _symtab(self, run: _Run) -> tuple[SymbolTable, dict[str, int]]:
+        """Stage 3: the merged program symbol table and enum constants."""
+        with self.tracer.span("symtab", cat="stage") as symtab_span:
+            enum_consts: dict[str, int] = {}
+            for plan in run.plans:
+                enum_consts.update(plan.enum_consts)
+            symtab = self._program_symtab(run.plans, self.base_symtab)
+        run.stats.symtab_s += symtab_span.duration
+        return symtab, enum_consts
+
+    def _program_symtab(
+        self, plans: list[_UnitPlan], base: SymbolTable | None
+    ) -> SymbolTable:
+        return build_program_symtab(
+            [self._interface_of(p) for p in plans], base
+        )
+
+    def _check(
+        self,
+        run: _Run,
+        misses: list[_UnitPlan],
+        symtab: SymbolTable,
+        enum_consts: dict[str, int],
+    ) -> None:
+        """Stage 4: check the misses (parallel when asked and possible).
+
+        A memo-hit unit whose result is stale (e.g. the flags changed)
+        is parsed here: the memo saved preprocessing knowledge, but
+        checking needs the AST.
+        """
+        stats = run.stats
+        with self.tracer.span("check", cat="stage"):
+            for plan in misses:
+                if plan.parsed is None:
+                    cancel_checkpoint()
+                    with self.tracer.span(
+                        "unit", cat="unit", unit=plan.name, stage="frontend",
+                    ):
+                        self._parse_plan(plan, run)
+            check_span = self.tracer.span(
+                "analyze", cat="phase", units=len(misses)
+            )
+            try:
+                outputs, par_notes = check_units_parallel(
+                    [p.parsed for p in misses], symtab, self.flags,
+                    enum_consts, self.jobs, crash_dir=self.crash_dir,
+                    metrics=self.metrics,
+                    shard_strategy=self.shard_strategy,
+                    cluster_keys=[p.iface_digest for p in misses],
+                    weights=[max(1, len(p.text)) for p in misses],
+                    interfaces=[p.interface for p in misses],
+                )
+                stats.notes.extend(par_notes)
+                if outputs is None:
+                    outputs = []
+                    for p in misses:
+                        cancel_checkpoint()
+                        with self.tracer.span(
+                            "unit", cat="unit", unit=p.name,
+                            stage="analyze",
+                        ) as unit_span:
+                            outputs.append(check_parsed_unit(
+                                p.parsed, symtab, self.flags, enum_consts,
+                                crash_dir=self.crash_dir,
+                                tracer=self.tracer,
+                                interface=p.interface,
+                            ))
+                        self.metrics.observe(
+                            "engine.unit_check_s", unit_span.duration
+                        )
+                else:
+                    stats.parallel_used = True
+                    self.metrics.inc("engine.parallel.runs")
+            finally:
+                check_span.end()
+            stats.check_s += check_span.duration
+        for plan, output in zip(misses, outputs):
+            plan.output = output
+
+    def _write(self, run: _Run, misses: list[_UnitPlan]) -> None:
+        """Stage 5: one local journal batch (remote hits + fresh
+        results) and one remote publish (fresh memos + fresh results).
+
+        Degraded results (parse recovery, skipped files, contained
+        crashes) are never cached: the unit must be re-checked from
+        scratch on every run until it is fixed.
+        """
+        fresh = [
+            (p.fingerprint, p.output.messages, p.output.suppressed)
+            for p in misses if not p.output.degraded
+        ]
+        with self.tracer.span("write", cat="stage") as write_span:
+            if self.cache is not None:
+                with self.cache.batch():
+                    for entry in run.copies + fresh:
+                        self.cache.put_result(*entry)
+            if self._remote_alive():
+                self.remote.put_memos(run.new_memos)
+                self.remote.put_results(fresh)
+        run.stats.cache_s += write_span.duration
+
     # -- unit identification -------------------------------------------------
 
-    def _identify_unit(
-        self,
-        plan: _UnitPlan,
-        files: dict[str, str],
-        sources: SourceManager,
-        stats: CheckStats,
-    ) -> None:
-        """Fill the plan's digests, from the memo when possible."""
-        with self.tracer.span(
-            "fingerprint", cat="phase", unit=plan.name
-        ) as key_span:
-            key = source_key(plan.name, plan.text, self.defines)
-        stats.fingerprint_s += key_span.duration
-        if not self.keep_units:
-            memo = None
-            if self.cache is not None:
-                with self.tracer.span(
-                    "cache", cat="phase", unit=plan.name
-                ) as memo_span:
-                    memo = self.cache.get_unit_memo(key)
-                stats.cache_s += memo_span.duration
-                if memo is not None and not self._includes_unchanged(
-                    memo.includes, files
-                ):
-                    memo = None
-            if memo is None and self._remote_alive():
-                # The memo probe is what makes a remote hit cheap: the
-                # result probe needs the token digest, which a memo miss
-                # would force us to preprocess and parse for. A remote
-                # memo skips the frontend entirely, and is copied into
-                # the local cache for the next run.
-                with self.tracer.span(
-                    "cache", cat="phase", unit=plan.name
-                ) as memo_span:
-                    remote_memo = self.remote.get_memo(key)
-                stats.cache_s += memo_span.duration
-                if remote_memo is not None and self._includes_unchanged(
-                    remote_memo.includes, files
-                ):
-                    stats.remote_hits += 1
-                    memo = remote_memo
-                    if self.cache is not None:
-                        self.cache.put_unit_memo(key, memo)
-                else:
-                    stats.remote_misses += 1
-            if memo is not None:
-                stats.memo_hits += 1
-                self.metrics.inc("cache.memo.hit")
-                plan.token_digest = memo.token_digest
-                plan.iface_digest = memo.iface_digest
-                plan.enum_consts = dict(memo.enum_consts)
-                plan.interface = None  # unpickled lazily in _interface_of
-                plan._memo = memo  # type: ignore[attr-defined]
-                return
-        stats.memo_misses += 1
-        self.metrics.inc("cache.memo.miss")
-        self._parse_plan(plan, sources, stats, memo_key=key)
+    def _use_memo(self, plan: _UnitPlan, memo: UnitMemo) -> None:
+        plan.memo = memo
+        plan.token_digest = memo.token_digest
+        plan.iface_digest = memo.iface_digest
+        plan.enum_consts = dict(memo.enum_consts)
 
     def _parse_plan(
-        self,
-        plan: _UnitPlan,
-        sources: SourceManager,
-        stats: CheckStats,
-        memo_key: str | None = None,
+        self, plan: _UnitPlan, run: _Run, memo_key: str | None = None
     ) -> None:
+        """Preprocess, digest and parse one unit; with *memo_key*, also
+        record its memo (locally now, remotely in the write stage)."""
+        stats = run.stats
         try:
             tokens, included = self._preprocess(
-                plan.name, plan.text, sources, stats
+                plan.name, plan.text, run.sources, stats
             )
         except (LexError, PreprocessError, ParseError) as exc:
             self._fail_plan(plan, frontend_fatal(exc, plan.name))
@@ -614,11 +706,12 @@ class IncrementalChecker:
             return
         stats.parse_s += parse_span.end()
         plan.enum_consts = dict(plan.parsed.enum_consts)
-        with self.tracer.span(
-            "symtab", cat="phase", unit=plan.name
-        ) as iface_span:
-            plan.interface = unit_interface(plan.parsed)
-        stats.symtab_s += iface_span.duration
+        if plan.interface is None:  # a memo-hit unit keeps its decoded slice
+            with self.tracer.span(
+                "symtab", cat="phase", unit=plan.name
+            ) as iface_span:
+                plan.interface = unit_interface(plan.parsed)
+            stats.symtab_s += iface_span.duration
         want_memo = self.cache is not None or self._remote_alive()
         if want_memo and memo_key is not None:
             with self.tracer.span(
@@ -629,9 +722,11 @@ class IncrementalChecker:
                 )
                 closure = []
                 for name in sorted(included):
-                    source = sources.get(name)
+                    source = run.sources.get(name)
                     if source is not None:
-                        closure.append((name, text_digest(source.text)))
+                        closure.append(
+                            (name, self._include_digest(name, run, source.text))
+                        )
                 memo = UnitMemo(
                     token_digest=plan.token_digest,
                     iface_digest=plan.iface_digest,
@@ -642,7 +737,7 @@ class IncrementalChecker:
                 if self.cache is not None:
                     self.cache.put_unit_memo(memo_key, memo)
                 if self._remote_alive():
-                    self.remote.put_memo(memo_key, memo)
+                    run.new_memos.append((memo_key, memo))
             stats.cache_s += memo_span.duration
 
     def _fail_plan(self, plan: _UnitPlan, fatal) -> None:
@@ -695,36 +790,33 @@ class IncrementalChecker:
             parse_errors=list(parser.parse_errors),
         )
 
-    def _ensure_parsed(
-        self,
-        plan: _UnitPlan,
-        files: dict[str, str],
-        sources: SourceManager,
-        stats: CheckStats,
-    ) -> None:
-        """Parse a memo-hit unit whose check result turned out to be stale
-        (e.g. the flags changed): the memo saved preprocessing knowledge,
-        but checking needs the AST."""
-        if plan.parsed is None:
-            self._parse_plan(plan, sources, stats, memo_key=None)
-
     def _interface_of(self, plan: _UnitPlan) -> SymbolTable:
-        if plan.interface is not None:
-            return plan.interface
-        memo: UnitMemo = plan._memo  # type: ignore[attr-defined]
-        interface, enum_consts = pickle.loads(memo.iface_pickle)
-        plan.interface = interface
-        plan.enum_consts = dict(enum_consts)
-        return interface
+        if plan.interface is None:
+            assert plan.memo is not None
+            plan.interface, enum_consts = pickle.loads(plan.memo.iface_pickle)
+            plan.enum_consts = dict(enum_consts)
+        return plan.interface
 
     def _includes_unchanged(
-        self, closure: list[tuple[str, str]], files: dict[str, str]
+        self, closure: list[tuple[str, str]], run: _Run
     ) -> bool:
-        for name, recorded_sha in closure:
-            current = self._current_include_text(name, files)
-            if current is None or text_digest(current) != recorded_sha:
-                return False
-        return True
+        return all(
+            self._include_digest(name, run) == recorded_sha
+            for name, recorded_sha in closure
+        )
+
+    def _include_digest(
+        self, name: str, run: _Run, text: str | None = None
+    ) -> str | None:
+        """Digest of include *name*'s text this run (*text* when the
+        caller already holds it), computed once per run."""
+        if name not in run.include_digests:
+            if text is None:
+                text = self._current_include_text(name, run.files)
+            run.include_digests[name] = (
+                None if text is None else text_digest(text)
+            )
+        return run.include_digests[name]
 
     def _current_include_text(
         self, name: str, files: dict[str, str]

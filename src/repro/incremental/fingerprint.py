@@ -254,14 +254,22 @@ def unit_digests(tokens: list[Token]) -> tuple[str, str]:
     return full.hexdigest(), iface.hexdigest()
 
 
-def source_key(name: str, text: str, defines: dict[str, str]) -> str:
+def source_key(
+    name: str,
+    text: str,
+    defines: dict[str, str],
+    defines_fp: str | None = None,
+) -> str:
     """Fast-path key over the *raw* unit text (ccache-style direct mode).
 
     Maps to a memo holding the token digest, interface digest, and the
     include closure observed the last time the unit was preprocessed; the
     memo is valid only while every recorded include's text is unchanged.
+    Callers keying many units pass the precomputed ``defines_fp``.
     """
-    return _sha("unit", name, text, defines_digest(defines))
+    if defines_fp is None:
+        defines_fp = defines_digest(defines)
+    return _sha("unit", name, text, defines_fp)
 
 
 def program_digest(

@@ -66,14 +66,18 @@ def _check_shard_task(indices: tuple[int, ...]) -> tuple[int, list]:
     order). The pid lets the parent attribute shards to workers for the
     steal/balance metrics without any extra plumbing."""
     assert _PARENT_STATE is not None, "fork did not inherit parent state"
-    units, symtab, flags, enum_consts, crash_dir = _PARENT_STATE
-    outputs = [
+    return os.getpid(), _check_indices(_PARENT_STATE, indices)
+
+
+def _check_indices(state: tuple, indices) -> list[UnitCheckOutput]:
+    units, symtab, flags, enum_consts, crash_dir, interfaces = state
+    return [
         check_parsed_unit(
-            units[i], symtab, flags, enum_consts, crash_dir=crash_dir
+            units[i], symtab, flags, enum_consts, crash_dir=crash_dir,
+            interface=interfaces[i],
         )
         for i in indices
     ]
-    return os.getpid(), outputs
 
 
 def fork_available() -> bool:
@@ -91,12 +95,15 @@ def check_units_parallel(
     shard_strategy: str = "interface",
     cluster_keys: list[str] | None = None,
     weights: list[int] | None = None,
+    interfaces: list | None = None,
 ) -> tuple[list[UnitCheckOutput] | None, list[str]]:
     """Check *units* on a pool of *jobs* workers, preserving unit order.
 
     *cluster_keys* (typically the units' interface digests) and
     *weights* (source sizes) feed the shard partitioner; see
     :func:`repro.incremental.shard.partition_units` for the strategies.
+    *interfaces* are the units' own slices, passed through to
+    :func:`repro.core.api.check_parsed_unit`.
 
     Returns ``(outputs, notes)``. ``outputs`` is ``None`` when parallel
     execution never started (the caller should check everything
@@ -125,7 +132,10 @@ def check_units_parallel(
     )
     metrics.inc("engine.shard.count", len(shards))
     metrics.set_gauge("engine.shard.balance", shard_balance(shards, weights))
-    _PARENT_STATE = (units, symtab, flags, enum_consts, crash_dir)
+    if interfaces is None:
+        interfaces = [None] * len(units)
+    state = (units, symtab, flags, enum_consts, crash_dir, interfaces)
+    _PARENT_STATE = state
     try:
         try:
             pool = ProcessPoolExecutor(
@@ -154,10 +164,7 @@ def check_units_parallel(
                     # serial remainder below.
                     done = future.done() and future.exception() is None
                     if not done:
-                        _check_shard_serial(
-                            shard, units, symtab, flags, enum_consts,
-                            crash_dir, slots,
-                        )
+                        _check_shard_serial(shard, state, slots)
                         continue
                 try:
                     pid, outputs = future.result()
@@ -178,10 +185,7 @@ def check_units_parallel(
                         f"worker pool collapsed (BrokenProcessPool); "
                         f"checked the remaining {remaining} unit(s) serially"
                     )
-                    _check_shard_serial(
-                        shard, units, symtab, flags, enum_consts,
-                        crash_dir, slots,
-                    )
+                    _check_shard_serial(shard, state, slots)
                     continue
                 except Exception as exc:
                     # One dead shard (a crashed task, an exception past
@@ -193,10 +197,7 @@ def check_units_parallel(
                             f"parallel check of {units[i].unit.name} failed "
                             f"({type(exc).__name__}); re-checked serially"
                         )
-                    _check_shard_serial(
-                        shard, units, symtab, flags, enum_consts,
-                        crash_dir, slots,
-                    )
+                    _check_shard_serial(shard, state, slots)
                     continue
                 shard_pids.append(pid)
                 for i, output in zip(shard.indices, outputs):
@@ -208,19 +209,9 @@ def check_units_parallel(
     return slots, notes
 
 
-def _check_shard_serial(
-    shard: Shard,
-    units: list[ParsedUnit],
-    symtab,
-    flags,
-    enum_consts: dict[str, int],
-    crash_dir: str | None,
-    slots: list,
-) -> None:
-    for i in shard.indices:
-        slots[i] = check_parsed_unit(
-            units[i], symtab, flags, enum_consts, crash_dir=crash_dir
-        )
+def _check_shard_serial(shard: Shard, state: tuple, slots: list) -> None:
+    for i, output in zip(shard.indices, _check_indices(state, shard.indices)):
+        slots[i] = output
 
 
 def _record_steals(

@@ -51,13 +51,14 @@ from ..incremental.cache import DEFAULT_CACHE_DIR, ResultCache
 from ..obs.metrics import GLOBAL_METRICS
 from .protocol import (
     DEFAULT_RETRY_AFTER_MS,
-    MAX_REQUEST_BYTES,
+    LineReader,
     ProtocolError,
     Request,
     error_reply,
     execute_check,
     metrics_reply,
     oversized_reply,
+    parse_addr,
     parse_request_line,
     recover_request_id,
 )
@@ -69,9 +70,6 @@ DEFAULT_MAX_INFLIGHT = 64
 #: Python, so more threads mostly add contention; a few hide cache and
 #: file IO behind each other.
 DEFAULT_WORKERS = 4
-
-#: How much of an oversized line is kept for request-id recovery.
-_OVERSIZE_KEEP = 4096
 
 
 @dataclass
@@ -165,73 +163,6 @@ class Session:
         self.bye_sent = True
         await self.send(self.bye_payload())
         self.closed = True
-
-
-class LineReader:
-    """Bounded line framing over an asyncio stream.
-
-    Unlike ``StreamReader.readline`` this never buffers more than the
-    request cap plus one chunk, and an over-long line is consumed to
-    its terminating newline (or EOF) while keeping a prefix for
-    request-id recovery — a slow-loris or runaway client costs bounded
-    memory and exactly one error reply.
-
-    The line cap defaults to the checking protocol's request bound but
-    is parameterized: the cache service reuses this framing with a
-    larger cap sized for pickled interface payloads.
-    """
-
-    _CHUNK = 1 << 16
-
-    def __init__(
-        self,
-        reader: asyncio.StreamReader,
-        max_bytes: int = MAX_REQUEST_BYTES,
-    ) -> None:
-        self._reader = reader
-        self._buf = bytearray()
-        self._max_bytes = max_bytes
-
-    async def next_line(self):
-        """Returns ``("line", text)``, ``("oversized", (prefix, size))``,
-        or ``("eof", None)``."""
-        while True:
-            idx = self._buf.find(b"\n")
-            if idx >= 0:
-                line = self._buf[:idx]
-                del self._buf[: idx + 1]
-                if len(line) > self._max_bytes:
-                    return "oversized", (
-                        line[:_OVERSIZE_KEEP].decode("utf-8", "replace"),
-                        len(line),
-                    )
-                return "line", line.decode("utf-8", "replace")
-            if len(self._buf) > self._max_bytes:
-                return "oversized", await self._consume_oversized()
-            chunk = await self._reader.read(self._CHUNK)
-            if not chunk:
-                if self._buf.strip():
-                    # A final unterminated line still gets an answer.
-                    line = self._buf.decode("utf-8", "replace")
-                    self._buf.clear()
-                    return "line", line
-                return "eof", None
-            self._buf.extend(chunk)
-
-    async def _consume_oversized(self):
-        prefix = self._buf[:_OVERSIZE_KEEP].decode("utf-8", "replace")
-        size = len(self._buf)
-        self._buf.clear()
-        while True:
-            chunk = await self._reader.read(self._CHUNK)
-            if not chunk:
-                return prefix, size
-            idx = chunk.find(b"\n")
-            if idx >= 0:
-                size += idx
-                self._buf.extend(chunk[idx + 1:])
-                return prefix, size
-            size += len(chunk)
 
 
 class CheckingService:
@@ -606,29 +537,6 @@ class CheckingService:
 
 
 # -- CLI entry ---------------------------------------------------------------
-
-
-def parse_addr(value: str) -> tuple[str | None, int | None, str | None]:
-    """``HOST:PORT`` or ``unix:PATH`` → (host, port, unix_path).
-
-    Shared by ``--serve``'s ``--addr`` and the cache service's
-    ``--cache-server`` / ``--addr`` options.
-    """
-    if value.startswith("unix:"):
-        path = value[len("unix:"):]
-        if not path:
-            raise ValueError("unix: address requires a socket path")
-        return None, None, path
-    host, sep, port_text = value.rpartition(":")
-    if not sep:
-        host, port_text = "127.0.0.1", value
-    try:
-        port = int(port_text)
-    except ValueError:
-        raise ValueError(
-            f"bad --addr {value!r} (expected HOST:PORT or unix:PATH)"
-        ) from None
-    return host or "127.0.0.1", port, None
 
 
 def run_service(argv: list[str]) -> int:

@@ -1,7 +1,7 @@
 """End-to-end observability: traces, metrics, and the untouched default.
 
 The acceptance bar: a traced run of the db example produces properly
-nested batch > unit > phase > function spans plus a metrics dump with
+nested batch > stage > unit > phase > function spans plus a metrics dump with
 non-zero cache and phase counters, while a run *without* ``--trace-out``
 is byte-identical to the classic path.
 """
@@ -53,13 +53,22 @@ class TestTraceOutput:
         batch_id = batches[0]["id"]
         assert batches[0]["parent"] is None
 
+        # A cold run goes through every engine stage once, in order.
+        stages = by_cat.get("stage", [])
+        assert [e["name"] for e in sorted(stages, key=lambda e: e["id"])] \
+            == ["plan", "probe", "symtab", "check", "write"]
+        assert all(e["parent"] == batch_id for e in stages)
+        stage_ids = {e["name"]: e["id"] for e in stages}
+
         units = by_cat.get("unit", [])
         assert len(units) >= len(db_paths)
         analyze_ids = {
             e["id"] for e in by_cat.get("phase", []) if e["name"] == "analyze"
         }
         for unit in units:
-            assert unit["parent"] == batch_id or unit["parent"] in analyze_ids
+            assert unit["parent"] in (
+                stage_ids["probe"], stage_ids["check"]
+            ) or unit["parent"] in analyze_ids
 
         unit_ids = {u["id"] for u in units}
         phases = by_cat.get("phase", [])
@@ -74,13 +83,26 @@ class TestTraceOutput:
             elif event["name"] == "lex":
                 assert event["parent"] in preprocess_ids, event
             elif event["name"] == "analyze":
-                assert event["parent"] == batch_id
+                assert event["parent"] == stage_ids["check"]
 
         functions = by_cat.get("function", [])
         assert functions, "expected per-function spans in an emitting trace"
         for event in functions:
             assert event["parent"] in unit_ids
             assert by_id[event["parent"]]["args"].get("stage") == "analyze"
+
+    def test_warm_run_has_no_symtab_or_check_stage(self, db_paths, tmp_path):
+        cache = ["--cache-dir", str(tmp_path / "cache")]
+        assert run(cache + db_paths)[0] in (0, 1)
+        trace = tmp_path / "warm.jsonl"
+        assert run(cache + ["--trace-out", str(trace)] + db_paths)[0] \
+            in (0, 1)
+        events = _read_events(trace)
+        stages = sorted(
+            (e for e in events if e["cat"] == "stage"), key=lambda e: e["id"]
+        )
+        assert [e["name"] for e in stages] == ["plan", "probe", "write"]
+        assert not [e for e in events if e["cat"] == "unit"]
 
     def test_metrics_dump_has_cache_and_phase_counters(
         self, db_paths, tmp_path

@@ -2,11 +2,13 @@
 
 import json
 import socket
+import threading
 
 import pytest
 
 from repro.frontend.source import Location
 from repro.incremental.cache import ResultCache, UnitMemo
+from repro.incremental import cacheserver
 from repro.incremental.cacheserver import (
     CacheClient,
     CacheServerThread,
@@ -172,6 +174,117 @@ class TestClientDegradation:
     def test_bad_address_raises_value_error(self):
         with pytest.raises(ValueError):
             CacheClient("not-an-address")
+
+
+def _key(i: int) -> str:
+    return f"{i:064x}"
+
+
+def _shape(found):
+    if found is None:
+        return None
+    messages, suppressed = found
+    return [m.render() for m in messages], suppressed
+
+
+class DyingServer:
+    """A cache server that announces itself, answers the first *answer*
+    requests of its one connection with misses, and then drops the
+    connection while the client's window is still in flight."""
+
+    def __init__(self, answer: int) -> None:
+        self.answer = answer
+        self.received = 0
+        self._listener = socket.create_server(("127.0.0.1", 0))
+        self.addr = "127.0.0.1:%d" % self._listener.getsockname()[1]
+        self._thread = threading.Thread(target=self._serve, daemon=True)
+        self._thread.start()
+
+    def _serve(self) -> None:
+        conn, _ = self._listener.accept()
+        with conn, conn.makefile("rwb") as stream:
+            stream.write(b'{"ready": true, "cacheserver": true}\n')
+            stream.flush()
+            while self.received < self.answer:
+                if not stream.readline():
+                    break
+                self.received += 1
+                stream.write(b'{"ok": true, "hit": false}\n')
+                stream.flush()
+        self._listener.close()
+
+    def join(self) -> None:
+        self._thread.join(10)
+
+
+class TestPipelining:
+    def test_batches_match_per_key_probes_across_many_windows(
+        self, server, tmp_path, monkeypatch
+    ):
+        # A window of a few hundred bytes holds two or three get lines,
+        # and every put line is longer than it, so these batches span
+        # many windows and put lines travel alone.
+        monkeypatch.setattr(cacheserver, "PIPELINE_WINDOW_BYTES", 300)
+        writer = CacheClient(server.addr)
+        stored = range(0, 24, 2)  # every other key is a miss
+        writer.put_results([(_key(i), [_message()], i) for i in stored])
+        writer.put_memos([(_key(i), _memo()) for i in stored])
+        assert not writer.dead
+        writer.close()
+
+        keys = [_key(i) for i in range(24)]
+        batch = CacheClient(server.addr)
+        results = batch.get_results(keys)
+        memos = batch.get_memos(keys)
+        single = CacheClient(server.addr)
+        assert [_shape(r) for r in results] == [
+            _shape(single.get_result(key)) for key in keys
+        ]
+        assert memos == [single.get_memo(key) for key in keys]
+        backing = ResultCache(str(tmp_path / "shared"))
+        assert [r is not None for r in results] == [
+            backing.get_result(key) is not None for key in keys
+        ]
+        assert [m is not None for m in memos] == [i % 2 == 0 for i in range(24)]
+        assert not batch.dead and not single.dead
+        batch.close()
+        single.close()
+
+    def test_one_window_is_one_write(self, server, monkeypatch):
+        client = CacheClient(server.addr)
+        assert client.ping()
+        writes = []
+        real_write = client._file.write
+        monkeypatch.setattr(
+            client._file, "write",
+            lambda data: writes.append(len(data)) or real_write(data),
+        )
+        assert client.get_results([_key(i) for i in range(50)]) == [None] * 50
+        assert len(writes) == 1
+        client.close()
+
+    def test_empty_batch_does_not_connect(self):
+        client = CacheClient("127.0.0.1:1", timeout=0.5)
+        assert client.get_memos([]) == []
+        client.put_results([])
+        assert not client.dead and client.drain_notes() == []
+
+    def test_server_dying_mid_window_leaves_one_note(self):
+        dying = DyingServer(answer=2)
+        metrics = MetricsRegistry()
+        client = CacheClient(dying.addr, metrics=metrics, timeout=5)
+        keys = [_key(i) for i in range(6)]
+        assert client.get_memos(keys) == [None] * 6
+        dying.join()
+        assert dying.received == 2
+        assert client.dead
+        # Later probes are free misses: no reconnect, no second note.
+        assert client.get_results(keys) == [None] * 6
+        client.put_memos([(keys[0], _memo())])
+        notes = client.drain_notes()
+        assert len(notes) == 1 and "unavailable" in notes[0]
+        assert metrics.count("cacheserver.client.errors") == 1
+        assert metrics.count("cacheserver.client.misses") == 12
 
 
 class TestMemoCodec:

@@ -289,7 +289,8 @@ class TestResultJournal:
         assert not os.path.exists(
             os.path.join(cache.root, "results", self.FP1 + ".json")
         )
-        lines = open(self._journal_path(cache)).read().splitlines()
+        with open(self._journal_path(cache)) as handle:
+            lines = handle.read().splitlines()
         assert len(lines) == 2
 
     def test_batched_results_visible_before_and_after_flush(self, tmp_path):
@@ -335,7 +336,8 @@ class TestResultJournal:
             cache.put_result(self.FP1, [_message()], suppressed=5)
             cache.put_result(self.FP2, [_message()], suppressed=6)
         path = self._journal_path(cache)
-        whole = open(path, "rb").read()
+        with open(path, "rb") as handle:
+            whole = handle.read()
         with open(path, "wb") as handle:
             handle.write(whole[: len(whole) - 40])  # torn final append
         from repro.obs.metrics import MetricsRegistry
@@ -480,3 +482,66 @@ class TestConcurrentCompaction:
                 assert found is not None, f"lost result {fp}"
                 assert found[1] == i
         assert fresh.verify_integrity()["corrupt"] == 0
+
+
+class TestThreadSafety:
+    """The checking service's worker threads share one ``ResultCache``.
+
+    Regression test for the unguarded journal state: ``flush_batch``
+    iterated the pending buffer while another thread's ``put_result``
+    inserted into it ("dictionary changed size during iteration"), and
+    its final clear could drop the other thread's results.
+    """
+
+    PUTS_PER_THREAD = 200
+    SECONDS = 2.0
+
+    def test_concurrent_batches_raise_nothing_and_lose_nothing(
+        self, tmp_path
+    ):
+        import sys
+        import threading
+        import time
+
+        cache = ResultCache(str(tmp_path / "c"))
+        workers = max(8, 2 * (os.cpu_count() or 1))
+        deadline = time.monotonic() + self.SECONDS
+        errors: list[BaseException] = []
+        written: list[list[tuple[str, int]]] = [[] for _ in range(workers)]
+
+        def worker(tid: int) -> None:
+            try:
+                i = 0
+                while i < self.PUTS_PER_THREAD and time.monotonic() < deadline:
+                    # Small batches flush often, which is what races.
+                    with cache.batch():
+                        for _ in range(1 + i % 2):
+                            fp = f"{tid:04x}{i:060x}"
+                            cache.put_result(fp, [_message()], suppressed=i % 7)
+                            written[tid].append((fp, i % 7))
+                            i += 1
+            except BaseException as exc:  # reported by the main thread
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=worker, args=(tid,))
+                for tid in range(workers)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert sum(len(entries) for entries in written) >= workers
+        for view in (cache, ResultCache(cache.root)):
+            for entries in written:
+                for fp, suppressed in entries:
+                    found = view.get_result(fp)
+                    assert found is not None, f"lost result {fp}"
+                    assert found[1] == suppressed

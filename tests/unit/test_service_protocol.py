@@ -4,9 +4,14 @@ lock. These are the pieces the stdin shim and the asyncio service share,
 so pinning them here pins both transports at once."""
 
 import json
+import os
+import subprocess
+import sys
 import threading
 
 import pytest
+
+import repro
 
 from repro.service.locking import LOCK_FILE_NAME, CacheDirLock
 from repro.service.protocol import (
@@ -209,3 +214,41 @@ class TestCacheDirLock:
         for thread in threads:
             thread.join(10)
         assert order == ["holder-in", "holder-out", "contender-in"]
+
+
+class TestFreshInterpreterImports:
+    """The service, its package, and the cache service each import
+    cleanly as the first ``repro`` module of a new process: the cache
+    service takes its framing from ``protocol``, which imports nothing
+    from ``repro``, so no import cycle runs through the service."""
+
+    @pytest.mark.parametrize("module", [
+        "repro.service.server",
+        "repro.service",
+        "repro.incremental.cacheserver",
+        "repro.service.protocol",
+    ])
+    def test_module_imports_first(self, module):
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1")
+        proc = subprocess.run(
+            [sys.executable, "-c", f"import {module}"],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+
+    def test_protocol_imports_nothing_from_repro_at_module_level(self):
+        import ast
+
+        from repro.service import protocol
+
+        with open(protocol.__file__, encoding="utf-8") as handle:
+            tree = ast.parse(handle.read())
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom):
+                assert node.level == 0, ast.unparse(node)
+                assert not (node.module or "").startswith("repro")
+            elif isinstance(node, ast.Import):
+                assert not any(
+                    alias.name.startswith("repro") for alias in node.names
+                ), ast.unparse(node)
