@@ -300,11 +300,13 @@ def _legacy_cold_once(files: dict[str, str], cache_root: str) -> float:
             enum_consts.update(pu.enum_consts)
         prog = program_digest([d for _, _, d, _ in plans], [])
         flags_fp = flags_digest(flags)
-        for pu, token_digest, _, _ in plans:
+        for pu, token_digest, _, iface in plans:
             fingerprint = check_fingerprint(
                 token_digest, flags, prog, flags_fp
             )
-            output = check_parsed_unit(pu, symtab, flags, enum_consts)
+            output = check_parsed_unit(
+                pu, symtab, flags, enum_consts, interface=iface
+            )
             cache.put_result(
                 fingerprint, output.messages, output.suppressed
             )

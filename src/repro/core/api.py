@@ -377,12 +377,14 @@ def check_parsed_unit(
     enum_consts: dict[str, int] | None = None,
     crash_dir: str | None = None,
     tracer=NULL_TRACER,
-    interface: SymbolTable | None = None,
+    *,
+    interface: SymbolTable,
 ) -> UnitCheckOutput:
     """Check one parsed unit against a merged interface.
 
-    With the unit's own *interface* slice, its ``static`` functions and
-    objects win over same-named ones of other units (:func:`unit_symtab`).
+    *interface* is the unit's own slice (:func:`unit_interface`): its
+    ``static`` functions and objects win over same-named ones of other
+    units (:func:`unit_symtab`).
 
     This is a pure function of its inputs (no module-global state beyond
     the immutable prelude parse), which is what makes per-unit results
@@ -423,10 +425,9 @@ def check_parsed_unit(
             f"Parse error: {error.args[0].split(': ', 1)[-1]} "
             f"(skipped to the next declaration)",
         )
-    if interface is not None:
-        symtab = unit_symtab(symtab, pu, interface)
     ctx = CheckContext(
-        symtab=symtab, reporter=reporter, flags=flags,
+        symtab=unit_symtab(symtab, pu, interface),
+        reporter=reporter, flags=flags,
         enum_consts=dict(enum_consts or {}),
     )
     for fdef in pu.unit.functions():

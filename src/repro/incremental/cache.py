@@ -86,13 +86,16 @@ class ResultCache:
         self.dropped = 0
         self.lock = CacheDirLock(self.root)
         # Result-journal state: the parsed overlay of journal entries
-        # (consulted before per-fingerprint files), and writes buffered
-        # by an open batch() awaiting one flush. The checking service's
-        # worker threads share one cache, so all three are guarded by
-        # _state_lock (the cross-process CacheDirLock guards the files).
+        # (consulted before per-fingerprint files), writes buffered by
+        # an open batch() awaiting one flush, and the entries a flush is
+        # writing right now (readable until the overlay holds them). The
+        # checking service's worker threads share one cache, so all of
+        # it is guarded by _state_lock (the cross-process CacheDirLock
+        # guards the files).
         self._state_lock = threading.Lock()
         self._journal: dict[str, dict] = {}
         self._pending: dict[str, dict] = {}
+        self._flushing: dict[str, dict] = {}
         self._batch_depth = 0
         self._ensure_layout()
         self._load_journal()
@@ -258,11 +261,13 @@ class ResultCache:
     def get_result(self, fingerprint: str):
         """Return ``(messages, suppressed)`` or ``None`` on a miss.
 
-        Journal entries (and results buffered in an open batch) shadow
-        per-fingerprint files: they are strictly newer.
+        Journal entries (and results buffered in an open batch or being
+        flushed) shadow per-fingerprint files: they are strictly newer.
         """
         with self._state_lock:
             payload = self._pending.get(fingerprint)
+            if payload is None:
+                payload = self._flushing.get(fingerprint)
             if payload is None:
                 payload = self._journal.get(fingerprint)
         if payload is not None:
@@ -274,6 +279,7 @@ class ResultCache:
             with self._state_lock:
                 self._journal.pop(fingerprint, None)
                 self._pending.pop(fingerprint, None)
+                self._flushing.pop(fingerprint, None)
             self.dropped += 1
             self.metrics.inc("cache.entries.dropped")
         path = self._entry_path("results", fingerprint, ".json")
@@ -325,9 +331,12 @@ class ResultCache:
         The buffer is swapped out under the state lock before writing,
         so a result another thread puts meanwhile lands in the next
         flush instead of being iterated over or cleared by this one.
+        The swapped-out entries stay readable in ``_flushing`` until
+        the overlay holds them.
         """
         with self._state_lock:
             pending, self._pending = self._pending, {}
+            self._flushing.update(pending)
         if not pending:
             return
         lines = []
@@ -344,14 +353,24 @@ class ResultCache:
                     os.fsync(handle.fileno())
             except OSError:
                 self.metrics.inc("cache.write.failures")
+                with self._state_lock:
+                    self._unflush(pending)
                 return
         with self._state_lock:
             self._journal.update(pending)
+            self._unflush(pending)
             oversized = len(self._journal) > JOURNAL_COMPACT_ENTRIES
         self.metrics.inc("cache.journal.flushes")
         self.metrics.inc("cache.journal.entries", len(pending))
         if oversized:
             self.compact_journal()
+
+    def _unflush(self, pending: dict[str, dict]) -> None:
+        """Forget a finished flush's entries (caller holds the state
+        lock); an entry a concurrent flush re-buffered stays."""
+        for fingerprint, payload in pending.items():
+            if self._flushing.get(fingerprint) is payload:
+                del self._flushing[fingerprint]
 
     def _load_journal(self) -> None:
         """Replay the journal into the in-process overlay.

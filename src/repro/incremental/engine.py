@@ -720,13 +720,11 @@ class IncrementalChecker:
                 iface_pickle = pickle.dumps(
                     (plan.interface, plan.enum_consts)
                 )
-                closure = []
-                for name in sorted(included):
-                    source = run.sources.get(name)
-                    if source is not None:
-                        closure.append(
-                            (name, self._include_digest(name, run, source.text))
-                        )
+                closure = [
+                    (name, self._include_digest(name, run))
+                    for name in sorted(included)
+                    if run.sources.get(name) is not None
+                ]
                 memo = UnitMemo(
                     token_digest=plan.token_digest,
                     iface_digest=plan.iface_digest,
@@ -800,19 +798,18 @@ class IncrementalChecker:
     def _includes_unchanged(
         self, closure: list[tuple[str, str]], run: _Run
     ) -> bool:
-        return all(
-            self._include_digest(name, run) == recorded_sha
-            for name, recorded_sha in closure
-        )
+        for name, recorded_sha in closure:
+            current = self._include_digest(name, run)
+            if current is None or current != recorded_sha:
+                return False
+        return True
 
-    def _include_digest(
-        self, name: str, run: _Run, text: str | None = None
-    ) -> str | None:
-        """Digest of include *name*'s text this run (*text* when the
-        caller already holds it), computed once per run."""
+    def _include_digest(self, name: str, run: _Run) -> str | None:
+        """Digest of include *name*'s current text (``None`` when it is
+        gone), computed once per run. Recording a memo's closure and
+        validating one both read it, so they see the same text."""
         if name not in run.include_digests:
-            if text is None:
-                text = self._current_include_text(name, run.files)
+            text = self._current_include_text(name, run.files)
             run.include_digests[name] = (
                 None if text is None else text_digest(text)
             )

@@ -95,7 +95,8 @@ def check_units_parallel(
     shard_strategy: str = "interface",
     cluster_keys: list[str] | None = None,
     weights: list[int] | None = None,
-    interfaces: list | None = None,
+    *,
+    interfaces: list,
 ) -> tuple[list[UnitCheckOutput] | None, list[str]]:
     """Check *units* on a pool of *jobs* workers, preserving unit order.
 
@@ -132,8 +133,6 @@ def check_units_parallel(
     )
     metrics.inc("engine.shard.count", len(shards))
     metrics.set_gauge("engine.shard.balance", shard_balance(shards, weights))
-    if interfaces is None:
-        interfaces = [None] * len(units)
     state = (units, symtab, flags, enum_consts, crash_dir, interfaces)
     _PARENT_STATE = state
     try:

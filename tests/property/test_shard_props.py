@@ -104,8 +104,9 @@ def _parsed_units():
         checker.parse_unit(text, f"u{i}.c")
         for i, text in enumerate(_UNIT_TEXTS)
     ]
-    symtab = build_program_symtab([unit_interface(u) for u in units])
-    return units, symtab, checker.flags
+    interfaces = [unit_interface(u) for u in units]
+    symtab = build_program_symtab(interfaces)
+    return units, interfaces, symtab, checker.flags
 
 
 class TestShardedExecutionMergesToSerial:
@@ -116,8 +117,11 @@ class TestShardedExecutionMergesToSerial:
     @given(_strategy, st.integers(min_value=1, max_value=12))
     @settings(max_examples=25, deadline=None)
     def test_merged_output_matches_serial(self, strategy, shard_count):
-        units, symtab, flags = _parsed_units()
-        serial = [check_parsed_unit(u, symtab, flags) for u in units]
+        units, interfaces, symtab, flags = _parsed_units()
+        serial = [
+            check_parsed_unit(u, symtab, flags, interface=iface)
+            for u, iface in zip(units, interfaces)
+        ]
         serial_render = [
             [m.render() for m in out.messages] for out in serial
         ]
@@ -131,7 +135,9 @@ class TestShardedExecutionMergesToSerial:
         slots = [None] * len(units)
         for shard in shards:
             for i in shard.indices:
-                slots[i] = check_parsed_unit(units[i], symtab, flags)
+                slots[i] = check_parsed_unit(
+                    units[i], symtab, flags, interface=interfaces[i]
+                )
         assert all(out is not None for out in slots)
         merged_render = [
             [m.render() for m in out.messages] for out in slots

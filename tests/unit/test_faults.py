@@ -85,8 +85,9 @@ class TestFrontendFatals:
             LexError("unterminated string", Location("bad.c", 3, 1)), "bad.c"
         )
         pu = failed_parsed_unit("bad.c", fatal)
-        symtab = build_program_symtab([unit_interface(pu)])
-        out = check_parsed_unit(pu, symtab, Checker().flags)
+        iface = unit_interface(pu)
+        symtab = build_program_symtab([iface])
+        out = check_parsed_unit(pu, symtab, Checker().flags, interface=iface)
         assert out.degraded
         assert out.internal_errors == 0
         parse_errors = [
@@ -103,8 +104,9 @@ class TestFrontendFatals:
                         "RuntimeError: x (file skipped)",
         )
         pu = failed_parsed_unit("u.c", fatal)
-        symtab = build_program_symtab([unit_interface(pu)])
-        out = check_parsed_unit(pu, symtab, Checker().flags)
+        iface = unit_interface(pu)
+        symtab = build_program_symtab([iface])
+        out = check_parsed_unit(pu, symtab, Checker().flags, interface=iface)
         assert out.degraded
         assert out.internal_errors == 1
         assert [m.code for m in out.messages] == [MessageCode.INTERNAL_ERROR]
@@ -131,9 +133,10 @@ class TestPerFunctionContainment:
             "void leaky(char *p) { free(p); }\n",
             "u.c",
         )
-        symtab = build_program_symtab([unit_interface(pu)])
+        iface = unit_interface(pu)
+        symtab = build_program_symtab([iface])
         out = check_parsed_unit(pu, symtab, checker.flags,
-                                crash_dir=crash_dir)
+                                crash_dir=crash_dir, interface=iface)
         codes = [m.code for m in out.messages]
         assert MessageCode.INTERNAL_ERROR in codes
         assert out.degraded and out.internal_errors == 1
@@ -144,8 +147,9 @@ class TestPerFunctionContainment:
     def test_clean_unit_is_not_degraded(self):
         checker = Checker()
         pu = checker.parse_unit("int f(int x) { return x; }\n", "u.c")
-        symtab = build_program_symtab([unit_interface(pu)])
-        out = check_parsed_unit(pu, symtab, checker.flags)
+        iface = unit_interface(pu)
+        symtab = build_program_symtab([iface])
+        out = check_parsed_unit(pu, symtab, checker.flags, interface=iface)
         assert not out.degraded
         assert out.internal_errors == 0
 
@@ -168,11 +172,12 @@ class TestParallelFallback:
             pytest.skip("needs fork")
         units = self._parsed(["int f(void) { return 1; }",
                               "int g(void) { return 2; }"])
-        symtab = build_program_symtab([unit_interface(u) for u in units])
+        interfaces = [unit_interface(u) for u in units]
+        symtab = build_program_symtab(interfaces)
         outputs, notes = parallel.check_units_parallel(
             units, symtab, Checker().flags,
             {"bad": lambda: None},  # unpicklable enum_consts
-            jobs=2,
+            jobs=2, interfaces=interfaces,
         )
         assert outputs is not None and len(outputs) == 2
         assert notes == []
@@ -181,9 +186,11 @@ class TestParallelFallback:
         from repro.incremental.parallel import check_units_parallel
 
         units = self._parsed(["int f(void) { return 1; }"])
-        symtab = build_program_symtab([unit_interface(u) for u in units])
+        interfaces = [unit_interface(u) for u in units]
+        symtab = build_program_symtab(interfaces)
         outputs, notes = check_units_parallel(
-            units, symtab, Checker().flags, {}, jobs=4
+            units, symtab, Checker().flags, {}, jobs=4,
+            interfaces=interfaces,
         )
         assert outputs is None
         assert notes == []
@@ -199,9 +206,11 @@ class TestParallelFallback:
         monkeypatch.setattr(parallel, "_check_shard_task", _die_task)
         units = self._parsed(["int f(void) { return 1; }",
                               "int g(void) { return 2; }"])
-        symtab = build_program_symtab([unit_interface(u) for u in units])
+        interfaces = [unit_interface(u) for u in units]
+        symtab = build_program_symtab(interfaces)
         outputs, notes = parallel.check_units_parallel(
-            units, symtab, Checker().flags, {}, jobs=2
+            units, symtab, Checker().flags, {}, jobs=2,
+            interfaces=interfaces,
         )
         assert outputs is not None and len(outputs) == 2
         assert all(out is not None for out in outputs)
@@ -221,10 +230,12 @@ class TestParallelFallback:
         units = self._parsed([
             f"int f{i}(void) {{ return {i}; }}" for i in range(4)
         ])
-        symtab = build_program_symtab([unit_interface(u) for u in units])
+        interfaces = [unit_interface(u) for u in units]
+        symtab = build_program_symtab(interfaces)
         metrics = MetricsRegistry()
         outputs, notes = parallel.check_units_parallel(
-            units, symtab, Checker().flags, {}, jobs=2, metrics=metrics
+            units, symtab, Checker().flags, {}, jobs=2, metrics=metrics,
+            interfaces=interfaces,
         )
         assert outputs is not None and len(outputs) == 4
         assert all(out is not None for out in outputs)
@@ -261,9 +272,11 @@ class TestParallelFallback:
         monkeypatch.setattr(
             ProcessPoolExecutor, "submit", recording_submit
         )
-        symtab = build_program_symtab([unit_interface(u) for u in units])
+        interfaces = [unit_interface(u) for u in units]
+        symtab = build_program_symtab(interfaces)
         outputs, notes = parallel.check_units_parallel(
-            units, symtab, Checker().flags, {}, jobs=2
+            units, symtab, Checker().flags, {}, jobs=2,
+            interfaces=interfaces,
         )
         assert outputs is not None and len(outputs) == 3
         assert payload_sizes, "parallel path did not submit tasks"
@@ -279,10 +292,12 @@ class TestParallelFallback:
         monkeypatch.setattr(parallel, "ProcessPoolExecutor", interrupt)
         units = self._parsed(["int f(void) { return 1; }",
                               "int g(void) { return 2; }"])
-        symtab = build_program_symtab([unit_interface(u) for u in units])
+        interfaces = [unit_interface(u) for u in units]
+        symtab = build_program_symtab(interfaces)
         with pytest.raises(KeyboardInterrupt):
             parallel.check_units_parallel(
-                units, symtab, Checker().flags, {}, jobs=2
+                units, symtab, Checker().flags, {}, jobs=2,
+                interfaces=interfaces,
             )
 
 

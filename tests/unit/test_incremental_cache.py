@@ -490,7 +490,9 @@ class TestThreadSafety:
     Regression test for the unguarded journal state: ``flush_batch``
     iterated the pending buffer while another thread's ``put_result``
     inserted into it ("dictionary changed size during iteration"), and
-    its final clear could drop the other thread's results.
+    its final clear could drop the other thread's results. A reader
+    thread also checks that a put result stays readable while the batch
+    holding it is being flushed.
     """
 
     PUTS_PER_THREAD = 200
@@ -523,6 +525,22 @@ class TestThreadSafety:
             except BaseException as exc:  # reported by the main thread
                 errors.append(exc)
 
+        writers_done = threading.Event()
+        unreadable: list[str] = []
+
+        def reader() -> None:
+            # Every entry in written[] was put before it was appended, so
+            # it must read back at any moment, mid-flush included.
+            try:
+                while not writers_done.is_set():
+                    for entries in written:
+                        if entries:
+                            fp, _ = entries[-1]
+                            if cache.get_result(fp) is None:
+                                unreadable.append(fp)
+            except BaseException as exc:
+                errors.append(exc)
+
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -530,14 +548,19 @@ class TestThreadSafety:
                 threading.Thread(target=worker, args=(tid,))
                 for tid in range(workers)
             ]
+            reader_thread = threading.Thread(target=reader)
+            reader_thread.start()
             for thread in threads:
                 thread.start()
             for thread in threads:
                 thread.join(60)
+            writers_done.set()
+            reader_thread.join(60)
         finally:
             sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
+        assert not any(t.is_alive() for t in threads + [reader_thread])
         assert errors == []
+        assert unreadable == []
         assert sum(len(entries) for entries in written) >= workers
         for view in (cache, ResultCache(cache.root)):
             for entries in written:
