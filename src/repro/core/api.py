@@ -1,4 +1,4 @@
-"""Public checking API (facade over the frontend and the analysis).
+"""Public checking API: the per-unit records and stages, and the facade.
 
 Typical use::
 
@@ -11,6 +11,12 @@ Multi-file programs are checked with :class:`Checker`, which parses every
 unit, merges the interface information into one symbol table (the paper's
 "libraries to store interface information"), and then checks each
 function independently against that merged interface.
+
+:class:`Checker` is the checking engine
+(:class:`repro.incremental.engine.IncrementalChecker`) with no cache, no
+cache server and one process; this module holds what the engine runs per
+unit — the prelude, :func:`check_parsed_unit`, the symbol-table builders
+— and the :class:`CheckResult` every run returns.
 """
 
 from __future__ import annotations
@@ -27,19 +33,12 @@ from typing import Callable
 
 from ..analysis.checker import CheckContext, FunctionChecker
 from ..annotations.parse import AnnotationProblem
-from ..flags.registry import DEFAULT_FLAGS, Flags
+from ..flags.registry import Flags
 from ..frontend import cast as A
-from ..frontend.lexer import LexError
-from ..frontend.parser import ParseError, Parser
-from ..frontend.preprocessor import PreprocessError, Preprocessor
+from ..frontend.parser import Parser
+from ..frontend.preprocessor import Preprocessor
 from ..frontend.source import SourceManager
-from .faults import (
-    FatalError,
-    cancel_checkpoint,
-    frontend_fatal,
-    internal_fatal,
-    write_crash_bundle,
-)
+from .faults import FatalError, write_crash_bundle
 from ..frontend.symtab import SymbolTable
 from ..frontend.tokens import Token
 from ..messages.message import Message, MessageCode
@@ -47,7 +46,6 @@ from ..messages.reporter import Reporter
 from ..messages.suppress import SuppressionTable
 from ..obs.trace import NULL_TRACER
 from ..stdlib.specs import (
-    PRELUDE_COVERED_HEADERS,
     PRELUDE_DEFINES,
     PRELUDE_NAME,
     PRELUDE_TEXT,
@@ -343,7 +341,7 @@ def _internal_names(unit: A.TranslationUnit) -> set[str]:
 
 
 def unit_symtab(
-    symtab: SymbolTable, pu: "ParsedUnit", interface: SymbolTable
+    symtab: SymbolTable, unit: A.TranslationUnit, interface: SymbolTable
 ) -> SymbolTable:
     """The program symbol table as one unit sees it.
 
@@ -355,7 +353,7 @@ def unit_symtab(
     """
     functions: dict = {}
     globals_: dict = {}
-    for name in _internal_names(pu.unit):
+    for name in _internal_names(unit):
         own = interface.functions.get(name)
         if own is not None and symtab.functions.get(name) is not own:
             functions[name] = own
@@ -426,7 +424,7 @@ def check_parsed_unit(
             f"(skipped to the next declaration)",
         )
     ctx = CheckContext(
-        symtab=unit_symtab(symtab, pu, interface),
+        symtab=unit_symtab(symtab, pu.unit, interface),
         reporter=reporter, flags=flags,
         enum_consts=dict(enum_consts or {}),
     )
@@ -513,7 +511,7 @@ class CheckResult:
     @cached_property
     def symtab(self) -> SymbolTable | None:
         """The merged program symbol table (``-dump``, ``-trace``,
-        :meth:`Checker.save_library`). A checker that did not need it —
+        ``save_library``). A run that did not need it —
         a fully-warm engine run checks nothing — leaves it to be built
         here, on first read."""
         if self.symtab_factory is None:
@@ -556,8 +554,17 @@ class CheckResult:
         return len(self.messages)
 
 
-class Checker:
-    """Checks one or more C source files LCLint-style."""
+# The engine imports the records and stages above, so it is imported
+# once they are defined. ``import repro`` loads this module first, so
+# every import order reaches this line with the engine not yet loaded.
+from ..incremental.engine import IncrementalChecker  # noqa: E402
+
+
+class Checker(IncrementalChecker):
+    """Checks one or more C source files LCLint-style: the engine with
+    no cache, no cache server and one process, so a run keys, digests
+    and fingerprints nothing (see ``IncrementalChecker.incremental``).
+    """
 
     def __init__(
         self,
@@ -565,135 +572,18 @@ class Checker:
         sources: SourceManager | None = None,
         defines: dict[str, str] | None = None,
         crash_dir: str | None = None,
-        tracer=NULL_TRACER,
+        tracer=None,
     ) -> None:
-        self.flags = flags or DEFAULT_FLAGS
-        self.sources = sources or SourceManager()
-        self.defines = dict(PRELUDE_DEFINES)
-        self.defines.update(defines or {})
-        self.crash_dir = crash_dir
-        self.tracer = tracer
-        self.base_symtab: SymbolTable | None = None
-
-    # -- interface libraries (paper section 7: modular checking) -----------
-
-    def load_library(self, path: str) -> None:
-        """Merge interface information from a saved library file."""
-        from ..driver.library import load_library, merge_symtabs
-
-        loaded = load_library(path)
-        if self.base_symtab is None:
-            self.base_symtab = SymbolTable()
-        merge_symtabs(self.base_symtab, loaded)
-
-    def save_library(self, result: "CheckResult", path: str) -> None:
-        from ..driver.library import save_library
-
-        assert result.symtab is not None
-        save_library(result.symtab, path)
-
-    # -- parsing ----------------------------------------------------------
-
-    def parse_unit(self, text: str, name: str) -> ParsedUnit:
-        """Parse one unit, containing every frontend failure.
-
-        Malformed input (a :class:`LexError`, :class:`PreprocessError`,
-        or a :class:`ParseError` that escaped panic-mode recovery) and
-        unexpected internal exceptions both yield a *failed* unit — an
-        empty translation unit carrying a :class:`FatalError` — instead
-        of aborting the batch. ``check_parsed_unit`` turns the record
-        into a single parse-error / internal-error message.
-        """
-        try:
-            return self._parse_unit_raw(text, name)
-        except (LexError, PreprocessError, ParseError) as exc:
-            return failed_parsed_unit(name, frontend_fatal(exc, name))
-        except Exception as exc:
-            write_crash_bundle(
-                self.crash_dir, phase="parse", unit=name, exc=exc,
-                source_text=text,
-            )
-            return failed_parsed_unit(
-                name, internal_fatal(exc, name, "parsing")
-            )
-
-    def _parse_unit_raw(self, text: str, name: str) -> ParsedUnit:
-        pp = Preprocessor(
-            self.sources, defines=dict(self.defines),
-            system_headers=SYSTEM_HEADERS,
-            prelude_covered=PRELUDE_COVERED_HEADERS,
+        super().__init__(
+            flags=flags, defines=defines, crash_dir=crash_dir, tracer=tracer
         )
-        _, prelude_scope = _prelude_parsed()
-        toks = pp.preprocess_text(text, name)
-        # .lcl files are LCL interface specifications: annotations appear
-        # as bare words before types (paper section 4).
-        parser = Parser(toks, name, lcl_mode=name.endswith(".lcl"),
-                        preseed=prelude_scope)
-        unit = parser.parse_translation_unit()
-        return ParsedUnit(
-            unit=unit,
-            controls=parser.controls,
-            problems=parser.problems,
-            enum_consts=dict(parser.scope.enum_consts),
-            parse_errors=list(parser.parse_errors),
-        )
+        if sources is not None:
+            self.sources = sources
 
-    # -- checking -------------------------------------------------------------
-
-    def check_units(self, parsed: list[ParsedUnit]) -> CheckResult:
-        with self.tracer.span("batch", cat="batch", units=len(parsed)):
-            interfaces = [unit_interface(pu) for pu in parsed]
-            symtab = build_program_symtab(interfaces, self.base_symtab)
-            enum_consts: dict[str, int] = {}
-            for pu in parsed:
-                enum_consts.update(pu.enum_consts)
-
-            outputs = []
-            for pu, interface in zip(parsed, interfaces):
-                cancel_checkpoint()  # requests stop at unit boundaries
-                with self.tracer.span("unit", cat="unit", unit=pu.unit.name):
-                    outputs.append(check_parsed_unit(
-                        pu, symtab, self.flags, enum_consts,
-                        crash_dir=self.crash_dir, tracer=self.tracer,
-                        interface=interface,
-                    ))
-        messages, suppressed = merge_unit_outputs(outputs)
-
-        return CheckResult(
-            messages=messages,
-            suppressed=suppressed,
-            units=[pu.unit for pu in parsed],
-            symtab_factory=lambda: symtab,
-            degraded_units=[
-                pu.unit.name
-                for pu, out in zip(parsed, outputs)
-                if out.degraded
-            ],
-            internal_errors=sum(out.internal_errors for out in outputs),
-        )
-
-    def check_sources(self, files: dict[str, str]) -> CheckResult:
-        """Check a set of named C sources as one program.
-
-        Header files (``.h``) are registered for ``#include`` resolution;
-        every other entry is parsed and checked as a translation unit.
-        """
-        units: list[ParsedUnit] = []
-        for name, text in files.items():
-            if name.endswith(".h"):
-                self.sources.add(name, text)
-        for name, text in files.items():
-            if not name.endswith(".h"):
-                cancel_checkpoint()
-                units.append(self.parse_unit(text, name))
-        return self.check_units(units)
-
-    def check_files(self, paths: list[str]) -> CheckResult:
-        files: dict[str, str] = {}
-        for path in paths:
-            with open(path, "r", encoding="utf-8") as handle:
-                files[path] = handle.read()
-        return self.check_sources(files)
+    # Instrumentation wraps check_sources through each class's own
+    # __dict__, so a plain run's calls stay apart from the cached
+    # engine's; this entry is the plain run's.
+    check_sources = IncrementalChecker.check_sources
 
 
 def check_source(

@@ -90,7 +90,9 @@ import time
 
 from ..analysis.cfg import build_cfg
 from ..flags.registry import FLAG_REGISTRY, Flags, UnknownFlag
-from ..core.api import Checker, CheckResult
+from ..core.api import Checker, CheckResult, unit_symtab
+from ..frontend.symtab import SymbolTable
+from ..incremental.engine import IncrementalChecker
 
 USAGE = __doc__ or ""
 
@@ -100,8 +102,8 @@ EXIT_WARNINGS = 1
 EXIT_USAGE = 2
 EXIT_INTERNAL_CONTAINED = 3
 
-#: Engine statistics of the most recent incremental run on *this
-#: thread* (None when the classic one-shot path ran). The daemon shim
+#: Engine statistics of the most recent run on *this thread* (None
+#: only while a run is starting or after it failed). The daemon shim
 #: and the checking service read this — as ``cli.LAST_RUN_STATS``, via
 #: the module ``__getattr__`` below — to report per-request cache
 #: traffic without changing run()'s (status, output) contract.
@@ -322,7 +324,6 @@ def run(argv: list[str], cache=None, jobs: int | None = None) -> tuple[int, str]
 
     files = _read_source_files(paths)
     out: list[str] = []
-    stats = None
 
     from .library import LibraryError
 
@@ -337,15 +338,12 @@ def run(argv: list[str], cache=None, jobs: int | None = None) -> tuple[int, str]
         except OSError as exc:
             raise CliError(str(exc)) from exc
 
+    tracer = obs.tracer if obs is not None else None
+    incremental = cache is not None or remote is not None or jobs > 1
     try:
         try:
-            # --profile and observability need the instrumented engine
-            # even without a cache.
-            if cache is not None or jobs > 1 or want_profile \
-                    or obs is not None or remote is not None:
-                from ..incremental.engine import IncrementalChecker
-
-                checker = IncrementalChecker(
+            checker = (
+                IncrementalChecker(
                     flags=flags,
                     cache=cache,
                     jobs=jobs,
@@ -358,25 +356,17 @@ def run(argv: list[str], cache=None, jobs: int | None = None) -> tuple[int, str]
                         or trace_function_name is not None
                         or dump_path is not None
                     ),
-                    tracer=obs.tracer if obs is not None else None,
-                    metrics=obs.metrics if obs is not None else None,
+                    tracer=tracer,
                     remote=remote,
                     shard_strategy=shard_strategy,
                 )
-                for lib in load_paths:
-                    checker.load_library(lib)
-                prologue_s = time.perf_counter() - run_t0
-                result = checker.check_sources(files)
-                stats = checker.stats
-                stats.prologue_s = prologue_s
-                _RUN_STATS.value = stats
-                for note in stats.notes:
-                    out.append(f"pylclint: warning: {note}")
-            else:
-                checker = Checker(flags=flags)
-                for lib in load_paths:
-                    checker.load_library(lib)
-                result = checker.check_sources(files)
+                if incremental
+                else Checker(flags=flags, tracer=tracer)
+            )
+            for lib in load_paths:
+                checker.load_library(lib)
+            prologue_s = time.perf_counter() - run_t0
+            result = checker.check_sources(files)
         except LibraryError as exc:
             raise CliError(str(exc)) from exc
         except OSError as exc:
@@ -388,6 +378,12 @@ def run(argv: list[str], cache=None, jobs: int | None = None) -> tuple[int, str]
         # a partial trace of a failed run is exactly what gets debugged.
         if obs is not None:
             obs.finish()
+
+    stats = checker.stats
+    stats.prologue_s = prologue_s
+    _RUN_STATS.value = stats
+    for note in stats.notes:
+        out.append(f"pylclint: warning: {note}")
 
     render_t0 = time.perf_counter()
     for message in result.messages:
@@ -401,10 +397,10 @@ def run(argv: list[str], cache=None, jobs: int | None = None) -> tuple[int, str]
 
     if want_stats:
         out.append(_stats_for(result))
-        if stats is not None:
+        if incremental:
             out.append(stats.render())
 
-    if want_profile and stats is not None:
+    if want_profile:
         stats.render_s = time.perf_counter() - render_t0
         out.append(stats.render_profile())
 
@@ -447,7 +443,9 @@ def _parse_jobs(value: str) -> int:
     return jobs
 
 
-def _trace_for(checker: Checker, result: CheckResult, name: str) -> str:
+def _trace_for(
+    checker: IncrementalChecker, result: CheckResult, name: str
+) -> str:
     from ..analysis.checker import CheckContext
     from ..analysis.engine import trace_function
     from ..messages.reporter import Reporter
@@ -455,8 +453,12 @@ def _trace_for(checker: Checker, result: CheckResult, name: str) -> str:
     for unit in result.units:
         for fdef in unit.functions():
             if fdef.name == name:
+                # The unit's own view: its static entries win, as when
+                # the unit was checked.
+                interface = SymbolTable()
+                interface.add_unit(unit)
                 ctx = CheckContext(
-                    symtab=result.symtab,
+                    symtab=unit_symtab(result.symtab, unit, interface),
                     reporter=Reporter(flags=checker.flags),
                     flags=checker.flags,
                 )

@@ -120,6 +120,13 @@ class SourceManager:
     def names(self) -> list[str]:
         return sorted(self._files)
 
+    def copy(self) -> "SourceManager":
+        """A manager holding the same files; what is added to or loaded
+        into the copy stays out of this one."""
+        clone = SourceManager()
+        clone._files = dict(self._files)
+        return clone
+
     def load(self, path: str) -> SourceFile:
         """Load a file from disk (cached by path)."""
         existing = self._files.get(path)

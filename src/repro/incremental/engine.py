@@ -1,9 +1,14 @@
-"""The incremental, parallel checking engine.
+"""The checking engine: every check runs through it.
 
-One-shot checking (:class:`repro.core.api.Checker`) re-preprocesses,
-re-parses, and re-checks every translation unit on every invocation.
-This engine makes re-checking cheap, the property the paper leans on
-("fast enough to run as part of every build"):
+A run is five stages (plan, probe, symtab, check, write; see
+:meth:`IncrementalChecker.check_sources`). :class:`repro.core.api.Checker`
+is this engine with no result cache, no cache server and one process,
+so the plain CLI, ``check_source``, difftest, the interpreter and the
+cached engine share one frontend path and one check path.
+
+A result cache, a cache server or a pool (``jobs > 1``) makes
+re-checking cheap, the property the paper leans on ("fast enough to run
+as part of every build"):
 
 * **warm units skip everything** — a unit whose raw text, includes,
   flags, and program interface are unchanged is answered straight from
@@ -15,8 +20,9 @@ This engine makes re-checking cheap, the property the paper leans on
 * **parallel misses** — units that do need checking fan out over a
   process pool (``jobs > 1``), with results identical to serial order.
 
-The engine produces the same :class:`CheckResult` as ``Checker`` — the
-integration suite asserts message-for-message equality.
+Without any of the three nothing reads a key or a digest, so a run
+computes no source key, digest or fingerprint and neither probes nor
+counts cache traffic (:attr:`IncrementalChecker.incremental`).
 """
 
 from __future__ import annotations
@@ -29,6 +35,7 @@ from ..core.api import (
     CheckResult,
     ParsedUnit,
     UnitCheckOutput,
+    _prelude_parsed,
     build_program_symtab,
     check_parsed_unit,
     ensure_process_initialized,
@@ -223,13 +230,18 @@ class _UnitPlan:
 
 @dataclass
 class _Run:
-    """State the stages of one :meth:`IncrementalChecker.check_sources`
-    call share."""
+    """State the stages of one run share."""
 
     files: dict[str, str]
+    #: The engine's registered headers, then the run's own headers and
+    #: the files read from disk (re-read every run).
+    sources: SourceManager
     stats: CheckStats
-    sources: SourceManager = field(default_factory=SourceManager)
     plans: list[_UnitPlan] = field(default_factory=list)
+    #: The program symbol table and enum constants, once the symtab
+    #: stage built them.
+    symtab: SymbolTable | None = None
+    enum_consts: dict[str, int] = field(default_factory=dict)
     #: Include name -> digest of its current text (``None`` when it
     #: cannot be read): each include is digested once per run.
     include_digests: dict[str, str | None] = field(default_factory=dict)
@@ -240,11 +252,12 @@ class _Run:
 
 
 class IncrementalChecker:
-    """Checks programs with a persistent cache and an optional pool.
+    """Checks programs, with an optional cache, cache server and pool.
 
-    Drop-in counterpart of :class:`repro.core.api.Checker` for whole
-    programs: ``check_sources`` / ``check_files`` return the same
-    :class:`CheckResult`, plus a :attr:`stats` record for the last run.
+    ``check_sources`` / ``check_files`` check a whole program;
+    ``parse_unit`` and ``check_units`` split the same path for callers
+    that parse once and check later. Every run leaves a :attr:`stats`
+    record.
     """
 
     def __init__(
@@ -272,10 +285,10 @@ class IncrementalChecker:
                 f"(expected one of {', '.join(STRATEGIES)})"
             )
         self.shard_strategy = shard_strategy
-        # The engine always runs under a tracer: phase timings for the
-        # --profile table are span durations. Without a sink the tracer
-        # only measures (the same perf_counter pairs the ad-hoc timing
-        # used); per-function spans stay off unless a sink is attached.
+        # Without a tracer the engine runs under a sink-less one: phase
+        # timings for the --profile table are span durations, and the
+        # tracer only measures (per-function spans stay off unless a
+        # sink is attached).
         self.tracer = tracer if tracer is not None else Tracer()
         self.metrics = metrics if metrics is not None else GLOBAL_METRICS
         self.defines = dict(PRELUDE_DEFINES)
@@ -286,21 +299,42 @@ class IncrementalChecker:
         if crash_dir is None and cache is not None:
             crash_dir = os.path.join(cache.root, "crashes")
         self.crash_dir = crash_dir
+        #: Headers registered here resolve in every run.
+        self.sources = SourceManager()
         self.base_symtab: SymbolTable | None = None
         self._library_digests: list[str] = []
         self.stats = CheckStats()
 
-    # -- interface libraries -------------------------------------------------
+    @property
+    def incremental(self) -> bool:
+        """A result cache, a cache server or a pool is in use. Only then
+        does a run key and digest its units (memos, fingerprints and
+        shard clusters read them) and count cache traffic."""
+        return (
+            self.cache is not None or self.remote is not None
+            or self.jobs > 1
+        )
+
+    # -- interface libraries (paper section 7: modular checking) -----------
 
     def load_library(self, path: str) -> None:
+        """Merge interface information from a saved library file."""
         from ..driver.library import load_library, merge_symtabs
 
         loaded = load_library(path)
         if self.base_symtab is None:
             self.base_symtab = SymbolTable()
         merge_symtabs(self.base_symtab, loaded)
-        with open(path, "rb") as handle:
-            self._library_digests.append(text_digest(repr(handle.read())))
+        if self.incremental:  # only fingerprints read the digest
+            with open(path, "rb") as handle:
+                self._library_digests.append(
+                    text_digest(repr(handle.read()))
+                )
+
+    def save_library(self, result: CheckResult, path: str) -> None:
+        from ..driver.library import save_library
+
+        save_library(result.symtab, path)
 
     # -- entry points --------------------------------------------------------
 
@@ -314,7 +348,8 @@ class IncrementalChecker:
     def check_sources(self, files: dict[str, str]) -> CheckResult:
         """Check a program in five stages, one span each:
 
-        * **plan** — a source key per unit;
+        * **plan** — a plan per unit (and a source key, when
+          :attr:`incremental`); headers become include sources;
         * **probe** — unit memos (local, then one remote batch), the
           frontend for memo misses, then results (local, then one
           remote batch);
@@ -327,43 +362,70 @@ class IncrementalChecker:
         slice, and the result builds :attr:`CheckResult.symtab` only if
         a caller reads it.
         """
-        stats = CheckStats(jobs=self.jobs, remote_used=self.remote is not None)
+        return self._execute(self._new_run(files), self._stages)
+
+    def parse_unit(self, text: str, name: str) -> ParsedUnit:
+        """Preprocess and parse one unit against :attr:`sources`: the
+        frontend path of :meth:`check_sources`, every failure contained
+        (see :meth:`_parse_plan`)."""
+        plan = _UnitPlan(name=name, text=text)
+        with self.tracer.span("unit", cat="unit", unit=name, stage="frontend"):
+            self._parse_plan(plan, self._new_run({}))
+        return plan.parsed
+
+    def check_units(self, parsed: list[ParsedUnit]) -> CheckResult:
+        """Check units from :meth:`parse_unit` as one program: the
+        symtab and check stages of :meth:`check_sources`, no cache."""
+        run = self._new_run({})
+        run.plans = [
+            _UnitPlan(
+                name=pu.unit.name, text="", parsed=pu,
+                enum_consts=dict(pu.enum_consts),
+            )
+            for pu in parsed
+        ]
+
+        def stages(run: _Run) -> None:
+            self._symtab(run)
+            self._check(run, run.plans)
+
+        return self._execute(run, stages)
+
+    def _new_run(self, files: dict[str, str]) -> _Run:
+        return _Run(
+            files=files,
+            sources=self.sources.copy(),
+            stats=CheckStats(
+                jobs=self.jobs, remote_used=self.remote is not None
+            ),
+        )
+
+    def _stages(self, run: _Run) -> None:
+        self._prelude(run)
+        self._plan(run)
+        misses = self._probe(run)
+        if misses:
+            self._symtab(run)
+            self._check(run, misses)
+        self._write(run, misses)
+
+    def _execute(self, run: _Run, stages) -> CheckResult:
+        """Run *stages* under one batch span and merge the units'
+        outputs into the result."""
+        stats = run.stats
+        self.stats = stats
         metrics = self.metrics
         metrics.inc("engine.runs")
         if self.cache is not None:
             stats.notes.extend(self.cache.notes)
             del self.cache.notes[:]
-        self.stats = stats
-        run = _Run(files=files, stats=stats)
-        symtab = None
 
         batch_span = self.tracer.span("batch", cat="batch")
         try:
-            # Warm the prelude before any per-unit work so its cost shows
-            # up as one named span instead of hiding inside the first
-            # unit's parse. With a cache directory, the parsed prelude is
-            # loaded from (or saved to) a pickled snapshot keyed by the
-            # prelude + frontend-code digest.
-            with self.tracer.span("prelude", cat="phase") as prelude_span:
-                snapshot_dir = (
-                    os.path.join(self.cache.root, "prelude")
-                    if self.cache is not None
-                    else None
-                )
-                stats.notes.extend(
-                    ensure_process_initialized(snapshot_dir=snapshot_dir)
-                )
-            stats.prelude_s += prelude_span.duration
-
-            self._plan(run)
-            batch_span.annotate(units=len(run.plans))
-            misses = self._probe(run)
-            if misses:
-                symtab, enum_consts = self._symtab(run)
-                self._check(run, misses, symtab, enum_consts)
-            self._write(run, misses)
-
+            stages(run)
             plans = run.plans
+            stats.units = len(plans)
+            batch_span.annotate(units=len(plans))
             messages, suppressed = merge_unit_outputs(
                 [p.output for p in plans]
             )
@@ -374,6 +436,7 @@ class IncrementalChecker:
         finally:
             batch_span.end()
         stats.total_s = batch_span.duration
+        metrics.inc("engine.units", len(plans))
         metrics.inc("engine.units.degraded", stats.degraded_units)
         metrics.inc("engine.internal_errors", stats.internal_errors)
         metrics.observe("engine.run_s", stats.total_s)
@@ -392,6 +455,7 @@ class IncrementalChecker:
         if self.remote is not None:
             stats.notes.extend(self.remote.drain_notes())
         base = self.base_symtab
+        symtab = run.symtab
         return CheckResult(
             messages=messages,
             suppressed=suppressed,
@@ -413,28 +477,44 @@ class IncrementalChecker:
 
     # -- stages --------------------------------------------------------------
 
+    def _prelude(self, run: _Run) -> None:
+        """Warm the prelude before any per-unit work, so its cost shows
+        up as one named span instead of hiding inside the first unit's
+        parse. With a cache directory, the parsed prelude is loaded from
+        (or saved to) a pickled snapshot keyed by the prelude +
+        frontend-code digest."""
+        with self.tracer.span("prelude", cat="phase") as prelude_span:
+            snapshot_dir = (
+                os.path.join(self.cache.root, "prelude")
+                if self.cache is not None
+                else None
+            )
+            run.stats.notes.extend(
+                ensure_process_initialized(snapshot_dir=snapshot_dir)
+            )
+        run.stats.prelude_s += prelude_span.duration
+
     def _plan(self, run: _Run) -> None:
-        """Stage 1: a plan and a source key per unit; headers become
-        include sources."""
+        """Stage 1: a plan per unit, with a source key when the run is
+        incremental; headers become include sources."""
         with self.tracer.span("plan", cat="stage") as plan_span:
             cancel_checkpoint()
             for name, text in run.files.items():
                 if name.endswith(".h"):
                     run.sources.add(name, text)
-            defines_fp = defines_digest(self.defines)
             run.plans = [
-                _UnitPlan(
-                    name=name, text=text,
-                    key=source_key(
-                        name, text, self.defines, defines_fp=defines_fp
-                    ),
-                )
+                _UnitPlan(name=name, text=text)
                 for name, text in run.files.items()
                 if not name.endswith(".h")
             ]
-        run.stats.units = len(run.plans)
+            if self.incremental:
+                defines_fp = defines_digest(self.defines)
+                for plan in run.plans:
+                    plan.key = source_key(
+                        plan.name, plan.text, self.defines,
+                        defines_fp=defines_fp,
+                    )
         run.stats.fingerprint_s += plan_span.duration
-        self.metrics.inc("engine.units", len(run.plans))
 
     def _probe(self, run: _Run) -> list[_UnitPlan]:
         """Stage 2: answer every unit the caches can; return the rest.
@@ -443,25 +523,30 @@ class IncrementalChecker:
         fingerprints need every unit's interface digest, so the memo
         misses are preprocessed and parsed in between. The cancel
         checkpoints make a service request stop at unit boundaries once
-        its deadline fires.
+        its deadline fires. A run that is not incremental only runs the
+        frontend: every unit is a miss, and none is counted.
         """
         stats = run.stats
+        incremental = self.incremental
         with self.tracer.span("probe", cat="stage"):
             cancel_checkpoint()
-            if not self.keep_units:
+            if incremental and not self.keep_units:
                 self._probe_memos(run)
             for plan in run.plans:
                 if plan.memo is not None:
                     stats.memo_hits += 1
                     self.metrics.inc("cache.memo.hit")
                     continue
-                stats.memo_misses += 1
-                self.metrics.inc("cache.memo.miss")
+                if incremental:
+                    stats.memo_misses += 1
+                    self.metrics.inc("cache.memo.miss")
                 cancel_checkpoint()
                 with self.tracer.span(
                     "unit", cat="unit", unit=plan.name, stage="frontend"
                 ):
                     self._parse_plan(plan, run, memo_key=plan.key)
+            if not incremental:
+                return list(run.plans)
             return self._probe_results(run)
 
     def _probe_memos(self, run: _Run) -> None:
@@ -552,15 +637,13 @@ class IncrementalChecker:
             self.metrics.inc("cache.result.miss", stats.cache_misses)
         return misses
 
-    def _symtab(self, run: _Run) -> tuple[SymbolTable, dict[str, int]]:
+    def _symtab(self, run: _Run) -> None:
         """Stage 3: the merged program symbol table and enum constants."""
         with self.tracer.span("symtab", cat="stage") as symtab_span:
-            enum_consts: dict[str, int] = {}
             for plan in run.plans:
-                enum_consts.update(plan.enum_consts)
-            symtab = self._program_symtab(run.plans, self.base_symtab)
+                run.enum_consts.update(plan.enum_consts)
+            run.symtab = self._program_symtab(run.plans, self.base_symtab)
         run.stats.symtab_s += symtab_span.duration
-        return symtab, enum_consts
 
     def _program_symtab(
         self, plans: list[_UnitPlan], base: SymbolTable | None
@@ -569,13 +652,7 @@ class IncrementalChecker:
             [self._interface_of(p) for p in plans], base
         )
 
-    def _check(
-        self,
-        run: _Run,
-        misses: list[_UnitPlan],
-        symtab: SymbolTable,
-        enum_consts: dict[str, int],
-    ) -> None:
+    def _check(self, run: _Run, misses: list[_UnitPlan]) -> None:
         """Stage 4: check the misses (parallel when asked and possible).
 
         A memo-hit unit whose result is stale (e.g. the flags changed)
@@ -583,6 +660,7 @@ class IncrementalChecker:
         checking needs the AST.
         """
         stats = run.stats
+        symtab, enum_consts = run.symtab, run.enum_consts
         with self.tracer.span("check", cat="stage"):
             for plan in misses:
                 if plan.parsed is None:
@@ -665,44 +743,35 @@ class IncrementalChecker:
         self, plan: _UnitPlan, run: _Run, memo_key: str | None = None
     ) -> None:
         """Preprocess, digest and parse one unit; with *memo_key*, also
-        record its memo (locally now, remotely in the write stage)."""
+        record its memo (locally now, remotely in the write stage).
+
+        Every failure stays inside the unit (see :meth:`_fail_plan`).
+        """
         stats = run.stats
         try:
             tokens, included = self._preprocess(
                 plan.name, plan.text, run.sources, stats
             )
-        except (LexError, PreprocessError, ParseError) as exc:
-            self._fail_plan(plan, frontend_fatal(exc, plan.name))
-            return
         except Exception as exc:
-            write_crash_bundle(
-                self.crash_dir, phase="preprocess", unit=plan.name, exc=exc,
-                source_text=plan.text,
-            )
-            self._fail_plan(plan, internal_fatal(exc, plan.name, "preprocessing"))
+            self._fail_plan(plan, exc, "preprocess", "preprocessing")
             return
-        with self.tracer.span(
-            "fingerprint", cat="phase", unit=plan.name
-        ) as digest_span:
-            # Both digests in one pass over the token stream. The
-            # interface digest is read straight off the tokens (function
-            # bodies skipped) — the reflective symbol-table walk it
-            # replaced dominated the cold run; see fingerprint.py.
-            plan.token_digest, plan.iface_digest = unit_digests(tokens)
-        stats.fingerprint_s += digest_span.duration
+        if self.incremental:
+            with self.tracer.span(
+                "fingerprint", cat="phase", unit=plan.name
+            ) as digest_span:
+                # Both digests in one pass over the token stream. The
+                # interface digest is read straight off the tokens
+                # (function bodies skipped) — the reflective symbol-table
+                # walk it replaced dominated the cold run; see
+                # fingerprint.py.
+                plan.token_digest, plan.iface_digest = unit_digests(tokens)
+            stats.fingerprint_s += digest_span.duration
         parse_span = self.tracer.span("parse", cat="phase", unit=plan.name)
         try:
-            # ParseError cannot normally escape (panic-mode recovery eats
-            # it inside parse_translation_unit); anything arriving here is
-            # a checker bug and is contained as an internal error.
             plan.parsed = self._parse_tokens(tokens, plan.name)
         except Exception as exc:
             stats.parse_s += parse_span.end()
-            write_crash_bundle(
-                self.crash_dir, phase="parse", unit=plan.name, exc=exc,
-                source_text=plan.text,
-            )
-            self._fail_plan(plan, internal_fatal(exc, plan.name, "parsing"))
+            self._fail_plan(plan, exc, "parse", "parsing")
             return
         stats.parse_s += parse_span.end()
         plan.enum_consts = dict(plan.parsed.enum_consts)
@@ -738,15 +807,33 @@ class IncrementalChecker:
                     run.new_memos.append((memo_key, memo))
             stats.cache_s += memo_span.duration
 
-    def _fail_plan(self, plan: _UnitPlan, fatal) -> None:
+    def _fail_plan(
+        self, plan: _UnitPlan, exc: Exception, phase: str, doing: str
+    ) -> None:
         """Fill a plan whose frontend gave up: an empty unit carrying the
-        fatal record, digests derived from the raw text, and no memo
-        entry (the unit must be re-examined from scratch every run)."""
+        fatal record and no memo entry (the unit must be re-examined
+        from scratch every run); an incremental run digests the raw
+        text instead of the tokens.
+
+        Malformed input — a lex or preprocess error, or a ParseError
+        that escaped panic-mode recovery — is a frontend fatal: one
+        ``Cannot parse this file`` message. Any other exception is a
+        checker bug: an internal error and a crash bundle.
+        """
+        if isinstance(exc, (LexError, PreprocessError, ParseError)):
+            fatal = frontend_fatal(exc, plan.name)
+        else:
+            write_crash_bundle(
+                self.crash_dir, phase=phase, unit=plan.name, exc=exc,
+                source_text=plan.text,
+            )
+            fatal = internal_fatal(exc, plan.name, doing)
         plan.parsed = failed_parsed_unit(plan.name, fatal)
-        plan.token_digest = text_digest("unparseable\0" + plan.text)
         plan.enum_consts = {}
         plan.interface = unit_interface(plan.parsed)
-        plan.iface_digest = interface_digest(plan.interface, {})
+        if self.incremental:
+            plan.token_digest = text_digest("unparseable\0" + plan.text)
+            plan.iface_digest = interface_digest(plan.interface, {})
 
     def _preprocess(
         self,
@@ -773,9 +860,9 @@ class IncrementalChecker:
         return tokens, set(pp._included)
 
     def _parse_tokens(self, tokens: list[Token], name: str) -> ParsedUnit:
-        from ..core.api import _prelude_parsed
-
         _, prelude_scope = _prelude_parsed()
+        # .lcl files are LCL interface specifications: annotations appear
+        # as bare words before types (paper section 4).
         parser = Parser(
             tokens, name, lcl_mode=name.endswith(".lcl"), preseed=prelude_scope
         )
@@ -789,10 +876,16 @@ class IncrementalChecker:
         )
 
     def _interface_of(self, plan: _UnitPlan) -> SymbolTable:
+        """The unit's interface slice: decoded from its memo, or read off
+        a unit :meth:`check_units` was handed."""
         if plan.interface is None:
-            assert plan.memo is not None
-            plan.interface, enum_consts = pickle.loads(plan.memo.iface_pickle)
-            plan.enum_consts = dict(enum_consts)
+            if plan.memo is not None:
+                plan.interface, enum_consts = pickle.loads(
+                    plan.memo.iface_pickle
+                )
+                plan.enum_consts = dict(enum_consts)
+            else:
+                plan.interface = unit_interface(plan.parsed)
         return plan.interface
 
     def _includes_unchanged(
@@ -820,6 +913,9 @@ class IncrementalChecker:
     ) -> str | None:
         if name in files:
             return files[name]
+        registered = self.sources.get(name)
+        if registered is not None:
+            return registered.text
         if name.startswith("<") and name.endswith(">"):
             return SYSTEM_HEADERS.get(name[1:-1])
         if os.path.isfile(name):

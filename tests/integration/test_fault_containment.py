@@ -200,3 +200,38 @@ class TestInjectedFaultWithCache:
             m.render() for m in serial.messages
         ]
         assert parallel.internal_errors == serial.internal_errors == 1
+
+
+class TestEscapedParseError:
+    """A ParseError that escapes panic-mode recovery is malformed input
+    on every path: one ``Cannot parse this file`` message and exit 1,
+    never an internal error or a crash bundle."""
+
+    @pytest.mark.parametrize("cached", [False, True])
+    def test_frontend_fatal_with_and_without_cache(
+        self, tmp_path, monkeypatch, cached
+    ):
+        from repro.core.api import ensure_process_initialized
+        from repro.frontend.parser import ParseError, Parser
+        from repro.frontend.source import Location
+
+        ensure_process_initialized()  # the prelude parses before the patch
+
+        def escaped(self):
+            raise ParseError("unexpected token", Location("x.c", 3, 1))
+
+        monkeypatch.setattr(Parser, "parse_translation_unit", escaped)
+        monkeypatch.chdir(tmp_path)
+        unit = _write(tmp_path, "u.c", "int f(void) { return 0; }\n")
+        cache = ["--cache-dir", str(tmp_path / "cache")] if cached else []
+        status, output = run(cache + [unit])
+        assert (status, output) == (
+            1,
+            "x.c:3: Cannot parse this file: unexpected token (file skipped)"
+            "\n1 code warning(s)",
+        )
+        crash_dirs = [tmp_path / ".pylclint-cache", tmp_path / "cache"]
+        assert not [
+            path for root in crash_dirs if root.exists()
+            for path in root.rglob("crash-*.json")
+        ]

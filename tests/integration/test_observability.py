@@ -3,18 +3,25 @@
 The acceptance bar: a traced run of the db example produces properly
 nested batch > stage > unit > phase > function spans plus a metrics dump with
 non-zero cache and phase counters, while a run *without* ``--trace-out``
-is byte-identical to the classic path.
+is byte-identical to a traced one.
 """
 
 import io
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro.bench.dbexample import db_sources
+from repro.core.api import Checker
 from repro.driver.cli import CliError, run
 from repro.incremental import DaemonServer, IncrementalChecker, ResultCache
+from repro.obs import MemorySink, Tracer
+
+DB_DIR = os.path.join(os.path.dirname(__file__), "..", "..", "examples", "db")
 
 
 @pytest.fixture()
@@ -30,6 +37,35 @@ def db_paths(tmp_path):
 def _read_events(path):
     return [json.loads(line) for line in
             path.read_text().strip().splitlines()]
+
+
+def _example_db() -> dict[str, str]:
+    files = {}
+    for name in sorted(os.listdir(DB_DIR)):
+        if name.endswith((".c", ".h")):
+            with open(os.path.join(DB_DIR, name), encoding="utf-8") as handle:
+                files[name] = handle.read()
+    return files
+
+
+def _span_tree(events) -> list[tuple]:
+    """Spans as nested ``(name, cat, args, children)`` in the order they
+    opened, leaving out the cache and fingerprint phases."""
+    children: dict = {}
+    for event in sorted(events, key=lambda e: e["id"]):
+        if event["cat"] == "phase" and event["name"] in ("cache",
+                                                         "fingerprint"):
+            continue
+        children.setdefault(event["parent"], []).append(event)
+
+    def node(event):
+        return (
+            event["name"], event["cat"],
+            sorted(event.get("args", {}).items()),
+            [node(child) for child in children.get(event["id"], [])],
+        )
+
+    return [node(root) for root in children.get(None, [])]
 
 
 class TestTraceOutput:
@@ -140,17 +176,79 @@ class TestTraceOutput:
                  "--trace-format", "xml"] + db_paths)
 
 
-class TestDefaultPathUntouched:
-    def test_output_identical_with_and_without_tracing(
-        self, db_paths, tmp_path
+class TestOneDriver:
+    """Checker is the engine with no cache: it runs the same stages,
+    and a run skips the keys, digests and cache traffic nothing reads."""
+
+    def test_checker_emits_the_cold_cached_span_tree(self, tmp_path):
+        plain, cached = MemorySink(), MemorySink()
+        Checker(tracer=Tracer(plain)).check_sources(_example_db())
+        IncrementalChecker(
+            cache=ResultCache(str(tmp_path / "cache")), tracer=Tracer(cached)
+        ).check_sources(_example_db())
+        tree = _span_tree(plain.events)
+        assert tree == _span_tree(cached.events)
+        [(name, _, _, stages)] = tree
+        assert name == "batch"
+        assert [s[0] for s in stages] == \
+            ["prelude", "plan", "probe", "symtab", "check", "write"]
+        probe = stages[2][3]
+        assert {child[0] for child in probe} == {"unit"}
+        assert [p[0] for p in probe[0][3]] == \
+            ["preprocess", "parse", "symtab"]
+        [analyze] = stages[4][3]
+        functions = [f for unit in analyze[3] for f in unit[3]]
+        assert functions and {f[1] for f in functions} == {"function"}
+
+    def test_plain_run_computes_no_keys_or_digests(
+        self, tmp_path, monkeypatch
     ):
-        plain_status, plain_out = run(list(db_paths))
+        from repro.incremental import engine
+
+        calls = []
+        for name in ("source_key", "unit_digests"):
+            def counting(*args, _original=getattr(engine, name), _name=name,
+                         **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(engine, name, counting)
+        Checker().check_sources(_example_db())
+        assert calls == []
+        IncrementalChecker(
+            cache=ResultCache(str(tmp_path / "cache"))
+        ).check_sources(_example_db())
+        assert set(calls) == {"source_key", "unit_digests"}
+
+    def test_difftest_counts_runs_but_no_cache_traffic(self, tmp_path):
+        metrics = tmp_path / "m.json"
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "difftest", "--seeds", "3",
+             "--no-corpus", "--metrics-out", str(metrics)],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+            text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        counters = json.loads(metrics.read_text())["counters"]
+        assert counters.get("engine.runs", 0) >= 3
+        assert [k for k in counters if k.startswith("cache.")] == []
+
+
+class TestDefaultPathUntouched:
+    @pytest.mark.parametrize("stats", [[], ["-stats"]])
+    def test_output_identical_with_and_without_tracing(
+        self, db_paths, tmp_path, stats
+    ):
+        plain_status, plain_out = run(stats + db_paths)
         traced_status, traced_out = run(
-            ["--trace-out", str(tmp_path / "trace.jsonl"),
-             "--metrics-out", str(tmp_path / "metrics.json")] + db_paths
+            stats
+            + ["--trace-out", str(tmp_path / "trace.jsonl"),
+               "--metrics-out", str(tmp_path / "metrics.json")] + db_paths
         )
         assert traced_status == plain_status
         assert traced_out == plain_out
+        assert "incremental statistics:" not in traced_out
 
 
 class TestDaemonMetricsVerb:

@@ -123,3 +123,44 @@ def test_a_units_own_static_still_reports_real_bugs():
         assert len(renders) == 1
         assert renders[0].startswith("b.c:")
         assert "Null value passed as non-null param p of helper" in renders[0]
+
+
+NULL_PICK = """\
+#include <stdlib.h>
+
+static /*@null@*/ char *pick(void)
+{
+  return NULL;
+}
+
+char fa(void)
+{
+  char *p = pick();
+  return *p;
+}
+"""
+
+PLAIN_PICK = """\
+static char buffer[4];
+
+static char *pick(void)
+{
+  return buffer;
+}
+
+char fb(void)
+{
+  return *pick();
+}
+"""
+
+
+def test_trace_uses_the_traced_units_own_view(tmp_path):
+    # -trace follows fa through a.c's own null-returning pick, whichever
+    # unit's pick the program table kept.
+    a, b = _write(tmp_path, {"a.c": NULL_PICK, "b.c": PLAIN_PICK})
+    status, forward = run(["-trace", "fa", a, b])
+    assert status == 1
+    assert "p: completely defined / possibly null / fresh" in forward
+    assert "Dereference of possibly null pointer p" in forward
+    assert run(["-trace", "fa", b, a]) == (status, forward)

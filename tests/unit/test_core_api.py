@@ -77,6 +77,23 @@ class TestCheckerObject:
         assert result.symtab.global_var("x") is not None
         assert result.symtab.global_var("y") is not None
 
+    def test_registered_and_disk_headers_across_runs(self, tmp_path):
+        # One instance: a header registered on checker.sources resolves
+        # in every run; a header on disk is read again by each run.
+        header = tmp_path / "box.h"
+        unit = tmp_path / "box.c"
+        header.write_text("extern /*@null@*/ int *box;\n")
+        unit.write_text(
+            '#include "shared.h"\n#include "box.h"\n'
+            "myint peek(void) { return *box; }\n"
+        )
+        checker = Checker()
+        checker.sources.add("shared.h", "typedef int myint;\n")
+        before = checker.check_files([str(unit)])
+        assert [m.code for m in before.messages] == [MessageCode.NULL_DEREF]
+        header.write_text("extern int *box;\n")
+        assert checker.check_files([str(unit)]).messages == []
+
     def test_defines_parameter(self):
         checker = Checker(defines={"LIMIT": "10"})
         parsed = checker.parse_unit("int cap = LIMIT;", "d.c")

@@ -220,13 +220,18 @@ class TestFreshInterpreterImports:
     """The service, its package, and the cache service each import
     cleanly as the first ``repro`` module of a new process: the cache
     service takes its framing from ``protocol``, which imports nothing
-    from ``repro``, so no import cycle runs through the service."""
+    from ``repro``, so no import cycle runs through the service. The
+    facade, the engine and the driver do too: ``core.api`` and the
+    engine import each other (``Checker`` is the engine's subclass)."""
 
     @pytest.mark.parametrize("module", [
         "repro.service.server",
         "repro.service",
         "repro.incremental.cacheserver",
         "repro.service.protocol",
+        "repro.core.api",
+        "repro.incremental.engine",
+        "repro.driver.cli",
     ])
     def test_module_imports_first(self, module):
         src = os.path.dirname(os.path.dirname(repro.__file__))
