@@ -31,7 +31,7 @@ from ..messages.message import MessageCode
 from .states import AllocState, DefState, NullState, RefState
 from .storage import Ref
 from .store import Store
-from .transfer import Value
+from .transfer import LazyText, Value
 
 #: Functions that terminate the program: following calls are unreachable.
 NORETURN_FUNCTIONS = frozenset({"exit", "abort", "_exit", "longjmp"})
@@ -107,12 +107,12 @@ class CallMixin:
         expr: A.Call,
     ) -> None:
         loc = expr.location
-        rendered = render_expr(expr)
+        rendered = LazyText(render_expr, expr)
         ann = param.annotations
         name = (
-            self.describe_ref(value.ref)
+            LazyText(self.describe_ref, value.ref)
             if value.ref is not None
-            else render_expr(expr.args[i])
+            else LazyText(render_expr, expr.args[i])
         )
         param_is_pointer = is_pointerish(param.ctype)
 
@@ -198,12 +198,12 @@ class CallMixin:
         sig: FunctionSignature,
         store: Store,
         expr: A.Call,
-        name: str,
+        name: LazyText,
     ) -> None:
         loc = expr.location
-        rendered = render_expr(expr)
+        rendered = LazyText(render_expr, expr)
         alloc = value.state.alloc
-        label = self._param_label(i, param, sig)
+        label = LazyText(self._param_label, i, param, sig)
         word = param.annotations.alloc.value  # 'only' or 'keep'
         if value.null_literal or value.state.null.definitely_null():
             return  # free(NULL) is permitted by the annotated standard library
@@ -275,7 +275,7 @@ class CallMixin:
         # DEAD / ERROR were reported by the use checks already.
 
     def _check_completely_destroyed(
-        self, value: Value, store: Store, expr: A.Call, name: str
+        self, value: Value, store: Store, expr: A.Call, name: LazyText
     ) -> None:
         """Paper footnote 5: storage passed as ``out only void *`` (i.e.
         to a deallocator) must not contain references to live, unshared
@@ -429,7 +429,7 @@ class CallMixin:
         self, sig: FunctionSignature, store: Store, loc: Location, expr: A.Call
     ) -> None:
         for guse in sig.globals_list:
-            gref = Ref.global_(guse.name)
+            gref = self.global_ref(guse.name)
             self.note_global_use(guse.name)
             st = store.state(gref)
             gvar = self.global_decl(guse.name)
@@ -460,7 +460,7 @@ class CallMixin:
 
     def _apply_globals_post(self, sig: FunctionSignature, store: Store) -> None:
         for guse in sig.globals_list:
-            gref = Ref.global_(guse.name)
+            gref = self.global_ref(guse.name)
             gvar = self.global_decl(guse.name)
             if gvar is None:
                 continue

@@ -54,10 +54,26 @@ from .states import (
 )
 from .storage import Ref
 from .store import MergeReport, Store
-from .transfer import ExprMixin, Value
+from .transfer import ExprMixin, Handlers, LazyText, Value
 
 #: Recursion bound for walking derived storage of recursive data types.
 MAX_DERIVATION_DEPTH = 4
+
+_STMT_HANDLERS = Handlers("_exec_")
+
+#: Definition state of derived storage, by its parent's definition state.
+_DERIVED_DEFINITION = {
+    DefState.DEFINED: DefState.DEFINED,
+    DefState.ALLOCATED: DefState.UNDEFINED,
+    DefState.PARTIAL: DefState.UNDEFINED,
+    DefState.UNDEFINED: DefState.UNDEFINED,
+    DefState.DEAD: DefState.DEAD,
+    DefState.ERROR: DefState.ERROR,
+}
+
+#: Declaration facts of a reference: type, declared annotations (typedef
+#: annotations merged beneath) and the declaration site of its base.
+DeclFacts = tuple[CType | None, AnnotationSet, Location | None]
 
 
 @dataclass
@@ -127,6 +143,50 @@ class FunctionChecker(ExprMixin, CallMixin):
             const_eval=self._const_int,
         )
         self._guard_store: Store | None = None
+        # Per-check memos. Base references are interned, so the store's
+        # dict lookups and comparisons mostly meet identical objects.
+        # Declaration facts depend on which declaration a local name is
+        # bound to, so _bind_local drops them on every binding.
+        self._local_refs: dict[str, Ref] = {}
+        self._global_refs: dict[str, Ref] = {}
+        self._arg_refs: dict[tuple[int, str], Ref] = {}
+        self._decl_facts: dict[Ref, DeclFacts] = {}
+        self._alloc_anns: dict[Ref, AllocAnn | None] = {}
+
+    # ------------------------------------------------------------------
+    # Interned references and memoized declaration facts
+    # ------------------------------------------------------------------
+
+    def local_ref(self, name: str) -> Ref:
+        ref = self._local_refs.get(name)
+        if ref is None:
+            ref = self._local_refs[name] = Ref.local(name)
+        return ref
+
+    def global_ref(self, name: str) -> Ref:
+        ref = self._global_refs.get(name)
+        if ref is None:
+            ref = self._global_refs[name] = Ref.global_(name)
+        return ref
+
+    def arg_ref(self, index: int, name: str) -> Ref:
+        ref = self._arg_refs.get((index, name))
+        if ref is None:
+            ref = self._arg_refs[index, name] = Ref.arg(index, name)
+        return ref
+
+    def _bind_local(self, name: str, info: LocalInfo) -> None:
+        """Bind *name* for the rest of the check: the last declaration
+        wins, even after its block closes."""
+        self._all_locals[name] = info
+        self._decl_facts.clear()
+        self._alloc_anns.clear()
+
+    def _decl(self, ref: Ref) -> DeclFacts:
+        facts = self._decl_facts.get(ref)
+        if facts is None:
+            facts = self._decl_facts[ref] = self._walk_path(ref)
+        return facts
 
     # ------------------------------------------------------------------
     # StateEnv protocol (store materialization)
@@ -147,7 +207,7 @@ class FunctionChecker(ExprMixin, CallMixin):
         if kind == "local":
             info = self._all_locals.get(ref.base.name)
             if info is not None and info.is_param:
-                return self.base_default(Ref.arg(info.param_index, ref.base.name))
+                return self.base_default(self.arg_ref(info.param_index, ref.base.name))
             return RefState(DefState.UNDEFINED, NullState.NOTNULL, AllocState.IMPLICIT)
         if kind == "global":
             gvar = self.global_decl(ref.base.name)
@@ -165,14 +225,7 @@ class FunctionChecker(ExprMixin, CallMixin):
         ann = self.declared_annotations(ref)
         ctype = self.ref_type(ref)
         pointer = ctype is not None and is_pointerish(ctype)
-        definition = {
-            DefState.DEFINED: DefState.DEFINED,
-            DefState.ALLOCATED: DefState.UNDEFINED,
-            DefState.PARTIAL: DefState.UNDEFINED,
-            DefState.UNDEFINED: DefState.UNDEFINED,
-            DefState.DEAD: DefState.DEAD,
-            DefState.ERROR: DefState.ERROR,
-        }[parent.definition]
+        definition = _DERIVED_DEFINITION[parent.definition]
         state = from_annotations(ann, pointer)
         if ann.definition in (DefAnn.RELDEF, DefAnn.PARTIAL) and definition in (
             DefState.UNDEFINED, DefState.ALLOCATED,
@@ -257,22 +310,23 @@ class FunctionChecker(ExprMixin, CallMixin):
             return gvar.ctype, gvar.annotations, gvar.location
         return None, EMPTY_ANNOTATIONS, None
 
-    def _walk_path(self, ref: Ref) -> tuple[CType | None, AnnotationSet]:
-        """Type and declared annotations at the end of a reference path."""
-        ctype, ann, _ = self._base_decl(ref)
+    def _walk_path(self, ref: Ref) -> DeclFacts:
+        """Type and declared annotations at the end of a reference path,
+        and the declaration site of its base (use :meth:`_decl`)."""
+        ctype, ann, site = self._base_decl(ref)
         if ctype is None:
-            return None, EMPTY_ANNOTATIONS
+            return None, EMPTY_ANNOTATIONS, site
         ann = self._with_typedef(ann, ctype)
         for kind, fieldname in ref.path:
             actual = strip_typedefs(ctype)
             if kind in ("arrow", "deref", "index"):
                 target = actual.pointee()
                 if target is None:
-                    return None, EMPTY_ANNOTATIONS
+                    return None, EMPTY_ANNOTATIONS, site
                 if kind == "arrow":
                     fld = self._field(target, fieldname)
                     if fld is None:
-                        return None, EMPTY_ANNOTATIONS
+                        return None, EMPTY_ANNOTATIONS, site
                     ctype = fld.ctype
                     ann = self._with_typedef(fld.annotations, fld.ctype)
                 else:
@@ -281,10 +335,10 @@ class FunctionChecker(ExprMixin, CallMixin):
             elif kind == "dot":
                 fld = self._field(actual, fieldname)
                 if fld is None:
-                    return None, EMPTY_ANNOTATIONS
+                    return None, EMPTY_ANNOTATIONS, site
                 ctype = fld.ctype
                 ann = self._with_typedef(fld.annotations, fld.ctype)
-        return ctype, ann
+        return ctype, ann, site
 
     @staticmethod
     def _field(ctype: CType, name: str):
@@ -306,14 +360,19 @@ class FunctionChecker(ExprMixin, CallMixin):
         return ann
 
     def ref_type(self, ref: Ref) -> CType | None:
-        ctype, _ = self._walk_path(ref)
-        return ctype
+        return self._decl(ref)[0]
 
     def declared_annotations(self, ref: Ref) -> AnnotationSet:
-        _, ann = self._walk_path(ref)
-        return ann
+        return self._decl(ref)[1]
 
     def effective_alloc_ann(self, ref: Ref) -> AllocAnn | None:
+        try:
+            return self._alloc_anns[ref]
+        except KeyError:
+            ann = self._alloc_anns[ref] = self._effective_alloc_ann(ref)
+            return ann
+
+    def _effective_alloc_ann(self, ref: Ref) -> AllocAnn | None:
         ann = self.declared_annotations(ref)
         if ann.alloc is not None:
             return ann.alloc
@@ -357,8 +416,7 @@ class FunctionChecker(ExprMixin, CallMixin):
         return ann
 
     def decl_site(self, ref: Ref) -> Location | None:
-        _, _, loc = self._base_decl(ref)
-        return loc
+        return self._decl(ref)[2]
 
     def describe_ref(self, ref: Ref) -> str:
         text = ref.base.describe()
@@ -528,7 +586,7 @@ class FunctionChecker(ExprMixin, CallMixin):
                 continue
             info = LocalInfo(param.ctype, param.annotations, param.location, i)
             scope[param.name] = info
-            self._all_locals[param.name] = info
+            self._bind_local(param.name, info)
         return scope
 
     def entry_store(self) -> Store:
@@ -536,8 +594,8 @@ class FunctionChecker(ExprMixin, CallMixin):
         for i, param in enumerate(self.fdef.params):
             if param.name is None:
                 continue
-            aref = Ref.arg(i, param.name)
-            lref = Ref.local(param.name)
+            aref = self.arg_ref(i, param.name)
+            lref = self.local_ref(param.name)
             state = self.base_default(aref)
             store.set_state(aref, state)
             store.set_state(lref, state)
@@ -547,7 +605,7 @@ class FunctionChecker(ExprMixin, CallMixin):
                 # the external argument.
                 store.add_alias(aref, lref)
         for guse in self.fdef.globals_list:
-            gref = Ref.global_(guse.name)
+            gref = self.global_ref(guse.name)
             self.note_global_use(guse.name)
             state = self.base_default(gref)
             if guse.undef:
@@ -560,10 +618,10 @@ class FunctionChecker(ExprMixin, CallMixin):
     def exec_stmt(self, stmt: A.Node, store: Store) -> Store:
         if store.unreachable:
             return store
-        method = getattr(self, f"_exec_{type(stmt).__name__.lower()}", None)
-        if method is None:
+        handler = _STMT_HANDLERS[self.__class__, stmt.__class__]
+        if handler is None:
             return store
-        return method(stmt, store)
+        return handler(self, stmt, store)
 
     def _exec_block(self, stmt: A.Block, store: Store) -> Store:
         self._scopes.append({})
@@ -575,7 +633,7 @@ class FunctionChecker(ExprMixin, CallMixin):
                 scope, store, stmt.end_location or stmt.location
             )
         for name in scope:
-            ref = Ref.local(name)
+            ref = self.local_ref(name)
             store.kill_derived(ref)
             store.drop_state(ref)
             store.clear_aliases(ref)
@@ -590,8 +648,8 @@ class FunctionChecker(ExprMixin, CallMixin):
                 continue
             info = LocalInfo(dtor.ctype, dtor.annotations, dtor.location)
             self._scopes[-1][dtor.name] = info
-            self._all_locals[dtor.name] = info
-            ref = Ref.local(dtor.name)
+            self._bind_local(dtor.name, info)
+            ref = self.local_ref(dtor.name)
             store.kill_derived(ref)
             store.clear_aliases(ref)
             if dtor.init is None:
@@ -712,7 +770,7 @@ class FunctionChecker(ExprMixin, CallMixin):
             return None
         if not self._is_unit_increment(stmt.step, name):
             return None
-        ref = Ref.local(name)
+        ref = self.local_ref(name)
         st = store.peek(ref)
         if st is None or st.rng is None or st.rng[0] is None:
             return None
@@ -953,7 +1011,7 @@ class FunctionChecker(ExprMixin, CallMixin):
         if ret_value is not None and ret_value.ref is not None:
             excluded |= store.aliases.closure(ret_value.ref)
         for name, info in scope.items():
-            ref = Ref.local(name)
+            ref = self.local_ref(name)
             if ref in excluded:
                 continue
             st = store.peek(ref)
@@ -1014,7 +1072,9 @@ class FunctionChecker(ExprMixin, CallMixin):
         assert sig is not None
         ann = self.effective_return_annotations(sig)
         pointer = is_pointerish(sig.ret_type)
-        rendered = render_expr(ret_expr) if ret_expr is not None else "<return>"
+        rendered = (
+            LazyText(render_expr, ret_expr) if ret_expr is not None else "<return>"
+        )
 
         if pointer and ann.null is None and value.state.null.possibly_null():
             self.reporter.report(
@@ -1108,7 +1168,7 @@ class FunctionChecker(ExprMixin, CallMixin):
             gvar = self.global_decl(name)
             if gvar is None:
                 continue
-            gref = Ref.global_(name)
+            gref = self.global_ref(name)
             st = store.state(gref)
             ann = self._with_typedef(gvar.annotations, gvar.ctype)
             pointer = is_pointerish(gvar.ctype)
@@ -1147,7 +1207,7 @@ class FunctionChecker(ExprMixin, CallMixin):
         for i, param in enumerate(self.fdef.params):
             if param.name is None:
                 continue
-            aref = Ref.arg(i, param.name)
+            aref = self.arg_ref(i, param.name)
             st = store.state(aref)
             ann = self._with_typedef(param.annotations, param.ctype)
             pointer = is_pointerish(param.ctype)

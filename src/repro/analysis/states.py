@@ -12,7 +12,7 @@ describes.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from ..annotations.kinds import AllocAnn, AnnotationSet, DefAnn, NullAnn
 
@@ -256,19 +256,22 @@ class RefState:
     alloc: AllocState = AllocState.IMPLICIT
     rng: tuple[int | None, int | None] | None = None
 
+    # Built directly rather than through dataclasses.replace, which
+    # introspects the fields on every call: these run per assignment.
+
     def with_definition(self, definition: DefState) -> "RefState":
-        return replace(self, definition=definition)
+        return RefState(definition, self.null, self.alloc, self.rng)
 
     def with_null(self, null: NullState) -> "RefState":
-        return replace(self, null=null)
+        return RefState(self.definition, null, self.alloc, self.rng)
 
     def with_alloc(self, alloc: AllocState) -> "RefState":
-        return replace(self, alloc=alloc)
+        return RefState(self.definition, self.null, alloc, self.rng)
 
     def with_range(
         self, rng: tuple[int | None, int | None] | None
     ) -> "RefState":
-        return replace(self, rng=rng)
+        return RefState(self.definition, self.null, self.alloc, rng)
 
     def merged(self, other: "RefState") -> tuple["RefState", list[MergeAnomaly]]:
         anomalies: list[MergeAnomaly] = []

@@ -59,6 +59,15 @@ class Ref:
             object.__setattr__(self, "_cached_hash", value)
             return value
 
+    # A function check interns its base references (see FunctionChecker),
+    # so most comparisons are between identical objects: try that first.
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.base, self.path) == (other.base, other.path)
+
     def __getstate__(self):
         return (self.base, self.path)
 
@@ -120,10 +129,11 @@ class Ref:
             yield Ref(self.base, self.path[:cut])
 
     def is_prefix_of(self, other: "Ref") -> bool:
+        path = self.path
         return (
-            self.base == other.base
-            and len(self.path) < len(other.path)
-            and other.path[: len(self.path)] == self.path
+            len(path) < len(other.path)
+            and (self.base is other.base or self.base == other.base)
+            and other.path[: len(path)] == path
         )
 
     def replace_prefix(self, old: "Ref", new: "Ref") -> "Ref":

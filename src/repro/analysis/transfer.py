@@ -11,7 +11,7 @@ and definition-state propagation to base storage.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from ..annotations.kinds import AllocAnn, DefAnn
 from ..frontend import cast as A
@@ -45,10 +45,9 @@ class Value:
     @staticmethod
     def plain(ctype: CType | None = None) -> "Value":
         """A defined, non-null, unobligated scalar value."""
-        return Value(
-            RefState(DefState.DEFINED, NullState.NOTNULL, AllocState.IMPLICIT),
-            ctype=ctype,
-        )
+        if ctype is None:
+            return _PLAIN
+        return Value(_PLAIN_STATE, ctype=ctype)
 
     @staticmethod
     def null(ctype: CType | None = None) -> "Value":
@@ -57,6 +56,11 @@ class Value:
             ctype=ctype,
             null_literal=True,
         )
+
+
+_PLAIN_STATE = RefState(DefState.DEFINED, NullState.NOTNULL, AllocState.IMPLICIT)
+#: ``Value.plain()``: values are immutable, so every untyped one is this one.
+_PLAIN = Value(_PLAIN_STATE)
 
 
 def _index_key(index_expr: A.Expr) -> str:
@@ -72,32 +76,68 @@ def _index_key(index_expr: A.Expr) -> str:
 def _constant_value(value: int) -> Value:
     """An integer constant: a plain value carrying its exact range (and
     the null-literal marker for 0)."""
-    base = Value.null() if value == 0 else Value.plain()
-    return replace(base, state=base.state.with_range((value, value)))
+    null = NullState.ISNULL if value == 0 else NullState.NOTNULL
+    state = RefState(DefState.DEFINED, null, AllocState.IMPLICIT, (value, value))
+    return Value(state, null_literal=value == 0)
 
 
-class _LazyRender:
-    """Renders an expression only if the message actually fires.
+class LazyText:
+    """Message text computed only if the message fires.
 
-    Module-level (not a per-call closure class): ``_transfer_obligation``
-    runs for every assignment, and creating a class object each call cost
-    more than the analysis work around it.
+    ``str()`` — which an f-string applies — returns ``fn(*args)``. The
+    checks run on every assignment and call, and rendering an expression
+    or describing a reference costs more than the check when, as almost
+    always, nothing is reported.
     """
 
-    __slots__ = ("expr",)
+    __slots__ = ("fn", "args")
 
-    def __init__(self, expr: A.Expr) -> None:
-        self.expr = expr
+    def __init__(self, fn, *args) -> None:
+        self.fn = fn
+        self.args = args
 
     def __str__(self) -> str:
-        return render_expr(self.expr)
+        return self.fn(*self.args)
+
+
+class Handlers(dict):
+    """The ``prefix + node class name`` handler of each (checker class,
+    node class) pair, looked up on first use and kept as a plain function.
+
+    Only the ``_eval_*`` / ``_exec_*`` handlers are held here. The
+    methods a handler calls onward (``handle_call``, ``handle_assignment``,
+    ``exec_stmt``, ``eval_condition``, ``check_exit``) are still looked up
+    on the instance at every call, so a subclass or a wrapper installed on
+    the class after import sees every call.
+    """
+
+    __slots__ = ("prefix",)
+
+    def __init__(self, prefix: str) -> None:
+        super().__init__()
+        self.prefix = prefix
+
+    def __missing__(self, key: tuple[type, type]):
+        owner, node_cls = key
+        handler = getattr(owner, f"{self.prefix}{node_cls.__name__.lower()}", None)
+        self[key] = handler
+        return handler
+
+
+_EVAL_HANDLERS = Handlers("_eval_")
+
+
+#: The allocation state a target annotated only/owned takes on receiving
+#: an obligation; anything else (an unannotated local) holds it as fresh.
+_OBLIGATION_STATES = {AllocAnn.ONLY: AllocState.ONLY, AllocAnn.OWNED: AllocState.OWNED}
 
 
 class ExprMixin:
     """Expression evaluation; mixed into FunctionChecker.
 
     Host requirements (provided by FunctionChecker): ``reporter``,
-    ``flags``, ``resolve_name``, ``ref_type``, ``declared_annotations``,
+    ``flags``, ``resolve_name``, ``local_ref``, ``global_ref``,
+    ``ref_type``, ``declared_annotations``,
     ``effective_alloc_ann``, ``decl_site``, ``describe_ref``,
     ``signature``, ``handle_call``, ``materialize_children``,
     ``eval_condition`` and ``_report_merges``.
@@ -110,9 +150,9 @@ class ExprMixin:
         if isinstance(expr, A.Ident):
             kind, info = self.resolve_name(expr.name)
             if kind == "local":
-                return Ref.local(expr.name)
+                return self.local_ref(expr.name)
             if kind == "global":
-                return Ref.global_(expr.name)
+                return self.global_ref(expr.name)
             return None
         if isinstance(expr, A.Member):
             base = self.resolve_ref_quiet(expr.obj, store)
@@ -142,13 +182,13 @@ class ExprMixin:
     def check_usable(self, ref: Ref, store: Store, loc: Location) -> None:
         """Checks for using *ref* as an rvalue (paper section 3)."""
         st = store.state(ref)
-        name = self.describe_ref(ref)
         if st.definition is DefState.UNDEFINED:
             ann = self.declared_annotations(ref)
             if ann.definition in (DefAnn.RELDEF, DefAnn.PARTIAL):
                 # relaxed definition checking: assumed defined when used
                 store.set_state(ref, st.with_definition(DefState.DEFINED))
                 return
+            name = self.describe_ref(ref)
             code = MessageCode.USE_BEFORE_DEF
             text = f"Value {name} used before definition"
             if ref.path and ref.path[-1][0] in ("dot", "arrow") and (
@@ -173,7 +213,7 @@ class ExprMixin:
         elif st.definition is DefState.DEAD or st.alloc is AllocState.DEAD:
             self.reporter.report(
                 MessageCode.USE_AFTER_RELEASE, loc,
-                f"Storage {name} used after release",
+                f"Storage {self.describe_ref(ref)} used after release",
                 subs=self._site_subs(store, ref, "release"),
             )
             store.set_state(
@@ -225,17 +265,16 @@ class ExprMixin:
     # -- rvalue / lvalue evaluation ---------------------------------------------
 
     def eval_rvalue(self, expr: A.Expr, store: Store) -> Value:
-        value = self._eval(expr, store, want_lvalue=False)
-        return value
+        return self._eval(expr, store, False)
 
     def eval_lvalue(self, expr: A.Expr, store: Store) -> Value:
-        return self._eval(expr, store, want_lvalue=True)
+        return self._eval(expr, store, True)
 
     def _eval(self, expr: A.Expr, store: Store, want_lvalue: bool) -> Value:
-        method = getattr(self, f"_eval_{type(expr).__name__.lower()}", None)
-        if method is None:
-            return Value.plain()
-        return method(expr, store, want_lvalue)
+        handler = _EVAL_HANDLERS[self.__class__, expr.__class__]
+        if handler is None:
+            return _PLAIN
+        return handler(self, expr, store, want_lvalue)
 
     # Each _eval_* handler: (expr, store, want_lvalue) -> Value.
 
@@ -256,9 +295,9 @@ class ExprMixin:
     def _eval_ident(self, expr: A.Ident, store: Store, want_lvalue: bool) -> Value:
         kind, info = self.resolve_name(expr.name)
         if kind == "local":
-            ref = Ref.local(expr.name)
+            ref = self.local_ref(expr.name)
         elif kind == "global":
-            ref = Ref.global_(expr.name)
+            ref = self.global_ref(expr.name)
             self.note_global_use(expr.name)
         elif kind == "func":
             return Value(
@@ -336,7 +375,7 @@ class ExprMixin:
         extent = self._index_extent(qref)
         if extent is None:
             return
-        name = self.describe_ref(qref)
+        name = LazyText(self.describe_ref, qref)
         const = self._const_int(expr.index)
         if const is not None:
             if const < 0 or const >= extent:
@@ -440,7 +479,11 @@ class ExprMixin:
         if is_null_literal(expr.operand):
             return Value.null(expr.to_type)
         inner = self._eval(expr.operand, store, want_lvalue)
-        return replace(inner, ctype=expr.to_type)
+        return Value(
+            inner.state, ref=inner.ref, ctype=expr.to_type,
+            null_literal=inner.null_literal, fresh_call=inner.fresh_call,
+            alias_refs=inner.alias_refs,
+        )
 
     def _eval_sizeofexpr(self, expr: A.SizeofExpr, store: Store, want_lvalue: bool) -> Value:
         # sizeof does not evaluate (or need the definedness of) its operand.
@@ -608,16 +651,10 @@ class ExprMixin:
     ) -> AllocState:
         """Compute the target's allocation state; apply transfer rules."""
         target_ann = self.effective_alloc_ann(tref)
-        tname = self.describe_ref(tref)
-        # rendering is only needed when a message fires; keep it lazy
-        rendered = _LazyRender(expr)
-
-        def target_obligation_state() -> AllocState:
-            if target_ann is AllocAnn.ONLY:
-                return AllocState.ONLY
-            if target_ann is AllocAnn.OWNED:
-                return AllocState.OWNED
-            return AllocState.FRESH  # unannotated local takes frame ownership
+        tname = LazyText(self.describe_ref, tref)
+        rendered = LazyText(render_expr, expr)
+        # an unannotated local takes frame ownership
+        obligation_state = _OBLIGATION_STATES.get(target_ann, AllocState.FRESH)
 
         rhs_state = value.state
         takes_obligation = (
@@ -629,7 +666,7 @@ class ExprMixin:
         if rhs_state.alloc is AllocState.FRESH and value.ref is None:
             if takes_obligation:
                 store.set_site(tref, "fresh", loc)
-                return target_obligation_state()
+                return obligation_state
             if target_ann in (AllocAnn.TEMP, AllocAnn.DEPENDENT, AllocAnn.SHARED):
                 self.reporter.report(
                     MessageCode.BAD_TRANSFER, loc,
@@ -648,8 +685,7 @@ class ExprMixin:
         # Case 2: copying a reference.
         if value.ref is not None:
             src = value.ref
-            sname = self.describe_ref(src)
-            src_site = self.decl_site(src)
+            sname = LazyText(self.describe_ref, src)
             if rhs_state.alloc.holds_obligation():
                 frame_owned = src.depth == 0 and src.base.kind in ("local", "arg")
                 # An owning *field* also transfers, but only into another
@@ -669,7 +705,7 @@ class ExprMixin:
                             src_ref, lambda s: s.with_alloc(AllocState.KEPT)
                         )
                     store.set_site(tref, "fresh", loc)
-                    return target_obligation_state()
+                    return obligation_state
                 if takes_obligation and not frame_owned:
                     # Borrowing an external only reference: dependent alias.
                     return AllocState.DEPENDENT
@@ -692,6 +728,7 @@ class ExprMixin:
             if rhs_state.alloc is AllocState.TEMP and target_ann in (
                 AllocAnn.ONLY, AllocAnn.OWNED,
             ):
+                src_site = self.decl_site(src)
                 subs = [(src_site, f"Storage {sname} becomes temp")] if src_site else None
                 self.reporter.report(
                     MessageCode.TEMP_TO_ONLY, loc,
@@ -736,7 +773,7 @@ class ExprMixin:
                                AllocState.REFCOUNTED):
             return rhs_state.alloc
         if takes_obligation and target_ann in (AllocAnn.ONLY, AllocAnn.OWNED):
-            return target_obligation_state()
+            return obligation_state
         return AllocState.IMPLICIT
 
     # -- definition-state propagation (paper section 5, Figure 5/6 walk) ---------

@@ -140,6 +140,8 @@ class CacheServer:
         self.metrics = metrics if metrics is not None else GLOBAL_METRICS
         self.bound_addr: str | None = None
         self._servers: list = []
+        #: Live connections: each handler task and its stream writer.
+        self._connections: dict[asyncio.Task, asyncio.StreamWriter] = {}
         self._stopped: asyncio.Event | None = None
 
     # -- lifecycle -----------------------------------------------------------
@@ -195,6 +197,13 @@ class CacheServer:
     async def shutdown(self) -> None:
         for server in self._servers:
             server.close()
+        # Close live connections too: each handler then reads EOF and
+        # finishes, and Server.wait_closed() (which waits for open
+        # connections on newer Pythons) can return.
+        for writer in self._connections.values():
+            writer.close()
+        if self._connections:
+            await asyncio.wait(list(self._connections), timeout=5.0)
         for server in self._servers:
             try:
                 await server.wait_closed()
@@ -212,6 +221,9 @@ class CacheServer:
     # -- connections ---------------------------------------------------------
 
     async def _handle_connection(self, reader, writer) -> None:
+        task = asyncio.current_task()
+        if task is not None:
+            self._connections[task] = writer
         try:
             writer.write(
                 (json.dumps(self.describe()) + "\n").encode("utf-8")
@@ -239,6 +251,7 @@ class CacheServer:
         except (ConnectionError, OSError):
             pass  # a client reset is an ordinary disconnect
         finally:
+            self._connections.pop(task, None)
             try:
                 writer.close()
             except Exception:

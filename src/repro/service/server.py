@@ -71,6 +71,10 @@ DEFAULT_MAX_INFLIGHT = 64
 #: file IO behind each other.
 DEFAULT_WORKERS = 4
 
+#: How long a session that has sent its bye keeps reading (and dropping)
+#: what the client still sends before it closes the connection anyway.
+BYE_LINGER_S = 2.0
+
 
 @dataclass
 class _Job:
@@ -347,6 +351,7 @@ class CheckingService:
             # down) still gets every outstanding reply before the bye.
             await session.wait_idle()
             await session.send_bye()
+            await _close_after_bye(reader, writer)
         except asyncio.CancelledError:  # pragma: no cover - loop teardown
             raise
         except (ConnectionError, OSError):
@@ -534,6 +539,28 @@ class CheckingService:
             "p50_ms": round(hist.percentile(0.5) * 1000, 3),
             "p99_ms": round(hist.percentile(0.99) * 1000, 3),
         }
+
+
+async def _close_after_bye(reader, writer) -> None:
+    """Half-close after the bye, then drop input until the client closes
+    too (or ``BYE_LINGER_S`` passes).
+
+    A client may still be sending lines after the one that ended its
+    session. Closing a socket with unread input makes the kernel reset
+    the connection, and a reset can reach the client before it has read
+    the replies and the bye.
+    """
+    if writer.can_write_eof():
+        writer.write_eof()
+
+    async def discard() -> None:
+        while await reader.read(1 << 16):
+            pass
+
+    try:
+        await asyncio.wait_for(discard(), BYE_LINGER_S)
+    except asyncio.TimeoutError:
+        pass
 
 
 # -- CLI entry ---------------------------------------------------------------

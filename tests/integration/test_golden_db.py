@@ -6,12 +6,18 @@ ordering, locations, follow-up lines — for every annotation stage of the
 on-disk final stage. Any change to message wording, ordering or
 rendering shows up as a byte-level diff against the committed file.
 
+A second snapshot pins ``-trace`` (the per-point states and alias sets
+of section 5) for every function of the on-disk program, one SHA-256
+digest per function; print a trace with ``pylclint -trace NAME
+examples/db/*.c examples/db/*.h``.
+
 When a change is intentional, regenerate with::
 
     PYTHONPATH=src python -m pytest tests/integration/test_golden_db.py \
         --update-golden
 """
 
+import hashlib
 import os
 
 import pytest
@@ -22,6 +28,9 @@ from repro.driver.cli import run
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "..", "golden")
 GOLDEN_FILE = os.path.abspath(os.path.join(GOLDEN, "examples_db.golden"))
+TRACE_GOLDEN_FILE = os.path.abspath(
+    os.path.join(GOLDEN, "examples_db_trace.sha256")
+)
 REPO_ROOT = os.path.abspath(
     os.path.join(os.path.dirname(__file__), "..", "..")
 )
@@ -35,12 +44,16 @@ def _render_stage(stage: int) -> str:
     return "\n".join(lines)
 
 
-def _render_cli() -> str:
-    paths = sorted(
+def _db_paths() -> list[str]:
+    return sorted(
         os.path.join("examples", "db", name)
         for name in os.listdir(os.path.join(REPO_ROOT, "examples", "db"))
         if name.endswith((".c", ".h"))
     )
+
+
+def _render_cli() -> str:
+    paths = _db_paths()
     cwd = os.getcwd()
     os.chdir(REPO_ROOT)          # golden must not embed absolute paths
     try:
@@ -56,19 +69,45 @@ def _current_output() -> str:
     return "\n\n".join(sections) + "\n"
 
 
-def test_examples_db_output_matches_golden(request):
-    actual = _current_output()
+def _trace_digests() -> str:
+    """One line per function: the digest of its ``-trace`` output."""
+    paths = _db_paths()
+    sources = {}
+    for path in paths:
+        with open(path, encoding="utf-8") as handle:
+            sources[path] = handle.read()
+    result = Checker().check_sources(sources)
+    names = sorted({f.name for u in result.units for f in u.functions()})
+    lines = []
+    for name in names:
+        status, output = run(["-quiet", "-trace", name] + paths)
+        digest = hashlib.sha256(output.encode("utf-8")).hexdigest()
+        lines.append(f"{digest}  {name} (exit {status})")
+    return "\n".join(lines) + "\n"
+
+
+def _check_golden(request, path: str, actual: str) -> None:
     if request.config.getoption("--update-golden"):
-        os.makedirs(os.path.dirname(GOLDEN_FILE), exist_ok=True)
-        with open(GOLDEN_FILE, "w", encoding="utf-8") as handle:
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        with open(path, "w", encoding="utf-8") as handle:
             handle.write(actual)
         pytest.skip("golden file updated")
-    assert os.path.exists(GOLDEN_FILE), (
+    assert os.path.exists(path), (
         "no golden file committed; run with --update-golden once"
     )
-    with open(GOLDEN_FILE, "r", encoding="utf-8") as handle:
+    with open(path, "r", encoding="utf-8") as handle:
         expected = handle.read()
-    assert actual == expected, (
+    assert actual.splitlines() == expected.splitlines(), (
         "examples/db output diverged from the golden snapshot; if the "
         "change is intentional, regenerate with --update-golden"
     )
+    assert actual == expected
+
+
+def test_examples_db_output_matches_golden(request):
+    _check_golden(request, GOLDEN_FILE, _current_output())
+
+
+def test_examples_db_traces_match_golden(request, monkeypatch):
+    monkeypatch.chdir(REPO_ROOT)  # traces name files by relative path
+    _check_golden(request, TRACE_GOLDEN_FILE, _trace_digests())

@@ -373,6 +373,24 @@ class TestServiceRobustness:
         assert reply["id"] == "alive"
         assert reply["status"] == 0
 
+    def test_lines_after_shutdown_do_not_reset_the_session(
+        self, start_service
+    ):
+        # The client may still be writing when its session ends. Closing
+        # with those lines unread would reset the connection, and a reset
+        # can destroy the replies and the bye before the client reads them.
+        handle = start_service()
+        for _ in range(30):
+            with handle.client() as client:
+                for line in ('["shutdown"]', '["zz_no_such_file.c"]',
+                             "shutdown"):
+                    client.send_line(line)
+                replies = []
+                while (reply := client.recv_reply()) is not None:
+                    replies.append(reply)
+            assert replies[0]["shutdown"] is True
+            assert replies[-1]["bye"] is True
+
     def test_drain_sends_bye_then_refuses_connections(
         self, start_service, warning_file
     ):

@@ -3,6 +3,7 @@
 import json
 import socket
 import threading
+import time
 
 import pytest
 
@@ -174,6 +175,24 @@ class TestClientDegradation:
     def test_bad_address_raises_value_error(self):
         with pytest.raises(ValueError):
             CacheClient("not-an-address")
+
+
+class TestShutdown:
+    def test_close_with_a_connected_client_is_prompt(self, tmp_path):
+        """Shutdown closes live connections as well as the listeners, so
+        it neither waits for clients to leave nor abandons their handlers
+        on a closed loop."""
+        thread = CacheServerThread(cache_dir=str(tmp_path / "shared"))
+        host, port = thread.addr.rsplit(":", 1)
+        with socket.create_connection((host, int(port)), timeout=5) as sock:
+            file = sock.makefile("rb")
+            assert json.loads(file.readline())["ready"] is True
+            started = time.perf_counter()
+            thread.close()
+            assert time.perf_counter() - started < 1.0
+            assert not thread._thread.is_alive()
+            assert file.readline() == b""  # the server closed our end
+            file.close()
 
 
 def _key(i: int) -> str:
