@@ -53,17 +53,21 @@ Checking service (see docs/internals.md section 9):
 
     --serve                 run the async multi-client checking service
                             (cache on by default; combine with --addr,
-                            --max-inflight, --request-timeout, --jobs,
-                            --cache-dir, --no-cache)
+                            --max-inflight, --request-timeout, --workers,
+                            --jobs, --cache-dir, --no-cache)
     --addr ADDR             listen address: HOST:PORT for TCP on
                             localhost, or unix:PATH for a UNIX socket;
-                            repeatable (default 127.0.0.1:0, port
+                            give one of each to listen on both (a later
+                            address of the same kind replaces the
+                            earlier one; default 127.0.0.1:0, port
                             printed in the ready line)
     --max-inflight N        bound on admitted (queued + running)
                             requests; beyond it clients get a busy
                             reply with retry_after_ms (default 64)
     --request-timeout S     default per-request deadline in seconds
-                            (a request's own "timeout" field overrides)
+                            (a request's own "timeout" field overrides;
+                            0 means none)
+    --workers N             threads running checks (default 4)
     --daemon                legacy single-client stdin/stdout server
                             (kept as a compatibility shim over the same
                             protocol; prefer --serve)

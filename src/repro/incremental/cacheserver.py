@@ -7,11 +7,9 @@ can warm everyone else's. This module turns a :class:`.cache.ResultCache`
 directory into a network service:
 
 * the **server** (``python -m repro.incremental.cacheserver``) is a
-  small asyncio JSON-line server, reusing the checking service's
-  bounded line framing and address grammar
-  (:class:`repro.service.protocol.LineReader`,
-  :func:`repro.service.protocol.parse_addr`) over TCP-on-localhost or a
-  UNIX socket;
+  :class:`repro.service.lineserver.LineServer`, the checking service's
+  core (listeners, bounded framing, drain, command line), with an op
+  table on top, over TCP-on-localhost or a UNIX socket;
 * the **client** (:class:`CacheClient`, wired in with
   ``pylclint --cache-server ADDR``) is consulted by the engine on every
   *local* cache miss, for both check results and unit memos. Serving
@@ -51,19 +49,17 @@ check's 50 memo probes and 50 result probes are two round trips, not
 
 from __future__ import annotations
 
-import asyncio
 import base64
 import binascii
 import json
 import os
-import signal
 import socket
 import sys
-import threading
 
 from ..messages.message import Message
 from ..obs.metrics import GLOBAL_METRICS
-from ..service.protocol import LineReader, parse_addr
+from ..service.lineserver import LineServer, LineServerThread
+from ..service.protocol import parse_addr
 from .cache import DEFAULT_CACHE_DIR, ResultCache, UnitMemo
 
 #: Line cap for cache traffic. Memo payloads carry a base64 pickled
@@ -116,7 +112,7 @@ def _decode_memo(payload) -> UnitMemo | None:
         return None
 
 
-class CacheServer:
+class CacheServer(LineServer):
     """Serve one cache directory's results and memos to many checkers.
 
     All cache access happens on the event loop thread — entry reads and
@@ -124,6 +120,10 @@ class CacheServer:
     thread is what makes concurrent ``put``s safe without extra locks
     (the cache's own flock still guards against *other* processes).
     """
+
+    MAX_LINE_BYTES = CACHE_LINE_MAX_BYTES
+    METRIC_PREFIX = "cacheserver"
+    OPTIONS = ("cache-dir", "addr")
 
     def __init__(
         self,
@@ -133,129 +133,34 @@ class CacheServer:
         unix_path: str | None = None,
         metrics=None,
     ) -> None:
+        super().__init__(host, port, unix_path, metrics)
         self.cache = ResultCache(cache_dir)
-        self.host = host
-        self.port = port
-        self.unix_path = unix_path
-        self.metrics = metrics if metrics is not None else GLOBAL_METRICS
-        self.bound_addr: str | None = None
-        self._servers: list = []
-        #: Live connections: each handler task and its stream writer.
-        self._connections: dict[asyncio.Task, asyncio.StreamWriter] = {}
-        self._stopped: asyncio.Event | None = None
 
-    # -- lifecycle -----------------------------------------------------------
-
-    async def start(self) -> None:
-        self._stopped = asyncio.Event()
-        if self.port is not None:
-            server = await asyncio.start_server(
-                self._handle_connection, host=self.host, port=self.port
-            )
-            self._servers.append(server)
-            sock = server.sockets[0].getsockname()
-            self.bound_addr = f"{sock[0]}:{sock[1]}"
-        if self.unix_path is not None:
-            try:
-                os.unlink(self.unix_path)
-            except OSError:
-                pass
-            server = await asyncio.start_unix_server(
-                self._handle_connection, path=self.unix_path
-            )
-            self._servers.append(server)
-
-    async def run(self, announce=None) -> int:
-        await self.start()
-        loop = asyncio.get_running_loop()
-        for signum in (signal.SIGTERM, signal.SIGINT):
-            try:
-                loop.add_signal_handler(
-                    signum, lambda: asyncio.ensure_future(self.shutdown())
-                )
-            except (NotImplementedError, RuntimeError):  # pragma: no cover
-                pass
-        if announce is not None:
-            announce(self.describe())
-        assert self._stopped is not None
-        await self._stopped.wait()
-        return 0
-
-    def describe(self) -> dict:
-        payload = {
+    def announcement(self) -> dict:
+        return {
             "ready": True,
             "cacheserver": True,
             "pid": os.getpid(),
             "cache": self.cache.root,
         }
-        if self.bound_addr is not None:
-            payload["addr"] = self.bound_addr
-        if self.unix_path is not None:
-            payload["unix"] = self.unix_path
-        return payload
 
-    async def shutdown(self) -> None:
-        for server in self._servers:
-            server.close()
-        # Close live connections too: each handler then reads EOF and
-        # finishes, and Server.wait_closed() (which waits for open
-        # connections on newer Pythons) can return.
-        for writer in self._connections.values():
-            writer.close()
-        if self._connections:
-            await asyncio.wait(list(self._connections), timeout=5.0)
-        for server in self._servers:
-            try:
-                await server.wait_closed()
-            except Exception:
-                pass
+    def greeting(self) -> dict:
+        return self.describe()
+
+    async def drain(self) -> None:
         self.cache.flush_batch()
-        if self.unix_path is not None:
-            try:
-                os.unlink(self.unix_path)
-            except OSError:
-                pass
-        if self._stopped is not None:
-            self._stopped.set()
 
-    # -- connections ---------------------------------------------------------
+    def oversized(self, session, prefix: str, size: int) -> dict:
+        self.metrics.inc("cacheserver.errors")
+        return {
+            "ok": False,
+            "error": f"request of {size} bytes exceeds the "
+            f"{CACHE_LINE_MAX_BYTES}-byte line cap",
+        }
 
-    async def _handle_connection(self, reader, writer) -> None:
-        task = asyncio.current_task()
-        if task is not None:
-            self._connections[task] = writer
-        try:
-            writer.write(
-                (json.dumps(self.describe()) + "\n").encode("utf-8")
-            )
-            await writer.drain()
-            lines = LineReader(reader, max_bytes=CACHE_LINE_MAX_BYTES)
-            while True:
-                kind, payload = await lines.next_line()
-                if kind == "eof":
-                    break
-                if kind == "oversized":
-                    _, size = payload
-                    self.metrics.inc("cacheserver.errors")
-                    reply = {
-                        "ok": False,
-                        "error": f"request of {size} bytes exceeds the "
-                        f"{CACHE_LINE_MAX_BYTES}-byte line cap",
-                    }
-                elif not payload.strip():
-                    continue
-                else:
-                    reply = self._handle_request(payload)
-                writer.write((json.dumps(reply) + "\n").encode("utf-8"))
-                await writer.drain()
-        except (ConnectionError, OSError):
-            pass  # a client reset is an ordinary disconnect
-        finally:
-            self._connections.pop(task, None)
-            try:
-                writer.close()
-            except Exception:
-                pass
+    async def handle_line(self, session, line: str) -> bool:
+        await session.send(self._handle_request(line))
+        return False
 
     def _handle_request(self, line: str) -> dict:
         self.metrics.inc("cacheserver.requests")
@@ -347,54 +252,19 @@ class CacheServer:
         return {"ok": True, "stored": True}
 
 
-class CacheServerThread:
-    """Run a :class:`CacheServer` on a background thread (tests, the
-    scaling benchmark, and any process that wants to both serve and
-    check). ``addr`` is ready — in ``--cache-server`` syntax — as soon
-    as the constructor returns."""
+class CacheServerThread(LineServerThread):
+    """Run a :class:`CacheServer` on a background thread. ``addr`` is
+    ready — in ``--cache-server`` syntax — as soon as the constructor
+    returns."""
 
     def __init__(self, cache_dir: str, unix_path: str | None = None,
                  metrics=None) -> None:
-        self.server = CacheServer(
+        super().__init__(CacheServer(
             cache_dir=cache_dir,
             port=None if unix_path is not None else 0,
             unix_path=unix_path,
             metrics=metrics,
-        )
-        self._loop = asyncio.new_event_loop()
-        self._ready = threading.Event()
-        self._thread = threading.Thread(
-            target=self._run, name="pylclint-cacheserver", daemon=True
-        )
-        self._thread.start()
-        if not self._ready.wait(timeout=10.0):  # pragma: no cover
-            raise RuntimeError("cache server thread did not start")
-        self.addr = (
-            f"unix:{unix_path}" if unix_path is not None
-            else self.server.bound_addr
-        )
-
-    def _run(self) -> None:
-        asyncio.set_event_loop(self._loop)
-
-        async def serve():
-            await self.server.start()
-            self._ready.set()
-            assert self.server._stopped is not None
-            await self.server._stopped.wait()
-
-        try:
-            self._loop.run_until_complete(serve())
-        finally:
-            self._loop.close()
-
-    def close(self) -> None:
-        if not self._thread.is_alive():
-            return
-        asyncio.run_coroutine_threadsafe(
-            self.server.shutdown(), self._loop
-        )
-        self._thread.join(timeout=10.0)
+        ))
 
 
 class CacheClient:
@@ -593,61 +463,7 @@ class CacheClient:
 
 def run_cache_server(argv: list[str]) -> int:
     """Entry for ``python -m repro.incremental.cacheserver [options]``."""
-    cache_dir = DEFAULT_CACHE_DIR
-    host: str = "127.0.0.1"
-    port: int | None = None
-    unix_path: str | None = None
-
-    def take_value(i: int, name: str) -> str:
-        if i >= len(argv):
-            raise ValueError(f"{name} requires a value")
-        return argv[i]
-
-    try:
-        i = 0
-        while i < len(argv):
-            arg = argv[i]
-            if arg.startswith("--") and "=" in arg:
-                name, _, value = arg.partition("=")
-                argv[i:i + 1] = [name, value]
-                continue
-            if arg in ("--cache-dir", "-cache-dir"):
-                i += 1
-                cache_dir = take_value(i, "--cache-dir")
-            elif arg in ("--addr", "-addr"):
-                i += 1
-                parsed_host, parsed_port, parsed_unix = parse_addr(
-                    take_value(i, "--addr")
-                )
-                if parsed_unix is not None:
-                    unix_path = parsed_unix
-                else:
-                    host, port = parsed_host, parsed_port
-            else:
-                print(
-                    f"pylclint-cacheserver: unknown option {arg!r}",
-                    file=sys.stderr,
-                )
-                return 2
-            i += 1
-    except ValueError as exc:
-        print(f"pylclint-cacheserver: {exc}", file=sys.stderr)
-        return 2
-
-    if port is None and unix_path is None:
-        port = 0  # default: TCP on localhost, kernel-assigned port
-
-    server = CacheServer(
-        cache_dir=cache_dir, host=host, port=port, unix_path=unix_path
-    )
-
-    def announce(payload: dict) -> None:
-        print(json.dumps(payload), flush=True)
-
-    try:
-        return asyncio.run(server.run(announce=announce))
-    except KeyboardInterrupt:  # pragma: no cover - signal-handler race
-        return 0
+    return CacheServer.serve_command(argv, "pylclint-cacheserver")
 
 
 def main(argv: list[str] | None = None) -> int:

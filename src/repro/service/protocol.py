@@ -1,9 +1,11 @@
 """The checking-service line protocol, shared by every transport.
 
-It also holds the bounded line framing (:class:`LineReader`) and the
-address grammar (:func:`parse_addr`) that the cache service reuses.
-The module imports nothing from ``repro`` at import time, so both
-servers can depend on it without an import cycle.
+It also holds what every line server shares: the bounded line framing
+(:class:`LineFramer`, and :class:`LineReader` over an asyncio stream),
+the per-session request accounting (:class:`SessionLedger`) and the
+address grammar (:func:`parse_addr`). The module imports nothing from
+``repro`` at import time, so every server can depend on it without an
+import cycle.
 
 One request per line, one JSON reply object per line. Three request
 forms are accepted (the first two are the legacy ``--daemon`` forms,
@@ -48,6 +50,7 @@ import asyncio
 import json
 import re
 import shlex
+from collections import deque
 from dataclasses import dataclass
 
 #: Hard cap on one request line. A client that streams a huge (or
@@ -57,6 +60,12 @@ MAX_REQUEST_BYTES = 1 << 20
 
 #: How much of an oversized line is kept for request-id recovery.
 _OVERSIZE_KEEP = 4096
+
+#: Bytes read from a stream at a time.
+CHUNK_BYTES = 1 << 16
+
+#: Bare verbs that end a session without a reply.
+_END_VERBS = ("shutdown", "quit", "exit")
 
 #: Scheduling ranks, best first. ``metrics`` requests rank last so a
 #: status probe can never delay a developer's interactive check.
@@ -91,7 +100,9 @@ class Request:
 
     verb: str  # "check" | "metrics" | "shutdown"
     argv: list[str]
-    id: int | str | None = None  # client-supplied correlation id
+    #: Correlation id: the client's, else the session's request counter
+    #: once :meth:`SessionLedger.take` has accounted for the request.
+    id: int | str | None = None
     priority: str = "interactive"
     timeout_s: float | None = None
 
@@ -127,7 +138,7 @@ def parse_request_line(line: str) -> Request:
     arriving here is already under :data:`MAX_REQUEST_BYTES`.
     """
     stripped = line.strip()
-    if stripped in ("shutdown", "quit", "exit"):
+    if stripped in _END_VERBS:
         return Request(verb="shutdown", argv=[])
     if stripped == "metrics":
         return Request(verb="metrics", argv=[], priority="metrics")
@@ -210,21 +221,74 @@ def _parse_object_request(text: str) -> Request:
 # -- framing and addresses ---------------------------------------------------
 
 
-class LineReader:
-    """Bounded line framing over an asyncio stream.
+class LineFramer:
+    """Bounded, push-style line framing: bytes in, whole lines out.
 
-    Unlike ``StreamReader.readline`` this never buffers more than the
-    request cap plus one chunk, and an over-long line is consumed to
-    its terminating newline (or EOF) while keeping a prefix for
-    request-id recovery — a slow-loris or runaway client costs bounded
-    memory and exactly one error reply.
-
-    The line cap defaults to the checking protocol's request bound but
-    is parameterized: the cache service reuses this framing with a
-    larger cap sized for pickled interface payloads.
+    It never holds more than the line cap plus one fed chunk. An
+    over-long line is dropped as it streams in, keeping only a prefix
+    for request-id recovery and a running byte count, so a slow-loris or
+    runaway client costs bounded memory and exactly one error reply.
+    Every transport frames through it (the service and the cache service
+    through :class:`LineReader`, the stdin shim directly), so they all
+    split, cap and decode lines alike: the cap counts bytes, and invalid
+    UTF-8 decodes to U+FFFD.
     """
 
-    _CHUNK = 1 << 16
+    def __init__(self, max_bytes: int = MAX_REQUEST_BYTES) -> None:
+        self._max_bytes = max_bytes
+        self._buf = bytearray()
+        #: ``(prefix, bytes so far)`` of an over-long line being dropped.
+        self._dropping: tuple[str, int] | None = None
+
+    def feed(self, data: bytes) -> list[tuple[str, object]]:
+        """Frame *data*; returns the lines it completes, in order, as
+        ``("line", text)`` or ``("oversized", (prefix, size))``."""
+        events: list[tuple[str, object]] = []
+        if self._dropping is not None:
+            prefix, size = self._dropping
+            idx = data.find(b"\n")
+            if idx < 0:
+                self._dropping = (prefix, size + len(data))
+                return events
+            self._dropping = None
+            events.append(("oversized", (prefix, size + idx)))
+            data = data[idx + 1:]
+        buf = self._buf
+        buf.extend(data)
+        start = 0
+        while (idx := buf.find(b"\n", start)) >= 0:
+            events.append(self._frame(buf[start:idx]))
+            start = idx + 1
+        del buf[:start]
+        if len(buf) > self._max_bytes:
+            self._dropping = (_prefix(buf), len(buf))
+            buf.clear()
+        return events
+
+    def close(self) -> list[tuple[str, object]]:
+        """End of input: the final unterminated line, if any, still gets
+        an answer."""
+        if self._dropping is not None:
+            event, self._dropping = ("oversized", self._dropping), None
+            return [event]
+        if not self._buf.strip():
+            return []
+        event = self._frame(self._buf)
+        self._buf = bytearray()
+        return [event]
+
+    def _frame(self, line: bytearray) -> tuple[str, object]:
+        if len(line) > self._max_bytes:
+            return "oversized", (_prefix(line), len(line))
+        return "line", line.decode("utf-8", "replace")
+
+
+def _prefix(line: bytearray) -> str:
+    return line[:_OVERSIZE_KEEP].decode("utf-8", "replace")
+
+
+class LineReader:
+    """A :class:`LineFramer` over an asyncio stream."""
 
     def __init__(
         self,
@@ -232,49 +296,20 @@ class LineReader:
         max_bytes: int = MAX_REQUEST_BYTES,
     ) -> None:
         self._reader = reader
-        self._buf = bytearray()
-        self._max_bytes = max_bytes
+        self._framer = LineFramer(max_bytes)
+        self._events: deque = deque()
 
     async def next_line(self):
         """Returns ``("line", text)``, ``("oversized", (prefix, size))``,
         or ``("eof", None)``."""
-        while True:
-            idx = self._buf.find(b"\n")
-            if idx >= 0:
-                line = self._buf[:idx]
-                del self._buf[: idx + 1]
-                if len(line) > self._max_bytes:
-                    return "oversized", (
-                        line[:_OVERSIZE_KEEP].decode("utf-8", "replace"),
-                        len(line),
-                    )
-                return "line", line.decode("utf-8", "replace")
-            if len(self._buf) > self._max_bytes:
-                return "oversized", await self._consume_oversized()
-            chunk = await self._reader.read(self._CHUNK)
-            if not chunk:
-                if self._buf.strip():
-                    # A final unterminated line still gets an answer.
-                    line = self._buf.decode("utf-8", "replace")
-                    self._buf.clear()
-                    return "line", line
-                return "eof", None
-            self._buf.extend(chunk)
-
-    async def _consume_oversized(self):
-        prefix = self._buf[:_OVERSIZE_KEEP].decode("utf-8", "replace")
-        size = len(self._buf)
-        self._buf.clear()
-        while True:
-            chunk = await self._reader.read(self._CHUNK)
-            if not chunk:
-                return prefix, size
-            idx = chunk.find(b"\n")
-            if idx >= 0:
-                size += idx
-                self._buf.extend(chunk[idx + 1:])
-                return prefix, size
-            size += len(chunk)
+        while not self._events:
+            chunk = await self._reader.read(CHUNK_BYTES)
+            if chunk:
+                self._events.extend(self._framer.feed(chunk))
+            else:
+                self._events.extend(self._framer.close())
+                self._events.append(("eof", None))
+        return self._events.popleft()
 
 
 def parse_addr(value: str) -> tuple[str | None, int | None, str | None]:
@@ -344,7 +379,7 @@ def stats_payload(stats) -> dict:
     }
 
 
-def execute_check(request: Request, request_id, cache, jobs: int) -> dict:
+def execute_check(request: Request, cache, jobs: int) -> dict:
     """Run one check request to a reply dict (synchronously).
 
     This is the single execution path shared by the legacy stdin/stdout
@@ -358,14 +393,101 @@ def execute_check(request: Request, request_id, cache, jobs: int) -> dict:
     try:
         status, output = cli.run(request.argv, cache=cache, jobs=jobs)
     except cli.CliError as exc:
-        return error_reply(request_id, "usage", str(exc))
+        return error_reply(request.id, "usage", str(exc))
     except Exception as exc:  # the service must survive any one request
         return error_reply(
-            request_id, "internal",
+            request.id, "internal",
             f"internal error: {type(exc).__name__}: {exc}",
         )
-    reply: dict = {"id": request_id, "status": status, "output": output}
+    reply: dict = {"id": request.id, "status": status, "output": output}
     stats = cli.LAST_RUN_STATS  # thread-local: ours, not another worker's
     if stats is not None:
         reply["stats"] = stats_payload(stats)
     return reply
+
+
+# -- per-session accounting --------------------------------------------------
+
+
+class SessionLedger:
+    """One session's request accounting, shared by the service and the
+    stdin shim: it turns a request line into a :class:`Request` or an
+    immediate reply, assigns correlation ids, keeps the counts the bye
+    reports, and counts ``<prefix>.requests.*`` on a metrics registry.
+    """
+
+    def __init__(self, metrics, prefix: str) -> None:
+        self.metrics = metrics
+        self.prefix = prefix
+        self.requests = 0
+        self.errors = 0
+        self.cache_hits = 0
+        self.cache_misses = 0
+
+    def take(self, line: str) -> Request | dict | None:
+        """Account for one non-blank request line.
+
+        Returns the :class:`Request` to run, its ``id`` set; or the reply
+        to send at once: a protocol error, or the acknowledgement of a
+        JSON-form ``shutdown``, which ends the session. A bare
+        ``shutdown``/``quit``/``exit`` returns ``None``: it ends the
+        session without a reply.
+        """
+        if line.strip() in _END_VERBS:
+            return None
+        self.metrics.inc(f"{self.prefix}.requests.total")
+        self.requests += 1
+        try:
+            request = parse_request_line(line)
+        except ProtocolError as exc:
+            request_id = exc.request_id
+            return self.refuse("protocol", error_reply(
+                self.requests if request_id is None else request_id,
+                "protocol", str(exc),
+            ))
+        if request.id is None:
+            request.id = self.requests
+        if request.verb == "shutdown":
+            return {"id": request.id, "status": 0, "shutdown": True}
+        return request
+
+    def oversized(self, prefix: str, size: int) -> dict:
+        """The reply to a line over the cap; *prefix* is its start."""
+        self.requests += 1
+        request_id = recover_request_id(prefix)
+        return self.refuse("oversized", oversized_reply(
+            self.requests if request_id is None else request_id, size
+        ))
+
+    def refuse(self, reason: str, reply: dict) -> dict:
+        """Count a request turned away (``requests.rejected.<reason>``)."""
+        self.errors += 1
+        self.metrics.inc(f"{self.prefix}.requests.rejected.{reason}")
+        return reply
+
+    def snapshot(self, request: Request) -> dict:
+        """The reply to a ``metrics`` request. The request is counted
+        before the registry is read, so the snapshot includes it."""
+        self.metrics.inc(f"{self.prefix}.requests.metrics")
+        return metrics_reply(request.id, self.metrics)
+
+    def record(self, reply: dict) -> dict:
+        """Count a check's reply: its status, an error, cache traffic."""
+        self.metrics.inc(f"{self.prefix}.requests.status.{reply['status']}")
+        if "error" in reply:
+            self.errors += 1
+        stats = reply.get("stats")
+        if stats is not None:
+            self.cache_hits += stats["cache_hits"]
+            self.cache_misses += stats["cache_misses"]
+        return reply
+
+    def bye(self) -> dict:
+        """The line that ends the session."""
+        return {
+            "bye": True,
+            "requests": self.requests,
+            "errors": self.errors,
+            "cache_hits": self.cache_hits,
+            "cache_misses": self.cache_misses,
+        }

@@ -4,12 +4,15 @@ that crash the checker internals."""
 
 import io
 import json
+import tracemalloc
 
+from repro.core.api import ensure_process_initialized
 from repro.incremental.server import DaemonServer, MAX_REQUEST_BYTES
+from repro.obs.metrics import GLOBAL_METRICS
 
 
 def _serve(tmp_path, lines):
-    stdin = io.StringIO("\n".join(lines) + "\n")
+    stdin = io.BytesIO(("\n".join(lines) + "\n").encode("utf-8"))
     stdout = io.StringIO()
     server = DaemonServer(
         cache_dir=str(tmp_path / "cache"), stdin=stdin, stdout=stdout
@@ -48,6 +51,41 @@ class TestDaemonRobustness:
         assert "too large" in replies[1]["error"]
         assert replies[2]["status"] == 0
         assert replies[-1]["bye"] is True
+
+    def test_huge_line_costs_bounded_memory(self):
+        # The line is dropped as it streams in: the shim never holds it.
+        size = 64 << 20
+        stdin = io.BytesIO(b"x" * size + b"\nshutdown\n")
+        stdout = io.StringIO()
+        server = DaemonServer(cache_dir=None, stdin=stdin, stdout=stdout)
+        ensure_process_initialized()
+        tracemalloc.start()
+        try:
+            assert server.serve() == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        replies = [json.loads(l) for l in stdout.getvalue().splitlines()]
+        assert replies[1]["kind"] == "oversized"
+        assert f"({size} bytes;" in replies[1]["error"]
+        assert peak < 8 << 20
+
+    def test_requests_count_on_the_daemon_counters(self, tmp_path):
+        names = ("total", "rejected.protocol", "rejected.oversized")
+        before = {n: GLOBAL_METRICS.count(f"daemon.requests.{n}")
+                  for n in names}
+        _serve(tmp_path, [
+            "[this is not json",
+            "x" * (MAX_REQUEST_BYTES + 1),
+            _good_request(tmp_path),
+            "shutdown",
+        ])
+        after = {n: GLOBAL_METRICS.count(f"daemon.requests.{n}")
+                 for n in names}
+        # An oversized line is never parsed, so it is not in the total.
+        assert {n: after[n] - before[n] for n in names} == {
+            "total": 2, "rejected.protocol": 1, "rejected.oversized": 1,
+        }
 
     def test_internal_error_reply_is_status_3(self, tmp_path, monkeypatch):
         from repro.driver import cli

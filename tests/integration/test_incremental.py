@@ -217,7 +217,9 @@ class TestDaemon:
     def test_daemon_round_trip_and_cache_warmup(self, tmp_path):
         paths = self._files_on_disk(tmp_path)
         request = json.dumps(["-quiet", "-stats"] + paths)
-        stdin = io.StringIO(request + "\n" + request + "\nshutdown\n")
+        stdin = io.BytesIO(
+            (request + "\n" + request + "\nshutdown\n").encode("utf-8")
+        )
         stdout = io.StringIO()
         server = DaemonServer(
             cache_dir=str(tmp_path / "daemon-cache"), stdin=stdin, stdout=stdout
@@ -242,17 +244,17 @@ class TestDaemon:
     def test_daemon_plain_text_requests(self, tmp_path):
         src = tmp_path / "ok.c"
         src.write_text("int f(int x) { return x + 1; }\n")
-        stdin = io.StringIO(f"-quiet {src}\nshutdown\n")
+        stdin = io.BytesIO(f"-quiet {src}\nshutdown\n".encode("utf-8"))
         stdout = io.StringIO()
         DaemonServer(cache_dir=None, stdin=stdin, stdout=stdout).serve()
         lines = [json.loads(l) for l in stdout.getvalue().splitlines()]
         assert lines[1]["status"] == 0
 
     def test_daemon_survives_bad_requests(self, tmp_path):
-        stdin = io.StringIO(
-            '["-quiet", "/nonexistent/nope.c"]\n'
-            "[malformed json\n"
-            "shutdown\n"
+        stdin = io.BytesIO(
+            b'["-quiet", "/nonexistent/nope.c"]\n'
+            b"[malformed json\n"
+            b"shutdown\n"
         )
         stdout = io.StringIO()
         server = DaemonServer(

@@ -259,7 +259,7 @@ class TestDaemonMetricsVerb:
             path.write_text(text)
             paths.append(str(path))
         request = json.dumps(["-quiet"] + sorted(paths))
-        stdin = io.StringIO(request + "\nmetrics\nshutdown\n")
+        stdin = io.BytesIO((request + "\nmetrics\nshutdown\n").encode("utf-8"))
         stdout = io.StringIO()
         server = DaemonServer(
             cache_dir=str(tmp_path / "cache"), stdin=stdin, stdout=stdout

@@ -3,9 +3,9 @@ backpressure, deadlines, prioritization, graceful drain, and reply
 parity with the one-shot CLI — all over real sockets against an
 in-process server."""
 
-import asyncio
 import json
 import socket
+import struct
 import threading
 import time
 
@@ -14,6 +14,7 @@ import pytest
 from repro.driver import cli
 from repro.obs.metrics import MetricsRegistry
 from repro.service.client import ServiceClient
+from repro.service.lineserver import LineServerThread
 from repro.service.server import CheckingService
 
 WARNING_SOURCE = (
@@ -22,42 +23,19 @@ WARNING_SOURCE = (
 )
 
 
-class _ServiceHandle:
+class _ServiceHandle(LineServerThread):
     """A CheckingService running on its own event-loop thread."""
 
-    def __init__(self, service: CheckingService) -> None:
-        self.service = service
-        self._started = threading.Event()
-        self._loop = None
-        self._thread = threading.Thread(target=self._run, daemon=True)
-        self._thread.start()
-        if not self._started.wait(30):
-            raise RuntimeError("service failed to start")
-
-    def _run(self) -> None:
-        async def main():
-            await self.service.start()
-            self._loop = asyncio.get_running_loop()
-            self._started.set()
-            await self.service._stopped.wait()
-
-        asyncio.run(main())
+    @property
+    def service(self) -> CheckingService:
+        return self.server
 
     def client(self) -> ServiceClient:
         host, port = self.service.bound_addr.rsplit(":", 1)
         return ServiceClient.connect_tcp(host, int(port))
 
     def shutdown(self) -> None:
-        if self._loop is None or not self._thread.is_alive():
-            return
-        try:
-            future = asyncio.run_coroutine_threadsafe(
-                self.service.shutdown(), self._loop
-            )
-            future.result(30)
-        except RuntimeError:
-            pass  # the loop already finished draining
-        self._thread.join(30)
+        self.close()
 
     @property
     def metrics(self) -> MetricsRegistry:
@@ -372,6 +350,21 @@ class TestServiceRobustness:
             reply = other.check(["y.c"], request_id="alive")
         assert reply["id"] == "alive"
         assert reply["status"] == 0
+
+    def test_disconnects_count_on_the_service_registry(self, start_service):
+        handle = start_service()
+        for _ in range(3):
+            client = handle.client()
+            # Linger 0: close() resets the connection instead of ending it.
+            client.sock.setsockopt(
+                socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0)
+            )
+            client.close()
+        deadline = time.time() + 10
+        while (time.time() < deadline
+               and handle.metrics.count("service.sessions.disconnected") < 3):
+            time.sleep(0.01)
+        assert handle.metrics.count("service.sessions.disconnected") == 3
 
     def test_lines_after_shutdown_do_not_reset_the_session(
         self, start_service

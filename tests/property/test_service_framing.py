@@ -11,9 +11,8 @@ Two invariants are fuzzed here, per the reply-schema contract in
   volatile fields (timings, latency summaries, metric snapshots).
 """
 
-import asyncio
+import io
 import json
-import threading
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,6 +20,7 @@ from hypothesis import given, settings, strategies as st
 from repro.incremental.server import DaemonServer
 from repro.obs.metrics import MetricsRegistry
 from repro.service.client import ServiceClient
+from repro.service.lineserver import LineServerThread
 from repro.service.protocol import MAX_REQUEST_BYTES
 from repro.service.server import CheckingService
 
@@ -106,9 +106,9 @@ _NON_ENDING_LINES = _LINES.filter(
 
 
 def _run_shim(lines):
-    import io
-
-    stdin = io.StringIO("\n".join(list(lines) + ["shutdown"]) + "\n")
+    stdin = io.BytesIO(
+        ("\n".join(list(lines) + ["shutdown"]) + "\n").encode("utf-8")
+    )
     stdout = io.StringIO()
     server = DaemonServer(cache_dir=None, stdin=stdin, stdout=stdout)
     assert server.serve() == 0
@@ -137,29 +137,12 @@ def _multiset(replies):
 
 @pytest.fixture(scope="module")
 def service():
-    svc = CheckingService(
+    runner = LineServerThread(CheckingService(
         cache_dir=None, workers=1, metrics=MetricsRegistry(),
         max_inflight=64,
-    )
-    started = threading.Event()
-    holder = {}
-
-    def runner():
-        async def main():
-            await svc.start()
-            holder["loop"] = asyncio.get_running_loop()
-            started.set()
-            await svc._stopped.wait()
-
-        asyncio.run(main())
-
-    thread = threading.Thread(target=runner, daemon=True)
-    thread.start()
-    assert started.wait(30)
-    yield svc
-    future = asyncio.run_coroutine_threadsafe(svc.shutdown(), holder["loop"])
-    future.result(30)
-    thread.join(30)
+    ))
+    yield runner.server
+    runner.close()
 
 
 def _run_service(service, lines):
@@ -260,3 +243,43 @@ class TestCapBoundary:
         service_replies = _run_service(service, lines)
         assert len(shim_replies) == len(lines) + 2
         assert _multiset(shim_replies) == _multiset(service_replies)
+
+    def _multibyte_object(self, target_bytes: int) -> str:
+        head = '{"id": 77, "argv": ["zz_no_such_file.c"], "pad": "'
+        room = target_bytes - len(head) - len('"}')
+        return head + "é" * (room // 2) + "x" * (room % 2) + '"}'
+
+    def test_multibyte_line_at_exact_byte_cap_is_served(self, service):
+        line = self._multibyte_object(MAX_REQUEST_BYTES)
+        assert len(line.encode("utf-8")) == MAX_REQUEST_BYTES
+        for replies in (_run_shim([line]), _run_service(service, [line])):
+            body = [r for r in replies if r.get("id") == 77]
+            assert len(body) == 1
+            assert body[0]["kind"] == "usage"
+
+    def test_multibyte_line_one_byte_over_is_rejected(self, service):
+        # Half as many characters as bytes: a cap counted in characters
+        # would run this line.
+        line = self._multibyte_object(MAX_REQUEST_BYTES + 1)
+        assert len(line.encode("utf-8")) == MAX_REQUEST_BYTES + 1
+        assert len(line) < MAX_REQUEST_BYTES
+        for replies in (_run_shim([line]), _run_service(service, [line])):
+            body = [r for r in replies if r.get("id") == 77]
+            assert len(body) == 1
+            assert body[0]["kind"] == "oversized"
+            assert f"({MAX_REQUEST_BYTES + 1} bytes;" in body[0]["error"]
+
+    def test_invalid_utf8_decodes_alike_on_both_transports(self, service):
+        raw = b'["\xff\xfe.c"]\n'
+        stdout = io.StringIO()
+        DaemonServer(
+            cache_dir=None, stdin=io.BytesIO(raw + b"shutdown\n"),
+            stdout=stdout,
+        ).serve()
+        shim_reply = json.loads(stdout.getvalue().splitlines()[1])
+        host, port = service.bound_addr.rsplit(":", 1)
+        with ServiceClient.connect_tcp(host, int(port)) as client:
+            client.send_bytes(raw)
+            service_reply = client.recv_reply()
+        assert shim_reply == service_reply
+        assert "\ufffd\ufffd.c" in shim_reply["error"]

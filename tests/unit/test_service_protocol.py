@@ -226,6 +226,7 @@ class TestFreshInterpreterImports:
 
     @pytest.mark.parametrize("module", [
         "repro.service.server",
+        "repro.service.lineserver",
         "repro.service",
         "repro.incremental.cacheserver",
         "repro.service.protocol",
