@@ -1,25 +1,24 @@
 """Campaign orchestration: N seeds, two detectors, one comparison table.
 
 A campaign maps seeds to variants, runs the dual runner over each
-(optionally on a fork pool of workers, mirroring the incremental
-engine's scheduler), folds every verdict into the per-class confusion
-matrices, shrinks each discrepancy with delta debugging, and persists
-the minimized cases to the replay corpus.
+(optionally on the engine's fork pool,
+:func:`repro.incremental.parallel.fork_map`, one seed per task), folds
+every verdict into the per-class confusion matrices, shrinks each
+discrepancy with delta debugging, and persists the minimized cases to
+the replay corpus.
 
-Everything a worker returns is plain picklable data; scoring, shrinking
-and persistence happen in the parent, in seed order, so a parallel
-campaign's output is byte-identical to a serial one's.
+Workers inherit the mutation engine and the runner through fork and
+return plain picklable verdicts; scoring, shrinking and persistence
+happen in the parent, in seed order, so a parallel campaign's output is
+byte-identical to a serial one's.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-import pickle
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
-from ..core.api import ensure_process_initialized
 from ..flags.registry import Flags
+from ..incremental.parallel import fork_map
 from ..obs.metrics import GLOBAL_METRICS
 from .corpus import (
     DEFAULT_CORPUS_DIR,
@@ -41,7 +40,7 @@ from .verdict import (
 
 @dataclass(frozen=True)
 class CampaignConfig:
-    """Everything a campaign (and each of its workers) needs."""
+    """Everything a campaign needs."""
 
     seeds: int = 50
     jobs: int = 1
@@ -149,77 +148,11 @@ class CampaignResult:
         return "\n".join(lines)
 
 
-# ---------------------------------------------------------------------------
-# the fork pool (same shape as repro.incremental.parallel)
-# ---------------------------------------------------------------------------
-
-_WORKER_CONFIG: CampaignConfig | None = None
-_WORKER_ENGINE: MutationEngine | None = None
-_WORKER_RUNNER: DualRunner | None = None
-
-
-def _init_worker(payload: bytes) -> None:
-    global _WORKER_CONFIG, _WORKER_ENGINE, _WORKER_RUNNER
-    ensure_process_initialized()
-    _WORKER_CONFIG = pickle.loads(payload)
-    _WORKER_ENGINE = _WORKER_CONFIG.engine()
-    _WORKER_RUNNER = _WORKER_CONFIG.runner()
-
-
-def _run_seed_task(seed: int) -> DualVerdict:
-    assert _WORKER_CONFIG is not None, "worker initializer did not run"
-    variant = _WORKER_ENGINE.variant(seed)
-    return _WORKER_RUNNER.run_variant(variant, _WORKER_CONFIG.coverage)
-
-
-def _fork_available() -> bool:
-    return "fork" in multiprocessing.get_all_start_methods()
-
-
-def _run_seeds_parallel(
-    config: CampaignConfig, notes: list[str]
-) -> list[DualVerdict] | None:
-    """Run all seeds on a fork pool; None => caller should run serially."""
-    if config.jobs <= 1 or config.seeds <= 1:
-        return None
-    if not _fork_available():
-        notes.append(
-            "parallel campaign unavailable (no fork start method); "
-            "running serially"
-        )
-        return None
-    try:
-        pool = ProcessPoolExecutor(
-            max_workers=min(config.jobs, config.seeds),
-            mp_context=multiprocessing.get_context("fork"),
-            initializer=_init_worker,
-            initargs=(pickle.dumps(config),),
-        )
-    except Exception as exc:
-        notes.append(
-            f"parallel campaign unavailable (cannot start worker pool: "
-            f"{type(exc).__name__}); running serially"
-        )
-        return None
-    engine = config.engine()
-    runner = config.runner()
-    verdicts: list[DualVerdict] = []
-    with pool:
-        futures = [
-            pool.submit(_run_seed_task, seed) for seed in range(config.seeds)
-        ]
-        for seed, future in enumerate(futures):
-            try:
-                verdicts.append(future.result())
-            except Exception as exc:
-                notes.append(
-                    f"parallel run of seed {seed} failed "
-                    f"({type(exc).__name__}); re-run serially"
-                )
-                verdicts.append(
-                    runner.run_variant(engine.variant(seed), config.coverage)
-                )
-    return verdicts
+def _run_seed(shared: tuple, seed: int) -> DualVerdict:
+    """Build and dual-run one seed's variant (serially or in a pool
+    worker, which inherits *shared* through fork)."""
+    engine, runner, coverage = shared
+    return runner.run_variant(engine.variant(seed), coverage)
 
 
 def run_campaign(
@@ -228,18 +161,21 @@ def run_campaign(
     metrics=None,
 ) -> CampaignResult:
     """Execute a full campaign; *progress* is an optional callable(str)."""
-    notes: list[str] = []
     metrics = metrics if metrics is not None else GLOBAL_METRICS
     engine = config.engine()
     runner = config.runner()
+    shared = (engine, runner, config.coverage)
 
-    verdicts = _run_seeds_parallel(config, notes)
+    verdicts, notes = None, []
+    if config.jobs > 1 and config.seeds > 1:
+        verdicts, notes = fork_map(
+            _run_seed, shared, [(seed,) for seed in range(config.seeds)],
+            config.jobs, name=lambda seed: f"seed {seed}", noun="seed",
+        )
     if verdicts is None:
         verdicts = []
         for seed in range(config.seeds):
-            verdicts.append(
-                runner.run_variant(engine.variant(seed), config.coverage)
-            )
+            verdicts.append(_run_seed(shared, seed))
             if progress is not None and (seed + 1) % 25 == 0:
                 progress(f"{seed + 1}/{config.seeds} variants")
 

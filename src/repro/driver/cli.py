@@ -38,13 +38,10 @@ Differential fault injection (see docs/internals.md):
 Incremental & parallel checking (see docs/internals.md):
 
     --jobs N                check translation units on N worker processes
+                            (in shards balanced by source size)
     --cache                 cache per-unit results under .pylclint-cache/
     --cache-dir DIR         cache per-unit results under DIR
     --no-cache              disable the result cache
-    --shard-strategy S      how units are batched across workers:
-                            interface (default; interface-dependency
-                            clusters travel together), size (best
-                            balance), or round-robin
     --cache-server ADDR     consult a shared cache service on local
                             misses (HOST:PORT or unix:PATH; start one
                             with python -m repro.incremental.cacheserver)
@@ -177,7 +174,6 @@ def run(argv: list[str], cache=None, jobs: int | None = None) -> tuple[int, str]
     quiet = False
     cache_dir: str | None = None
     no_cache = False
-    shard_strategy = "interface"
     cache_server: str | None = None
     trace_out: str | None = None
     trace_format = "jsonl"
@@ -240,13 +236,6 @@ def run(argv: list[str], cache=None, jobs: int | None = None) -> tuple[int, str]
             cache_dir = DEFAULT_CACHE_DIR
         elif arg in ("--no-cache", "-no-cache"):
             no_cache = True
-        elif arg in ("--shard-strategy", "-shard-strategy"):
-            i += 1
-            if i >= len(argv):
-                raise CliError("--shard-strategy requires a strategy name")
-            shard_strategy = argv[i]
-        elif arg.startswith("--shard-strategy="):
-            shard_strategy = arg.split("=", 1)[1]
         elif arg in ("--cache-server", "-cache-server"):
             i += 1
             if i >= len(argv):
@@ -303,14 +292,6 @@ def run(argv: list[str], cache=None, jobs: int | None = None) -> tuple[int, str]
 
         cache = ResultCache(cache_dir)
 
-    from ..incremental.shard import STRATEGIES
-
-    if shard_strategy not in STRATEGIES:
-        raise CliError(
-            f"unknown shard strategy {shard_strategy!r} "
-            f"(expected one of {', '.join(STRATEGIES)})"
-        )
-
     remote = None
     if cache_server is not None:
         from ..incremental.cacheserver import CacheClient
@@ -362,7 +343,6 @@ def run(argv: list[str], cache=None, jobs: int | None = None) -> tuple[int, str]
                     ),
                     tracer=tracer,
                     remote=remote,
-                    shard_strategy=shard_strategy,
                 )
                 if incremental
                 else Checker(flags=flags, tracer=tracer)

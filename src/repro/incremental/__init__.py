@@ -12,9 +12,10 @@ that modularity into an engine:
 * :mod:`repro.incremental.engine` — the :class:`IncrementalChecker`
   orchestrating memo lookups, cache hits, and (re)checking;
 * :mod:`repro.incremental.shard` — partitioning units into worker
-  shards by interface-dependency cluster, size, or round-robin;
-* :mod:`repro.incremental.parallel` — the sharded scheduler fanning
-  per-unit checks over a fork pool with work-stealing;
+  shards balanced by source size;
+* :mod:`repro.incremental.parallel` — the one fault-contained fork pool
+  (``fork_map``), under the engine's sharded check and the difftest
+  campaign, with work-stealing;
 * :mod:`repro.incremental.cacheserver` — the shared cache service
   (``--cache-server``) letting independent workers, machines, and CI
   runs trade fingerprint-keyed results and unit memos; its server is a

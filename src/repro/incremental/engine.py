@@ -6,9 +6,10 @@ is this engine with no result cache, no cache server and one process,
 so the plain CLI, ``check_source``, difftest, the interpreter and the
 cached engine share one frontend path and one check path.
 
-A result cache, a cache server or a pool (``jobs > 1``) makes
-re-checking cheap, the property the paper leans on ("fast enough to run
-as part of every build"):
+A result cache or a cache server makes re-checking cheap, and a pool
+(``jobs > 1``) spreads what is left over worker processes — the
+property the paper leans on ("fast enough to run as part of every
+build"):
 
 * **warm units skip everything** — a unit whose raw text, includes,
   flags, and program interface are unchanged is answered straight from
@@ -17,12 +18,14 @@ as part of every build"):
   re-checks only that unit; editing an exported interface (a header, an
   annotation on a signature) changes the program digest and re-checks
   every unit, exactly the modular contract of paper section 7;
-* **parallel misses** — units that do need checking fan out over a
-  process pool (``jobs > 1``), with results identical to serial order.
+* **parallel misses** — units that do need checking fan out over
+  :mod:`repro.incremental.parallel`'s fork pool (``jobs > 1``) in shards
+  balanced by source size, with results identical to serial order.
 
-Without any of the three nothing reads a key or a digest, so a run
-computes no source key, digest or fingerprint and neither probes nor
-counts cache traffic (:attr:`IncrementalChecker.incremental`).
+Without a cache or a cache server nothing reads a key or a digest, so a
+run computes no source key, digest or fingerprint and neither probes
+nor counts cache traffic (:attr:`IncrementalChecker.incremental`),
+whatever its job count.
 """
 
 from __future__ import annotations
@@ -75,7 +78,6 @@ from .fingerprint import (
     unit_digests,
 )
 from .parallel import check_units_parallel
-from .shard import STRATEGIES
 
 
 @dataclass
@@ -271,7 +273,6 @@ class IncrementalChecker:
         tracer: Tracer | None = None,
         metrics=None,
         remote=None,
-        shard_strategy: str = "interface",
     ) -> None:
         self.flags = flags or DEFAULT_FLAGS
         self.cache = cache
@@ -279,12 +280,6 @@ class IncrementalChecker:
         # A CacheClient (or anything with its batch get/put surface)
         # consulted on local cache misses; see incremental/cacheserver.py.
         self.remote = remote
-        if shard_strategy not in STRATEGIES:
-            raise ValueError(
-                f"unknown shard strategy {shard_strategy!r} "
-                f"(expected one of {', '.join(STRATEGIES)})"
-            )
-        self.shard_strategy = shard_strategy
         # Without a tracer the engine runs under a sink-less one: phase
         # timings for the --profile table are span durations, and the
         # tracer only measures (per-function spans stay off unless a
@@ -307,13 +302,10 @@ class IncrementalChecker:
 
     @property
     def incremental(self) -> bool:
-        """A result cache, a cache server or a pool is in use. Only then
-        does a run key and digest its units (memos, fingerprints and
-        shard clusters read them) and count cache traffic."""
-        return (
-            self.cache is not None or self.remote is not None
-            or self.jobs > 1
-        )
+        """A result cache or a cache server is in use. Only then does a
+        run key and digest its units (memos and fingerprints read them)
+        and count cache traffic."""
+        return self.cache is not None or self.remote is not None
 
     # -- interface libraries (paper section 7: modular checking) -----------
 
@@ -595,15 +587,13 @@ class IncrementalChecker:
             [p.iface_digest for p in run.plans], self._library_digests
         )
         flags_fp = flags_digest(self.flags)
-        keyed = self.cache is not None or self.remote is not None
         with self.tracer.span("cache", cat="phase") as probe_span:
             misses = []
             for plan in run.plans:
-                if keyed:
-                    plan.fingerprint = check_fingerprint(
-                        plan.token_digest, self.flags, prog_digest,
-                        flags_fp=flags_fp,
-                    )
+                plan.fingerprint = check_fingerprint(
+                    plan.token_digest, self.flags, prog_digest,
+                    flags_fp=flags_fp,
+                )
                 found = (
                     self.cache.get_result(plan.fingerprint)
                     if self.cache is not None else None
@@ -677,8 +667,6 @@ class IncrementalChecker:
                     [p.parsed for p in misses], symtab, self.flags,
                     enum_consts, self.jobs, crash_dir=self.crash_dir,
                     metrics=self.metrics,
-                    shard_strategy=self.shard_strategy,
-                    cluster_keys=[p.iface_digest for p in misses],
                     weights=[max(1, len(p.text)) for p in misses],
                     interfaces=[p.interface for p in misses],
                 )

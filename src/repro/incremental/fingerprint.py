@@ -110,91 +110,34 @@ def token_stream_digest(tokens: list[Token]) -> str:
     return digest.hexdigest()
 
 
-def interface_token_digest(tokens: list[Token]) -> str:
-    """Digest of a unit's *interface* as seen in its token stream.
+def unit_digests(tokens: list[Token]) -> tuple[str, str]:
+    """``(token digest, interface digest)`` of a unit, in one pass.
 
-    This is the hot-path replacement for :func:`interface_digest` (the
-    reflective object-graph walk over the symbol-table slice, which
-    dominated cold-run cost). The modular-checking contract says other
-    units may depend only on this unit's declared signatures, types,
-    annotations, and enum constants — all of which are spelled in the
-    token stream *outside* function bodies. So the digest covers every
-    token except the brace-balanced body of a function definition (a
-    ``{`` whose previous significant token closes a parameter list or is
-    a globals/modifies clause), and control comments (suppressions are
-    strictly unit-local).
+    The token digest is :func:`token_stream_digest`. The interface
+    digest covers what other units may depend on under the
+    modular-checking contract: this unit's declared signatures, types,
+    annotations, and enum constants, all spelled in the token stream
+    *outside* function bodies. So it covers every token except the
+    brace-balanced body of a function definition (a ``{`` whose previous
+    significant token closes a parameter list or is a
+    globals/modifies/uses clause) and control comments (suppressions
+    are strictly unit-local). It replaced :func:`interface_digest`, the
+    reflective walk over the symbol-table slice, which dominated the
+    cold run.
 
-    Locations are included for the covered tokens, mirroring the old
-    digest (which hashed declaration ``Location`` fields): messages
-    emitted while checking *other* units may cite this unit's
-    declaration sites, so a moved declaration must change the digest. A
-    same-line body edit leaves every covered token — and therefore the
-    digest — unchanged, which is what keeps body edits re-checking only
-    their own unit.
+    Locations count for the covered tokens, as the walk's declaration
+    ``Location`` fields did: messages emitted while checking *other*
+    units may cite this unit's declaration sites, so a moved declaration
+    must change the digest. A same-line body edit leaves every covered
+    token, and so the digest, unchanged, which is what keeps body edits
+    re-checking only their own unit.
 
     The skip rule is conservative: any ``{`` it cannot prove starts a
     function body (initializer lists, struct/union/enum bodies, K&R
-    definitions) is included, which can only over-invalidate, never
-    miss an interface change.
-    """
-    digest = hashlib.sha256()
-    update = digest.update
-    punct = TokenKind.PUNCT
-    control = TokenKind.CONTROL
-    annotation = TokenKind.ANNOTATION
-    n = len(tokens)
-    i = 0
-    prev_is_body_opener = False
-    while i < n:
-        tok = tokens[i]
-        kind = tok.kind
-        if kind is control:
-            i += 1
-            continue
-        value = tok.value
-        if value == "{" and kind is punct and prev_is_body_opener:
-            depth = 1
-            i += 1
-            while i < n and depth:
-                t = tokens[i]
-                if t.kind is punct:
-                    if t.value == "{":
-                        depth += 1
-                    elif t.value == "}":
-                        depth -= 1
-                i += 1
-            prev_is_body_opener = False
-            continue
-        filename, line, column = tok.coords()
-        update(
-            f"{kind.name}\x00{value}\x00"
-            f"{filename}\x00{line}\x00{column}\x01".encode(
-                "utf-8", "surrogatepass"
-            )
-        )
-        # A '{' directly after ')' opens a function body; so does one
-        # after a trailing /*@globals ...@*/ or /*@modifies ...@*/
-        # clause (which sits between the parameter list and the body).
-        if kind is punct:
-            prev_is_body_opener = value == ")"
-        elif kind is annotation:
-            first_word = value.split(None, 1)[:1]
-            prev_is_body_opener = first_word in (
-                ["globals"], ["modifies"], ["uses"]
-            )
-        else:
-            prev_is_body_opener = False
-        i += 1
-    return digest.hexdigest()
-
-
-def unit_digests(tokens: list[Token]) -> tuple[str, str]:
-    """``(token_stream_digest, interface_token_digest)`` in one pass.
-
-    The cold path needs both digests for every parsed unit; fusing the
-    loops halves the dominant per-token cost (coords + formatting), and
-    the per-token byte sequences are identical to the standalone
-    functions, so cache keys are unchanged.
+    definitions) is covered, which can only over-invalidate, never miss
+    an interface change. One loop serves both digests because the
+    per-token cost (coords + formatting) dominates; each token's bytes
+    are those of :func:`token_stream_digest`, memoized on the token.
     """
     full = hashlib.sha256()
     iface = hashlib.sha256()

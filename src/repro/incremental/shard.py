@@ -1,28 +1,16 @@
-"""Shard partitioning for the distributed checking scheduler.
+"""Shard partitioning for the parallel scheduler.
 
 A *shard* is a batch of translation units dispatched to one worker as a
-single task. Sharding replaces the one-task-per-unit fan-out: batching
-amortizes the per-task IPC cost, and partitioning by
-interface-dependency cluster keeps units that share interface digests
-(the same headers, the same module family) on the same worker, so the
-symbol-table state they exercise travels — and stays hot — once per
-worker instead of once per unit.
+single task. Batching amortizes the per-task IPC cost of a
+one-task-per-unit fan-out.
 
-Three strategies, selectable with ``--shard-strategy``:
-
-* ``interface`` (default) — group units by their cluster key (the
-  engine passes each unit's interface digest), then place whole
-  clusters onto shards with the LPT greedy rule (heaviest cluster
-  first, onto the currently lightest shard). Clusters are never split,
-  so two units with the same interface digest always land together.
-* ``size`` — ignore clusters; LPT over individual units by weight
-  (source length). Best balance, no locality.
-* ``round-robin`` — unit *i* goes to shard ``i % n``. The degenerate
-  baseline; useful for comparisons and for pathological cluster shapes.
-
-Every strategy returns a **true partition**: each unit index appears in
-exactly one shard, shards are non-empty, and the result is a pure
-function of its arguments (no hash-order or RNG dependence), so a
+:func:`partition_units` balances shards by source size with the LPT
+greedy rule: heaviest unit first, onto the currently lightest shard.
+Each unit is checked against the merged program interface alone (paper
+section 7), so no placement of units changes a result, and balance is
+all a layout has to buy. The result is a **true partition**: each unit
+index appears in exactly one shard, shards are non-empty, and it is a
+pure function of its arguments (no hash-order or RNG dependence), so a
 sharded run schedules identically across processes and machines.
 
 The scheduler oversplits — more shards than workers, see
@@ -33,15 +21,13 @@ straggler shard cannot serialize the tail of the run.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 #: Shards per worker. Oversplitting trades a little per-task IPC for
 #: work-stealing granularity: with k shards queued per worker, a single
 #: straggler costs at most ~1/k of the run tail instead of half of it.
 SHARD_OVERSPLIT = 4
-
-#: The selectable strategies, in documentation order.
-STRATEGIES = ("interface", "size", "round-robin")
 
 
 @dataclass(frozen=True)
@@ -61,76 +47,34 @@ def shard_count_for(jobs: int, units: int) -> int:
 
 
 def partition_units(
-    count: int,
-    shard_count: int,
-    strategy: str = "interface",
-    cluster_keys: list[str] | None = None,
-    weights: list[int] | None = None,
+    count: int, shard_count: int, weights: list[int] | None = None
 ) -> list[Shard]:
     """Partition unit indices ``0..count-1`` into at most *shard_count*
-    shards.
+    shards, balanced by *weights* (one per unit, e.g. source length;
+    omitted, every unit weighs 1).
 
-    *cluster_keys* (one per unit) drive the ``interface`` strategy;
-    omitted, every unit is its own cluster and ``interface`` degrades
-    to ``size``. *weights* (one per unit, e.g. source length) drive
-    balance; omitted, every unit weighs 1.
-
-    Raises :class:`ValueError` for an unknown strategy; returns only
-    non-empty shards, each index in exactly one of them.
+    Longest-processing-time greedy: heaviest unit first, onto the
+    lightest shard. Deterministic: ties break by lower unit index and
+    lower shard number, and units inside a shard keep ascending order
+    (the merge step relies on index order only, so any order is
+    output-identical; ascending keeps schedules reproducible and logs
+    readable). Returns only non-empty shards.
     """
-    if strategy not in STRATEGIES:
-        raise ValueError(
-            f"unknown shard strategy {strategy!r} "
-            f"(expected one of {', '.join(STRATEGIES)})"
-        )
     if count <= 0:
         return []
     shard_count = max(1, min(shard_count, count))
     if weights is None:
         weights = [1] * count
-    if strategy == "round-robin":
-        buckets: list[list[int]] = [[] for _ in range(shard_count)]
-        for i in range(count):
-            buckets[i % shard_count].append(i)
-    else:
-        if strategy == "interface" and cluster_keys is not None:
-            groups: dict[str, list[int]] = {}
-            for i, key in enumerate(cluster_keys):
-                groups.setdefault(key, []).append(i)
-            clusters = list(groups.values())
-        else:
-            clusters = [[i] for i in range(count)]
-        buckets = _lpt_pack(clusters, weights, shard_count)
-    shards = [
-        Shard(index=n, indices=tuple(bucket))
-        for n, bucket in enumerate(b for b in buckets if b)
-    ]
-    return shards
-
-
-def _lpt_pack(
-    clusters: list[list[int]], weights: list[int], shard_count: int
-) -> list[list[int]]:
-    """Longest-processing-time greedy: heaviest cluster first, onto the
-    lightest shard. Deterministic: ties break by first unit index, and
-    units inside a shard keep ascending order (the merge step relies on
-    index order only, so any order is output-identical; ascending keeps
-    schedules reproducible and logs readable)."""
-    def cluster_weight(cluster: list[int]) -> int:
-        return sum(weights[i] for i in cluster)
-
-    ordered = sorted(
-        clusters, key=lambda c: (-cluster_weight(c), c[0])
-    )
     bins: list[list[int]] = [[] for _ in range(shard_count)]
-    loads = [0] * shard_count
-    for cluster in ordered:
-        lightest = min(range(shard_count), key=lambda b: (loads[b], b))
-        bins[lightest].extend(cluster)
-        loads[lightest] += cluster_weight(cluster)
-    for b in bins:
-        b.sort()
-    return bins
+    lightest = [(0, b) for b in range(shard_count)]
+    for i in sorted(range(count), key=lambda i: (-weights[i], i)):
+        load, b = heapq.heappop(lightest)
+        bins[b].append(i)
+        heapq.heappush(lightest, (load + weights[i], b))
+    return [
+        Shard(index=n, indices=tuple(sorted(bucket)))
+        for n, bucket in enumerate(b for b in bins if b)
+    ]
 
 
 def shard_balance(shards: list[Shard], weights: list[int] | None) -> float:
@@ -138,7 +82,7 @@ def shard_balance(shards: list[Shard], weights: list[int] | None) -> float:
 
     The scheduler publishes this as the ``engine.shard.balance`` gauge;
     a value far above ~1.5 means one shard dominates the run tail and
-    the strategy (or the oversplit factor) is mismatched to the corpus.
+    the oversplit factor is mismatched to the corpus.
     """
     if not shards:
         return 1.0

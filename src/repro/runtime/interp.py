@@ -9,6 +9,7 @@ static checker's home turf — are invisible to it.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 from ..frontend import cast as A
@@ -33,7 +34,28 @@ from .heap import (
     RuntimeEvent,
     RuntimeEventKind,
 )
-from .layout import layout_of, sizeof_ctype
+from .layout import LayoutError, layout_of, sizeof_ctype
+
+
+#: Relational operators; only the one asked for is evaluated.
+_COMPARISONS = {
+    "==": operator.eq, "!=": operator.ne, "<": operator.lt,
+    ">": operator.gt, "<=": operator.le, ">=": operator.ge,
+}
+
+#: ``x op= y`` on numbers, by ``op``; a zero divisor stores 0.
+_COMPOUND = {
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "/": lambda a, b: (a // b if isinstance(a, int) else a / b) if b else 0,
+    "%": lambda a, b: a % b if b else 0,
+    "<<": lambda a, b: int(a) << int(b),
+    ">>": lambda a, b: int(a) >> int(b),
+    "&": lambda a, b: int(a) & int(b),
+    "|": lambda a, b: int(a) | int(b),
+    "^": lambda a, b: int(a) ^ int(b),
+}
 
 
 class InterpreterError(Exception):
@@ -126,7 +148,10 @@ class Interpreter:
         for unit in units:
             for fdef in unit.functions():
                 self.functions[fdef.name] = fdef
-        self._init_globals()
+        try:
+            self._init_globals()
+        except LayoutError as exc:  # e.g. a struct that contains itself
+            raise InterpreterError(str(exc)) from None
 
     # ------------------------------------------------------------------
     # setup
@@ -164,7 +189,14 @@ class Interpreter:
                     if dtor.init is None or dtor.name not in self.global_cells:
                         continue
                     ptr = self.global_cells[dtor.name]
-                    value = self._eval_initializer(dtor.init, dtor.ctype)
+                    try:
+                        value = self._eval_initializer(dtor.init, dtor.ctype)
+                    except _ExitProgram as exc:
+                        # Only run() turns an exit into a status.
+                        raise InterpreterError(
+                            f"program exited ({exc.code}) while "
+                            f"initializing {dtor.name!r}", dtor.location,
+                        ) from None
                     self._store_value(ptr, value, dtor.ctype, dtor.location)
 
     def _eval_initializer(self, init: A.Expr, ctype: CType):
@@ -186,6 +218,8 @@ class Interpreter:
             exit_code = exc.code
         except StepBudgetExceeded:
             exit_code = -1
+        except LayoutError as exc:
+            raise InterpreterError(str(exc)) from None
         leaked = self.heap.report_leaks()
         return RunResult(
             exit_code=exit_code,
@@ -526,12 +560,13 @@ class Interpreter:
             return self.lvalue(expr.operand)
         if op == "!":
             return 0 if self._truthy(self.eval(expr.operand)) else 1
-        if op == "-":
-            return -self.eval(expr.operand)
-        if op == "+":
-            return self.eval(expr.operand)
-        if op == "~":
-            return ~int(self.eval(expr.operand))
+        if op in ("-", "+", "~"):
+            value = self.eval(expr.operand)
+            if not isinstance(value, (int, float)):
+                raise InterpreterError(
+                    f"non-arithmetic operand of unary {op!r}", expr.location
+                )
+            return -value if op == "-" else ~int(value) if op == "~" else value
         if op in ("++", "--", "p++", "p--"):
             ptr = self.lvalue(expr.operand)
             old = self.heap.load(ptr, expr.location)
@@ -562,22 +597,19 @@ class Interpreter:
                 or self._truthy(self.eval(expr.rhs))
                 else 0
             )
-        lhs = self.eval(expr.lhs)
-        rhs = self.eval(expr.rhs)
+        lhs = self._scalar(self.eval(expr.lhs), op, expr)
+        rhs = self._scalar(self.eval(expr.rhs), op, expr)
         if isinstance(lhs, Pointer) or isinstance(rhs, Pointer):
             return self._pointer_binary(op, lhs, rhs, expr)
-        if op in ("==", "!=", "<", ">", "<=", ">="):
-            table = {
-                "==": lhs == rhs, "!=": lhs != rhs, "<": lhs < rhs,
-                ">": lhs > rhs, "<=": lhs <= rhs, ">=": lhs >= rhs,
-            }
-            return 1 if table[op] else 0
+        if op in _COMPARISONS:
+            return 1 if _COMPARISONS[op](lhs, rhs) else 0
         if op == "/" and rhs == 0:
             raise _ExitProgram(136)  # SIGFPE
         if op == "%" and rhs == 0:
             raise _ExitProgram(136)
         if op in ("<<", ">>", "&", "|", "^", "%"):
             lhs, rhs = int(lhs), int(rhs)
+            self._check_shift(op, rhs, expr)
         result = {
             "+": lambda: lhs + rhs,
             "-": lambda: lhs - rhs,
@@ -608,9 +640,7 @@ class Interpreter:
                 same = isinstance(lhs, Pointer) and lhs.is_null
             return 1 if (same if op == "==" else not same) else 0
         if op in ("<", ">", "<=", ">="):
-            a, b = key(lhs), key(rhs)
-            table = {"<": a < b, ">": a > b, "<=": a <= b, ">=": a >= b}
-            return 1 if table[op] else 0
+            return 1 if _COMPARISONS[op](key(lhs), key(rhs)) else 0
         if op in ("+", "-"):
             ptr, offset = (lhs, rhs) if isinstance(lhs, Pointer) else (rhs, lhs)
             if isinstance(lhs, Pointer) and isinstance(rhs, Pointer):
@@ -638,23 +668,15 @@ class Interpreter:
         # compound assignment
         ptr = self.lvalue(expr.target)
         old = self.heap.load(ptr, expr.location)
-        rhs = self.eval(expr.value)
+        rhs = self._scalar(self.eval(expr.value), expr.op, expr)
         binop = expr.op[:-1]
-        if isinstance(old, Pointer):
+        if isinstance(old, Pointer) or isinstance(rhs, Pointer):
             fake = A.Binary(expr.location, op=binop, lhs=expr.target,
                             rhs=expr.value)
             new = self._pointer_binary(binop, old, rhs, fake)
         else:
-            table = {
-                "+": old + rhs, "-": old - rhs, "*": old * rhs,
-                "/": old // rhs if isinstance(old, int) and rhs else (
-                    old / rhs if rhs else 0),
-                "%": old % rhs if rhs else 0,
-                "<<": int(old) << int(rhs), ">>": int(old) >> int(rhs),
-                "&": int(old) & int(rhs), "|": int(old) | int(rhs),
-                "^": int(old) ^ int(rhs),
-            }
-            new = table[binop]
+            self._check_shift(expr.op, rhs, expr)
+            new = _COMPOUND[binop](old, rhs)
         self.heap.store(ptr, new, expr.location)
         return new
 
@@ -754,6 +776,24 @@ class Interpreter:
             if name in scope:
                 return scope[name]
         return self.global_types.get(name)
+
+    def _scalar(self, value, op: str, expr: A.Expr):
+        """*value* as an operand of *op*. A struct has no scalar value,
+        so C rejects it under every arithmetic, shift, bitwise and
+        comparison operator; so does the interpreter."""
+        if isinstance(value, _StructValue):
+            raise InterpreterError(
+                f"struct operand of {op!r}", expr.location
+            )
+        return value
+
+    @staticmethod
+    def _check_shift(op: str, count, expr: A.Expr) -> None:
+        """C leaves a negative shift count undefined; Python raises."""
+        if op[:2] in ("<<", ">>") and int(count) < 0:
+            raise InterpreterError(
+                f"negative shift count in {op!r}", expr.location
+            )
 
     def _truthy(self, value) -> bool:
         if isinstance(value, Pointer):

@@ -85,6 +85,78 @@ def test_parallel_campaign_matches_serial(default_campaign):
     assert parallel.render() == default_campaign.render()
 
 
+def test_collapsed_pool_writes_one_note_and_keeps_the_table(monkeypatch):
+    # The campaign runs on the engine's pool: a worker that dies takes
+    # the pool down, and the campaign salvages finished seeds, re-runs
+    # the rest serially, and says so once (not once per seed).
+    from repro.incremental import parallel
+
+    if not parallel.fork_available():
+        pytest.skip("needs fork")
+    serial = run_campaign(CampaignConfig(seeds=12, jobs=1, corpus_dir=None))
+    parent = os.getpid()
+    real_run_variant = DualRunner.run_variant
+
+    def dies_on_seed_3(self, variant, *args, **kwargs):
+        if variant.seed == 3 and os.getpid() != parent:
+            os._exit(1)
+        return real_run_variant(self, variant, *args, **kwargs)
+
+    monkeypatch.setattr(DualRunner, "run_variant", dies_on_seed_3)
+    collapsed = run_campaign(
+        CampaignConfig(seeds=12, jobs=2, corpus_dir=None)
+    )
+    pool_notes = [n for n in collapsed.notes if n not in serial.notes]
+    assert len(pool_notes) == 1, pool_notes
+    assert pool_notes[0].startswith(
+        "worker pool collapsed (BrokenProcessPool)"
+    )
+    table = collapsed.render().replace(f"\nnote: {pool_notes[0]}", "")
+    assert table == serial.render()
+
+
+def test_dead_seed_task_is_rerun_serially_with_one_note(monkeypatch):
+    # A seed whose task raises in a worker costs one serial re-run of
+    # that seed and one note naming it; the other seeds keep their
+    # pooled verdicts.
+    from repro.incremental import parallel
+
+    if not parallel.fork_available():
+        pytest.skip("needs fork")
+    serial = run_campaign(CampaignConfig(seeds=6, jobs=1, corpus_dir=None))
+    parent = os.getpid()
+    real_run_variant = DualRunner.run_variant
+
+    def raises_on_seed_3(self, variant, *args, **kwargs):
+        if variant.seed == 3 and os.getpid() != parent:
+            raise RuntimeError("seed 3 fails in a worker")
+        return real_run_variant(self, variant, *args, **kwargs)
+
+    monkeypatch.setattr(DualRunner, "run_variant", raises_on_seed_3)
+    retried = run_campaign(CampaignConfig(seeds=6, jobs=2, corpus_dir=None))
+    pool_notes = [n for n in retried.notes if n not in serial.notes]
+    assert pool_notes == [
+        "parallel check of seed 3 failed (RuntimeError); re-checked serially"
+    ]
+    table = retried.render().replace(f"\nnote: {pool_notes[0]}", "")
+    assert table == serial.render()
+
+
+def test_campaign_without_fork_runs_serially_with_one_note(monkeypatch):
+    from repro.incremental import parallel
+
+    serial = run_campaign(CampaignConfig(seeds=4, jobs=1, corpus_dir=None))
+    monkeypatch.setattr(parallel, "fork_available", lambda: False)
+    fallback = run_campaign(CampaignConfig(seeds=4, jobs=2, corpus_dir=None))
+    pool_notes = [n for n in fallback.notes if n not in serial.notes]
+    assert pool_notes == [
+        "parallel checking unavailable (no fork start method on this "
+        "platform); checked 4 seed(s) serially"
+    ]
+    table = fallback.render().replace(f"\nnote: {pool_notes[0]}", "")
+    assert table == serial.render()
+
+
 def test_blinded_campaign_surfaces_static_fns(blinded_campaign):
     result, _ = blinded_campaign
     assert not result.clean_exit

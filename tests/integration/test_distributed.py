@@ -41,9 +41,8 @@ def _renders(result):
 
 
 class TestShardedParallelIdentity:
-    @pytest.mark.parametrize("strategy", ["interface", "size", "round-robin"])
     def test_sharded_run_is_byte_identical(
-        self, corpus, serial_renders, strategy, tmp_path
+        self, corpus, serial_renders, tmp_path
     ):
         from repro.incremental import parallel
 
@@ -52,7 +51,6 @@ class TestShardedParallelIdentity:
         engine = IncrementalChecker(
             cache=ResultCache(str(tmp_path / "c")),
             jobs=3,
-            shard_strategy=strategy,
             metrics=MetricsRegistry(),
         )
         result = engine.check_sources(dict(corpus))

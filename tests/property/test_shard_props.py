@@ -1,6 +1,7 @@
-"""Property tests: shard partitioning is a true partition, shard-order
-execution merges back byte-identically to serial, and the benchmark
-program generator is deterministic across interpreter hash seeds."""
+"""Property tests: shard partitioning is a true partition laid out by
+the LPT rule, shard-order execution merges back byte-identically to
+serial, and the benchmark program generator is deterministic across
+interpreter hash seeds."""
 
 import hashlib
 import subprocess
@@ -15,74 +16,71 @@ from repro.core.api import (
     check_parsed_unit,
     unit_interface,
 )
-from repro.incremental.shard import (
-    STRATEGIES,
-    partition_units,
-    shard_balance,
-)
-
-_strategy = st.sampled_from(STRATEGIES)
+from repro.incremental.shard import partition_units, shard_balance
 
 
 @st.composite
 def _partition_inputs(draw):
     count = draw(st.integers(min_value=0, max_value=60))
     shard_count = draw(st.integers(min_value=1, max_value=24))
-    keys = draw(st.one_of(
-        st.none(),
-        st.lists(st.sampled_from("abcdefgh"), min_size=count,
-                 max_size=count),
-    ))
     weights = draw(st.one_of(
         st.none(),
         st.lists(st.integers(min_value=1, max_value=5000), min_size=count,
                  max_size=count),
     ))
-    return count, shard_count, keys, weights
+    return count, shard_count, weights
+
+
+def _lpt_reference(count, shard_count, weights):
+    """The LPT rule spelled out: heaviest unit first (ties by index),
+    onto the lightest shard (ties by shard number)."""
+    weights = weights or [1] * count
+    bins = [[] for _ in range(max(1, min(shard_count, count)))]
+    loads = [0] * len(bins)
+    for i in sorted(range(count), key=lambda i: (-weights[i], i)):
+        lightest = min(range(len(bins)), key=lambda b: (loads[b], b))
+        bins[lightest].append(i)
+        loads[lightest] += weights[i]
+    return [tuple(sorted(b)) for b in bins if b]
 
 
 class TestPartitionProperties:
-    @given(_strategy, _partition_inputs())
+    @given(_partition_inputs())
     @settings(max_examples=200, deadline=None)
-    def test_every_index_lands_in_exactly_one_shard(self, strategy, inputs):
-        count, shard_count, keys, weights = inputs
-        shards = partition_units(count, shard_count, strategy, keys, weights)
+    def test_every_index_lands_in_exactly_one_shard(self, inputs):
+        count, shard_count, weights = inputs
+        shards = partition_units(count, shard_count, weights)
         flat = [i for s in shards for i in s.indices]
         assert sorted(flat) == list(range(count))
         assert len(flat) == len(set(flat))
         assert all(len(s.indices) > 0 for s in shards)
         assert len(shards) <= min(shard_count, count) or count == 0
 
-    @given(_strategy, _partition_inputs())
+    @given(_partition_inputs())
     @settings(max_examples=100, deadline=None)
-    def test_partition_is_deterministic(self, strategy, inputs):
-        count, shard_count, keys, weights = inputs
-        first = partition_units(count, shard_count, strategy, keys, weights)
+    def test_partition_is_deterministic(self, inputs):
+        count, shard_count, weights = inputs
+        first = partition_units(count, shard_count, weights)
         again = partition_units(
-            count, shard_count, strategy,
-            list(keys) if keys is not None else None,
+            count, shard_count,
             list(weights) if weights is not None else None,
         )
         assert first == again
 
     @given(_partition_inputs())
-    @settings(max_examples=100, deadline=None)
-    def test_interface_strategy_never_splits_a_cluster(self, inputs):
-        count, shard_count, keys, weights = inputs
-        if keys is None:
-            keys = [f"k{i % 4}" for i in range(count)]
-        shards = partition_units(count, shard_count, "interface",
-                                 keys, weights)
-        home = {}
-        for shard in shards:
-            for i in shard.indices:
-                assert home.setdefault(keys[i], shard.index) == shard.index
+    @settings(max_examples=200, deadline=None)
+    def test_layout_is_the_lpt_rule(self, inputs):
+        count, shard_count, weights = inputs
+        shards = partition_units(count, shard_count, weights)
+        assert [s.indices for s in shards] == \
+            _lpt_reference(count, shard_count, weights)
+        assert [s.index for s in shards] == list(range(len(shards)))
 
-    @given(_strategy, _partition_inputs())
+    @given(_partition_inputs())
     @settings(max_examples=60, deadline=None)
-    def test_balance_is_at_least_one(self, strategy, inputs):
-        count, shard_count, keys, weights = inputs
-        shards = partition_units(count, shard_count, strategy, keys, weights)
+    def test_balance_is_at_least_one(self, inputs):
+        count, shard_count, weights = inputs
+        shards = partition_units(count, shard_count, weights)
         assert shard_balance(shards, weights) >= 1.0
 
 
@@ -114,9 +112,9 @@ class TestShardedExecutionMergesToSerial:
     placing outputs back by unit index must reproduce the serial
     transcript byte for byte."""
 
-    @given(_strategy, st.integers(min_value=1, max_value=12))
+    @given(st.integers(min_value=1, max_value=12))
     @settings(max_examples=25, deadline=None)
-    def test_merged_output_matches_serial(self, strategy, shard_count):
+    def test_merged_output_matches_serial(self, shard_count):
         units, interfaces, symtab, flags = _parsed_units()
         serial = [
             check_parsed_unit(u, symtab, flags, interface=iface)
@@ -128,8 +126,7 @@ class TestShardedExecutionMergesToSerial:
         assert any(serial_render), "corpus must produce messages"
 
         shards = partition_units(
-            len(units), shard_count, strategy,
-            cluster_keys=[f"c{i % 3}" for i in range(len(units))],
+            len(units), shard_count,
             weights=[max(1, len(t)) for t in _UNIT_TEXTS],
         )
         slots = [None] * len(units)

@@ -244,6 +244,18 @@ class TestCliIncrementalOptions:
         with pytest.raises(CliError, match="--jobs"):
             run(["--jobs"])
 
+    def test_jobs_without_a_cache_counts_no_cache_traffic(self, sample_file):
+        status, output = run(["--jobs", "2", "-stats", sample_file])
+        assert status == 1
+        assert "result cache:      0 hit(s), 0 miss(es)" in output
+        assert "unit memo:         0 hit(s), 0 miss(es)" in output
+
+    def test_shard_strategy_is_an_unknown_flag(self, sample_file, capsys):
+        from repro.driver.cli import main
+
+        assert main(["--shard-strategy", "size", sample_file]) == 2
+        assert "unknown flag '-shard-strategy'" in capsys.readouterr().err
+
     def test_cache_dir_option(self, sample_file, tmp_path):
         cache_dir = str(tmp_path / "cache")
         status1, out1 = run(["--cache-dir", cache_dir, sample_file])

@@ -203,7 +203,7 @@ class TestParallelFallback:
 
         # Workers inherit the monkeypatched task through fork; the
         # parent retries each shard with the real check function.
-        monkeypatch.setattr(parallel, "_check_shard_task", _die_task)
+        monkeypatch.setattr(parallel, "_run_task", _die_task)
         units = self._parsed(["int f(void) { return 1; }",
                               "int g(void) { return 2; }"])
         interfaces = [unit_interface(u) for u in units]
@@ -226,7 +226,7 @@ class TestParallelFallback:
 
         if not parallel.fork_available():
             pytest.skip("needs fork")
-        monkeypatch.setattr(parallel, "_check_shard_task", _break_pool_task)
+        monkeypatch.setattr(parallel, "_run_task", _break_pool_task)
         units = self._parsed([
             f"int f{i}(void) {{ return {i}; }}" for i in range(4)
         ])

@@ -452,3 +452,74 @@ class TestStructCopySemantics:
             return 0;
         }""")
         assert res.output == "123"
+
+
+class TestContainedFailures:
+    """What the interpreter cannot model is an InterpreterError at the
+    expression, never a raw Python exception out of the interpreter: the
+    difftest runner and the fuzz smoke accept only contained failures."""
+
+    _NODE = "typedef struct node { int v; struct node *next; } node;\n"
+
+    @pytest.mark.parametrize("expr", [
+        "-a", "~a", "a == 1", "a << 1", "a + 1", "x += a",
+    ])
+    def test_struct_operand_is_an_interpreter_error(self, expr):
+        source = (
+            self._NODE
+            + "int main(void) {\n  node a;\n  int x = 0;\n  a.v = 1;\n"
+            + f"  x = 0;\n  {expr};\n  return x;\n}}\n"
+        )
+        with pytest.raises(InterpreterError) as caught:
+            run(source)
+        assert caught.value.location is not None
+        assert caught.value.location.line == 7
+
+    def test_fuzz_redeclared_struct_loop_is_contained(self):
+        # The fuzz smoke's falsifying program: `i` is redeclared as a
+        # struct, so the loop compares a struct with an int.
+        source = self._NODE + (
+            "int main(void) {\n  int i = 0;\n  node i = 0;\n"
+            "  while (i < 10) { i = i + 1; }\n  return 0;\n}\n"
+        )
+        with pytest.raises(InterpreterError, match="struct operand"):
+            run(source)
+
+    def test_compound_assignment_evaluates_only_its_operator(self):
+        # Computing every operator for `x += -1` would also compute
+        # `x << -1`, which raises.
+        res = run("int main(void) { int x = 5; x += -1; x -= -2; return x; }")
+        assert res.exit_code == 6
+
+    @pytest.mark.parametrize("body", [
+        "int x = 5; return x << -1;",
+        "int x = 5; x >>= -2; return x;",
+    ])
+    def test_negative_shift_count_is_an_interpreter_error(self, body):
+        with pytest.raises(InterpreterError, match="negative shift count"):
+            run(f"int main(void) {{ {body} }}")
+
+    def test_exit_while_initializing_globals_is_contained(self):
+        # Another fuzz-smoke find: a global initializer calls a function
+        # that dereferences null, before run() can catch the exit.
+        source = (
+            "int f(void) { int *p = 0; return *p; }\n"
+            "int g = f();\n"
+            "int main(void) { return g; }\n"
+        )
+        with pytest.raises(
+            InterpreterError, match="initializing 'g'"
+        ) as caught:
+            run(source)
+        assert caught.value.location.line == 2
+
+    @pytest.mark.parametrize("body", [
+        "int main(void) { return sizeof(node); }",
+        "node g;\nint main(void) { return 0; }",
+        "int main(void) { node x; return 0; }",
+    ])
+    def test_struct_containing_itself_is_contained(self, body):
+        # A fuzz-smoke find too: such a struct has no layout.
+        with pytest.raises(InterpreterError, match="nesting too deep"):
+            run("typedef struct node { int v; struct node self; } node;\n"
+                + body)

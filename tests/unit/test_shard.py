@@ -4,7 +4,6 @@ import pytest
 
 from repro.incremental.shard import (
     SHARD_OVERSPLIT,
-    STRATEGIES,
     Shard,
     partition_units,
     shard_balance,
@@ -17,12 +16,11 @@ def _flat(shards):
 
 
 class TestPartition:
-    @pytest.mark.parametrize("strategy", STRATEGIES)
     @pytest.mark.parametrize("count,shard_count", [
         (1, 1), (2, 1), (5, 3), (10, 4), (7, 20), (48, 8),
     ])
-    def test_true_partition(self, strategy, count, shard_count):
-        shards = partition_units(count, shard_count, strategy)
+    def test_true_partition(self, count, shard_count):
+        shards = partition_units(count, shard_count)
         assert _flat(shards) == list(range(count))
         assert all(len(s) > 0 for s in shards)
         assert len(shards) <= min(shard_count, count)
@@ -30,52 +28,25 @@ class TestPartition:
     def test_empty_input(self):
         assert partition_units(0, 4) == []
 
-    def test_unknown_strategy_raises(self):
-        with pytest.raises(ValueError, match="unknown shard strategy"):
-            partition_units(4, 2, "alphabetical")
-
-    def test_interface_clusters_stay_together(self):
-        keys = ["a", "b", "a", "b", "a", "c"]
-        shards = partition_units(
-            len(keys), 3, "interface", cluster_keys=keys
-        )
-        assert _flat(shards) == list(range(len(keys)))
-        for key in set(keys):
-            members = {i for i, k in enumerate(keys) if k == key}
-            homes = [
-                s.index for s in shards if members & set(s.indices)
-            ]
-            assert len(set(homes)) == 1, f"cluster {key} split across {homes}"
-
     def test_size_strategy_balances_weights(self):
         # One heavy unit and many light ones: LPT puts the heavy unit
         # alone and spreads the rest.
         weights = [100, 1, 1, 1, 1, 1]
-        shards = partition_units(6, 2, "size", weights=weights)
+        shards = partition_units(6, 2, weights=weights)
         loads = sorted(
             sum(weights[i] for i in s.indices) for s in shards
         )
         assert loads == [5, 100]
 
-    def test_round_robin_is_modular(self):
-        shards = partition_units(7, 3, "round-robin")
-        by_index = {s.index: s.indices for s in shards}
-        assert by_index[0] == (0, 3, 6)
-        assert by_index[1] == (1, 4)
-        assert by_index[2] == (2, 5)
-
-    @pytest.mark.parametrize("strategy", STRATEGIES)
-    def test_deterministic(self, strategy):
-        keys = [f"k{i % 5}" for i in range(23)]
+    def test_deterministic(self):
         weights = [(i * 7) % 13 + 1 for i in range(23)]
-        first = partition_units(23, 6, strategy, keys, weights)
-        second = partition_units(23, 6, strategy, list(keys), list(weights))
+        first = partition_units(23, 6, weights)
+        second = partition_units(23, 6, list(weights))
         assert first == second
 
     def test_indices_ascend_within_each_shard(self):
         shards = partition_units(
-            12, 4, "interface",
-            cluster_keys=[f"k{i % 3}" for i in range(12)],
+            12, 4, weights=[(i * 5) % 7 + 1 for i in range(12)],
         )
         for s in shards:
             assert list(s.indices) == sorted(s.indices)
