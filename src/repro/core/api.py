@@ -66,25 +66,30 @@ def _frontend_code_digest() -> str:
     """Digest of the source code that determines a prelude parse result.
 
     Keys the prelude snapshot alongside the prelude text: any edit to the
-    lexer, preprocessor, parser, AST, type, or annotation modules makes
-    existing snapshots unreachable, so a pickled parse can never outlive
-    the code that produced it. Computed once per process.
+    lexer, preprocessor, parser, arithmetic, AST, type, layout, or
+    annotation modules makes existing snapshots unreachable, so a pickled
+    parse can never outlive the code that produced it. Computed once per
+    process.
     """
     global _FRONTEND_CODE_DIGEST
     if _FRONTEND_CODE_DIGEST is None:
         from ..annotations import kinds, parse
         from ..frontend import (
-            cast, ctypes, lexer, parser, preprocessor, source, tokens,
+            arith, cast, ctypes, lexer, parser, preprocessor, source, tokens,
         )
         from ..stdlib import specs
 
         digest = hashlib.sha256()
         modules = (
-            lexer, tokens, source, preprocessor, parser, cast, ctypes,
+            lexer, tokens, source, preprocessor, parser, arith, cast, ctypes,
             kinds, parse, specs,
         )
-        for module in modules:
-            path = getattr(module, "__file__", None)
+        paths = [getattr(module, "__file__", None) for module in modules]
+        # The layout rules the parser folds ``sizeof`` by: read, not
+        # imported, so a check does not load the interpreter's package.
+        package = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        paths.append(os.path.join(package, "runtime", "layout.py"))
+        for path in paths:
             try:
                 with open(path, "rb") as handle:
                     digest.update(handle.read())

@@ -20,6 +20,9 @@ from dataclasses import dataclass
 from ..annotations.kinds import ANNOTATION_WORDS, AnnotationSet
 from ..annotations.parse import AnnotationBuilder, AnnotationProblem
 from . import cast as A
+from .arith import (
+    UNARY_OPS, ArithmeticFault, binary, char_value, parse_int_constant, unary,
+)
 from .ctypes import (
     Array,
     CType,
@@ -35,7 +38,6 @@ from .ctypes import (
     make_pointer,
     make_primitive,
 )
-from .preprocessor import parse_int_constant, _char_value
 from .source import Location
 from .tokens import Token, TokenKind
 
@@ -43,6 +45,7 @@ from .tokens import Token, TokenKind
 class ParseError(Exception):
     def __init__(self, message: str, location: Location) -> None:
         super().__init__(f"{location}: {message}")
+        self.message = message
         self.location = location
 
 
@@ -437,8 +440,7 @@ class Parser:
                 if name_tok.kind is not TokenKind.IDENT:
                     raise ParseError("expected enumerator name", name_tok.location)
                 if self._accept("="):
-                    expr = self._conditional_expression()
-                    const = self._const_eval(expr)
+                    const = self._fold(self._conditional_expression())
                     if const is not None:
                         value = const
                 etype.enumerators[name_tok.value] = value
@@ -602,8 +604,7 @@ class Parser:
             if self._accept("["):
                 size: int | None = None
                 if not self._peek().is_punct("]"):
-                    expr = self._conditional_expression()
-                    size = self._const_eval(expr)
+                    size = self._fold(self._conditional_expression())
                 self._expect("]")
                 suffixes.append(("array", size))
             elif self._peek().is_punct("(") and self._params_follow():
@@ -1065,13 +1066,18 @@ class Parser:
         if tok.kind is TokenKind.IDENT:
             return A.Ident(loc, name=tok.value)
         if tok.kind is TokenKind.INT_CONST:
-            return A.IntLit(loc, value=parse_int_constant(tok.value),
-                            spelling=tok.value)
+            try:
+                value = parse_int_constant(tok.value)
+            except ValueError:
+                raise ParseError(
+                    f"malformed integer constant {tok.value!r}", loc
+                ) from None
+            return A.IntLit(loc, value=value, spelling=tok.value)
         if tok.kind is TokenKind.FLOAT_CONST:
             return A.FloatLit(loc, value=float(tok.value.rstrip("fFlL")),
                               spelling=tok.value)
         if tok.kind is TokenKind.CHAR_CONST:
-            return A.CharLit(loc, value=_char_value(tok.value), spelling=tok.value)
+            return A.CharLit(loc, value=char_value(tok.value), spelling=tok.value)
         if tok.kind is TokenKind.STRING:
             text = _decode_string(tok.value)
             # adjacent string literals concatenate
@@ -1084,68 +1090,58 @@ class Parser:
             return expr
         raise ParseError(f"unexpected token {tok.value!r}", loc)
 
-    # -- constant folding (array sizes, enum values) ----------------------------
-
-    _SIZES = {
-        "void": 1, "char": 1, "signed char": 1, "unsigned char": 1,
-        "short": 2, "unsigned short": 2, "int": 4, "unsigned int": 4,
-        "long": 8, "unsigned long": 8, "long long": 8,
-        "unsigned long long": 8, "float": 4, "double": 8, "long double": 16,
-    }
-
-    def _sizeof_type(self, ctype: CType) -> int:
-        from .ctypes import strip_typedefs
-
-        actual = strip_typedefs(ctype)
-        if isinstance(actual, Pointer) or isinstance(actual, FunctionType):
-            return 8
-        if isinstance(actual, Primitive):
-            return self._SIZES.get(actual.name, 4)
-        if isinstance(actual, Array):
-            return (actual.size or 1) * self._sizeof_type(actual.of)
-        if isinstance(actual, StructType):
-            return sum(self._sizeof_type(f.ctype) for f in actual.fields or []) or 1
-        return 4
+    # -- constant folding (array sizes, enum values, #if) ----------------------
 
     def _const_eval(self, expr: A.Expr) -> int | None:
-        if isinstance(expr, A.IntLit):
-            return expr.value
-        if isinstance(expr, A.CharLit):
+        """Fold an integer constant expression; None if ``expr`` is not
+        one. The operators compute through :mod:`.arith`, so a zero
+        divisor or a bad shift count raises its ``ArithmeticFault``."""
+        if isinstance(expr, (A.IntLit, A.CharLit)):
             return expr.value
         if isinstance(expr, A.Ident):
             return self.scope.lookup_enum_const(expr.name)
         if isinstance(expr, A.SizeofType):
-            return self._sizeof_type(expr.of_type)
+            # Imported on use, so ``import repro`` does not load the
+            # interpreter's package; ``byte_size`` leaves its layout
+            # cache alone.
+            from ..runtime.layout import LayoutError, byte_size
+
+            try:
+                return byte_size(expr.of_type)
+            except LayoutError:
+                return None
         if isinstance(expr, A.SizeofExpr):
             return 8  # approximation; only used for array sizing
-        if isinstance(expr, A.Unary):
-            value = self._const_eval(expr.operand)
-            if value is None:
-                return None
-            return {"-": -value, "+": value, "~": ~value,
-                    "!": int(not value)}.get(expr.op)
-        if isinstance(expr, A.Binary):
-            lhs = self._const_eval(expr.lhs)
-            rhs = self._const_eval(expr.rhs)
-            if lhs is None or rhs is None:
-                return None
-            try:
-                return {
-                    "+": lhs + rhs, "-": lhs - rhs, "*": lhs * rhs,
-                    "/": lhs // rhs if rhs else None,
-                    "%": lhs % rhs if rhs else None,
-                    "<<": lhs << rhs, ">>": lhs >> rhs,
-                    "&": lhs & rhs, "|": lhs | rhs, "^": lhs ^ rhs,
-                    "==": int(lhs == rhs), "!=": int(lhs != rhs),
-                    "<": int(lhs < rhs), ">": int(lhs > rhs),
-                    "<=": int(lhs <= rhs), ">=": int(lhs >= rhs),
-                    "&&": int(bool(lhs and rhs)), "||": int(bool(lhs or rhs)),
-                }.get(expr.op)
-            except ValueError:
-                return None
         if isinstance(expr, A.Cast):
             return self._const_eval(expr.operand)
+        if isinstance(expr, A.Unary):
+            if expr.op not in UNARY_OPS:
+                return None
+            value = self._const_eval(expr.operand)
+            return None if value is None else unary(expr.op, value)
+        if isinstance(expr, A.Ternary):
+            cond = self._const_eval(expr.cond)
+            if cond is None:
+                return None
+            return self._const_eval(expr.then if cond else expr.other)
+        if isinstance(expr, A.Binary):
+            lhs = self._const_eval(expr.lhs)
+            if lhs is None:
+                return None
+            op = expr.op
+            if (op == "&&" and not lhs) or (op == "||" and lhs):
+                return int(bool(lhs))  # short circuit: rhs is not evaluated
+            rhs = self._const_eval(expr.rhs)
+            return None if rhs is None else binary(op, lhs, rhs)
         return None
+
+    def _fold(self, expr: A.Expr) -> int | None:
+        """An array size or enumerator value; unknown where C leaves
+        the value undefined."""
+        try:
+            return self._const_eval(expr)
+        except ArithmeticFault:
+            return None
 
 
 def _replace_base(ctype: CType, new_base: CType) -> CType:

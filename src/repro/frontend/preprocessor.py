@@ -4,9 +4,9 @@ Supports the directive subset that the paper's programs (and the
 reconstructed employee-database example) need: ``#include`` against a
 :class:`~repro.frontend.source.SourceManager`, object-like and
 function-like ``#define`` / ``#undef``, the full conditional family
-(``#if`` / ``#ifdef`` / ``#ifndef`` / ``#elif`` / ``#else`` / ``#endif``)
-with a constant-expression evaluator, and ``#error``. ``#pragma`` and
-``#line`` are accepted and ignored.
+(``#if`` / ``#ifdef`` / ``#ifndef`` / ``#elif`` / ``#else`` / ``#endif``;
+the parser reads and folds each ``#if`` expression), and ``#error``.
+``#pragma`` and ``#line`` are accepted and ignored.
 
 Tokens keep their original source locations; tokens produced by macro
 expansion carry the location of the macro *use*, which is where LCLint
@@ -19,7 +19,9 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
+from .arith import ArithmeticFault
 from .lexer import Lexer, tokenize
+from .parser import ParseError, Parser
 from .source import Location, SourceFile, SourceManager
 from .tokens import Token, TokenKind
 
@@ -434,7 +436,6 @@ class Preprocessor:
     # -- #if expression evaluation -------------------------------------------
 
     def _eval_condition(self, toks: list[Token], loc: Location) -> int:
-        expanded: list[Token] = []
         cursor = _TokenCursor(toks)
         # Handle defined(X) before macro expansion, as the standard requires.
         pending: list[Token] = []
@@ -459,188 +460,34 @@ class Preprocessor:
                 pending.append(Token(TokenKind.INT_CONST, value, tok.location))
             else:
                 pending.append(tok)
-        expanded = self._expand(pending)
-        # Remaining identifiers evaluate to 0.
-        normalized = [
+        # C99 6.10.1p4: identifiers and keywords left after expansion
+        # are 0. The parser then reads the line as a conditional
+        # expression and folds it, so #if shares C's precedence and
+        # operators with the rest of the frontend.
+        line = [
             Token(TokenKind.INT_CONST, "0", t.location)
-            if t.kind is TokenKind.IDENT
+            if t.kind is TokenKind.IDENT or t.kind is TokenKind.KEYWORD
             else t
-            for t in expanded
+            for t in self._expand(pending)
         ]
-        return _CondParser(normalized, loc).parse()
-
-
-class _CondParser:
-    """Recursive-descent evaluator for #if constant expressions."""
-
-    def __init__(self, toks: list[Token], loc: Location) -> None:
-        self.toks = toks
-        self.idx = 0
-        self.loc = loc
-
-    def parse(self) -> int:
-        value = self._ternary()
-        if self.idx != len(self.toks):
-            raise PreprocessError("trailing tokens in #if expression", self.loc)
-        return value
-
-    def _peek(self) -> Token | None:
-        return self.toks[self.idx] if self.idx < len(self.toks) else None
-
-    def _accept(self, spelling: str) -> bool:
-        tok = self._peek()
-        if tok is not None and tok.is_punct(spelling):
-            self.idx += 1
-            return True
-        return False
-
-    def _ternary(self) -> int:
-        cond = self._or()
-        if self._accept("?"):
-            then = self._ternary()
-            if not self._accept(":"):
-                raise PreprocessError("expected ':' in #if expression", self.loc)
-            other = self._ternary()
-            return then if cond else other
-        return cond
-
-    def _or(self) -> int:
-        value = self._and()
-        while self._accept("||"):
-            rhs = self._and()
-            value = 1 if (value or rhs) else 0
-        return value
-
-    def _and(self) -> int:
-        value = self._bitor()
-        while self._accept("&&"):
-            rhs = self._bitor()
-            value = 1 if (value and rhs) else 0
-        return value
-
-    def _bitor(self) -> int:
-        value = self._bitxor()
-        while self._accept("|"):
-            value |= self._bitxor()
-        return value
-
-    def _bitxor(self) -> int:
-        value = self._bitand()
-        while self._accept("^"):
-            value ^= self._bitand()
-        return value
-
-    def _bitand(self) -> int:
-        value = self._equality()
-        while self._accept("&"):
-            value &= self._equality()
-        return value
-
-    def _equality(self) -> int:
-        value = self._relational()
-        while True:
-            if self._accept("=="):
-                value = 1 if value == self._relational() else 0
-            elif self._accept("!="):
-                value = 1 if value != self._relational() else 0
-            else:
-                return value
-
-    def _relational(self) -> int:
-        value = self._shift()
-        while True:
-            if self._accept("<="):
-                value = 1 if value <= self._shift() else 0
-            elif self._accept(">="):
-                value = 1 if value >= self._shift() else 0
-            elif self._accept("<"):
-                value = 1 if value < self._shift() else 0
-            elif self._accept(">"):
-                value = 1 if value > self._shift() else 0
-            else:
-                return value
-
-    def _shift(self) -> int:
-        value = self._additive()
-        while True:
-            if self._accept("<<"):
-                value <<= self._additive()
-            elif self._accept(">>"):
-                value >>= self._additive()
-            else:
-                return value
-
-    def _additive(self) -> int:
-        value = self._multiplicative()
-        while True:
-            if self._accept("+"):
-                value += self._multiplicative()
-            elif self._accept("-"):
-                value -= self._multiplicative()
-            else:
-                return value
-
-    def _multiplicative(self) -> int:
-        value = self._unary()
-        while True:
-            if self._accept("*"):
-                value *= self._unary()
-            elif self._accept("/"):
-                rhs = self._unary()
-                value = value // rhs if rhs else 0
-            elif self._accept("%"):
-                rhs = self._unary()
-                value = value % rhs if rhs else 0
-            else:
-                return value
-
-    def _unary(self) -> int:
-        if self._accept("!"):
-            return 0 if self._unary() else 1
-        if self._accept("-"):
-            return -self._unary()
-        if self._accept("+"):
-            return self._unary()
-        if self._accept("~"):
-            return ~self._unary()
-        if self._accept("("):
-            value = self._ternary()
-            if not self._accept(")"):
-                raise PreprocessError("expected ')' in #if expression", self.loc)
-            return value
-        tok = self._peek()
-        if tok is None:
-            raise PreprocessError("unexpected end of #if expression", self.loc)
-        if tok.kind is TokenKind.INT_CONST:
-            self.idx += 1
-            return parse_int_constant(tok.value)
-        if tok.kind is TokenKind.CHAR_CONST:
-            self.idx += 1
-            return _char_value(tok.value)
-        raise PreprocessError(f"unexpected token {tok.value!r} in #if", self.loc)
-
-
-def parse_int_constant(spelling: str) -> int:
-    """Parse a C integer constant spelling (suffixes stripped)."""
-    text = spelling.rstrip("uUlL")
-    if text.lower().startswith("0x"):
-        return int(text, 16)
-    if text.startswith("0") and len(text) > 1 and text[1:].isdigit():
-        return int(text, 8)
-    return int(text) if text else 0
-
-
-_ESCAPES = {
-    "n": 10, "t": 9, "r": 13, "0": 0, "\\": 92, "'": 39, '"': 34,
-    "a": 7, "b": 8, "f": 12, "v": 11,
-}
-
-
-def _char_value(spelling: str) -> int:
-    inner = spelling[1:-1]
-    if inner.startswith("\\") and len(inner) >= 2:
-        return _ESCAPES.get(inner[1], ord(inner[1]))
-    return ord(inner[0]) if inner else 0
+        line.append(Token(TokenKind.EOF, "", loc))
+        parser = Parser(line)
+        try:
+            expr = parser._conditional_expression()
+            if not parser._at_eof():
+                raise PreprocessError("trailing tokens in #if expression", loc)
+            result = parser._const_eval(expr)
+        except ParseError as exc:
+            raise PreprocessError(
+                f"{exc.message} in #if expression", exc.location
+            ) from None
+        except ArithmeticFault as fault:
+            raise PreprocessError(f"{fault} in #if expression", loc) from None
+        if result is None:
+            raise PreprocessError(
+                "#if expression is not an integer constant expression", loc
+            )
+        return result
 
 
 def _split_lines(toks: list[Token]) -> list[list[Token]]:

@@ -10,11 +10,13 @@ allows).
 from __future__ import annotations
 
 from . import cast as A
+from .parser import Parser
 
+#: Binding strength, loosest first. The binary operators keep the
+#: parser's precedence table, above ``,``, ``=`` and ``?:``.
 _PRECEDENCE = {
-    ",": 1, "=": 2, "?:": 3, "||": 4, "&&": 5, "|": 6, "^": 7, "&": 8,
-    "==": 9, "!=": 9, "<": 10, ">": 10, "<=": 10, ">=": 10,
-    "<<": 11, ">>": 11, "+": 12, "-": 12, "*": 13, "/": 13, "%": 13,
+    ",": 1, "=": 2, "?:": 3,
+    **{op: prec + 3 for op, prec in Parser._BIN_PREC.items()},
     "unary": 14, "postfix": 15, "primary": 16,
 }
 

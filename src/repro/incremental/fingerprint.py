@@ -34,7 +34,11 @@ from ..stdlib.specs import PRELUDE_DEFINES, PRELUDE_TEXT, SYSTEM_HEADERS
 #: v2: per-unit interface digests moved from the reflective object-graph
 #: walk to the token-based digest (same invalidation contract, ~20x
 #: cheaper); old caches self-wipe with a visible rebuild note.
-ENGINE_VERSION = 2
+#: v3: constant folds truncate ``/`` and ``%`` toward zero, decode
+#: numeric character escapes and size unions by their largest member,
+#: so memoized enum values and array sizes changed; source keys now
+#: carry the version too.
+ENGINE_VERSION = 3
 
 
 def _sha(*parts: str) -> str:
@@ -208,11 +212,13 @@ def source_key(
     Maps to a memo holding the token digest, interface digest, and the
     include closure observed the last time the unit was preprocessed; the
     memo is valid only while every recorded include's text is unchanged.
-    Callers keying many units pass the precomputed ``defines_fp``.
+    The engine version is part of the key, so a cache server filled by an
+    older engine never hands its memos to a newer one. Callers keying
+    many units pass the precomputed ``defines_fp``.
     """
     if defines_fp is None:
         defines_fp = defines_digest(defines)
-    return _sha("unit", name, text, defines_fp)
+    return _sha("unit", f"engine-v{ENGINE_VERSION}", name, text, defines_fp)
 
 
 def program_digest(

@@ -9,10 +9,10 @@ static checker's home turf — are invisible to it.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
 
 from ..frontend import cast as A
+from ..frontend.arith import ArithmeticFault, binary, unary
 from ..frontend.ctypes import (
     Array,
     CType,
@@ -37,27 +37,6 @@ from .heap import (
 from .layout import LayoutError, layout_of, sizeof_ctype
 
 
-#: Relational operators; only the one asked for is evaluated.
-_COMPARISONS = {
-    "==": operator.eq, "!=": operator.ne, "<": operator.lt,
-    ">": operator.gt, "<=": operator.le, ">=": operator.ge,
-}
-
-#: ``x op= y`` on numbers, by ``op``; a zero divisor stores 0.
-_COMPOUND = {
-    "+": operator.add,
-    "-": operator.sub,
-    "*": operator.mul,
-    "/": lambda a, b: (a // b if isinstance(a, int) else a / b) if b else 0,
-    "%": lambda a, b: a % b if b else 0,
-    "<<": lambda a, b: int(a) << int(b),
-    ">>": lambda a, b: int(a) >> int(b),
-    "&": lambda a, b: int(a) & int(b),
-    "|": lambda a, b: int(a) | int(b),
-    "^": lambda a, b: int(a) ^ int(b),
-}
-
-
 class InterpreterError(Exception):
     """The program did something the interpreter cannot model."""
 
@@ -77,11 +56,18 @@ class _Return(Exception):
         self.value = value
 
 
-class _Break(Exception):
+class _Jump(Exception):
+    """``break`` or ``continue`` on its way to the enclosing loop."""
+
+    def __init__(self, stmt: A.Stmt) -> None:
+        self.stmt = stmt
+
+
+class _Break(_Jump):
     pass
 
 
-class _Continue(Exception):
+class _Continue(_Jump):
     pass
 
 
@@ -262,6 +248,11 @@ class Interpreter:
             result = 0
         except _Return as ret:
             result = ret.value
+        except _Jump as jump:
+            word = "break" if isinstance(jump, _Break) else "continue"
+            raise InterpreterError(
+                f"{word} outside a loop", jump.stmt.location
+            ) from None
         finally:
             self._scopes.pop()
             self._type_scopes.pop()
@@ -415,10 +406,10 @@ class Interpreter:
         self.exec_stmt(stmt.body)
 
     def _exec_break(self, stmt: A.Break) -> None:
-        raise _Break()
+        raise _Break(stmt)
 
     def _exec_continue(self, stmt: A.Continue) -> None:
-        raise _Continue()
+        raise _Continue(stmt)
 
     def _exec_return(self, stmt: A.Return) -> None:
         value = self.eval(stmt.value) if stmt.value is not None else 0
@@ -566,10 +557,10 @@ class Interpreter:
                 raise InterpreterError(
                     f"non-arithmetic operand of unary {op!r}", expr.location
                 )
-            return -value if op == "-" else ~int(value) if op == "~" else value
+            return unary(op, value)
         if op in ("++", "--", "p++", "p--"):
             ptr = self.lvalue(expr.operand)
-            old = self.heap.load(ptr, expr.location)
+            old = self._scalar(self.heap.load(ptr, expr.location), op, expr)
             delta = 1 if "+" in op else -1
             if isinstance(old, Pointer):
                 elem = self._pointee_type(self.type_of(expr.operand))
@@ -597,34 +588,24 @@ class Interpreter:
                 or self._truthy(self.eval(expr.rhs))
                 else 0
             )
-        lhs = self._scalar(self.eval(expr.lhs), op, expr)
-        rhs = self._scalar(self.eval(expr.rhs), op, expr)
+        return self._operate(expr, self.eval(expr.lhs), self.eval(expr.rhs))
+
+    def _operate(self, expr: A.Binary, lhs, rhs):
+        """``lhs op rhs`` on evaluated operands: the one path of both
+        ``x op y`` and ``x op= y``."""
+        op = expr.op
+        lhs = self._scalar(lhs, op, expr)
+        rhs = self._scalar(rhs, op, expr)
         if isinstance(lhs, Pointer) or isinstance(rhs, Pointer):
             return self._pointer_binary(op, lhs, rhs, expr)
-        if op in _COMPARISONS:
-            return 1 if _COMPARISONS[op](lhs, rhs) else 0
-        if op == "/" and rhs == 0:
-            raise _ExitProgram(136)  # SIGFPE
-        if op == "%" and rhs == 0:
-            raise _ExitProgram(136)
-        if op in ("<<", ">>", "&", "|", "^", "%"):
-            lhs, rhs = int(lhs), int(rhs)
-            self._check_shift(op, rhs, expr)
-        result = {
-            "+": lambda: lhs + rhs,
-            "-": lambda: lhs - rhs,
-            "*": lambda: lhs * rhs,
-            "/": lambda: (lhs // rhs)
-            if isinstance(lhs, int) and isinstance(rhs, int)
-            else lhs / rhs,
-            "%": lambda: lhs - rhs * (lhs // rhs),
-            "<<": lambda: lhs << rhs,
-            ">>": lambda: lhs >> rhs,
-            "&": lambda: lhs & rhs,
-            "|": lambda: lhs | rhs,
-            "^": lambda: lhs ^ rhs,
-        }[op]()
-        return result
+        try:
+            return binary(op, lhs, rhs)
+        except ArithmeticFault as fault:
+            if op == "/" or op == "%":
+                raise _ExitProgram(136) from None  # SIGFPE
+            raise InterpreterError(
+                f"{fault} in {op!r}", expr.location
+            ) from None
 
     def _pointer_binary(self, op: str, lhs, rhs, expr: A.Binary):
         def key(v):
@@ -640,7 +621,7 @@ class Interpreter:
                 same = isinstance(lhs, Pointer) and lhs.is_null
             return 1 if (same if op == "==" else not same) else 0
         if op in ("<", ">", "<=", ">="):
-            return 1 if _COMPARISONS[op](key(lhs), key(rhs)) else 0
+            return binary(op, key(lhs), key(rhs))
         if op in ("+", "-"):
             ptr, offset = (lhs, rhs) if isinstance(lhs, Pointer) else (rhs, lhs)
             if isinstance(lhs, Pointer) and isinstance(rhs, Pointer):
@@ -665,18 +646,12 @@ class Interpreter:
             ptr = self.lvalue(expr.target)
             ctype = self.type_of(expr.target)
             return self._store_value(ptr, value, ctype, expr.location)
-        # compound assignment
+        # compound assignment: x op= y computes as x op y
         ptr = self.lvalue(expr.target)
         old = self.heap.load(ptr, expr.location)
-        rhs = self._scalar(self.eval(expr.value), expr.op, expr)
-        binop = expr.op[:-1]
-        if isinstance(old, Pointer) or isinstance(rhs, Pointer):
-            fake = A.Binary(expr.location, op=binop, lhs=expr.target,
-                            rhs=expr.value)
-            new = self._pointer_binary(binop, old, rhs, fake)
-        else:
-            self._check_shift(expr.op, rhs, expr)
-            new = _COMPOUND[binop](old, rhs)
+        operation = A.Binary(expr.location, op=expr.op[:-1],
+                             lhs=expr.target, rhs=expr.value)
+        new = self._operate(operation, old, self.eval(expr.value))
         self.heap.store(ptr, new, expr.location)
         return new
 
@@ -780,20 +755,17 @@ class Interpreter:
     def _scalar(self, value, op: str, expr: A.Expr):
         """*value* as an operand of *op*. A struct has no scalar value,
         so C rejects it under every arithmetic, shift, bitwise and
-        comparison operator; so does the interpreter."""
+        comparison operator; so does the interpreter. A function
+        designator may only be compared for equality."""
         if isinstance(value, _StructValue):
             raise InterpreterError(
                 f"struct operand of {op!r}", expr.location
             )
-        return value
-
-    @staticmethod
-    def _check_shift(op: str, count, expr: A.Expr) -> None:
-        """C leaves a negative shift count undefined; Python raises."""
-        if op[:2] in ("<<", ">>") and int(count) < 0:
+        if isinstance(value, str) and op != "==" and op != "!=":
             raise InterpreterError(
-                f"negative shift count in {op!r}", expr.location
+                f"function operand of {op!r}", expr.location
             )
+        return value
 
     def _truthy(self, value) -> bool:
         if isinstance(value, Pointer):

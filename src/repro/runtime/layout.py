@@ -23,7 +23,8 @@ from ..frontend.ctypes import (
     strip_typedefs,
 )
 
-#: Byte sizes of primitives (LP64-ish, matching the parser's sizeof).
+#: Byte sizes of primitives (LP64-ish); the parser's ``sizeof`` folds
+#: use them too.
 PRIMITIVE_SIZES = {
     "void": 1, "char": 1, "signed char": 1, "unsigned char": 1,
     "short": 2, "unsigned short": 2, "int": 4, "unsigned int": 4,
@@ -68,9 +69,20 @@ _CACHE: dict[int, Layout] = {}
 
 def layout_of(ctype: CType, depth: int = 0) -> Layout:
     """Compute (and cache) the layout of a type."""
+    return _layout(ctype, depth, _CACHE)
+
+
+def byte_size(ctype: CType) -> int:
+    """``sizeof`` of a type, computed without touching the process-wide
+    cache: the parser folds ``sizeof`` for every unit it parses, and a
+    long-lived checking service must not keep every type it has seen."""
+    return _layout(ctype, 0, {}).byte_size
+
+
+def _layout(ctype: CType, depth: int, cache: dict[int, Layout]) -> Layout:
     actual = strip_typedefs(ctype)
     key = id(actual)
-    cached = _CACHE.get(key)
+    cached = cache.get(key)
     if cached is not None:
         return cached
     if depth > 32:
@@ -83,7 +95,7 @@ def layout_of(ctype: CType, depth: int = 0) -> Layout:
     elif isinstance(actual, Primitive):
         result = Layout(actual, 1, PRIMITIVE_SIZES.get(actual.name, 4))
     elif isinstance(actual, Array):
-        elem = layout_of(actual.of, depth + 1)
+        elem = _layout(actual.of, depth + 1, cache)
         count = actual.size if actual.size is not None else 1
         result = Layout(
             actual,
@@ -97,24 +109,25 @@ def layout_of(ctype: CType, depth: int = 0) -> Layout:
         # pointers only, as in C) terminate.
         slots: list[FieldSlot] = []
         offset = 0
-        byte_size = 0
+        size = 0
         for fld in actual.fields or []:
-            sub = layout_of(fld.ctype, depth + 1)
+            sub = _layout(fld.ctype, depth + 1, cache)
             slots.append(FieldSlot(fld.name, offset, fld.ctype))
             if actual.is_union:
-                byte_size = max(byte_size, sub.byte_size)
+                size = max(size, sub.byte_size)
             else:
                 offset += sub.slot_count
-                byte_size += sub.byte_size
+                size += sub.byte_size
         slot_count = max(offset, 1) if not actual.is_union else max(
-            (layout_of(f.ctype, depth + 1).slot_count for f in actual.fields or []),
+            (_layout(f.ctype, depth + 1, cache).slot_count
+             for f in actual.fields or []),
             default=1,
         )
-        result = Layout(actual, slot_count, max(byte_size, 1), tuple(slots))
+        result = Layout(actual, slot_count, max(size, 1), tuple(slots))
     else:
         result = Layout(actual, 1, 4)
 
-    _CACHE[key] = result
+    cache[key] = result
     return result
 
 

@@ -112,6 +112,9 @@ class TestFuzzSmoke:
             "int f( {",
             '#include "definitely-missing.h"\nint x;',
             "\x01\x02\x03",
+            "int x = 089;",
+            "#if 1 << -1\n#endif\nint x;",
+            "int a[1 << 1099511627776];",
         ):
             result = _check_totality(source)
             # malformed input is a frontend fatal (parse-error message),

@@ -235,3 +235,33 @@ class TestEscapedParseError:
             path for root in crash_dirs if root.exists()
             for path in root.rglob("crash-*.json")
         ]
+
+
+class TestMalformedArithmetic:
+    """What C leaves undefined in a constant, and a malformed constant,
+    are input errors: a frontend fatal (``#if``), a parse error for the
+    declaration, or an unknown fold -- never an internal error or a
+    crash bundle."""
+
+    @pytest.mark.parametrize("text, status, message", [
+        ("#if 1 << -1\n#endif\n", 1,
+         "Cannot parse this file: negative shift count in #if expression"),
+        ("#if (1 << 1099511627776) > 0\n#endif\n", 1,
+         "Cannot parse this file: shift count 1099511627776 exceeds 63"),
+        ("int x = 089;\n", 1,
+         "Parse error: malformed integer constant '089'"),
+        ("int a[1 << 1099511627776];\n", 0, None),
+        ("struct S { struct S s; int x; };\nint a[sizeof(struct S)];\n",
+         0, None),
+    ])
+    def test_no_internal_error_and_no_crash_bundle(
+        self, tmp_path, monkeypatch, text, status, message
+    ):
+        monkeypatch.chdir(tmp_path)
+        unit = _write(tmp_path, "u.c", text)
+        got, output = run(["--cache-dir", str(tmp_path / "cache"), unit])
+        assert got == status, output
+        assert "Internal error" not in output
+        if message is not None:
+            assert message in output
+        assert not list(tmp_path.rglob("crash-*.json"))

@@ -4,9 +4,10 @@ trips, and preprocessor conditional evaluation."""
 from hypothesis import given, settings, strategies as st
 
 from repro.frontend import cast as A
+from repro.frontend.arith import parse_int_constant
 from repro.frontend.lexer import LexError, tokenize
 from repro.frontend.parser import Parser
-from repro.frontend.preprocessor import Preprocessor, parse_int_constant
+from repro.frontend.preprocessor import Preprocessor
 from repro.frontend.render import render_expr
 from repro.frontend.source import SourceFile, SourceManager
 from repro.frontend.tokens import TokenKind

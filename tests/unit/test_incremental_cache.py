@@ -13,7 +13,9 @@ from repro.incremental.cache import (
     ResultCache,
     UnitMemo,
 )
+from repro.incremental import fingerprint
 from repro.incremental.fingerprint import (
+    ENGINE_VERSION,
     check_fingerprint,
     flags_digest,
     interface_digest,
@@ -60,12 +62,15 @@ class TestFingerprints:
     def test_prelude_digest_is_stable(self):
         assert prelude_digest() == prelude_digest()
 
-    def test_source_key_depends_on_name_text_defines(self):
+    def test_source_key_depends_on_name_text_defines(self, monkeypatch):
         base = source_key("a.c", "int x;", {})
         assert base == source_key("a.c", "int x;", {})
         assert base != source_key("b.c", "int x;", {})
         assert base != source_key("a.c", "int y;", {})
         assert base != source_key("a.c", "int x;", {"D": "1"})
+        # a memo written by another engine version is never looked up
+        monkeypatch.setattr(fingerprint, "ENGINE_VERSION", ENGINE_VERSION - 1)
+        assert base != source_key("a.c", "int x;", {})
 
     def test_interface_digest_survives_cyclic_struct_types(self):
         # struct _elem contains a pointer to itself: the canonical walk

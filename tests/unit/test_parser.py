@@ -1,5 +1,8 @@
 """Tests for the recursive-descent C parser."""
 
+import subprocess
+import sys
+
 import pytest
 
 from repro.frontend import cast as A
@@ -181,6 +184,73 @@ class TestStructsAndEnums:
         d = first_decl("struct flags { unsigned a : 1; unsigned b : 2; } f;")
         st = strip_typedefs(d.ctype)
         assert len(st.fields) == 2
+
+
+class TestConstantFolding:
+    """Array sizes and enumerators fold with C's operators (the ones the
+    interpreter and #if compute with); what C leaves undefined folds to
+    unknown, never to an exception."""
+
+    @staticmethod
+    def enum_value(expr):
+        unit = parse(f"enum {{ X = {expr} }} e;")
+        return strip_typedefs(unit.items[0].declarators[0].ctype).enumerators["X"]
+
+    @staticmethod
+    def array_size(text):
+        decl = parse(text).items[-1].declarators[0]
+        return strip_typedefs(decl.ctype).size
+
+    @pytest.mark.parametrize("expr, value", [
+        ("-7 / 2", -3), ("-7 % 2", -1), ("7 / -2", -3), ("7 % -2", 1),
+        ("'\\x41'", 65), ("'\\101'", 65), ("'\\0'", 0), ("'\\n'", 10),
+        ("1 ? 2 : 1 / 0", 2), ("0 && 1 / 0", 0), ("1 || 1 << -1", 1),
+        ("3 >= 2", 1), ("(char) 2 * 3", 6), ("~0", -1),
+    ])
+    def test_enumerators_fold_with_c_semantics(self, expr, value):
+        assert self.enum_value(expr) == value
+
+    @pytest.mark.parametrize("expr", [
+        "1 / 0", "5 % 0", "1 << -1", "1 << 1099511627776", "1 >> 64",
+    ])
+    def test_an_undefined_enumerator_keeps_its_implicit_value(self, expr):
+        assert self.enum_value(expr) == 0
+
+    def test_an_undefined_array_size_is_unknown(self):
+        assert self.array_size("int a[1 << 1099511627776];") is None
+
+    def test_sizeof_folds_by_the_layout_rules(self):
+        assert self.array_size(
+            "int a[sizeof(union { char c; double d; })];"
+        ) == 8
+        assert self.array_size(
+            "struct T { double d[4]; char c; };\nint a[sizeof(struct T)];"
+        ) == 33
+
+    def test_sizeof_of_a_struct_containing_itself_is_unknown(self):
+        assert self.array_size(
+            "struct S { struct S s; int x; };\nint a[sizeof(struct S)];"
+        ) is None
+
+    def test_sizeof_folds_leave_the_layout_cache_alone(self):
+        from repro.runtime import layout
+
+        before = len(layout._CACHE)
+        for n in range(5):
+            self.array_size(
+                f"struct T{n} {{ int v[{n + 1}]; }};\n"
+                f"int a[sizeof(struct T{n})];"
+            )
+        assert len(layout._CACHE) == before
+
+    def test_import_repro_does_not_load_the_interpreter(self):
+        code = "import sys, repro; sys.exit('repro.runtime' in sys.modules)"
+        subprocess.run([sys.executable, "-c", code], check=True)
+
+    def test_a_malformed_constant_is_a_parse_error(self):
+        errors = parse_errors_of("int x = 089;\nint y;")
+        assert len(errors) == 1
+        assert "malformed integer constant '089'" in str(errors[0])
 
 
 class TestAnnotationsOnDeclarations:

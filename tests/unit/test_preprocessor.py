@@ -2,11 +2,8 @@
 
 import pytest
 
-from repro.frontend.preprocessor import (
-    PreprocessError,
-    Preprocessor,
-    parse_int_constant,
-)
+from repro.frontend.arith import parse_int_constant
+from repro.frontend.preprocessor import PreprocessError, Preprocessor
 from repro.frontend.source import SourceManager
 from repro.frontend.tokens import TokenKind
 
@@ -113,6 +110,36 @@ class TestConditionals:
     def test_undefined_identifier_is_zero(self):
         assert pp_values("#if UNDEFINED_THING\nx\n#endif") == []
 
+    def test_keywords_are_zero_too(self):
+        # C99 6.10.1p4: sizeof is no operator in #if, so this is 0(0).
+        assert pp_values("#if int + 1\nx\n#endif") == ["x"]
+        with pytest.raises(PreprocessError, match="integer constant"):
+            pp_values("#if sizeof(int)\nx\n#endif")
+
+    @pytest.mark.parametrize("condition", [
+        "-7 / 2 == -3", "-7 % 2 == -1", "7 % -2 == 1",
+        "'\\x41' == 65", "'\\101' == 65", "'\\0' == 0",
+        "(0 && 1 / 0) == 0", "1 || 1 << -1", "(1 ? 2 : 1 / 0) == 2",
+        "(2 + 3) * 4 == 20 && (1 << 4 | 1) == 17",
+    ])
+    def test_if_folds_with_c_semantics(self, condition):
+        assert pp_values(f"#if {condition}\nx\n#endif") == ["x"]
+
+    @pytest.mark.parametrize("condition, problem", [
+        ("1 << -1", "negative shift count"),
+        ("(1 << 1099511627776) > 0", "shift count 1099511627776 exceeds 63"),
+        ("1 / 0", "division by zero"),
+        ("5 % (2 - 2)", "division by zero"),
+        ("(1", "expected '\\)'"),
+        ("1 2", "trailing tokens"),
+        ("", "unexpected token"),
+        ("1.5", "integer constant"),
+        ("089", "malformed integer constant"),
+    ])
+    def test_malformed_if_is_a_preprocess_error(self, condition, problem):
+        with pytest.raises(PreprocessError, match=problem):
+            pp_values(f"#if {condition}\nx\n#endif")
+
     def test_unterminated_conditional_raises(self):
         with pytest.raises(PreprocessError):
             pp_values("#ifdef A\nx")
@@ -199,3 +226,7 @@ class TestIntConstants:
     def test_suffixes_stripped(self):
         assert parse_int_constant("10UL") == 10
         assert parse_int_constant("7L") == 7
+
+    def test_malformed_octal_raises_value_error(self):
+        with pytest.raises(ValueError):
+            parse_int_constant("089")

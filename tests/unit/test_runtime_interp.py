@@ -28,6 +28,24 @@ class TestBasics:
         res = run("int main(void) { int z = 0; return 1 / z; }")
         assert res.exit_code == 136
 
+    @pytest.mark.parametrize("body", [
+        "int z = 0; return 1 % z;",
+        "int x = 1; x /= 0; return x;",
+        "int x = 1; x %= 0; return x;",
+    ])
+    def test_every_zero_divisor_exits(self, body):
+        # x op= y computes as x op y, so x /= 0 traps like x / 0.
+        assert run(f"int main(void) {{ {body} }}").exit_code == 136
+
+    @pytest.mark.parametrize("body, value", [
+        ("return -7 / 2 == -3 && -7 % 2 == -1;", 1),
+        ("int x = -7; x /= 2; return x;", -3),
+        ("int x = -7; x %= 2; return x;", -1),
+        ("return '\\x41' + '\\101';", 130),
+    ])
+    def test_c_division_and_character_escapes(self, body, value):
+        assert run(f"int main(void) {{ {body} }}").exit_code == value
+
     def test_bitwise_and_shifts(self):
         res = run("""#include <stdio.h>
         int main(void) {
@@ -512,6 +530,31 @@ class TestContainedFailures:
         ) as caught:
             run(source)
         assert caught.value.location.line == 2
+
+    @pytest.mark.parametrize("stmt, problem", [
+        ("x = g + 1;", "function operand of '\\+'"),
+        ("x += g;", "function operand of '\\+'"),
+        ("x = -g;", "non-arithmetic operand"),
+        ("break;", "break outside a loop"),
+        ("continue;", "continue outside a loop"),
+        ("x = x << 1099511627776;", "shift count 1099511627776 exceeds 63"),
+        ("x <<= 64;", "shift count 64 exceeds 63"),
+    ])
+    def test_uncomputable_operations_are_interpreter_errors(self, stmt, problem):
+        source = (
+            "int g(void) { return 1; }\n"
+            f"int main(void) {{\n  int x = 1;\n  {stmt}\n  return x;\n}}\n"
+        )
+        with pytest.raises(InterpreterError, match=problem) as caught:
+            run(source)
+        assert caught.value.location.line == 4
+
+    def test_function_designators_still_compare_for_equality(self):
+        source = (
+            "int g(void) { return 1; }\n"
+            "int main(void) { int (*f)(void) = g; return (f == g) + (f != 0); }"
+        )
+        assert run(source).exit_code == 2
 
     @pytest.mark.parametrize("body", [
         "int main(void) { return sizeof(node); }",
