@@ -42,8 +42,8 @@ from repro.bench.generator import generate_program_of_size
 from repro.core.api import (
     Checker,
     ParsedUnit,
-    _prelude_parsed,
     check_parsed_unit,
+    prelude,
     unit_interface,
 )
 from repro.flags.registry import Flags
@@ -267,8 +267,7 @@ def _legacy_cold_once(files: dict[str, str], cache_root: str) -> float:
             )
             tokens = pp.preprocess_text(files[name], name)
             token_digest = token_stream_digest(tokens)  # v1: its own pass
-            _, prelude_scope = _prelude_parsed()
-            parser = Parser(tokens, name, preseed=prelude_scope)
+            parser = Parser(tokens, name, preseed=prelude().scope)
             unit = parser.parse_translation_unit()
             pu = ParsedUnit(
                 unit=unit, controls=parser.controls,
@@ -292,8 +291,7 @@ def _legacy_cold_once(files: dict[str, str], cache_root: str) -> float:
             plans.append((pu, token_digest, iface_digest, iface))
         # v0 program assembly: re-merge the parsed prelude every run.
         symtab = SymbolTable()
-        prelude_unit, _ = _prelude_parsed()
-        symtab.add_unit(prelude_unit)
+        symtab.add_unit(prelude().unit)
         enum_consts: dict[str, int] = {}
         for pu, _, _, iface in plans:
             symtab.merge_interface(iface)

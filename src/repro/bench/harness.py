@@ -15,14 +15,12 @@ from dataclasses import dataclass, field
 from ..analysis.cfg import build_cfg
 from ..core.api import Checker
 from ..flags.registry import Flags
-from ..frontend.symtab import SymbolTable
 from ..messages.message import MessageCode
-from ..runtime.interp import Interpreter
+from ..runtime.interp import load_program
 from .dbexample import FINAL_STAGE, annotation_census, db_sources
 from .generator import generate_program_of_size
 from .seeding import (
     BugKind,
-    SeededProgram,
     function_line_ranges,
     generate_seeded_program,
     match_runtime_detection,
@@ -273,24 +271,6 @@ def db_runtime_residue() -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _parse_for_runtime(seeded: SeededProgram):
-    checker = Checker()
-    parsed = []
-    for name, text in seeded.program.files.items():
-        if name.endswith(".h"):
-            checker.sources.add(name, text)
-    for name, text in seeded.program.files.items():
-        if not name.endswith(".h"):
-            parsed.append(checker.parse_unit(text, name))
-    symtab = SymbolTable()
-    enum_consts: dict[str, int] = {}
-    for pu in parsed:
-        symtab.add_unit(pu.unit)
-        enum_consts.update(pu.enum_consts)
-    units = [pu.unit for pu in parsed]
-    return units, symtab, enum_consts
-
-
 def static_vs_runtime_experiment(
     coverages: tuple[float, ...] = (0.25, 0.5, 0.75, 1.0),
     bugs_per_kind: int = 2,
@@ -317,7 +297,7 @@ def static_vs_runtime_experiment(
         )
     )
 
-    units, symtab, enum_consts = _parse_for_runtime(seeded)
+    program = load_program(seeded.program.files)
     total = len(seeded.bugs)
     rows: list[dict] = []
     for coverage in coverages:
@@ -325,9 +305,7 @@ def static_vs_runtime_experiment(
         covered_bugs = seeded.bugs[:executed]
         runtime_found = 0
         for bug in covered_bugs:
-            interp = Interpreter(units, symtab, enum_consts,
-                                 max_steps=2_000_000)
-            run = interp.run(bug.scenario)
+            run = program.interpreter(max_steps=2_000_000).run(bug.scenario)
             if match_runtime_detection(bug, run.events):
                 runtime_found += 1
         rows.append(

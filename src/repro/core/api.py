@@ -21,15 +21,11 @@ unit — the prelude, :func:`check_parsed_unit`, the symbol-table builders
 
 from __future__ import annotations
 
-import hashlib
-import os
-import pickle
-import tempfile
 import threading
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from ..analysis.checker import CheckContext, FunctionChecker
 from ..annotations.parse import AnnotationProblem
@@ -52,189 +48,52 @@ from ..stdlib.specs import (
     SYSTEM_HEADERS,
 )
 
-_PRELUDE_PARSE_CACHE: tuple | None = None
+
+class Prelude(NamedTuple):
+    """The standard-library prelude every check runs against."""
+
+    #: Its translation unit.
+    unit: A.TranslationUnit
+    #: The parser's file scope after it: the typedefs and tags that
+    #: pre-seed every user-unit parser.
+    scope: object
+    #: Its declarations: every program symbol table starts from a copy
+    #: of these dicts (merges replace an entry, never change one in
+    #: place, so the tables share the entries).
+    symtab: SymbolTable
+
+
+_PRELUDE: Prelude | None = None
 _PRELUDE_LOCK = threading.Lock()
 
-#: On-disk layout version of the prelude snapshot payload. Bump when the
-#: snapshot tuple shape changes; stale files become silent misses.
-_PRELUDE_SNAPSHOT_VERSION = 1
 
-_FRONTEND_CODE_DIGEST: str | None = None
+def ensure_process_initialized() -> Prelude:
+    """Parse the prelude and build its symbol-table template, once per
+    process; safe to call from pool-worker initializers and the
+    service's worker threads.
 
-
-def _frontend_code_digest() -> str:
-    """Digest of the source code that determines a prelude parse result.
-
-    Keys the prelude snapshot alongside the prelude text: any edit to the
-    lexer, preprocessor, parser, arithmetic, AST, type, layout, or
-    annotation modules makes existing snapshots unreachable, so a pickled
-    parse can never outlive the code that produced it. Computed once per
-    process.
+    The first caller builds under the lock; a caller racing it waits
+    and gets the same prelude.
     """
-    global _FRONTEND_CODE_DIGEST
-    if _FRONTEND_CODE_DIGEST is None:
-        from ..annotations import kinds, parse
-        from ..frontend import (
-            arith, cast, ctypes, lexer, parser, preprocessor, source, tokens,
-        )
-        from ..stdlib import specs
-
-        digest = hashlib.sha256()
-        modules = (
-            lexer, tokens, source, preprocessor, parser, arith, cast, ctypes,
-            kinds, parse, specs,
-        )
-        paths = [getattr(module, "__file__", None) for module in modules]
-        # The layout rules the parser folds ``sizeof`` by: read, not
-        # imported, so a check does not load the interpreter's package.
-        package = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-        paths.append(os.path.join(package, "runtime", "layout.py"))
-        for path in paths:
-            try:
-                with open(path, "rb") as handle:
-                    digest.update(handle.read())
-            except (OSError, TypeError):
-                digest.update(repr(path).encode("utf-8"))
-            digest.update(b"\x00")
-        _FRONTEND_CODE_DIGEST = digest.hexdigest()
-    return _FRONTEND_CODE_DIGEST
-
-
-def prelude_snapshot_key() -> str:
-    """Cache key of the parsed-prelude snapshot (text + code + version).
-
-    Hashes the prelude inputs directly rather than via
-    ``incremental.fingerprint.prelude_digest`` — importing that package
-    here would drag the whole engine in (and cost more than the load it
-    keys), and the snapshot's validity depends only on the prelude text
-    and the frontend code, not on checker-semantics versioning.
-    """
-    digest = hashlib.sha256()
-    update = digest.update
-    update(f"prelude-snapshot-v{_PRELUDE_SNAPSHOT_VERSION}\x00".encode())
-    update(PRELUDE_TEXT.encode("utf-8"))
-    update(b"\x00")
-    for name, value in sorted(PRELUDE_DEFINES.items()):
-        update(f"{name}={value}\x00".encode("utf-8"))
-    for name, text in sorted(SYSTEM_HEADERS.items()):
-        update(f"{name}:{text}\x00".encode("utf-8"))
-    update(_frontend_code_digest().encode("ascii"))
-    return digest.hexdigest()
-
-
-def _load_prelude_snapshot(snapshot_dir: str, notes: list[str]) -> tuple | None:
-    """Corruption-tolerant snapshot load (mirrors the result cache).
-
-    A missing file is a plain miss. A truncated, garbled, or shape-
-    mismatched file is discarded so the slot is rewritten — and noted,
-    so a recurring drop is diagnosable — never an error.
-    """
-    path = os.path.join(snapshot_dir, prelude_snapshot_key() + ".pkl")
-    try:
-        handle = open(path, "rb")
-    except OSError:
-        return None
-    try:
-        with handle:
-            payload = pickle.load(handle)
-        if (
-            not isinstance(payload, tuple)
-            or len(payload) != 3
-            or payload[0] != _PRELUDE_SNAPSHOT_VERSION
-        ):
-            raise ValueError("unexpected prelude snapshot shape")
-        return (payload[1], payload[2])
-    except Exception:
-        notes.append(
-            f"dropped a corrupt or stale prelude snapshot under "
-            f"{snapshot_dir}; reparsing the prelude"
-        )
-        try:
-            os.unlink(path)
-        except OSError:
-            pass
-        return None
-
-
-def _write_prelude_snapshot(snapshot_dir: str, parsed: tuple) -> None:
-    """Atomic snapshot write; failures are silent (the snapshot is only
-    an accelerator — next process simply reparses)."""
-    path = os.path.join(snapshot_dir, prelude_snapshot_key() + ".pkl")
-    try:
-        os.makedirs(snapshot_dir, exist_ok=True)
-        # Drop snapshots for older prelude/code versions: only the
-        # current key can ever be read again.
-        for entry in os.listdir(snapshot_dir):
-            if entry.endswith(".pkl") and entry != os.path.basename(path):
-                try:
-                    os.unlink(os.path.join(snapshot_dir, entry))
-                except OSError:
-                    pass
-        payload = (_PRELUDE_SNAPSHOT_VERSION, parsed[0], parsed[1])
-        fd, tmp = tempfile.mkstemp(
-            dir=snapshot_dir, prefix=".tmp-", suffix="~"
-        )
-        with os.fdopen(fd, "wb") as handle:
-            pickle.dump(payload, handle)
-        os.replace(tmp, path)
-    except OSError:
-        pass
-
-
-def _parse_prelude() -> tuple:
-    manager = SourceManager()
-    prelude_pp = Preprocessor(
-        manager, defines=dict(PRELUDE_DEFINES), system_headers=SYSTEM_HEADERS
-    )
-    toks = prelude_pp.preprocess_text(PRELUDE_TEXT, PRELUDE_NAME)
-    parser = Parser(toks, PRELUDE_NAME)
-    unit = parser.parse_translation_unit()
-    return (unit, parser.scope)
-
-
-def _prelude_parsed() -> tuple:
-    """Parse the standard-library prelude once per process.
-
-    Returns ``(unit, file_scope)``: the prelude's translation unit (its
-    declarations are merged into every symbol table) and the parser file
-    scope holding its typedefs/tags, used to pre-seed user-unit parsers.
-
-    Initialization is guarded by a lock so concurrent daemon requests and
-    pool-worker initializers racing on a fresh process each see exactly
-    one parse; the fast path reads the published cache without locking.
-    """
-    global _PRELUDE_PARSE_CACHE
-    cached = _PRELUDE_PARSE_CACHE
-    if cached is None:
-        with _PRELUDE_LOCK:
-            if _PRELUDE_PARSE_CACHE is None:
-                _PRELUDE_PARSE_CACHE = _parse_prelude()
-            cached = _PRELUDE_PARSE_CACHE
-    return cached
-
-
-def ensure_process_initialized(snapshot_dir: str | None = None) -> list[str]:
-    """Warm per-process caches; safe to call from pool-worker initializers.
-
-    With *snapshot_dir* (the engine passes ``<cache>/prelude``), the
-    parsed prelude is loaded from a pickled snapshot keyed by the prelude
-    text + frontend code digest — a one-time parse per machine instead of
-    per process — and written back after a cold parse. Returns run notes
-    (e.g. a dropped corrupt snapshot); an empty list on the happy paths.
-    """
-    global _PRELUDE_PARSE_CACHE
-    notes: list[str] = []
-    if _PRELUDE_PARSE_CACHE is not None or snapshot_dir is None:
-        _prelude_parsed()
-        return notes
+    global _PRELUDE
     with _PRELUDE_LOCK:
-        if _PRELUDE_PARSE_CACHE is None:
-            loaded = _load_prelude_snapshot(snapshot_dir, notes)
-            if loaded is None:
-                loaded = _parse_prelude()
-                _write_prelude_snapshot(snapshot_dir, loaded)
-            _PRELUDE_PARSE_CACHE = loaded
-    return notes
+        if _PRELUDE is None:
+            preprocessor = Preprocessor(
+                SourceManager(), defines=dict(PRELUDE_DEFINES),
+                system_headers=SYSTEM_HEADERS,
+            )
+            tokens = preprocessor.preprocess_text(PRELUDE_TEXT, PRELUDE_NAME)
+            parser = Parser(tokens, PRELUDE_NAME)
+            unit = parser.parse_translation_unit()
+            symtab = SymbolTable()
+            symtab.add_unit(unit)
+            _PRELUDE = Prelude(unit, parser.scope, symtab)
+        return _PRELUDE
+
+
+def prelude() -> Prelude:
+    """The process's prelude; the hot paths read it without the lock."""
+    return _PRELUDE or ensure_process_initialized()
 
 
 @dataclass
@@ -291,27 +150,6 @@ def unit_interface(pu: "ParsedUnit") -> SymbolTable:
     return symtab
 
 
-_PRELUDE_SYMTAB_CACHE: SymbolTable | None = None
-
-
-def _prelude_symtab() -> SymbolTable:
-    """The prelude's symbol table, built once per process.
-
-    Walking the prelude AST into a fresh table costs a few milliseconds
-    per check; the declarations never change within a process, so the
-    walk happens once and every run copies the result's dicts (merges
-    replace entries, never mutate them, so sharing the entries is safe).
-    """
-    global _PRELUDE_SYMTAB_CACHE
-    cached = _PRELUDE_SYMTAB_CACHE
-    if cached is None:
-        prelude_unit, _ = _prelude_parsed()
-        cached = SymbolTable()
-        cached.add_unit(prelude_unit)
-        _PRELUDE_SYMTAB_CACHE = cached
-    return cached
-
-
 def build_program_symtab(
     interfaces: list[SymbolTable],
     base_symtab: SymbolTable | None = None,
@@ -320,7 +158,7 @@ def build_program_symtab(
     checking assumes: prelude first, then loaded libraries, then each
     unit's interface slice in program order."""
     symtab = SymbolTable()
-    template = _prelude_symtab()
+    template = prelude().symtab
     symtab.functions.update(template.functions)
     symtab.globals.update(template.globals)
     if base_symtab is not None:

@@ -1,6 +1,7 @@
 """The dual runner: one variant, two detectors, structured verdicts.
 
-A variant is parsed once. The static side checks every translation unit
+A variant is parsed once (:func:`repro.runtime.interp.load_program`),
+for both sides. The static side checks every translation unit
 against the merged interface (:mod:`repro.core.api`) — no execution.
 The dynamic side executes scenario functions one at a time under the
 instrumented-heap interpreter with a step budget; each scenario gets a
@@ -24,11 +25,14 @@ from ..bench.seeding import (
     function_line_ranges,
     match_static_detections,
 )
-from ..core.api import Checker
 from ..flags.registry import DEFAULT_FLAGS, Flags
-from ..frontend.symtab import SymbolTable
 from ..messages.message import Message, MessageCode
-from ..runtime.interp import Interpreter, InterpreterError, StepBudgetExceeded
+from ..runtime.interp import (
+    InterpreterError,
+    LoadedProgram,
+    StepBudgetExceeded,
+    load_program,
+)
 from .mutations import Variant
 
 
@@ -84,20 +88,6 @@ class DualVerdict:
         return bool(witnesses & set(self.oracle.event_classes))
 
 
-class _ParsedVariant:
-    """One parse of a variant, reusable by both detectors."""
-
-    def __init__(self, checker: Checker, parsed: list) -> None:
-        self.checker = checker
-        self.parsed = parsed
-        self.units = [pu.unit for pu in parsed]
-        self.symtab = SymbolTable()
-        self.enum_consts: dict[str, int] = {}
-        for pu in parsed:
-            self.symtab.add_unit(pu.unit)
-            self.enum_consts.update(pu.enum_consts)
-
-
 class DualRunner:
     """Runs both detectors over variants with shared configuration."""
 
@@ -111,24 +101,10 @@ class DualRunner:
         self.max_steps = max_steps
         self.max_call_depth = max_call_depth
 
-    # -- parsing (shared by both detectors) -----------------------------
-
-    def _parse(self, files: dict[str, str]) -> _ParsedVariant:
-        checker = Checker(flags=self.flags)
-        for name, text in files.items():
-            if name.endswith(".h"):
-                checker.sources.add(name, text)
-        parsed = [
-            checker.parse_unit(text, name)
-            for name, text in files.items()
-            if not name.endswith(".h")
-        ]
-        return _ParsedVariant(checker, parsed)
-
     # -- static side ----------------------------------------------------
 
     def _check_static(
-        self, variant: Variant, pv: _ParsedVariant
+        self, variant: Variant, pv: LoadedProgram
     ) -> StaticVerdict:
         result = pv.checker.check_units(pv.parsed)
         classes: dict[str, int] = {}
@@ -158,18 +134,17 @@ class DualRunner:
         )
 
     def check_static(self, variant: Variant) -> StaticVerdict:
-        return self._check_static(variant, self._parse(variant.files))
+        pv = load_program(variant.files, self.flags)
+        return self._check_static(variant, pv)
 
     # -- dynamic side ---------------------------------------------------
 
-    def _run_scenario(self, pv: _ParsedVariant, scenario: str) -> ScenarioRun:
+    def _run_scenario(self, pv: LoadedProgram, scenario: str) -> ScenarioRun:
         try:
-            interp = Interpreter(
-                pv.units, pv.symtab, pv.enum_consts,
+            result = pv.interpreter(
                 max_steps=self.max_steps,
                 max_call_depth=self.max_call_depth,
-            )
-            result = interp.run(scenario)
+            ).run(scenario)
         except (InterpreterError, StepBudgetExceeded, RecursionError) as exc:
             return ScenarioRun(
                 scenario=scenario,
@@ -184,7 +159,8 @@ class DualRunner:
         )
 
     def run_scenario(self, variant: Variant, scenario: str) -> ScenarioRun:
-        return self._run_scenario(self._parse(variant.files), scenario)
+        pv = load_program(variant.files, self.flags)
+        return self._run_scenario(pv, scenario)
 
     # -- both -----------------------------------------------------------
 
@@ -205,7 +181,7 @@ class DualRunner:
         detector. The oracle always executes the mutation target, so
         ground truth is observed, not assumed.
         """
-        pv = self._parse(variant.files)
+        pv = load_program(variant.files, self.flags)
         static = self._check_static(variant, pv)
         oracle = self._run_scenario(pv, variant.target)
         tested = self.test_suite(variant, coverage)

@@ -9,6 +9,8 @@ undefined -- a zero divisor, a shift count outside 0..63 -- raises
 :class:`ArithmeticFault`, which each caller reports in its own way.
 Float operands follow the interpreter: ``/`` divides them, and the
 bitwise, shift and ``%`` operators truncate them to integers first.
+Character constants and string literals read their escape sequences
+through one reader here (:func:`char_value`, :func:`string_value`).
 """
 
 from __future__ import annotations
@@ -39,6 +41,21 @@ _ESCAPES = {"n": 10, "t": 9, "r": 13, "a": 7, "b": 8, "f": 12, "v": 11}
 _NUMERIC_ESCAPE = re.compile(r"[0-7]{1,3}|x[0-9a-fA-F]+")
 
 
+def _escape(text: str, start: int) -> tuple[int, int]:
+    """The value of the escape sequence whose backslash is at
+    ``text[start]``, and the index just past it. A numeric escape
+    above 0xFF breaks C99 6.4.4.4p9 and raises ``ValueError``."""
+    numeric = _NUMERIC_ESCAPE.match(text, start + 1)
+    if numeric is None:
+        letter = text[start + 1]
+        return _ESCAPES.get(letter, ord(letter)), start + 2
+    digits = numeric.group()
+    value = int(digits[1:], 16) if digits[0] == "x" else int(digits, 8)
+    if value > 0xFF:
+        raise ValueError(f"escape sequence '\\{digits}' out of range")
+    return value, numeric.end()
+
+
 def char_value(spelling: str) -> int:
     """The value of a character constant such as ``'a'``, ``'\\n'``,
     ``'\\x41'`` or ``'\\101'``; a multi-character constant has the
@@ -46,11 +63,25 @@ def char_value(spelling: str) -> int:
     inner = spelling[1:-1]
     if inner[:1] != "\\" or len(inner) < 2:
         return ord(inner[0]) if inner else 0
-    numeric = _NUMERIC_ESCAPE.match(inner, 1)
-    if numeric is not None:
-        digits = numeric.group()
-        return int(digits[1:], 16) if digits[0] == "x" else int(digits, 8)
-    return _ESCAPES.get(inner[1], ord(inner[1]))
+    return _escape(inner, 0)[0]
+
+
+def string_value(spelling: str) -> str:
+    """The characters of a string literal such as ``"a\\x41"``, its
+    escapes read as :func:`char_value` reads them."""
+    inner = spelling[1:-1]
+    if "\\" not in inner:
+        return inner
+    out: list[str] = []
+    i = 0
+    while i < len(inner):
+        if inner[i] == "\\" and i + 1 < len(inner):
+            value, i = _escape(inner, i)
+            out.append(chr(value))
+        else:
+            out.append(inner[i])
+            i += 1
+    return "".join(out)
 
 
 def _divide(a, b):

@@ -21,7 +21,8 @@ from ..annotations.kinds import ANNOTATION_WORDS, AnnotationSet
 from ..annotations.parse import AnnotationBuilder, AnnotationProblem
 from . import cast as A
 from .arith import (
-    UNARY_OPS, ArithmeticFault, binary, char_value, parse_int_constant, unary,
+    UNARY_OPS, ArithmeticFault, binary, char_value, parse_int_constant,
+    string_value, unary,
 )
 from .ctypes import (
     Array,
@@ -1077,12 +1078,14 @@ class Parser:
             return A.FloatLit(loc, value=float(tok.value.rstrip("fFlL")),
                               spelling=tok.value)
         if tok.kind is TokenKind.CHAR_CONST:
-            return A.CharLit(loc, value=char_value(tok.value), spelling=tok.value)
+            return A.CharLit(
+                loc, value=_escaped(char_value, tok), spelling=tok.value
+            )
         if tok.kind is TokenKind.STRING:
-            text = _decode_string(tok.value)
+            text = _escaped(string_value, tok)
             # adjacent string literals concatenate
             while self._peek().kind is TokenKind.STRING:
-                text += _decode_string(self._next().value)
+                text += _escaped(string_value, self._next())
             return A.StringLit(loc, value=text, spelling=tok.value)
         if tok.is_punct("("):
             expr = self._expression()
@@ -1160,25 +1163,13 @@ def _replace_base(ctype: CType, new_base: CType) -> CType:
     return new_base
 
 
-_STR_ESCAPES = {
-    "n": "\n", "t": "\t", "r": "\r", "0": "\0", "\\": "\\",
-    "'": "'", '"': '"', "a": "\a", "b": "\b", "f": "\f", "v": "\v",
-}
-
-
-def _decode_string(spelling: str) -> str:
-    inner = spelling[1:-1]
-    out: list[str] = []
-    i = 0
-    while i < len(inner):
-        ch = inner[i]
-        if ch == "\\" and i + 1 < len(inner):
-            out.append(_STR_ESCAPES.get(inner[i + 1], inner[i + 1]))
-            i += 2
-        else:
-            out.append(ch)
-            i += 1
-    return "".join(out)
+def _escaped(read, tok: Token):
+    """*read* (:func:`char_value` or :func:`string_value`) applied to a
+    literal; an escape out of range is a parse error."""
+    try:
+        return read(tok.value)
+    except ValueError as exc:
+        raise ParseError(str(exc), tok.location) from None
 
 
 # -- engine selection ---------------------------------------------------------

@@ -303,7 +303,7 @@ class CacheClient:
             )
         self._sock = sock
         self._file = sock.makefile("rwb")
-        ready = json.loads(self._file.readline().decode("utf-8"))
+        ready = json.loads(self._read_line())
         if not ready.get("ready"):
             raise ConnectionError("cache server did not announce ready")
 
@@ -340,12 +340,22 @@ class CacheClient:
             self._fail(exc)
         return replies + [None] * (len(requests) - len(replies))
 
-    def _read_reply(self) -> dict:
+    def _read_line(self) -> str:
+        """One line from the server, at most the server's own line cap;
+        a longer or unterminated line is a transport failure."""
         assert self._file is not None
-        line = self._file.readline()
+        line = self._file.readline(CACHE_LINE_MAX_BYTES + 1)
         if not line:
             raise ConnectionError("cache server closed the connection")
-        reply = json.loads(line.decode("utf-8"))
+        if not line.endswith(b"\n"):
+            raise ConnectionError(
+                "cache server sent an unterminated line or one over the "
+                f"{CACHE_LINE_MAX_BYTES}-byte line cap"
+            )
+        return line.decode("utf-8")
+
+    def _read_reply(self) -> dict:
+        reply = json.loads(self._read_line())
         if not isinstance(reply, dict) or not reply.get("ok"):
             raise ValueError(
                 str((reply or {}).get("error", "malformed reply"))

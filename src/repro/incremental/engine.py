@@ -38,12 +38,12 @@ from ..core.api import (
     CheckResult,
     ParsedUnit,
     UnitCheckOutput,
-    _prelude_parsed,
     build_program_symtab,
     check_parsed_unit,
     ensure_process_initialized,
     failed_parsed_unit,
     merge_unit_outputs,
+    prelude,
     unit_interface,
 )
 from ..core.faults import (
@@ -96,7 +96,7 @@ class CheckStats:
     parse_s: float = 0.0
     check_s: float = 0.0
     # Named orchestration spans (the decomposed former "other" bucket):
-    prelude_s: float = 0.0      # stdlib prelude parse / snapshot load
+    prelude_s: float = 0.0      # stdlib prelude parse (once per process)
     symtab_s: float = 0.0       # program symbol-table build + preseed
     fingerprint_s: float = 0.0  # token/interface digests + fingerprints
     cache_s: float = 0.0        # cache + memo probe/serialize IO
@@ -472,18 +472,9 @@ class IncrementalChecker:
     def _prelude(self, run: _Run) -> None:
         """Warm the prelude before any per-unit work, so its cost shows
         up as one named span instead of hiding inside the first unit's
-        parse. With a cache directory, the parsed prelude is loaded from
-        (or saved to) a pickled snapshot keyed by the prelude +
-        frontend-code digest."""
+        parse."""
         with self.tracer.span("prelude", cat="phase") as prelude_span:
-            snapshot_dir = (
-                os.path.join(self.cache.root, "prelude")
-                if self.cache is not None
-                else None
-            )
-            run.stats.notes.extend(
-                ensure_process_initialized(snapshot_dir=snapshot_dir)
-            )
+            ensure_process_initialized()
         run.stats.prelude_s += prelude_span.duration
 
     def _plan(self, run: _Run) -> None:
@@ -848,11 +839,11 @@ class IncrementalChecker:
         return tokens, set(pp._included)
 
     def _parse_tokens(self, tokens: list[Token], name: str) -> ParsedUnit:
-        _, prelude_scope = _prelude_parsed()
         # .lcl files are LCL interface specifications: annotations appear
         # as bare words before types (paper section 4).
         parser = Parser(
-            tokens, name, lcl_mode=name.endswith(".lcl"), preseed=prelude_scope
+            tokens, name, lcl_mode=name.endswith(".lcl"),
+            preseed=prelude().scope,
         )
         unit = parser.parse_translation_unit()
         return ParsedUnit(

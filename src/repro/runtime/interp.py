@@ -10,6 +10,7 @@ static checker's home turf — are invisible to it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from ..frontend import cast as A
 from ..frontend.arith import ArithmeticFault, binary, unary
@@ -35,6 +36,9 @@ from .heap import (
     RuntimeEventKind,
 )
 from .layout import LayoutError, layout_of, sizeof_ctype
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
+    from ..core.api import Checker, ParsedUnit
 
 
 class InterpreterError(Exception):
@@ -1278,37 +1282,61 @@ _BUILTINS = {
 }
 
 
+@dataclass
+class LoadedProgram:
+    """A C program parsed once, for any number of runs (and, in the
+    difftest runner, for the static check too)."""
+
+    #: The checker that parsed it; its ``sources`` hold the headers.
+    checker: Checker
+    parsed: list[ParsedUnit]
+    units: list[A.TranslationUnit]
+    symtab: SymbolTable
+    enum_consts: dict[str, int]
+
+    def interpreter(self, **options) -> Interpreter:
+        """A fresh interpreter over the shared ASTs."""
+        return Interpreter(self.units, self.symtab, self.enum_consts, **options)
+
+
+def load_program(source: str | dict[str, str], flags=None) -> LoadedProgram:
+    """Parse a C program through the checker's frontend.
+
+    ``source`` is either one translation unit's text or a dict of named
+    files: the ``.h`` files resolve ``#include`` and the rest are the
+    units, in the dict's order.
+    """
+    from ..core.api import Checker
+
+    files = {"<program>": source} if isinstance(source, str) else source
+    checker = Checker(flags=flags)
+    for name, text in files.items():
+        if name.endswith(".h"):
+            checker.sources.add(name, text)
+    parsed = [
+        checker.parse_unit(text, name)
+        for name, text in files.items()
+        if not name.endswith(".h")
+    ]
+    symtab = SymbolTable()
+    enum_consts: dict[str, int] = {}
+    for pu in parsed:
+        symtab.add_unit(pu.unit)
+        enum_consts.update(pu.enum_consts)
+    return LoadedProgram(
+        checker, parsed, [pu.unit for pu in parsed], symtab, enum_consts
+    )
+
+
 def run_program(
     source: str | dict[str, str],
     entry: str = "main",
     max_steps: int = 2_000_000,
     flags=None,
 ) -> RunResult:
-    """Parse and execute a C program under the instrumented heap.
-
-    ``source`` is either one translation unit's text or a dict of named
-    files (headers resolve for ``#include``). The program's annotations
-    are ignored at run time — this baseline sees only executions.
+    """Parse (:func:`load_program`) and execute a C program under the
+    instrumented heap. The program's annotations are ignored at run
+    time — this baseline sees only executions.
     """
-    from ..core.api import Checker
-
-    checker = Checker(flags=flags)
-    if isinstance(source, str):
-        parsed = [checker.parse_unit(source, "<program>")]
-    else:
-        parsed = []
-        for name, text in source.items():
-            if name.endswith(".h"):
-                checker.sources.add(name, text)
-        for name, text in source.items():
-            if not name.endswith(".h"):
-                parsed.append(checker.parse_unit(text, name))
-    symtab = SymbolTable()
-    enum_consts: dict[str, int] = {}
-    for pu in parsed:
-        symtab.add_unit(pu.unit)
-        enum_consts.update(pu.enum_consts)
-    interp = Interpreter(
-        [pu.unit for pu in parsed], symtab, enum_consts, max_steps=max_steps
-    )
-    return interp.run(entry)
+    program = load_program(source, flags)
+    return program.interpreter(max_steps=max_steps).run(entry)

@@ -115,6 +115,8 @@ class TestFuzzSmoke:
             "int x = 089;",
             "#if 1 << -1\n#endif\nint x;",
             "int a[1 << 1099511627776];",
+            'char *s = "\\x110000";',
+            "int c = '\\x1ff';",
         ):
             result = _check_totality(source)
             # malformed input is a frontend fatal (parse-error message),

@@ -8,6 +8,7 @@ tests run the same work in two fresh subprocesses with *different*
 ``PYTHONHASHSEED`` values and require byte-identical output.
 """
 
+import glob
 import os
 import subprocess
 import sys
@@ -18,6 +19,7 @@ REPO_ROOT = os.path.abspath(
     os.path.join(os.path.dirname(__file__), "..", "..")
 )
 SRC = os.path.join(REPO_ROOT, "src")
+DB_UNITS = sorted(glob.glob(os.path.join(REPO_ROOT, "examples", "db", "*.c")))
 
 
 def _run_snippet(code: str, hash_seed: str) -> str:
@@ -91,3 +93,30 @@ def test_output_is_hash_seed_independent(name, snippet):
         f"iteration or non-integer RNG seed crept in"
     )
     assert first.strip(), f"{name} snippet produced no output"
+
+
+def _dump(tmp_path, label: str, hash_seed: str, *options: str) -> bytes:
+    """The bytes ``-dump`` writes for examples/db from a fresh process."""
+    library = tmp_path / f"{label}.lcd"
+    env = dict(os.environ)
+    env["PYTHONHASHSEED"] = hash_seed
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro", *options, "-quiet",
+         "-dump", str(library), *DB_UNITS],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return library.read_bytes()
+
+
+def test_dump_writes_the_same_bytes_on_every_run(tmp_path):
+    """A library that changes bytes between identical runs can be
+    neither diffed nor cached: a cold and a warm cache directory must
+    not show in it, and no parsed prelude is kept on disk."""
+    cache = str(tmp_path / "cache")
+    cold = _dump(tmp_path, "cold", "0", "--cache-dir", cache)
+    warm = _dump(tmp_path, "warm", "4242", "--cache-dir", cache)
+    plain = _dump(tmp_path, "plain", "0")
+    assert cold == warm == plain
+    assert "prelude" not in os.listdir(cache)

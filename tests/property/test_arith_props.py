@@ -4,7 +4,8 @@
 not against the code: ``(a/b)*b + a%b == a`` with the quotient truncated
 toward zero. The cross-layer test then checks that the three places a C
 integer expression is evaluated -- a ``#if`` line, an enumerator fold and
-the interpreter's ``return`` -- give it the same value.
+the interpreter's ``return`` -- give it the same value. Strings and
+character constants read a numeric escape alike.
 """
 
 import math
@@ -64,6 +65,30 @@ class TestC99Division:
     def test_comparisons_and_logic_yield_0_or_1(self, a, b):
         for op in ("==", "!=", "<", ">", "<=", ">=", "&&", "||"):
             assert arith.binary(op, a, b) in (0, 1)
+
+
+class TestOneEscapeReader:
+    @given(st.integers(0, 0x1FF), st.sampled_from(["x{:x}", "x{:02X}", "{:o}"]))
+    @example(0x1FF, "x{:x}")
+    @example(0o777, "{:o}")
+    def test_strings_and_characters_read_an_escape_alike(self, value, form):
+        escape = "\\" + form.format(value)
+        if value > 0xFF:  # C99 6.4.4.4p9: out of range for unsigned char
+            with pytest.raises(ValueError):
+                arith.char_value(f"'{escape}'")
+            with pytest.raises(ValueError):
+                arith.string_value(f'"{escape}"')
+        else:
+            assert arith.char_value(f"'{escape}'") == value
+            assert arith.string_value(f'"{escape}"') == chr(value)
+
+    @given(st.lists(st.integers(0, 0xFF), max_size=12))
+    def test_a_string_of_escapes_reads_back_byte_for_byte(self, values):
+        spelling = "".join(
+            f"\\{v:03o}" if i % 2 else f"\\x{v:x}"
+            for i, v in enumerate(values)
+        )
+        assert arith.string_value(f'"{spelling}"') == "".join(map(chr, values))
 
 
 # -- one value on every layer ---------------------------------------------------

@@ -236,6 +236,39 @@ class DyingServer:
         self._thread.join(10)
 
 
+class GarblingServer:
+    """A cache server whose one connection announces itself with
+    *ready*, answers its first request with *reply*, and then holds on
+    until the client hangs up."""
+
+    def __init__(self, ready: bytes, reply: bytes) -> None:
+        self.ready, self.reply = ready, reply
+        self._listener = socket.create_server(("127.0.0.1", 0))
+        self.addr = "127.0.0.1:%d" % self._listener.getsockname()[1]
+        self._thread = threading.Thread(target=self._serve, daemon=True)
+        self._thread.start()
+
+    def _serve(self) -> None:
+        conn, _ = self._listener.accept()
+        with conn, conn.makefile("rwb") as stream:
+            stream.write(self.ready)
+            stream.flush()
+            if stream.readline():
+                stream.write(self.reply)
+                stream.flush()
+            stream.read()  # until the client closes its end
+        self._listener.close()
+
+    def join(self) -> None:
+        self._thread.join(10)
+
+
+READY = b'{"ready": true, "cacheserver": true}\n'
+PADDED = b'{"ok": true, "ready": true, "hit": false, "pad": "%s"}\n' % (
+    b"x" * 200
+)
+
+
 class TestPipelining:
     def test_batches_match_per_key_probes_across_many_windows(
         self, server, tmp_path, monkeypatch
@@ -304,6 +337,28 @@ class TestPipelining:
         assert len(notes) == 1 and "unavailable" in notes[0]
         assert metrics.count("cacheserver.client.errors") == 1
         assert metrics.count("cacheserver.client.misses") == 12
+
+
+class TestReplyCap:
+    @pytest.mark.parametrize("ready, reply", [
+        (READY, PADDED),         # a well-formed reply over the cap
+        (READY, b"x" * 1000),    # an unterminated reply, connection held
+        (PADDED, b""),           # a ready line over the cap
+    ], ids=["long-reply", "unterminated-reply", "long-ready"])
+    def test_an_overlong_line_is_one_failure(self, monkeypatch, ready, reply):
+        monkeypatch.setattr(cacheserver, "CACHE_LINE_MAX_BYTES", 100)
+        garbling = GarblingServer(ready, reply)
+        metrics = MetricsRegistry()
+        client = CacheClient(garbling.addr, metrics=metrics, timeout=5)
+        keys = [_key(i) for i in range(3)]
+        assert client.get_memos(keys) == [None] * 3
+        assert client.dead
+        garbling.join()
+        # Later probes are free misses: no reconnect, no second note.
+        assert client.get_results(keys) == [None] * 3
+        notes = client.drain_notes()
+        assert len(notes) == 1 and "100-byte line cap" in notes[0]
+        assert metrics.count("cacheserver.client.errors") == 1
 
 
 class TestMemoCodec:

@@ -204,6 +204,7 @@ class TestConstantFolding:
     @pytest.mark.parametrize("expr, value", [
         ("-7 / 2", -3), ("-7 % 2", -1), ("7 / -2", -3), ("7 % -2", 1),
         ("'\\x41'", 65), ("'\\101'", 65), ("'\\0'", 0), ("'\\n'", 10),
+        ("'\\xff'", 255), ("'\\377'", 255),
         ("1 ? 2 : 1 / 0", 2), ("0 && 1 / 0", 0), ("1 || 1 << -1", 1),
         ("3 >= 2", 1), ("(char) 2 * 3", 6), ("~0", -1),
     ])
@@ -251,6 +252,16 @@ class TestConstantFolding:
         errors = parse_errors_of("int x = 089;\nint y;")
         assert len(errors) == 1
         assert "malformed integer constant '089'" in str(errors[0])
+
+    @pytest.mark.parametrize("literal, escape", [
+        ("'\\x1ff'", "\\x1ff"), ("'\\777'", "\\777"),
+        ('"\\x110000"', "\\x110000"), ('"ok" "\\x100"', "\\x100"),
+    ])
+    def test_an_escape_above_0xff_is_a_parse_error(self, literal, escape):
+        # C99 6.4.4.4p9: a numeric escape must fit in an unsigned char.
+        errors = parse_errors_of(f"int x = sizeof {literal};\nint y;")
+        assert len(errors) == 1
+        assert f"escape sequence '{escape}' out of range" in str(errors[0])
 
 
 class TestAnnotationsOnDeclarations:
@@ -433,6 +444,13 @@ class TestExpressions:
         arg = f.body.items[0].expr.args[0]
         assert isinstance(arg, A.StringLit)
         assert arg.value == "abcd"
+
+    @pytest.mark.parametrize("literal, value", [
+        ('"\\x41"', "A"), ('"\\101"', "A"), ('"\\x41" "\\101"', "AA"),
+        ('"a\\tb\\0"', "a\tb\0"), ('"\\1012"', "A2"), ('"\\"\\\\"', '"\\'),
+    ])
+    def test_string_escapes(self, literal, value):
+        assert self.expr(literal).value == value
 
 
 def parse_errors_of(text):

@@ -42,6 +42,8 @@ class TestBasics:
         ("int x = -7; x /= 2; return x;", -3),
         ("int x = -7; x %= 2; return x;", -1),
         ("return '\\x41' + '\\101';", 130),
+        ('return "\\x41"[0] + "\\101"[0];', 130),
+        ('char *s = "\\x41\\101"; return s[0] + s[1] + s[2];', 130),
     ])
     def test_c_division_and_character_escapes(self, body, value):
         assert run(f"int main(void) {{ {body} }}").exit_code == value
