@@ -23,6 +23,7 @@ Runs two ways:
   writes the trajectory summary to ``BENCH_frontend.json``.
 """
 
+import gc
 import json
 import os
 import pickle
@@ -361,32 +362,44 @@ def _new_cold_once(files: dict[str, str], cache_root: str) -> float:
     return time.perf_counter() - t0
 
 
-def measure_obs_overhead(rounds: int = 5) -> dict:
+def measure_obs_overhead(pairs: int = 21) -> dict:
     """Disabled-path cost of the observability layer on examples/db.
 
-    Interleaved best-of-N: each round times one cacheless check with the
-    inert :data:`NULL_TRACER` and one with the engine's default sink-less
-    measuring tracer (the path every un-traced run takes). The ratio of
-    the minima is the overhead of having the span plumbing in place.
+    Interleaved pairs: each pair times one cacheless check with the
+    inert :data:`NULL_TRACER` and one with the engine's default
+    sink-less measuring tracer (the path every un-traced run takes),
+    alternating which side runs first. The gated ``overhead_ratio`` is
+    the median of the per-pair ratios, so one slow run moves it by at
+    most one rank; ``min_ratio``, the ratio of the two sides' minima,
+    is reported over the same runs for comparison.
     """
     files = db_sources()
-    baseline_s = float("inf")
-    default_s = float("inf")
-    for _ in range(rounds):
-        t0 = time.perf_counter()
-        IncrementalChecker(tracer=NULL_TRACER).check_sources(dict(files))
-        baseline_s = min(baseline_s, time.perf_counter() - t0)
+    baseline: list[float] = []
+    default: list[float] = []
 
+    def timed(checker) -> float:
+        gc.collect()  # no run pays for garbage left by the one before
         t0 = time.perf_counter()
-        IncrementalChecker().check_sources(dict(files))
-        default_s = min(default_s, time.perf_counter() - t0)
-    ratio = default_s / baseline_s if baseline_s else float("inf")
+        checker.check_sources(dict(files))
+        return time.perf_counter() - t0
+
+    timed(IncrementalChecker())  # warm-up: the prelude is built once
+    for pair in range(pairs):
+        if pair % 2:
+            default.append(timed(IncrementalChecker()))
+            baseline.append(timed(IncrementalChecker(tracer=NULL_TRACER)))
+        else:
+            baseline.append(timed(IncrementalChecker(tracer=NULL_TRACER)))
+            default.append(timed(IncrementalChecker()))
+    pair_ratios = [d / b for d, b in zip(default, baseline)]
     return {
-        "null_tracer_ms": round(baseline_s * 1000, 2),
-        "default_tracer_ms": round(default_s * 1000, 2),
-        "overhead_ratio": round(ratio, 4),
+        "null_tracer_ms": [round(b * 1000, 2) for b in baseline],
+        "default_tracer_ms": [round(d * 1000, 2) for d in default],
+        "pair_ratios": [round(r, 4) for r in pair_ratios],
+        "overhead_ratio": round(statistics.median(pair_ratios), 4),
+        "min_ratio": round(min(default) / min(baseline), 4),
         "max_overhead_ratio": MAX_OBS_OVERHEAD,
-        "rounds": rounds,
+        "pairs": pairs,
     }
 
 

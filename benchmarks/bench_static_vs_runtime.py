@@ -3,8 +3,9 @@
 Paper, section 1: run-time checking's "effectiveness depends entirely on
 running the right test cases to reveal the problems"; section 7 adds the
 complementary residue (run-time tools find the global-storage leaks the
-modular static checker cannot). This bench sweeps test coverage and
-prints the detection rates of both tools over a seeded-bug corpus.
+modular static checker cannot). This bench sweeps test coverage over the
+difftest campaign's planted-bug variants and prints the detection rates
+of both tools, read off the campaign's confusion matrices.
 """
 
 from repro.bench.harness import static_vs_runtime_experiment
@@ -14,17 +15,15 @@ from repro.bench.seeding import BugKind
 def test_static_vs_runtime_sweep(benchmark, table_printer):
     outcome = benchmark.pedantic(
         static_vs_runtime_experiment,
-        kwargs={"coverages": (0.25, 0.5, 0.75, 1.0), "bugs_per_kind": 2},
+        kwargs={"coverages": (0.25, 0.5, 0.75, 1.0)},
         rounds=1, iterations=1,
     )
     table_printer(
-        f"STAT-DYN: detection vs coverage ({outcome['total_bugs']} seeded bugs)",
+        f"STAT-DYN: detection vs coverage ({outcome['planted']} planted "
+        f"bugs, {outcome['clean']} clean controls)",
         outcome["rows"],
     )
-    per_kind_rows = [
-        {"kind": kind, **counts} for kind, counts in outcome["per_kind"].items()
-    ]
-    table_printer("STAT-DYN: static detection by bug kind", per_kind_rows)
+    table_printer("STAT-DYN: detection by error class", outcome["per_class"])
 
     rows = outcome["rows"]
     # Static detection is coverage-independent and complete on this corpus.
@@ -34,23 +33,25 @@ def test_static_vs_runtime_sweep(benchmark, table_printer):
     assert rates == sorted(rates)
     # ... and is strictly worse than static checking under partial coverage.
     assert rates[0] < 1.0
-    assert rates[-1] == 1.0  # full coverage finds every seeded bug
-    # No false positives in the clean scenarios.
+    assert rates[-1] == 1.0  # full coverage finds every planted bug
+    # No false positives in the clean controls.
     assert outcome["static_false_positives_in_clean"] == 0
 
 
-def test_every_bug_kind_seedable(benchmark):
-    """The corpus covers the paper's full error catalogue, including the
-    section 7 residue classes (offset-pointer and static frees)."""
+def test_every_bug_kind_planted(benchmark):
+    """The sweep covers the paper's full error catalogue, including the
+    section 7 residue classes (offset-pointer and static frees), and
+    the static checker finds every plant of every class."""
     kinds = {k.value for k in BugKind}
     assert {"leak", "double-free", "use-after-free", "null-dereference",
             "uninitialized-read", "static-free", "offset-free"} <= kinds
     outcome = benchmark.pedantic(
         static_vs_runtime_experiment,
-        kwargs={"coverages": (1.0,), "bugs_per_kind": 1},
+        kwargs={"coverages": (1.0,)},
         rounds=1, iterations=1,
     )
+    assert set(outcome["plants_by_kind"]) == kinds, outcome["plants_by_kind"]
+    assert outcome["excluded"] == 0
     assert all(
-        counts["static"] == counts["total"]
-        for counts in outcome["per_kind"].values()
-    ), outcome["per_kind"]
+        row["static"] == row["planted"] for row in outcome["per_class"]
+    ), outcome["per_class"]

@@ -5,77 +5,42 @@
 depends entirely on running the right test cases to reveal the
 problems." (section 1)
 
-This example seeds a program with one bug of each kind the paper
-catalogues, then compares:
+This example runs the differential campaign (``repro difftest``) over
+40 generated variants, each with one bug of a kind the paper catalogues
+planted in one of its four scenarios (every eighth variant stays clean),
+and compares:
 
 * the static checker, which sees every scenario without running any, and
 * the instrumented-heap interpreter (the dmalloc/Purify stand-in), which
   only reports errors in the scenarios the 'test suite' actually runs.
+
+It prints the campaign's per-class table at 50% test coverage, then the
+totals of the whole coverage sweep.
 
 Run with::
 
     python examples/static_vs_dynamic.py
 """
 
-from repro import Checker
-from repro.bench.seeding import (
-    function_line_ranges,
-    generate_seeded_program,
-    match_runtime_detection,
-    match_static_detections,
-)
-from repro.frontend.symtab import SymbolTable
-from repro.runtime.interp import Interpreter
+from repro.bench.harness import static_vs_runtime_experiment
 
 
 def main() -> None:
-    seeded = generate_seeded_program(modules=2, bugs_per_kind=1,
-                                     clean_scenarios=2)
-    print(f"seeded program: {seeded.program.loc} lines, "
-          f"{len(seeded.bugs)} bugs, "
-          f"{len(seeded.clean_scenarios)} clean scenarios\n")
+    outcome = static_vs_runtime_experiment()
+    print(outcome["tables"][0.5])
 
-    # --- static: one pass over the whole program, no execution ---------
-    result = Checker().check_sources(dict(seeded.program.files))
-    ranges = function_line_ranges(result.units)
-    static_found = match_static_detections(seeded.bugs, result.messages, ranges)
+    planted = outcome["planted"] - outcome["excluded"]
+    print(f"\n{'coverage':>8} {'static (all paths)':>19} "
+          f"{'runtime (executed paths)':>25}")
+    for row in outcome["rows"]:
+        static = f"{row['static_found']}/{planted}"
+        runtime = f"{row['runtime_found']}/{planted}"
+        print(f"{row['coverage']:>8.0%} {static:>19} {runtime:>25}")
 
-    # --- dynamic: only half the scenarios are 'tested' -----------------
-    checker = Checker()
-    parsed = []
-    for name, text in seeded.program.files.items():
-        if name.endswith(".h"):
-            checker.sources.add(name, text)
-    for name, text in seeded.program.files.items():
-        if not name.endswith(".h"):
-            parsed.append(checker.parse_unit(text, name))
-    symtab = SymbolTable()
-    enum_consts: dict[str, int] = {}
-    for pu in parsed:
-        symtab.add_unit(pu.unit)
-        enum_consts.update(pu.enum_consts)
-    units = [pu.unit for pu in parsed]
-
-    tested = {bug.scenario for bug in seeded.bugs[: len(seeded.bugs) // 2]}
-
-    print(f"{'bug kind':<22} {'static':>7} {'runtime (50% coverage)':>23}")
-    runtime_found = 0
-    for bug in seeded.bugs:
-        if bug.scenario in tested:
-            interp = Interpreter(units, symtab, enum_consts)
-            run = interp.run(bug.scenario)
-            dynamic = match_runtime_detection(bug, run.events)
-        else:
-            dynamic = False  # the buggy path never executed
-        runtime_found += int(dynamic)
-        print(f"{bug.kind.value:<22} "
-              f"{'found' if static_found[bug.bug_id] else 'MISSED':>7} "
-              f"{'found' if dynamic else 'missed (not executed)':>23}")
-
-    total = len(seeded.bugs)
-    print(f"\nstatic:  {sum(static_found.values())}/{total} "
+    half = next(r for r in outcome["rows"] if r["coverage"] == 0.5)
+    print(f"\nstatic:  {half['static_found']}/{planted} "
           "(all paths, no test cases needed)")
-    print(f"runtime: {runtime_found}/{total} "
+    print(f"runtime: {half['runtime_found']}/{planted} at 50% coverage "
           "(only errors on executed paths are visible)")
 
 

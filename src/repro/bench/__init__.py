@@ -1,4 +1,4 @@
-"""Benchmark workloads: program generation, bug seeding, experiment harness."""
+"""Benchmark workloads: program generation, bug recipes, experiment harness."""
 
 from .dbexample import FINAL_STAGE, annotation_census, db_sources
 from .generator import GeneratedProgram, generate_program, generate_program_of_size, strip_annotations
@@ -13,7 +13,7 @@ from .harness import (
     section6_experiment,
     static_vs_runtime_experiment,
 )
-from .seeding import BugKind, SeededBug, SeededProgram, generate_seeded_program
+from .seeding import BugKind
 
 __all__ = [
     "FINAL_STAGE",
@@ -33,7 +33,4 @@ __all__ = [
     "section6_experiment",
     "static_vs_runtime_experiment",
     "BugKind",
-    "SeededBug",
-    "SeededProgram",
-    "generate_seeded_program",
 ]

@@ -11,8 +11,9 @@ exercise them across module boundaries.
 Two properties are load-bearing:
 
 * A fully-annotated generated program checks **clean** — so checker time
-  on it measures analysis cost, not message formatting, and so seeded
-  bugs (see :mod:`repro.bench.seeding`) are the only true positives.
+  on it measures analysis cost, not message formatting, and so planted
+  bugs (the recipes of :mod:`repro.bench.seeding`, spliced in by
+  :mod:`repro.difftest.mutations`) are the only true positives.
 * The same program can be emitted **without annotations** to reproduce
   the "on the order of a thousand messages" burden experiment.
 """

@@ -10,22 +10,16 @@ from __future__ import annotations
 
 import math
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 
 from ..analysis.cfg import build_cfg
 from ..core.api import Checker
 from ..flags.registry import Flags
 from ..messages.message import MessageCode
-from ..runtime.interp import load_program
+from ..obs.metrics import MetricsRegistry
 from .dbexample import FINAL_STAGE, annotation_census, db_sources
 from .generator import generate_program_of_size
-from .seeding import (
-    BugKind,
-    function_line_ranges,
-    generate_seeded_program,
-    match_runtime_detection,
-    match_static_detections,
-)
 
 NOIMP = Flags.from_args(["-allimponly"])
 
@@ -273,61 +267,69 @@ def db_runtime_residue() -> dict:
 
 def static_vs_runtime_experiment(
     coverages: tuple[float, ...] = (0.25, 0.5, 0.75, 1.0),
-    bugs_per_kind: int = 2,
-    modules: int = 3,
-    seed: int = 20260704,
+    seeds: int = 40,
 ) -> dict:
-    seeded = generate_seeded_program(
-        modules=modules, bugs_per_kind=bugs_per_kind, seed=seed
-    )
-    result = Checker().check_sources(dict(seeded.program.files))
-    ranges = function_line_ranges(result.units)
-    static_found = match_static_detections(seeded.bugs, result.messages, ranges)
+    """A test-coverage sweep of the difftest campaign.
 
-    # false positives: messages attributed to clean scenarios
-    clean_spans = [
-        ranges[name] for name in seeded.clean_scenarios if name in ranges
-    ]
-    false_positives = sum(
-        1
-        for m in result.messages
-        if any(
-            f == m.location.filename and s <= m.location.line <= e
-            for f, s, e in clean_spans
-        )
-    )
+    Each coverage runs :func:`repro.difftest.run_campaign` over the same
+    seeds: one planted bug per variant, every eighth variant a clean
+    control, and four scenarios per variant, so a 25% test suite runs
+    one of them. Only the share of scenarios the run-time detector
+    executes changes; the static checker executes none. Rows are read
+    off the campaign's confusion matrices, and ``tables`` holds each
+    campaign's rendered table.
+    """
+    # difftest.mutations imports bench.seeding, and this package's
+    # __init__ imports this module: a top-level import is a cycle.
+    from ..difftest import CampaignConfig, run_campaign
+    from ..difftest.mutations import CAMPAIGN_CLASSES
 
-    program = load_program(seeded.program.files)
-    total = len(seeded.bugs)
     rows: list[dict] = []
+    per_class = {cls: {"class": cls} for cls in CAMPAIGN_CLASSES}
+    tables: dict[float, str] = {}
     for coverage in coverages:
-        executed = max(1, round(coverage * total))
-        covered_bugs = seeded.bugs[:executed]
-        runtime_found = 0
-        for bug in covered_bugs:
-            run = program.interpreter(max_steps=2_000_000).run(bug.scenario)
-            if match_runtime_detection(bug, run.events):
-                runtime_found += 1
+        config = CampaignConfig(
+            seeds=seeds, coverage=coverage, scenarios_per_module=4,
+            corpus_dir=None, shrink=False,
+        )
+        campaign = run_campaign(config, metrics=MetricsRegistry())
+        static = campaign.static_matrix.total()
+        runtime = campaign.runtime_matrix.total()
         rows.append(
             {
                 "coverage": coverage,
-                "scenarios_run": executed,
-                "runtime_found": runtime_found,
-                "runtime_rate": runtime_found / total,
-                "static_found": sum(static_found.values()),
-                "static_rate": sum(static_found.values()) / total,
+                "static_found": static.tp,
+                "static_fp": static.fp,
+                "static_rate": static.recall,
+                "runtime_found": runtime.tp,
+                "runtime_fp": runtime.fp,
+                "runtime_rate": runtime.recall,
             }
         )
-    per_kind: dict[str, dict] = {}
-    for bug in seeded.bugs:
-        entry = per_kind.setdefault(
-            bug.kind.value, {"total": 0, "static": 0}
-        )
-        entry["total"] += 1
-        entry["static"] += int(static_found[bug.bug_id])
+        for cls, entry in per_class.items():
+            planted = campaign.static_matrix.at(cls)
+            entry["planted"] = planted.tp + planted.fn
+            entry["static"] = planted.tp
+            entry[f"runtime@{round(coverage * 100)}%"] = (
+                campaign.runtime_matrix.at(cls).tp
+            )
+        tables[coverage] = campaign.render()
+    engine = config.engine()
+    kinds = Counter(
+        variant.planted.kind.value
+        for variant in map(engine.variant, range(seeds))
+        if variant.planted is not None
+    )
     return {
-        "total_bugs": total,
+        "planted": campaign.planted_count,
+        "clean": campaign.clean_count,
+        "excluded": campaign.excluded_count,
+        "plants_by_kind": dict(sorted(kinds.items())),
         "rows": rows,
-        "per_kind": per_kind,
-        "static_false_positives_in_clean": false_positives,
+        "per_class": list(per_class.values()),
+        "static_false_positives_in_clean": sum(
+            len(outcome.discrepancies) for outcome in campaign.outcomes
+            if outcome.planted_class is None
+        ),
+        "tables": tables,
     }

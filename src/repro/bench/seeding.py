@@ -1,14 +1,14 @@
-"""Bug seeding: programs with known memory errors for detection studies.
+"""Bug seeding: the paper's error catalogue as plantable recipes.
 
-The paper's central comparison (sections 1 and 7) is qualitative: static
+The paper's central comparison (sections 1 and 7) is that static
 checking finds errors on *all* paths without running the program, while
-run-time tools "depend entirely on running the right test cases". This
-module makes that measurable. It generates programs in which each
-scenario function contains exactly one seeded bug of a known kind (or no
-bug), records the ground truth, and provides matchers for deciding
-whether the static checker or the run-time baseline found each one.
+run-time tools "depend entirely on running the right test cases". The
+difftest mutation engine (:mod:`repro.difftest.mutations`) measures it
+by splicing one of these recipes into each generated program variant;
+the STAT-DYN experiment is a coverage sweep of that campaign
+(:func:`repro.bench.harness.static_vs_runtime_experiment`).
 
-The seeded kinds mirror the paper's error catalogue, including the two
+The kinds mirror the paper's error catalogue, including the two
 residual classes section 7 says the 1996 tool handled poorly (freeing
 offset pointers, freeing static storage — "LCLint has since been
 improved to detect" them; this reproduction detects both).
@@ -17,12 +17,8 @@ improved to detect" them; this reproduction detects both).
 from __future__ import annotations
 
 import enum
-import random
-from dataclasses import dataclass, field
 
-from ..messages.message import Message, MessageCode
-from ..runtime.heap import RuntimeEventKind
-from .generator import GeneratedProgram, generate_program
+from ..messages.message import MessageCode
 
 
 class BugKind(enum.Enum):
@@ -51,7 +47,12 @@ class BugKind(enum.Enum):
         return self.value
 
 
-#: Static message codes that count as detecting each bug kind.
+#: Static message codes that count as detecting each bug kind inside its
+#: scenario function. Narrower than the classes of
+#: :data:`repro.messages.message.MEMORY_ERROR_CLASSES` on purpose: a
+#: planted leak is not found by a ``LEAK_RETURN`` or ``ONLY_NOT_RELEASED``
+#: message, and the refinement plants need their own codes rather than a
+#: coarser ``USE_BEFORE_DEF`` or ``USE_AFTER_RELEASE``.
 STATIC_SIGNATURES: dict[BugKind, set[MessageCode]] = {
     BugKind.LEAK: {MessageCode.LEAK_SCOPE, MessageCode.LEAK_OVERWRITE,
                    MessageCode.LEAK_RESULT},
@@ -66,59 +67,12 @@ STATIC_SIGNATURES: dict[BugKind, set[MessageCode]] = {
     BugKind.DOUBLE_FREE_ALIAS: {MessageCode.DOUBLE_RELEASE},
 }
 
-#: Runtime event kinds that count as detecting each bug kind.
-RUNTIME_SIGNATURES: dict[BugKind, set[RuntimeEventKind]] = {
-    BugKind.LEAK: {RuntimeEventKind.LEAK},
-    BugKind.DOUBLE_FREE: {RuntimeEventKind.DOUBLE_FREE,
-                          RuntimeEventKind.USE_AFTER_FREE},
-    BugKind.USE_AFTER_FREE: {RuntimeEventKind.USE_AFTER_FREE},
-    BugKind.NULL_DEREF: {RuntimeEventKind.NULL_DEREF},
-    BugKind.UNINIT_READ: {RuntimeEventKind.UNINIT_READ},
-    BugKind.STATIC_FREE: {RuntimeEventKind.INVALID_FREE},
-    BugKind.OFFSET_FREE: {RuntimeEventKind.INVALID_FREE},
-    BugKind.OUT_OF_BOUNDS: {RuntimeEventKind.OUT_OF_BOUNDS},
-    BugKind.UNINIT_FIELD: {RuntimeEventKind.UNINIT_READ},
-    BugKind.DOUBLE_FREE_ALIAS: {RuntimeEventKind.DOUBLE_FREE},
-}
-
-#: Runtime event classes that *witness* each plantable error class: the
-#: instrumented heap has no notion of the static refinements, so a
-#: planted ``uninit-field-read`` manifests as an ``uninitialized-read``
-#: event and a planted ``double-free-alias`` as a ``double-free``. Plant
-#: confirmation and runtime TP scoring go through this map.
-RUNTIME_WITNESSES: dict[str, frozenset[str]] = {}
-for _kind in BugKind:
-    RUNTIME_WITNESSES[_kind.error_class] = RUNTIME_WITNESSES.get(
-        _kind.error_class, frozenset()
-    ) | frozenset(e.error_class for e in RUNTIME_SIGNATURES[_kind])
-del _kind
-
-
-@dataclass(frozen=True)
-class SeededBug:
-    bug_id: int
-    kind: BugKind
-    scenario: str  # function name containing the bug
-    file: str
-
-
-@dataclass
-class SeededProgram:
-    program: GeneratedProgram
-    bugs: list[SeededBug] = field(default_factory=list)
-    clean_scenarios: list[str] = field(default_factory=list)
-
-    @property
-    def scenarios(self) -> list[str]:
-        return [b.scenario for b in self.bugs] + list(self.clean_scenarios)
-
 
 def bug_body(kind: BugKind, module: int, name: str) -> tuple[str, str]:
     """Return (helper declarations, scenario body) for one bug kind.
 
-    The difftest mutation engine splices these same recipes into
-    generator output, so the seeded-program experiment and the
-    fault-injection campaign plant byte-identical bugs.
+    The difftest mutation engine splices the body into a scenario
+    function of generator output, and the helpers above it.
     """
     rec = f"rec{module}"
     helpers = ""
@@ -216,10 +170,6 @@ static /*@null@*/ /*@only@*/ {rec} maybe_{name}(int n)
     else:  # pragma: no cover
         raise ValueError(kind)
     return helpers, body
-
-
-#: Backwards-compatible alias (bug_body predates its public use).
-_bug_body = bug_body
 
 
 #: Clean scenario recipes guarding the checkers' false-positive rate:
@@ -345,114 +295,3 @@ static /*@null@*/ /*@only@*/ {rec} opt_{name}(int n)
     else:
         raise ValueError(f"unknown guard idiom {idiom!r}")
     return helpers, body
-
-
-def _clean_body(module: int, name: str, count: int) -> str:
-    rec = f"rec{module}"
-    return f"""
-  {rec} head = {rec}_create("clean", {count});
-  head = {rec}_push(head, "ok", {count + 1});
-  printf("{name}: %d\\n", {rec}_total(head));
-  {rec}_destroy(head);
-"""
-
-
-def generate_seeded_program(
-    modules: int = 3,
-    bugs_per_kind: int = 2,
-    clean_scenarios: int = 6,
-    kinds: list[BugKind] | None = None,
-    seed: int = 20260704,
-) -> SeededProgram:
-    """A generated program plus scenario functions with seeded bugs.
-
-    Every scenario is an independent entry point, so a 'test suite' is a
-    subset of scenarios to execute — which is exactly the knob the
-    static-vs-runtime experiment turns.
-    """
-    rng = random.Random(seed)
-    base = generate_program(modules=modules, filler_functions=2,
-                            scenarios_per_module=0, seed=seed)
-    kinds = kinds or list(BugKind)
-    files = dict(base.files)
-    bugs: list[SeededBug] = []
-    clean: list[str] = []
-
-    parts = ['#include <stdlib.h>\n#include <stdio.h>\n#include "util.h"\n']
-    for i in range(modules):
-        parts.append(f'#include "rec{i}.h"\n')
-
-    bug_id = 0
-    scenario_names: list[str] = []
-    for kind in kinds:
-        for k in range(bugs_per_kind):
-            module = rng.randrange(modules)
-            name = f"scenario_{kind.value.replace('-', '_')}_{k}"
-            helpers, body = bug_body(kind, module, name)
-            parts.append(helpers)
-            parts.append(f"void {name}(void)\n{{{body}}}\n")
-            bugs.append(SeededBug(bug_id, kind, name, "seeded.c"))
-            scenario_names.append(name)
-            bug_id += 1
-    for k in range(clean_scenarios):
-        module = rng.randrange(modules)
-        name = f"scenario_clean_{k}"
-        parts.append(f"void {name}(void)\n{{{_clean_body(module, name, k)}}}\n")
-        clean.append(name)
-        scenario_names.append(name)
-
-    calls = "\n".join(f"  {n}();" for n in scenario_names)
-    parts.append(f"int main(void)\n{{\n{calls}\n  return 0;\n}}\n")
-    files["seeded.c"] = "\n".join(parts)
-
-    program = GeneratedProgram(
-        files, modules, base.functions + len(scenario_names) + 1,
-        scenario_names,
-    )
-    return SeededProgram(program, bugs, clean)
-
-
-# ---------------------------------------------------------------------------
-# detection matching
-# ---------------------------------------------------------------------------
-
-
-def function_line_ranges(units) -> dict[str, tuple[str, int, int]]:
-    """Map function name -> (file, first line, last line)."""
-    ranges: dict[str, tuple[str, int, int]] = {}
-    for unit in units:
-        for fdef in unit.functions():
-            start = fdef.location.line
-            end = (fdef.body.end_location or fdef.location).line
-            ranges[fdef.name] = (fdef.location.filename, start, end)
-    return ranges
-
-
-def match_static_detections(
-    bugs: list[SeededBug],
-    messages: list[Message],
-    ranges: dict[str, tuple[str, int, int]],
-) -> dict[int, bool]:
-    """Which seeded bugs does a static report cover?"""
-    found: dict[int, bool] = {}
-    for bug in bugs:
-        span = ranges.get(bug.scenario)
-        signature = STATIC_SIGNATURES[bug.kind]
-        hit = False
-        if span is not None:
-            filename, start, end = span
-            for msg in messages:
-                if msg.code not in signature:
-                    continue
-                if msg.location.filename != filename:
-                    continue
-                if start <= msg.location.line <= end + 1:
-                    hit = True
-                    break
-        found[bug.bug_id] = hit
-    return found
-
-
-def match_runtime_detection(bug: SeededBug, events) -> bool:
-    signature = RUNTIME_SIGNATURES[bug.kind]
-    return any(e.kind in signature for e in events)

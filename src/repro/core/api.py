@@ -73,9 +73,13 @@ def ensure_process_initialized() -> Prelude:
     service's worker threads.
 
     The first caller builds under the lock; a caller racing it waits
-    and gets the same prelude.
+    and gets the same prelude. A built prelude is returned without the
+    lock, so a pool worker forked while another thread of its parent
+    held the lock does not wait on it forever.
     """
     global _PRELUDE
+    if _PRELUDE is not None:
+        return _PRELUDE
     with _PRELUDE_LOCK:
         if _PRELUDE is None:
             preprocessor = Preprocessor(

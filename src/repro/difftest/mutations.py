@@ -53,6 +53,24 @@ CAMPAIGN_CLASSES: tuple[str, ...] = (
     "double-free-alias",
 )
 
+#: The classes that witness a planted class, on either side. A planted
+#: double free's static witness arrives as the use-after-free class (a
+#: second free *is* a use of released storage), and the instrumented
+#: heap has no notion of the static refinements: it reports a
+#: partial-struct field read as an uninitialized read and an aliased
+#: double free as a double free (or, with intervening reuse, a
+#: use-after-free). Plant confirmation and run-time TP scoring read it.
+STATIC_EQUIVALENTS: dict[str, frozenset[str]] = {
+    **{cls: frozenset({cls}) for cls in CAMPAIGN_CLASSES},
+    "double-free": frozenset({"double-free", "use-after-free"}),
+    "uninit-field-read": frozenset(
+        {"uninit-field-read", "uninitialized-read"}
+    ),
+    "double-free-alias": frozenset(
+        {"double-free-alias", "double-free", "use-after-free"}
+    ),
+}
+
 
 class MutationError(Exception):
     """The engine could not apply a mutation (malformed generator output)."""

@@ -19,12 +19,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from ..bench.seeding import (
-    RUNTIME_WITNESSES,
-    SeededBug,
-    function_line_ranges,
-    match_static_detections,
-)
+from ..bench.seeding import STATIC_SIGNATURES
 from ..flags.registry import DEFAULT_FLAGS, Flags
 from ..messages.message import Message, MessageCode
 from ..runtime.interp import (
@@ -33,7 +28,7 @@ from ..runtime.interp import (
     StepBudgetExceeded,
     load_program,
 )
-from .mutations import Variant
+from .mutations import STATIC_EQUIVALENTS, PlantedBug, Variant
 
 
 @dataclass
@@ -77,15 +72,33 @@ class DualVerdict:
         """Did the instrumented heap observe the planted class at all?
 
         Static refinement classes are confirmed by their coarser run-time
-        witness (:data:`repro.bench.seeding.RUNTIME_WITNESSES`): the heap
-        reports a partial-struct field read as an uninitialized read.
+        witness (:data:`repro.difftest.mutations.STATIC_EQUIVALENTS`): the
+        heap reports a partial-struct field read as an uninitialized read.
         """
         if self.planted_class is None:
             return True
-        witnesses = RUNTIME_WITNESSES.get(
-            self.planted_class, frozenset({self.planted_class})
-        )
+        witnesses = STATIC_EQUIVALENTS[self.planted_class]
         return bool(witnesses & set(self.oracle.event_classes))
+
+
+def _window_hit(planted: PlantedBug, messages: list[Message], units) -> bool:
+    """Does a message of the plant's static signature fall inside its
+    scenario function, or on the line after its closing brace?"""
+    span = None
+    for unit in units:
+        for fdef in unit.functions():
+            if fdef.name == planted.scenario:
+                end = (fdef.body.end_location or fdef.location).line
+                span = fdef.location.filename, fdef.location.line, end
+    if span is None:
+        return False
+    filename, start, end = span
+    signature = STATIC_SIGNATURES[planted.kind]
+    return any(
+        m.code in signature and m.location.filename == filename
+        and start <= m.location.line <= end + 1
+        for m in messages
+    )
 
 
 class DualRunner:
@@ -112,16 +125,9 @@ class DualRunner:
             cls = msg.code.error_class
             if cls is not None:
                 classes[cls] = classes.get(cls, 0) + 1
-        window_hit = False
-        if variant.planted is not None:
-            ranges = function_line_ranges(result.units)
-            probe = SeededBug(
-                0, variant.planted.kind, variant.planted.scenario,
-                variant.planted.file,
-            )
-            window_hit = match_static_detections(
-                [probe], result.messages, ranges
-            )[0]
+        window_hit = variant.planted is not None and _window_hit(
+            variant.planted, result.messages, result.units
+        )
         parse_errors = sum(
             1 for m in result.messages if m.code is MessageCode.PARSE_ERROR
         )

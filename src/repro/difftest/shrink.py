@@ -23,9 +23,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .mutations import MutationEngine, Variant
+from .mutations import STATIC_EQUIVALENTS, MutationEngine, Variant
 from .runner import DualRunner
-from .verdict import CORROBORATED_BY, STATIC_EQUIVALENTS, Discrepancy
+from .verdict import CORROBORATED_BY, Discrepancy
 
 
 @dataclass

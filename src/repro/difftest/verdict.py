@@ -17,50 +17,27 @@ the dynamic side) and scores each against ground truth:
 A static message code can legitimately witness two dynamic classes
 (``USE_AFTER_RELEASE`` covers both use-after-free and double free: a
 second free *is* a use of released storage), so corroboration uses a
-small equivalence table rather than string equality.
+small equivalence table rather than string equality
+(:data:`CORROBORATED_BY`); plants are witnessed through
+:data:`repro.difftest.mutations.STATIC_EQUIVALENTS`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .mutations import CAMPAIGN_CLASSES
+from .mutations import CAMPAIGN_CLASSES, STATIC_EQUIVALENTS
 from .runner import DualVerdict
 
-#: Oracle classes that corroborate a static/dynamic claim of the key
-#: class. Beyond the identity, a use-after-free claim is corroborated by
-#: an observed double free (same static message code witnesses both).
+#: Oracle classes that corroborate a static claim of the key class: a
+#: plant's witnesses (:data:`STATIC_EQUIVALENTS`), except that an
+#: observed double free corroborates a use-after-free claim (the same
+#: static message code witnesses both) and not the other way round.
 CORROBORATED_BY: dict[str, frozenset[str]] = {
-    cls: frozenset({cls}) for cls in CAMPAIGN_CLASSES
+    **STATIC_EQUIVALENTS,
+    "use-after-free": frozenset({"use-after-free", "double-free"}),
+    "double-free": frozenset({"double-free"}),
 }
-CORROBORATED_BY["use-after-free"] = frozenset(
-    {"use-after-free", "double-free"}
-)
-# The static refinement classes have no run-time twin: the instrumented
-# heap sees a partial-struct field read as a plain uninitialized read and
-# an aliased double free as a double free (or, with intervening reuse, a
-# use-after-free).
-CORROBORATED_BY["uninit-field-read"] = frozenset(
-    {"uninit-field-read", "uninitialized-read"}
-)
-CORROBORATED_BY["double-free-alias"] = frozenset(
-    {"double-free-alias", "double-free", "use-after-free"}
-)
-#: ...and vice versa: a planted double free's static witness arrives as
-#: the use-after-free class, and a planted refinement-class bug is
-#: witnessed at run time by its coarser dynamic class.
-STATIC_EQUIVALENTS: dict[str, frozenset[str]] = {
-    cls: frozenset({cls}) for cls in CAMPAIGN_CLASSES
-}
-STATIC_EQUIVALENTS["double-free"] = frozenset(
-    {"double-free", "use-after-free"}
-)
-STATIC_EQUIVALENTS["uninit-field-read"] = frozenset(
-    {"uninit-field-read", "uninitialized-read"}
-)
-STATIC_EQUIVALENTS["double-free-alias"] = frozenset(
-    {"double-free-alias", "double-free", "use-after-free"}
-)
 
 
 @dataclass

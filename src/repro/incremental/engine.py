@@ -68,10 +68,10 @@ from ..stdlib.specs import (
 )
 from .cache import ResultCache, UnitMemo
 from .fingerprint import (
+    FAILED_INTERFACE_DIGEST,
     check_fingerprint,
     defines_digest,
     flags_digest,
-    interface_digest,
     program_digest,
     source_key,
     text_digest,
@@ -812,7 +812,7 @@ class IncrementalChecker:
         plan.interface = unit_interface(plan.parsed)
         if self.incremental:
             plan.token_digest = text_digest("unparseable\0" + plan.text)
-            plan.iface_digest = interface_digest(plan.interface, {})
+            plan.iface_digest = FAILED_INTERFACE_DIGEST
 
     def _preprocess(
         self,

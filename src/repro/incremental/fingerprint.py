@@ -41,6 +41,16 @@ from ..stdlib.specs import PRELUDE_DEFINES, PRELUDE_TEXT, SYSTEM_HEADERS
 ENGINE_VERSION = 3
 
 
+#: The interface digest of a unit whose frontend gave up. Its interface
+#: is empty whatever the failure, so one constant stands for it: the
+#: value :func:`interface_digest` gives the empty slice, so the cache
+#: keys of programs with such a unit did not change when it replaced
+#: that walk.
+FAILED_INTERFACE_DIGEST = (
+    "ce4a1364864f356727107a4ca64281b2786557907b6ee6c149f6e6acd05a3b44"
+)
+
+
 def _sha(*parts: str) -> str:
     digest = hashlib.sha256()
     for part in parts:

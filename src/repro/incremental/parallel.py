@@ -10,12 +10,14 @@ each unit is a pure function of (its AST, the merged program symbol
 table, the flags) — see :func:`repro.core.api.check_parsed_unit`.
 
 Workers are created with the ``fork`` start method, and ``fn`` and
-``shared`` travel to workers through fork-inherited memory: the parent
-parks them in a module global before building the pool and each task
-carries only its tuple of items. Nothing shared is ever pickled, so
-per-worker memory does not scale with the job count and unpicklable
-shared state cannot force a serial fallback. Only the results travel
-back pickled.
+``shared`` travel to workers through fork-inherited memory: they are
+the pool's initializer arguments, which a forked worker inherits
+without pickling, and each task carries only its tuple of items.
+Nothing shared is ever pickled, so per-worker memory does not scale
+with the job count and unpicklable shared state cannot force a serial
+fallback. Only the results travel back pickled. Each pool carries its
+own caller's state, so threads that run pools at once (the checking
+service's workers under ``--jobs``) never see each other's.
 
 Failure handling is fault-contained rather than all-or-nothing:
 
@@ -52,14 +54,16 @@ from ..core.api import (
 from ..obs.metrics import GLOBAL_METRICS, MetricsRegistry
 from .shard import partition_units, shard_balance, shard_count_for
 
-#: ``(fn, shared)`` parked by the parent immediately before the pool
-#: forks; workers read it back through inherited memory. Only ever
-#: non-None inside fork_map's pool window.
-_PARENT_STATE: tuple | None = None
+#: A worker's ``(fn, shared)``, set by :func:`_init_worker`; always
+#: None in the parent.
+_WORKER_STATE: tuple | None = None
 
 
-def _init_worker() -> None:
-    """Runs once in each worker: warm the prelude (usually inherited)."""
+def _init_worker(fn, shared) -> None:
+    """Runs once in each worker: keep the pool's ``(fn, shared)`` and
+    warm the prelude (usually inherited)."""
+    global _WORKER_STATE
+    _WORKER_STATE = (fn, shared)
     ensure_process_initialized()
 
 
@@ -67,8 +71,7 @@ def _run_task(task: tuple) -> tuple[int, list]:
     """Run one task's items; returns (worker pid, results in task
     order). The pid lets the parent attribute tasks to workers for the
     steal metric without any extra plumbing."""
-    assert _PARENT_STATE is not None, "fork did not inherit parent state"
-    fn, shared = _PARENT_STATE
+    fn, shared = _WORKER_STATE
     return os.getpid(), [fn(shared, item) for item in task]
 
 
@@ -107,7 +110,6 @@ def fork_map(
     every fallback and retry so the run can report why it did not go
     fully parallel.
     """
-    global _PARENT_STATE
     metrics = metrics if metrics is not None else MetricsRegistry()
     count = sum(len(task) for task in tasks)
     workers = min(jobs, len(tasks))
@@ -126,62 +128,59 @@ def fork_map(
         for item in task:
             results[item] = fn(shared, item)
 
-    _PARENT_STATE = (fn, shared)
     try:
-        try:
-            pool = ProcessPoolExecutor(
-                max_workers=workers,
-                mp_context=multiprocessing.get_context("fork"),
-                initializer=_init_worker,
-            )
-        except Exception as exc:
-            return _no_pool(
-                f"cannot start worker pool: {type(exc).__name__}",
-                count, noun, metrics,
-            )
-        with pool:
-            futures = [pool.submit(_run_task, task) for task in tasks]
-            broken = False
-            for task, future in zip(tasks, futures):
-                if broken and not finished(future):
-                    run_serially(task)
-                    continue
-                try:
-                    pid, outputs = future.result()
-                except BrokenProcessPool:
-                    # The pool collapsed: every remaining future raises
-                    # this same error. One fallback, one note — not one
-                    # retry per surviving item. Finished work is kept.
-                    broken = True
-                    remaining = sum(
-                        len(t) for t, f in zip(tasks, futures)
-                        if not finished(f)
-                    )
-                    metrics.inc("engine.parallel.fallbacks")
+        pool = ProcessPoolExecutor(
+            max_workers=workers,
+            mp_context=multiprocessing.get_context("fork"),
+            initializer=_init_worker,
+            initargs=(fn, shared),
+        )
+    except Exception as exc:
+        return _no_pool(
+            f"cannot start worker pool: {type(exc).__name__}",
+            count, noun, metrics,
+        )
+    with pool:
+        futures = [pool.submit(_run_task, task) for task in tasks]
+        broken = False
+        for task, future in zip(tasks, futures):
+            if broken and not finished(future):
+                run_serially(task)
+                continue
+            try:
+                pid, outputs = future.result()
+            except BrokenProcessPool:
+                # The pool collapsed: every remaining future raises
+                # this same error. One fallback, one note — not one
+                # retry per surviving item. Finished work is kept.
+                broken = True
+                remaining = sum(
+                    len(t) for t, f in zip(tasks, futures)
+                    if not finished(f)
+                )
+                metrics.inc("engine.parallel.fallbacks")
+                notes.append(
+                    f"worker pool collapsed (BrokenProcessPool); "
+                    f"checked the remaining {remaining} {noun}(s) "
+                    f"serially"
+                )
+                run_serially(task)
+                continue
+            except Exception as exc:
+                # One dead task (a crashed task, an exception past
+                # per-function containment) costs one serial re-run
+                # of its items, not the whole pool's work.
+                for item in task:
+                    metrics.inc("engine.parallel.unit_retries")
                     notes.append(
-                        f"worker pool collapsed (BrokenProcessPool); "
-                        f"checked the remaining {remaining} {noun}(s) "
-                        f"serially"
+                        f"parallel check of {name(item)} failed "
+                        f"({type(exc).__name__}); re-checked serially"
                     )
-                    run_serially(task)
-                    continue
-                except Exception as exc:
-                    # One dead task (a crashed task, an exception past
-                    # per-function containment) costs one serial re-run
-                    # of its items, not the whole pool's work.
-                    for item in task:
-                        metrics.inc("engine.parallel.unit_retries")
-                        notes.append(
-                            f"parallel check of {name(item)} failed "
-                            f"({type(exc).__name__}); re-checked serially"
-                        )
-                    run_serially(task)
-                    continue
-                pids.append(pid)
-                for item, output in zip(task, outputs):
-                    results[item] = output
-    finally:
-        _PARENT_STATE = None
+                run_serially(task)
+                continue
+            pids.append(pid)
+            for item, output in zip(task, outputs):
+                results[item] = output
     if pids:
         metrics.inc("engine.shard.steals", _steals(pids, len(tasks), workers))
     return results, notes

@@ -51,16 +51,21 @@ print(program.scenarios)
 """
 
 CHECKER_SNIPPET = """
-from repro.bench.seeding import generate_seeded_program
+from repro.bench.dbexample import db_sources
+from repro.bench.seeding import BugKind
 from repro.core.api import Checker
-seeded = generate_seeded_program(
-    modules=2, bugs_per_kind=1, clean_scenarios=2, seed=5,
-)
-result = Checker().check_sources(seeded.program.files)
-for message in result.messages:
-    print(message.render())
-for bug in seeded.bugs:
-    print(bug.kind.value, bug.scenario)
+from repro.difftest.mutations import MutationEngine
+programs = [db_sources(0)]
+programs += [MutationEngine(kinds=(kind,)).variant(0).files for kind in BugKind]
+codes = set()
+for files in programs:
+    for message in Checker().check_sources(files).messages:
+        codes.add(message.code.name)
+        print(message.render())
+# one plant of each kind draws every memory-error code
+assert {"ARRAY_BOUNDS", "BAD_TRANSFER", "DOUBLE_RELEASE", "LEAK_SCOPE",
+        "NULL_DEREF", "UNINIT_FIELD", "USE_AFTER_RELEASE",
+        "USE_BEFORE_DEF"} <= codes, codes
 """
 
 DIFFTEST_SNIPPET = """

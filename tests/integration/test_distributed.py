@@ -10,7 +10,7 @@ checking with a single note, never an error.
 
 import pytest
 
-from repro.bench.seeding import generate_seeded_program
+from repro.bench.dbexample import db_sources
 from repro.core.api import Checker
 from repro.incremental import (
     CacheClient,
@@ -23,16 +23,19 @@ from repro.obs.metrics import MetricsRegistry
 
 @pytest.fixture(scope="module")
 def corpus():
-    # A multi-module program with seeded bugs keeps real messages in
-    # play, so byte-identity is a meaningful comparison.
-    return dict(generate_seeded_program(modules=4).program.files)
+    # The unannotated db example keeps real messages in play across
+    # several units, many with sub-locations, so byte-identity is a
+    # meaningful comparison.
+    return db_sources(0)
 
 
 @pytest.fixture(scope="module")
 def serial_renders(corpus):
     result = Checker().check_sources(dict(corpus))
     renders = [m.render() for m in result.messages]
-    assert renders, "seeded corpus must produce messages"
+    units = {m.location.filename for m in result.messages}
+    assert len(renders) > 20 and len(units) > 1, renders
+    assert any(m.subs for m in result.messages)
     return renders
 
 

@@ -36,8 +36,16 @@ class TestExamples:
 
     def test_static_vs_dynamic(self):
         output = run_example("static_vs_dynamic.py")
-        assert "static:  10/10" in output
-        assert "runtime: 5/10" in output
+        assert "40 variants (35 planted, 5 clean)" in output
+        assert "no static/ground-truth discrepancies" in output
+        # static finds every plant; run-time finds only what the
+        # executed scenarios reach
+        assert "static:  35/35" in output
+        assert "runtime: 17/35 at 50% coverage" in output
+        assert "     25%               35/35                      6/35" \
+            in output
+        assert "    100%               35/35                     35/35" \
+            in output
 
     def test_explore_cfg(self):
         output = run_example("explore_cfg.py")
@@ -100,10 +108,12 @@ class TestHarnessSmoke:
         from repro.bench.harness import static_vs_runtime_experiment
 
         outcome = static_vs_runtime_experiment(
-            coverages=(0.5, 1.0), bugs_per_kind=1, modules=2
+            coverages=(0.25, 1.0), seeds=16
         )
         rows = outcome["rows"]
-        assert rows[0]["static_rate"] == 1.0
+        assert outcome["excluded"] == 0
+        assert all(r["static_rate"] == 1.0 for r in rows)
+        assert all(r["static_fp"] == 0 for r in rows)
         assert rows[0]["runtime_rate"] < 1.0
         assert rows[1]["runtime_rate"] == 1.0
         assert outcome["static_false_positives_in_clean"] == 0

@@ -1,4 +1,4 @@
-"""Tests for the benchmark substrate: generator, seeding, db example."""
+"""Tests for the benchmark substrate: generator and db example."""
 
 from repro import Checker, Flags
 from repro.bench.dbexample import FINAL_STAGE, annotation_census, db_sources
@@ -6,14 +6,6 @@ from repro.bench.generator import (
     generate_program,
     generate_program_of_size,
     strip_annotations,
-)
-from repro.bench.seeding import (
-    BugKind,
-    RUNTIME_SIGNATURES,
-    STATIC_SIGNATURES,
-    function_line_ranges,
-    generate_seeded_program,
-    match_static_detections,
 )
 
 NOIMP = Flags.from_args(["-allimponly"])
@@ -97,47 +89,6 @@ class TestGenerator:
         assert result.exit_code == 0
         assert result.events == []
         assert result.leaked_blocks == 0
-
-
-class TestSeeding:
-    def test_signature_tables_total(self):
-        for kind in BugKind:
-            assert kind in STATIC_SIGNATURES
-            assert kind in RUNTIME_SIGNATURES
-
-    def test_one_bug_per_scenario(self):
-        seeded = generate_seeded_program(modules=2, bugs_per_kind=1)
-        scenario_names = [b.scenario for b in seeded.bugs]
-        assert len(scenario_names) == len(set(scenario_names))
-        assert len(seeded.bugs) == len(BugKind)
-
-    def test_static_finds_all_seeded_bugs(self):
-        seeded = generate_seeded_program(modules=2, bugs_per_kind=1)
-        result = Checker().check_sources(dict(seeded.program.files))
-        ranges = function_line_ranges(result.units)
-        found = match_static_detections(seeded.bugs, result.messages, ranges)
-        missing = [b.kind.value for b in seeded.bugs if not found[b.bug_id]]
-        assert missing == []
-
-    def test_clean_scenarios_stay_clean(self):
-        seeded = generate_seeded_program(modules=2, bugs_per_kind=1,
-                                         clean_scenarios=4)
-        result = Checker().check_sources(dict(seeded.program.files))
-        ranges = function_line_ranges(result.units)
-        spans = [ranges[n] for n in seeded.clean_scenarios]
-        hits = [
-            m for m in result.messages
-            if any(f == m.location.filename and s <= m.location.line <= e
-                   for f, s, e in spans)
-        ]
-        assert hits == []
-
-    def test_subset_of_kinds(self):
-        seeded = generate_seeded_program(
-            modules=1, bugs_per_kind=2, kinds=[BugKind.LEAK]
-        )
-        assert all(b.kind is BugKind.LEAK for b in seeded.bugs)
-        assert len(seeded.bugs) == 2
 
 
 class TestDbExample:

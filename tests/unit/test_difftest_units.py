@@ -1,6 +1,7 @@
 """Unit tests for the difftest subsystem's pieces in isolation."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -16,6 +17,7 @@ from repro.difftest.corpus import (
 )
 from repro.difftest.mutations import (
     CAMPAIGN_CLASSES,
+    STATIC_EQUIVALENTS,
     MutationEngine,
     MutationError,
     PlantedBug,
@@ -24,7 +26,6 @@ from repro.difftest.mutations import (
 from repro.difftest.runner import DualRunner, DualVerdict, ScenarioRun, StaticVerdict
 from repro.difftest.verdict import (
     CORROBORATED_BY,
-    STATIC_EQUIVALENTS,
     ConfusionMatrix,
     render_matrix,
     score_verdict,
@@ -181,6 +182,20 @@ def test_variants_cover_every_bug_kind():
         if variant.planted is not None:
             seen.add(variant.planted.kind)
     assert seen == set(BugKind)
+
+
+@pytest.mark.parametrize("kind", list(BugKind), ids=lambda kind: kind.value)
+def test_each_plant_is_found_by_its_signature_in_its_scenario(kind):
+    # An engine restricted to one kind plants that kind; the static
+    # checker finds it through STATIC_SIGNATURES inside its scenario
+    # function, and the same messages count for no other scenario.
+    variant = MutationEngine(kinds=(kind,)).variant(0)
+    assert variant.planted.kind is kind
+    runner = DualRunner()
+    assert runner.check_static(variant).window_hit
+    other = next(s for s in variant.scenarios if s != variant.target)
+    moved = replace(variant, planted=replace(variant.planted, scenario=other))
+    assert not runner.check_static(moved).window_hit
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,11 @@
 """Unit tests for the fault-containment layer: crash bundles, degraded
 unit outputs, and the parallel scheduler's fallback bookkeeping."""
 
+import gc
 import json
 import os
+import threading
+import weakref
 
 import pytest
 
@@ -97,6 +100,26 @@ class TestFrontendFatals:
         assert parse_errors[0].location.line == 3
         assert "unterminated string" in parse_errors[0].text
 
+    def test_failed_unit_interface_digest_is_one_constant(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.incremental import IncrementalChecker, ResultCache
+        from repro.incremental import fingerprint
+
+        for name, exc in (("a.c", ValueError("x")), ("d/b.c", KeyError(1))):
+            pu = failed_parsed_unit(name, frontend_fatal(exc, name))
+            assert fingerprint.interface_digest(unit_interface(pu), {}) \
+                == fingerprint.FAILED_INTERFACE_DIGEST
+        # a cached check of a failed unit never walks an interface
+        monkeypatch.setattr(fingerprint, "_stable", None)
+        engine = IncrementalChecker(cache=ResultCache(str(tmp_path)))
+        result = engine.check_sources({
+            "bad.c": 'char *s = "unterminated\n',
+            "good.c": "int f(void) { return 1; }\n",
+        })
+        assert result.internal_errors == 0
+        assert [m.location.filename for m in result.messages] == ["bad.c"]
+
     def test_internal_fatal_reports_internal_error(self):
         fatal = FatalError(
             kind="internal", location=Location("u.c", 1, 0),
@@ -176,7 +199,8 @@ class TestParallelFallback:
         symtab = build_program_symtab(interfaces)
         outputs, notes = parallel.check_units_parallel(
             units, symtab, Checker().flags,
-            {"bad": lambda: None},  # unpicklable enum_consts
+            # unpicklable enum_consts
+            {"bad": lambda: None, "lock": threading.Lock()},
             jobs=2, interfaces=interfaces,
         )
         assert outputs is not None and len(outputs) == 2
@@ -281,7 +305,11 @@ class TestParallelFallback:
         assert outputs is not None and len(outputs) == 3
         assert payload_sizes, "parallel path did not submit tasks"
         assert max(payload_sizes) < 4096, payload_sizes
-        assert parallel._PARENT_STATE is None  # no lingering references
+        # no lingering reference to the shared state once the pool is done
+        shared = weakref.ref(symtab)
+        del symtab
+        gc.collect()
+        assert shared() is None
 
     def test_keyboard_interrupt_propagates(self, monkeypatch):
         from repro.incremental import parallel
