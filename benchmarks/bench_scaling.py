@@ -16,17 +16,10 @@ Runs two ways:
   column checks with a fresh local cache against a warm shared cache
   service (``--cache-server``), the headline workflow for CI fleets:
   one machine pays the cold cost, every other machine rides its cache.
-  Each size also gets a cold parallel row (``cold_parallel``): one cold
-  check with an empty cache at 1, 2 and 4 jobs, with its wall time next
-  to the CPU time of the parent and of its pool workers, so the row
-  still means something on a machine with fewer cores than jobs. It
-  has no gate.
 """
 
-import gc
 import json
 import os
-import resource
 import sys
 import tempfile
 import time
@@ -91,7 +84,7 @@ def _renders(result):
     return [m.render() for m in result.messages]
 
 
-def measure_at_size(target_loc: int, jobs: int = 2) -> dict:
+def measure_at_size(target_loc: int) -> dict:
     """One row of the scaling table: cold serial, warm local, and
     distributed (fresh local cache + warm shared cache service)."""
     from repro.incremental import (
@@ -129,7 +122,6 @@ def measure_at_size(target_loc: int, jobs: int = 2) -> dict:
             dist_engine = IncrementalChecker(
                 cache=ResultCache(os.path.join(tmp, "local")),
                 remote=client,
-                jobs=jobs,
             )
             t0 = time.perf_counter()
             dist_result = dist_engine.check_sources(dict(files))
@@ -140,7 +132,6 @@ def measure_at_size(target_loc: int, jobs: int = 2) -> dict:
 
         row["remote_hits"] = dist_engine.stats.remote_hits
         row["remote_misses"] = dist_engine.stats.remote_misses
-        row["jobs"] = jobs
         row["warm_speedup"] = round(row["cold_s"] / max(row["warm_s"], 1e-9), 1)
         row["distributed_speedup"] = round(
             row["cold_s"] / max(row["distributed_s"], 1e-9), 1
@@ -152,56 +143,9 @@ def measure_at_size(target_loc: int, jobs: int = 2) -> dict:
     return row
 
 
-COLD_JOB_COUNTS = (1, 2, 4)
-
-
-def _cpu_s(usage) -> float:
-    return usage.ru_utime + usage.ru_stime
-
-
-def measure_cold_parallel(files: dict, job_counts=COLD_JOB_COUNTS) -> list:
-    """One cold check with an empty cache per job count: wall time, the
-    check stage's span, and the CPU time of the parent and of its pool
-    workers (``RUSAGE_CHILDREN``: the pool is joined before the check
-    returns)."""
-    from repro.incremental import IncrementalChecker, ResultCache
-
-    rows = []
-    serial_renders = None
-    for jobs in job_counts:
-        with tempfile.TemporaryDirectory(prefix="pylclint-cold-") as tmp:
-            engine = IncrementalChecker(cache=ResultCache(tmp), jobs=jobs)
-            gc.collect()  # no run pays for garbage left by the one before
-            parent0 = resource.getrusage(resource.RUSAGE_SELF)
-            workers0 = resource.getrusage(resource.RUSAGE_CHILDREN)
-            t0 = time.perf_counter()
-            result = engine.check_sources(dict(files))
-            wall_s = time.perf_counter() - t0
-            parent1 = resource.getrusage(resource.RUSAGE_SELF)
-            workers1 = resource.getrusage(resource.RUSAGE_CHILDREN)
-        renders = _renders(result)
-        if serial_renders is None:
-            serial_renders = renders
-        rows.append(
-            {
-                "jobs": jobs,
-                "wall_s": round(wall_s, 3),
-                "check_s": round(engine.stats.check_s, 3),
-                "parent_cpu_s": round(_cpu_s(parent1) - _cpu_s(parent0), 3),
-                "workers_cpu_s": round(
-                    _cpu_s(workers1) - _cpu_s(workers0), 3
-                ),
-                "parallel_used": engine.stats.parallel_used,
-                "identical_output": renders == serial_renders,
-            }
-        )
-    return rows
-
-
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     sizes = [1_000_000]
-    jobs = 2
     out_path = "BENCH_scaling.json"
     it = iter(argv)
     for arg in it:
@@ -209,10 +153,6 @@ def main(argv=None) -> int:
             sizes = [int(s) for s in next(it).split(",")]
         elif arg.startswith("--sizes="):
             sizes = [int(s) for s in arg.split("=", 1)[1].split(",")]
-        elif arg == "--jobs":
-            jobs = int(next(it))
-        elif arg.startswith("--jobs="):
-            jobs = int(arg.split("=", 1)[1])
         elif arg == "--out":
             out_path = next(it)
         elif arg.startswith("--out="):
@@ -224,9 +164,7 @@ def main(argv=None) -> int:
     rows = []
     ok = True
     for target_loc in sizes:
-        row = measure_at_size(target_loc, jobs=jobs)
-        program = generate_program_of_size(target_loc)
-        row["cold_parallel"] = measure_cold_parallel(dict(program.files))
+        row = measure_at_size(target_loc)
         rows.append(row)
         print(
             f"{row['loc']:>9} loc: cold {row['cold_s']}s, "
@@ -236,14 +174,6 @@ def main(argv=None) -> int:
             f"{REQUIRED_DISTRIBUTED_SPEEDUP}x), "
             f"identical={row['identical_output']}"
         )
-        for cold in row["cold_parallel"]:
-            print(
-                f"{'':>9}      cold --jobs {cold['jobs']}: "
-                f"wall {cold['wall_s']}s (check {cold['check_s']}s), "
-                f"cpu parent {cold['parent_cpu_s']}s + workers "
-                f"{cold['workers_cpu_s']}s, "
-                f"identical={cold['identical_output']}"
-            )
         ok = ok and row["identical_output"] and (
             row["distributed_speedup"] >= REQUIRED_DISTRIBUTED_SPEEDUP
         )

@@ -13,10 +13,10 @@ unit, merges the interface information into one symbol table (the paper's
 function independently against that merged interface.
 
 :class:`Checker` is the checking engine
-(:class:`repro.incremental.engine.IncrementalChecker`) with no cache, no
-cache server and one process; this module holds what the engine runs per
-unit — the prelude, :func:`check_parsed_unit`, the symbol-table builders
-— and the :class:`CheckResult` every run returns.
+(:class:`repro.incremental.engine.IncrementalChecker`) with no cache and
+no cache server; this module holds what the engine runs per unit — the
+prelude, :func:`check_parsed_unit`, the symbol-table builders — and the
+:class:`CheckResult` every run returns.
 """
 
 from __future__ import annotations
@@ -69,8 +69,8 @@ _PRELUDE_LOCK = threading.Lock()
 
 def ensure_process_initialized() -> Prelude:
     """Parse the prelude and build its symbol-table template, once per
-    process; safe to call from pool-worker initializers and the
-    service's worker threads.
+    process; safe to call from the service's worker threads and from
+    the difftest campaign's pool-worker initializer.
 
     The first caller builds under the lock; a caller racing it waits
     and gets the same prelude. A built prelude is returned without the
@@ -233,7 +233,7 @@ def check_parsed_unit(
 
     This is a pure function of its inputs (no module-global state beyond
     the immutable prelude parse), which is what makes per-unit results
-    cacheable and lets pool workers check units independently. The
+    cacheable and lets each unit be checked on its own. The
     *tracer* is measurement only — it never changes the output — and
     per-function spans are emitted only when a trace sink is attached
     (``tracer.emitting``), so the default path stays free.
@@ -294,8 +294,7 @@ def check_parsed_unit(
             )
             # Only the exception *type* goes into the message: reprs can
             # embed object addresses, and message text must be identical
-            # between serial and parallel runs. The full detail lives in
-            # the crash bundle.
+            # from run to run. The full detail lives in the crash bundle.
             reporter.report(
                 MessageCode.INTERNAL_ERROR, fdef.location,
                 f"Internal error ({type(exc).__name__}) while checking "
@@ -409,8 +408,8 @@ from ..incremental.engine import IncrementalChecker  # noqa: E402
 
 class Checker(IncrementalChecker):
     """Checks one or more C source files LCLint-style: the engine with
-    no cache, no cache server and one process, so a run keys, digests
-    and fingerprints nothing (see ``IncrementalChecker.incremental``).
+    no cache and no cache server, so a run keys, digests and
+    fingerprints nothing (see ``IncrementalChecker.incremental``).
     """
 
     def __init__(

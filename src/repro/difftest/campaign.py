@@ -1,7 +1,7 @@
 """Campaign orchestration: N seeds, two detectors, one comparison table.
 
 A campaign maps seeds to variants, runs the dual runner over each
-(optionally on the engine's fork pool,
+(optionally on the fork pool,
 :func:`repro.incremental.parallel.fork_map`, one seed per task), folds
 every verdict into the per-class confusion matrices, shrinks each
 discrepancy with delta debugging, and persists the minimized cases to

@@ -27,7 +27,7 @@ Observability (see docs/internals.md section 8):
                             trace-event file for about:tracing/Perfetto)
     --metrics-out FILE      write a JSON dump of the metrics registry
                             (cache traffic, dropped entries, degraded
-                            units, scheduler fallbacks) after the run
+                            units, run latencies) after the run
 
 Differential fault injection (see docs/internals.md):
 
@@ -35,10 +35,8 @@ Differential fault injection (see docs/internals.md):
                             fault-injection campaign, or --replay a
                             persisted discrepancy (repro difftest --help)
 
-Incremental & parallel checking (see docs/internals.md):
+Incremental checking (see docs/internals.md):
 
-    --jobs N                check translation units on N worker processes
-                            (in shards balanced by source size)
     --cache                 cache per-unit results under .pylclint-cache/
     --cache-dir DIR         cache per-unit results under DIR
     --no-cache              disable the result cache
@@ -51,7 +49,7 @@ Checking service (see docs/internals.md section 9):
     --serve                 run the async multi-client checking service
                             (cache on by default; combine with --addr,
                             --max-inflight, --request-timeout, --workers,
-                            --jobs, --cache-dir, --no-cache)
+                            --cache-dir, --no-cache)
     --addr ADDR             listen address: HOST:PORT for TCP on
                             localhost, or unix:PATH for a UNIX socket;
                             give one of each to listen on both (a later
@@ -154,12 +152,12 @@ def _print_flags() -> str:
     return "\n".join(lines)
 
 
-def run(argv: list[str], cache=None, jobs: int | None = None) -> tuple[int, str]:
+def run(argv: list[str], cache=None) -> tuple[int, str]:
     """Run the driver; returns (exit_status, output_text).
 
-    *cache* and *jobs* let the daemon inject its persistent
-    :class:`~repro.incremental.cache.ResultCache` and worker count; the
-    command line can still override both per request.
+    *cache* lets the servers inject their persistent
+    :class:`~repro.incremental.cache.ResultCache`; the command line can
+    still override it per request.
     """
     _RUN_STATS.value = None
     run_t0 = time.perf_counter()
@@ -216,13 +214,6 @@ def run(argv: list[str], cache=None, jobs: int | None = None) -> tuple[int, str]
             if i >= len(argv):
                 raise CliError("-trace requires a function name")
             trace_function_name = argv[i]
-        elif arg in ("--jobs", "-jobs", "-j"):
-            i += 1
-            if i >= len(argv):
-                raise CliError("--jobs requires a worker count")
-            jobs = _parse_jobs(argv[i])
-        elif arg.startswith("--jobs="):
-            jobs = _parse_jobs(arg.split("=", 1)[1])
         elif arg in ("--cache-dir", "-cache-dir"):
             i += 1
             if i >= len(argv):
@@ -284,7 +275,6 @@ def run(argv: list[str], cache=None, jobs: int | None = None) -> tuple[int, str]
     except UnknownFlag as exc:
         raise CliError(str(exc)) from exc
 
-    jobs = jobs or 1
     if no_cache:
         cache = None
     elif cache_dir is not None:
@@ -324,14 +314,13 @@ def run(argv: list[str], cache=None, jobs: int | None = None) -> tuple[int, str]
             raise CliError(str(exc)) from exc
 
     tracer = obs.tracer if obs is not None else None
-    incremental = cache is not None or remote is not None or jobs > 1
+    incremental = cache is not None or remote is not None
     try:
         try:
             checker = (
                 IncrementalChecker(
                     flags=flags,
                     cache=cache,
-                    jobs=jobs,
                     # -dump parses every unit too: a slice decoded from
                     # a memo has the same content, but shares fewer
                     # interned types, so its library pickle would differ
@@ -415,16 +404,6 @@ def _exit_status(result: CheckResult) -> int:
     if result.messages:
         return EXIT_WARNINGS
     return EXIT_CLEAN
-
-
-def _parse_jobs(value: str) -> int:
-    try:
-        jobs = int(value)
-    except ValueError:
-        raise CliError(f"--jobs expects an integer, got {value!r}") from None
-    if jobs < 1:
-        raise CliError("--jobs expects a count >= 1")
-    return jobs
 
 
 def _trace_for(

@@ -150,9 +150,9 @@ class Token:
     def __hash__(self) -> int:
         return hash((self.kind, self.value))
 
-    # Pickled tokens (parallel checking ships parsed units to workers)
-    # materialize their location and drop the source reference so the
-    # whole file text does not ride along with every token.
+    # Pickled tokens materialize their location and drop the source
+    # reference so the whole file text does not ride along with every
+    # token.
 
     def __getstate__(self):
         return (self.kind, self.value, self.location)

@@ -1,4 +1,4 @@
-"""Incremental, parallel checking with a persistent analysis cache.
+"""Incremental checking with a persistent analysis cache.
 
 The paper's performance story — checking "fast enough to run as part of
 every build" — rests on modular, per-unit analysis. This package turns
@@ -11,11 +11,8 @@ that modularity into an engine:
   result cache (``.pylclint-cache/``);
 * :mod:`repro.incremental.engine` — the :class:`IncrementalChecker`
   orchestrating memo lookups, cache hits, and (re)checking;
-* :mod:`repro.incremental.shard` — partitioning units into worker
-  shards balanced by source size;
 * :mod:`repro.incremental.parallel` — the one fault-contained fork pool
-  (``fork_map``), under the engine's sharded check and the difftest
-  campaign, with work-stealing;
+  (``fork_map``), under the difftest campaign; checking never forks;
 * :mod:`repro.incremental.cacheserver` — the shared cache service
   (``--cache-server``) letting independent workers, machines, and CI
   runs trade fingerprint-keyed results and unit memos; its server is a
@@ -36,7 +33,6 @@ import importlib
 from .cache import DEFAULT_CACHE_DIR, ResultCache
 from .engine import CheckStats, IncrementalChecker
 from .fingerprint import ENGINE_VERSION
-from .shard import Shard, partition_units
 
 #: Names served from a submodule imported on first use.
 _LAZY = {
@@ -56,8 +52,6 @@ __all__ = [
     "ENGINE_VERSION",
     "IncrementalChecker",
     "ResultCache",
-    "Shard",
-    "partition_units",
 ]
 
 

@@ -1,13 +1,12 @@
-"""The checking engine: every check runs through it.
+"""The checking engine: every check runs through it, in one process.
 
 A run is five stages (plan, probe, symtab, check, write; see
 :meth:`IncrementalChecker.check_sources`). :class:`repro.core.api.Checker`
-is this engine with no result cache, no cache server and one process,
-so the plain CLI, ``check_source``, difftest, the interpreter and the
-cached engine share one frontend path and one check path.
+is this engine with no result cache and no cache server, so the plain
+CLI, ``check_source``, difftest, the interpreter and the cached engine
+share one frontend path and one check path.
 
-A result cache or a cache server makes re-checking cheap, and a pool
-(``jobs > 1``) spreads what is left over worker processes — the
+A result cache or a cache server makes re-checking cheap — the
 property the paper leans on ("fast enough to run as part of every
 build"):
 
@@ -17,15 +16,11 @@ build"):
 * **interface-sensitive invalidation** — editing a function body
   re-checks only that unit; editing an exported interface (a header, an
   annotation on a signature) changes the program digest and re-checks
-  every unit, exactly the modular contract of paper section 7;
-* **parallel misses** — units that do need checking fan out over
-  :mod:`repro.incremental.parallel`'s fork pool (``jobs > 1``) in shards
-  balanced by source size, with results identical to serial order.
+  every unit, exactly the modular contract of paper section 7.
 
 Without a cache or a cache server nothing reads a key or a digest, so a
 run computes no source key, digest or fingerprint and neither probes
-nor counts cache traffic (:attr:`IncrementalChecker.incremental`),
-whatever its job count.
+nor counts cache traffic (:attr:`IncrementalChecker.incremental`).
 """
 
 from __future__ import annotations
@@ -77,7 +72,6 @@ from .fingerprint import (
     text_digest,
     unit_digests,
 )
-from .parallel import check_units_parallel
 
 
 @dataclass
@@ -108,8 +102,6 @@ class CheckStats:
     cache_misses: int = 0
     memo_hits: int = 0
     memo_misses: int = 0
-    jobs: int = 1
-    parallel_used: bool = False
     degraded_units: int = 0
     internal_errors: int = 0
     # Cache-service traffic (memo + result probes combined). remote_used
@@ -139,8 +131,6 @@ class CheckStats:
                 f"  cache server:      {self.remote_hits} hit(s), "
                 f"{self.remote_misses} miss(es)"
             )
-        mode = "parallel" if self.parallel_used else "serial"
-        lines.append(f"  schedule:          {mode} (jobs={self.jobs})")
         if self.degraded_units:
             lines.append(
                 f"  degraded:          {self.degraded_units} unit(s) "
@@ -208,8 +198,6 @@ class CheckStats:
             f"  unit memo:   {self.memo_hits} hit(s), "
             f"{self.memo_misses} miss(es)"
         )
-        mode = "parallel" if self.parallel_used else "serial"
-        lines.append(f"  schedule:    {mode} (jobs={self.jobs})")
         return "\n".join(lines)
 
 
@@ -254,7 +242,7 @@ class _Run:
 
 
 class IncrementalChecker:
-    """Checks programs, with an optional cache, cache server and pool.
+    """Checks programs, with an optional cache and cache server.
 
     ``check_sources`` / ``check_files`` check a whole program;
     ``parse_unit`` and ``check_units`` split the same path for callers
@@ -266,7 +254,6 @@ class IncrementalChecker:
         self,
         flags: Flags | None = None,
         cache: ResultCache | None = None,
-        jobs: int = 1,
         defines: dict[str, str] | None = None,
         keep_units: bool = False,
         crash_dir: str | None = None,
@@ -276,7 +263,6 @@ class IncrementalChecker:
     ) -> None:
         self.flags = flags or DEFAULT_FLAGS
         self.cache = cache
-        self.jobs = max(1, int(jobs))
         # A CacheClient (or anything with its batch get/put surface)
         # consulted on local cache misses; see incremental/cacheserver.py.
         self.remote = remote
@@ -347,7 +333,7 @@ class IncrementalChecker:
           remote batch);
         * **symtab** — the merged program symbol table, built only when
           a unit must be checked;
-        * **check** — the result misses, serially or on the pool;
+        * **check** — the result misses, one unit after another;
         * **write** — one local journal batch, one remote publish.
 
         A fully-warm run stops after the probe: it decodes no interface
@@ -387,9 +373,7 @@ class IncrementalChecker:
         return _Run(
             files=files,
             sources=self.sources.copy(),
-            stats=CheckStats(
-                jobs=self.jobs, remote_used=self.remote is not None
-            ),
+            stats=CheckStats(remote_used=self.remote is not None),
         )
 
     def _stages(self, run: _Run) -> None:
@@ -634,13 +618,12 @@ class IncrementalChecker:
         )
 
     def _check(self, run: _Run, misses: list[_UnitPlan]) -> None:
-        """Stage 4: check the misses (parallel when asked and possible).
+        """Stage 4: check the misses.
 
         A memo-hit unit whose result is stale (e.g. the flags changed)
         is parsed here: the memo saved preprocessing knowledge, but
         checking needs the AST.
         """
-        stats = run.stats
         symtab, enum_consts = run.symtab, run.enum_consts
         with self.tracer.span("check", cat="stage"):
             for plan in misses:
@@ -650,43 +633,23 @@ class IncrementalChecker:
                         "unit", cat="unit", unit=plan.name, stage="frontend",
                     ):
                         self._parse_plan(plan, run)
-            check_span = self.tracer.span(
+            with self.tracer.span(
                 "analyze", cat="phase", units=len(misses)
-            )
-            try:
-                outputs, par_notes = check_units_parallel(
-                    [p.parsed for p in misses], symtab, self.flags,
-                    enum_consts, self.jobs, crash_dir=self.crash_dir,
-                    metrics=self.metrics,
-                    weights=[max(1, len(p.text)) for p in misses],
-                    interfaces=[p.interface for p in misses],
-                )
-                stats.notes.extend(par_notes)
-                if outputs is None:
-                    outputs = []
-                    for p in misses:
-                        cancel_checkpoint()
-                        with self.tracer.span(
-                            "unit", cat="unit", unit=p.name,
-                            stage="analyze",
-                        ) as unit_span:
-                            outputs.append(check_parsed_unit(
-                                p.parsed, symtab, self.flags, enum_consts,
-                                crash_dir=self.crash_dir,
-                                tracer=self.tracer,
-                                interface=p.interface,
-                            ))
-                        self.metrics.observe(
-                            "engine.unit_check_s", unit_span.duration
+            ) as check_span:
+                for plan in misses:
+                    cancel_checkpoint()
+                    with self.tracer.span(
+                        "unit", cat="unit", unit=plan.name, stage="analyze",
+                    ) as unit_span:
+                        plan.output = check_parsed_unit(
+                            plan.parsed, symtab, self.flags, enum_consts,
+                            crash_dir=self.crash_dir, tracer=self.tracer,
+                            interface=plan.interface,
                         )
-                else:
-                    stats.parallel_used = True
-                    self.metrics.inc("engine.parallel.runs")
-            finally:
-                check_span.end()
-            stats.check_s += check_span.duration
-        for plan, output in zip(misses, outputs):
-            plan.output = output
+                    self.metrics.observe(
+                        "engine.unit_check_s", unit_span.duration
+                    )
+        run.stats.check_s += check_span.duration
 
     def _write(self, run: _Run, misses: list[_UnitPlan]) -> None:
         """Stage 5: one local journal batch (remote hits + fresh

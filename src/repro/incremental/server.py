@@ -52,17 +52,15 @@ class DaemonServer:
     """One single-client daemon session over a pair of streams: binary
     requests in (``sys.stdin.buffer`` by default), text replies out."""
 
-    OPTIONS = ("cache-dir", "no-cache", "jobs", "j")
+    OPTIONS = ("cache-dir", "no-cache")
 
     def __init__(
         self,
         cache_dir: str | None = DEFAULT_CACHE_DIR,
-        jobs: int = 1,
         stdin=None,
         stdout=None,
     ) -> None:
         self.cache = ResultCache(cache_dir) if cache_dir is not None else None
-        self.jobs = jobs
         self.stdin = stdin if stdin is not None else sys.stdin.buffer
         self.stdout = stdout if stdout is not None else sys.stdout
         self.stats = SessionLedger(GLOBAL_METRICS, "daemon")
@@ -70,7 +68,7 @@ class DaemonServer:
     def serve(self) -> int:
         """Answer requests until ``shutdown`` or EOF; returns 0."""
         ensure_process_initialized()  # pay the prelude parse once, up front
-        self._send({"ready": True, "jobs": self.jobs,
+        self._send({"ready": True,
                     "cache": self.cache.root if self.cache else None})
         for kind, payload in _lines(self.stdin):
             if kind == "oversized":
@@ -90,7 +88,7 @@ class DaemonServer:
                 reply = self.stats.snapshot(reply)
             else:
                 reply = self.stats.record(
-                    execute_check(reply, self.cache, self.jobs)
+                    execute_check(reply, self.cache)
                 )
         self._send(reply)
         return "shutdown" in reply
@@ -111,7 +109,7 @@ def _lines(stream):
 
 
 def run_daemon(argv: list[str]) -> int:
-    """Entry for ``pylclint --daemon [--cache-dir D] [--jobs N] [--no-cache]``."""
+    """Entry for ``pylclint --daemon [--cache-dir D] [--no-cache]``."""
     try:
         settings = parse_options(argv, DaemonServer.OPTIONS)
     except ValueError as exc:

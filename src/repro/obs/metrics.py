@@ -6,7 +6,7 @@ docs/internals.md section 8. Histograms use fixed upper-bound buckets
 in seconds so two dumps are always structurally comparable.
 
 :data:`GLOBAL_METRICS` is the shared process-lifetime registry. The
-engine, cache, scheduler, daemon and difftest all default to it, which
+engine, cache, daemon and difftest all default to it, which
 is what lets the daemon's ``metrics`` request verb report totals across
 every request it has served.
 """

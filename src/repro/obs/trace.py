@@ -13,8 +13,8 @@ guarded by the single attribute check ``tracer.emitting``.
 :data:`NULL_TRACER` does nothing at all and is the default for the pure
 checking APIs.
 
-Tracers are single-threaded by design (one per engine/daemon session);
-they are never shipped to fork-pool workers.
+Tracers are single-threaded by design (one per engine/daemon session),
+and a check never leaves its process.
 """
 
 from __future__ import annotations

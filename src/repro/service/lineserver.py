@@ -292,8 +292,6 @@ def _deadline(value: str) -> float | None:
 OPTION_TABLE = {
     "cache-dir": ("cache_dir", str),
     "no-cache": ("cache_dir", None),
-    "jobs": ("jobs", _count),
-    "j": ("jobs", _count),
     "addr": ("addr", parse_addr),
     "max-inflight": ("max_inflight", _count),
     "request-timeout": ("request_timeout", _deadline),

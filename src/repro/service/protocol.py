@@ -379,7 +379,7 @@ def stats_payload(stats) -> dict:
     }
 
 
-def execute_check(request: Request, cache, jobs: int) -> dict:
+def execute_check(request: Request, cache) -> dict:
     """Run one check request to a reply dict (synchronously).
 
     This is the single execution path shared by the legacy stdin/stdout
@@ -391,7 +391,7 @@ def execute_check(request: Request, cache, jobs: int) -> dict:
     from ..driver import cli
 
     try:
-        status, output = cli.run(request.argv, cache=cache, jobs=jobs)
+        status, output = cli.run(request.argv, cache=cache)
     except cli.CliError as exc:
         return error_reply(request.id, "usage", str(exc))
     except Exception as exc:  # the service must survive any one request

@@ -141,7 +141,6 @@ class CheckingService(LineServer):
     def __init__(
         self,
         cache_dir: str | None = DEFAULT_CACHE_DIR,
-        jobs: int = 1,
         host: str = "127.0.0.1",
         port: int | None = 0,
         unix_path: str | None = None,
@@ -152,7 +151,6 @@ class CheckingService(LineServer):
     ) -> None:
         super().__init__(host, port, unix_path, metrics)
         self.cache = ResultCache(cache_dir) if cache_dir is not None else None
-        self.jobs = jobs
         self.max_inflight = max(1, max_inflight)
         self.request_timeout = request_timeout
         self.workers = max(1, workers)
@@ -183,7 +181,6 @@ class CheckingService(LineServer):
             "pid": os.getpid(),
             "max_inflight": self.max_inflight,
             "request_timeout": self.request_timeout,
-            "jobs": self.jobs,
             "cache": self.cache.root if self.cache else None,
         }
 
@@ -212,7 +209,6 @@ class CheckingService(LineServer):
     def greeting(self) -> dict:
         return {
             "ready": True,
-            "jobs": self.jobs,
             "cache": self.cache.root if self.cache else None,
             "max_inflight": self.max_inflight,
             "request_timeout": self.request_timeout,
@@ -346,7 +342,7 @@ class CheckingService(LineServer):
         """Thread-pool entry: one check under the job's cancel scope."""
         with cancel_scope(job.scope):
             try:
-                return execute_check(job.request, self.cache, self.jobs)
+                return execute_check(job.request, self.cache)
             except RequestCancelled:
                 return None
 

@@ -1,12 +1,10 @@
-"""Concurrent sharded checks: each caller's fork pool runs its own work.
+"""Concurrent fork pools: each caller's pool runs its own work.
 
-The checking service runs ``cli.run`` on worker threads, so two
-``--jobs N`` requests fork two pools at once. Each pool's workers must
-check only their caller's program: a worker that inherited the other
-caller's units would return its messages under this caller's unit
-names, and a cache written from those results would answer later runs
-with them. A worker forked while another thread holds the prelude lock
-must not wait on its inherited copy of that lock.
+Two threads that each run ``fork_map`` at once fork two pools. Each
+pool's workers must run only their caller's shared state: a worker that
+inherited the other caller's state would return its results under this
+caller's items. A worker forked while another thread holds the prelude
+lock must not wait on its inherited copy of that lock.
 """
 
 import sys
@@ -14,65 +12,47 @@ import threading
 
 import pytest
 
-from repro.bench.dbexample import db_sources
-from repro.bench.generator import generate_program
-from repro.core.api import Checker
-from repro.incremental import IncrementalChecker, ResultCache, parallel
-from repro.obs.metrics import MetricsRegistry
+from repro.incremental import parallel
 
 ROUNDS = 12
+ITEMS = 6
 
 
-def _renders(result) -> list[str]:
-    return [m.render() for m in result.messages]
+class _State:
+    def __init__(self, tag: str, step: int) -> None:
+        self.tag = tag
+        self.step = step
 
 
-@pytest.fixture(scope="module")
-def programs():
-    return {
-        "db": db_sources(0),
-        "generated": dict(generate_program(modules=5, seed=3).stripped().files),
-    }
+def _tagged(state: _State, item: int) -> tuple[str, int]:
+    """One pool task: whose state the worker holds, and the item's value."""
+    return state.tag, item * state.step
 
 
-@pytest.fixture(scope="module")
-def serial(programs):
-    return {
-        name: _renders(Checker().check_sources(dict(files)))
-        for name, files in programs.items()
-    }
-
-
-@pytest.mark.parametrize("cached", [False, True], ids=["no-cache", "cache"])
-def test_two_threads_each_get_their_own_results(
-    programs, serial, tmp_path, cached
-):
+def test_two_threads_each_get_their_own_results():
     if not parallel.fork_available():
         pytest.skip("needs fork")
-    outputs: dict[str, list] = {name: [] for name in programs}
+    states = {"a": _State("a", 3), "b": _State("b", 7)}
+    outputs: dict[str, list] = {tag: [] for tag in states}
     errors: list[BaseException] = []
-    start = threading.Barrier(len(programs))
+    start = threading.Barrier(len(states))
 
-    def check_repeatedly(name: str) -> None:
+    def map_repeatedly(tag: str) -> None:
         try:
-            for round_no in range(ROUNDS):
-                cache_dir = str(tmp_path / f"{name}-{round_no}")
+            for _ in range(ROUNDS):
                 start.wait(timeout=60)
-                engine = IncrementalChecker(
-                    cache=ResultCache(cache_dir) if cached else None,
-                    jobs=2, metrics=MetricsRegistry(),
-                )
-                result = engine.check_sources(dict(programs[name]))
-                outputs[name].append(
-                    (_renders(result), list(engine.stats.notes), cache_dir)
-                )
+                outputs[tag].append(parallel.fork_map(
+                    _tagged, states[tag],
+                    [(i, i + 1) for i in range(0, ITEMS, 2)], 2,
+                    name=str, noun="item",
+                ))
         except BaseException as exc:  # reported by the main thread
             errors.append(exc)
             start.abort()
 
     threads = [
-        threading.Thread(target=check_repeatedly, args=(name,))
-        for name in programs
+        threading.Thread(target=map_repeatedly, args=(tag,))
+        for tag in states
     ]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-4)  # interleave the two callers finely
@@ -85,17 +65,9 @@ def test_two_threads_each_get_their_own_results(
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert not errors, errors
-    for name, runs in outputs.items():
-        assert len(runs) == ROUNDS
-        for renders, notes, cache_dir in runs:
-            assert notes == []
-            assert renders == serial[name]
-            if cached:
-                # a warm serial re-run answers from what the pool wrote
-                warm = IncrementalChecker(cache=ResultCache(cache_dir))
-                assert _renders(warm.check_sources(dict(programs[name]))) \
-                    == serial[name]
-                assert warm.stats.cache_hits == warm.stats.units
+    for tag, runs in outputs.items():
+        expected = [(tag, i * states[tag].step) for i in range(ITEMS)]
+        assert runs == [(expected, [])] * ROUNDS
 
 
 def test_built_prelude_is_returned_without_the_lock():

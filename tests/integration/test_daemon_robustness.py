@@ -92,10 +92,10 @@ class TestDaemonRobustness:
 
         original = cli.run
 
-        def sometimes_broken(argv, cache=None, jobs=None):
+        def sometimes_broken(argv, cache=None):
             if any("trigger.c" in a for a in argv):
                 raise RuntimeError("checker blew up")
-            return original(argv, cache=cache, jobs=jobs)
+            return original(argv, cache=cache)
 
         monkeypatch.setattr(cli, "run", sometimes_broken)
         trigger = tmp_path / "trigger.c"

@@ -90,6 +90,7 @@ for item in result.shrunk:
         ("checker", CHECKER_SNIPPET),
         ("difftest", DIFFTEST_SNIPPET),
     ],
+    ids=["generator", "checker", "difftest"],
 )
 def test_output_is_hash_seed_independent(name, snippet):
     first, second = _both_hash_seeds(snippet)
@@ -98,6 +99,31 @@ def test_output_is_hash_seed_independent(name, snippet):
         f"iteration or non-integer RNG seed crept in"
     )
     assert first.strip(), f"{name} snippet produced no output"
+
+
+SIZED_GENERATOR_SNIPPET = """
+import hashlib
+from repro.bench.generator import generate_program_of_size
+program = generate_program_of_size({target_loc})
+digest = hashlib.sha256()
+for name in sorted(program.files):
+    digest.update(name.encode())
+    digest.update(program.files[name].encode())
+print(digest.hexdigest())
+"""
+
+
+@pytest.mark.parametrize("target_loc", [2000, 50000])
+def test_sized_generator_is_hash_seed_independent(target_loc):
+    # The scaling benchmark and the distributed byte-identity checks
+    # lean on the generator producing the same corpus in every process;
+    # a hash-seed dependency would silently break cross-process cache
+    # sharing.
+    first, second = _both_hash_seeds(
+        SIZED_GENERATOR_SNIPPET.format(target_loc=target_loc)
+    )
+    assert first == second
+    assert first.strip()
 
 
 def _dump(tmp_path, label: str, hash_seed: str, *options: str) -> bytes:

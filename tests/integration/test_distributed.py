@@ -1,11 +1,10 @@
-"""End-to-end tests for distributed checking: sharded parallel runs and
-the shared cache service.
+"""End-to-end tests for distributed checking: the shared cache service.
 
-Pins the tentpole acceptance properties: a sharded parallel run and a
-cache-server-assisted run both emit byte-identical output to a serial
-run; a warm cache server lets a worker with a fresh local cache skip
-the frontend entirely; and a dead or dying server degrades to plain
-checking with a single note, never an error.
+Pins the acceptance properties: a cache-server-assisted run emits
+byte-identical output to a plain run; a warm cache server lets a
+checker with a fresh local cache skip the frontend entirely; and a dead
+or dying server degrades to plain checking with a single note, never
+an error.
 """
 
 import pytest
@@ -41,24 +40,6 @@ def serial_renders(corpus):
 
 def _renders(result):
     return [m.render() for m in result.messages]
-
-
-class TestShardedParallelIdentity:
-    def test_sharded_run_is_byte_identical(
-        self, corpus, serial_renders, tmp_path
-    ):
-        from repro.incremental import parallel
-
-        if not parallel.fork_available():
-            pytest.skip("needs fork")
-        engine = IncrementalChecker(
-            cache=ResultCache(str(tmp_path / "c")),
-            jobs=3,
-            metrics=MetricsRegistry(),
-        )
-        result = engine.check_sources(dict(corpus))
-        assert _renders(result) == serial_renders
-        assert engine.metrics.count("engine.shard.count") > 0
 
 
 class TestCacheServerFlow:

@@ -1,7 +1,7 @@
-"""End-to-end tests for the incremental parallel checking engine.
+"""End-to-end tests for the incremental checking engine.
 
 Pins the acceptance properties: warm-cache re-checks are >= 5x faster
-than cold checks, parallel runs emit byte-identical output to serial
+than cold checks, cached runs emit byte-identical output to plain
 runs, and a corrupted or version-mismatched cache silently rebuilds.
 """
 
@@ -47,22 +47,6 @@ class TestEquivalence:
         assert warm.stats.cache_misses == 0
         assert warm.stats.cache_hits == warm.stats.units
         assert _renders(result) == _renders(Checker().check_sources(dict(db_files)))
-
-    def test_parallel_matches_serial(self, db_files):
-        serial = IncrementalChecker(jobs=1).check_sources(dict(db_files))
-        parallel_engine = IncrementalChecker(jobs=4)
-        parallel = parallel_engine.check_sources(dict(db_files))
-        # Same messages, same order, same text.
-        assert _renders(parallel) == _renders(serial)
-        assert parallel.suppressed == serial.suppressed
-
-    def test_parallel_with_cache_matches(self, db_files, tmp_path):
-        classic = Checker().check_sources(dict(db_files))
-        engine = IncrementalChecker(
-            cache=ResultCache(str(tmp_path / "c")), jobs=3
-        )
-        result = engine.check_sources(dict(db_files))
-        assert _renders(result) == _renders(classic)
 
     def test_every_db_stage_matches(self, tmp_path):
         for stage in range(5):
@@ -265,15 +249,3 @@ class TestDaemon:
         assert "error" in lines[1]
         assert "error" in lines[2]
         assert lines[-1]["errors"] == 2
-
-
-class TestGeneratedProgramParallel:
-    def test_many_unit_program_parallel_equals_serial(self):
-        from repro.bench.generator import generate_program
-
-        program = generate_program(modules=5, filler_functions=3, seed=11)
-        serial = IncrementalChecker(jobs=1).check_sources(dict(program.files))
-        parallel = IncrementalChecker(jobs=4).check_sources(dict(program.files))
-        assert _renders(parallel) == _renders(serial)
-        classic = Checker().check_sources(dict(program.files))
-        assert _renders(parallel) == _renders(classic)

@@ -220,35 +220,6 @@ class TestOneDriver:
         ).check_sources(_example_db())
         assert set(calls) == {"source_key", "unit_digests"}
 
-    def test_pool_alone_keys_and_counts_nothing(self, monkeypatch):
-        # Shards are balanced by size, so a --jobs run with no cache and
-        # no cache server has no use for keys or digests either.
-        from repro.incremental import engine, parallel
-        from repro.obs.metrics import MetricsRegistry
-
-        if not parallel.fork_available():
-            pytest.skip("needs fork")
-        calls = []
-        for name in ("source_key", "unit_digests"):
-            def counting(*args, _original=getattr(engine, name), _name=name,
-                         **kwargs):
-                calls.append(_name)
-                return _original(*args, **kwargs)
-
-            monkeypatch.setattr(engine, name, counting)
-        metrics = MetricsRegistry()
-        pooled = IncrementalChecker(jobs=2, metrics=metrics)
-        result = pooled.check_sources(_example_db())
-        assert pooled.stats.parallel_used
-        assert calls == []
-        assert [k for k in metrics.to_dict()["counters"]
-                if k.startswith("cache.")] == []
-        assert (pooled.stats.cache_misses, pooled.stats.memo_misses) == (0, 0)
-        plain = Checker().check_sources(_example_db())
-        assert [m.render() for m in result.messages] == \
-            [m.render() for m in plain.messages]
-        assert result.suppressed == plain.suppressed
-
     def test_difftest_counts_runs_but_no_cache_traffic(self, tmp_path):
         metrics = tmp_path / "m.json"
         src = os.path.dirname(os.path.dirname(repro.__file__))

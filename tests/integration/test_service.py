@@ -68,7 +68,7 @@ def warning_file(tmp_path):
 def _block_until(event: threading.Event, reply=(0, "blocked-done")):
     """A fake ``cli.run`` that parks the worker until *event* is set."""
 
-    def fake_run(argv, cache=None, jobs=None):
+    def fake_run(argv, cache=None):
         event.wait(30)
         return reply
 
@@ -229,7 +229,7 @@ class TestServiceConcurrency:
     ):
         from repro.core.faults import cancel_checkpoint
 
-        def slow_cooperative_run(argv, cache=None, jobs=None):
+        def slow_cooperative_run(argv, cache=None):
             for _ in range(500):
                 cancel_checkpoint()
                 time.sleep(0.01)
@@ -251,7 +251,7 @@ class TestServiceConcurrency:
         started_order = []
         lock = threading.Lock()
 
-        def recording_run(argv, cache=None, jobs=None):
+        def recording_run(argv, cache=None):
             with lock:
                 started_order.append(argv[0])
             release.wait(30)
@@ -313,10 +313,10 @@ class TestServiceRobustness:
     ):
         original = cli.run
 
-        def sometimes_broken(argv, cache=None, jobs=None):
+        def sometimes_broken(argv, cache=None):
             if any("trigger.c" in a for a in argv):
                 raise RuntimeError("checker blew up")
-            return original(argv, cache=cache, jobs=jobs)
+            return original(argv, cache=cache)
 
         monkeypatch.setattr(cli, "run", sometimes_broken)
         handle = start_service()
@@ -344,7 +344,7 @@ class TestServiceRobustness:
         doomed.close()  # vanish mid-request
         release.set()
         monkeypatch.setattr(
-            cli, "run", lambda argv, cache=None, jobs=None: (0, "ok")
+            cli, "run", lambda argv, cache=None: (0, "ok")
         )
         with handle.client() as other:
             reply = other.check(["y.c"], request_id="alive")

@@ -101,10 +101,9 @@ class TestStaticsStayInTheirUnit:
         paths = _write(tmp_path, _ordered(pair, reverse))
         assert run(paths) == (0, "0 code warning(s)")
 
-    @pytest.mark.parametrize("jobs", ["1", "2"])
-    def test_cli_with_cache_cold_and_warm(self, pair, reverse, jobs, tmp_path):
+    def test_cli_with_cache_cold_and_warm(self, pair, reverse, tmp_path):
         paths = _write(tmp_path, _ordered(pair, reverse))
-        argv = ["--cache-dir", str(tmp_path / "cache"), "--jobs", jobs]
+        argv = ["--cache-dir", str(tmp_path / "cache")]
         assert run(argv + paths) == (0, "0 code warning(s)")  # cold
         assert run(argv + paths) == (0, "0 code warning(s)")  # warm
 

@@ -1,7 +1,12 @@
 """Tests for the CLI driver and interface libraries."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro.core.api import Checker
 from repro.driver.cli import CliError, run
 from repro.driver.library import (
@@ -227,34 +232,37 @@ class TestCliErrorHandling:
 
 
 class TestCliIncrementalOptions:
-    def test_jobs_option_parses(self, sample_file):
-        status, output = run(["--jobs", "2", sample_file])
-        assert status == 1
-        assert "Only storage gname not released" in output
-
-    def test_jobs_equals_form(self, sample_file):
-        status, _ = run(["--jobs=2", sample_file])
-        assert status == 1
-
-    def test_jobs_rejects_garbage(self, sample_file):
-        with pytest.raises(CliError, match="--jobs"):
-            run(["--jobs", "many", sample_file])
-        with pytest.raises(CliError, match="--jobs"):
-            run(["--jobs", "0", sample_file])
-        with pytest.raises(CliError, match="--jobs"):
-            run(["--jobs"])
-
-    def test_jobs_without_a_cache_counts_no_cache_traffic(self, sample_file):
-        status, output = run(["--jobs", "2", "-stats", sample_file])
-        assert status == 1
-        assert "result cache:      0 hit(s), 0 miss(es)" in output
-        assert "unit memo:         0 hit(s), 0 miss(es)" in output
-
-    def test_shard_strategy_is_an_unknown_flag(self, sample_file, capsys):
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [(["--shard-strategy", "size"], "'-shard-strategy'"),
+         (["--jobs", "2"], "'-jobs'"), (["--jobs=2"], "'-jobs=2'"),
+         (["-j", "2"], "'j'")],
+        ids=["shard-strategy", "jobs", "jobs-equals", "j"],
+    )
+    def test_removed_option_is_an_unknown_flag(
+        self, sample_file, capsys, argv, flag
+    ):
+        # Every check runs in one process: there is no worker count and
+        # no shard layout to choose.
         from repro.driver.cli import main
 
-        assert main(["--shard-strategy", "size", sample_file]) == 2
-        assert "unknown flag '-shard-strategy'" in capsys.readouterr().err
+        assert main([*argv, sample_file]) == 2
+        assert f"unknown flag {flag}" in capsys.readouterr().err
+
+    def test_importing_the_driver_loads_no_process_pool(self):
+        probe = (
+            "import sys, repro.driver.cli; "
+            "print(sorted({'multiprocessing', 'repro.incremental.parallel'}"
+            " & set(sys.modules)))"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True,
+            check=True, timeout=60, env=dict(
+                os.environ,
+                PYTHONPATH=os.path.dirname(os.path.dirname(repro.__file__)),
+            ),
+        )
+        assert done.stdout.strip() == "[]"
 
     def test_cache_dir_option(self, sample_file, tmp_path):
         cache_dir = str(tmp_path / "cache")

@@ -1,5 +1,5 @@
 """Unit tests for the fault-containment layer: crash bundles, degraded
-unit outputs, and the parallel scheduler's fallback bookkeeping."""
+unit outputs, and the fork pool's fallback bookkeeping."""
 
 import gc
 import json
@@ -177,115 +177,80 @@ class TestPerFunctionContainment:
         assert out.internal_errors == 0
 
 
-class TestParallelFallback:
-    def _parsed(self, texts):
-        checker = Checker()
-        return [
-            checker.parse_unit(text, f"u{i}.c")
-            for i, text in enumerate(texts)
-        ]
+class _Shared:
+    """A pool's shared state: weak-referenceable, so a test can watch it
+    being freed."""
 
-    def test_unpicklable_state_no_longer_forces_serial(self):
-        # Shared state travels through fork-inherited memory, so
-        # unpicklable members (which used to force a serial fallback)
-        # parallelize like anything else.
+    def __init__(self, base, payload=()):
+        self.base = base
+        self.payload = payload
+
+
+def _offset(shared, item):
+    return shared.base + item
+
+
+class TestParallelFallback:
+    """The fork pool's failure modes, driven through ``fork_map`` with a
+    small module-level task function."""
+
+    @pytest.fixture(autouse=True)
+    def needs_fork(self):
         from repro.incremental import parallel
 
         if not parallel.fork_available():
             pytest.skip("needs fork")
-        units = self._parsed(["int f(void) { return 1; }",
-                              "int g(void) { return 2; }"])
-        interfaces = [unit_interface(u) for u in units]
-        symtab = build_program_symtab(interfaces)
-        outputs, notes = parallel.check_units_parallel(
-            units, symtab, Checker().flags,
-            # unpicklable enum_consts
-            {"bad": lambda: None, "lock": threading.Lock()},
-            jobs=2, interfaces=interfaces,
-        )
-        assert outputs is not None and len(outputs) == 2
-        assert notes == []
 
-    def test_single_unit_stays_serial_silently(self):
-        from repro.incremental.parallel import check_units_parallel
+    def _map(self, shared, tasks):
+        from repro.incremental.parallel import fork_map
 
-        units = self._parsed(["int f(void) { return 1; }"])
-        interfaces = [unit_interface(u) for u in units]
-        symtab = build_program_symtab(interfaces)
-        outputs, notes = check_units_parallel(
-            units, symtab, Checker().flags, {}, jobs=4,
-            interfaces=interfaces,
+        return fork_map(
+            _offset, shared, tasks, 2, name=lambda i: f"item {i}",
+            noun="item",
         )
-        assert outputs is None
+
+    def test_unpicklable_state_still_runs_pooled(self):
+        # Shared state travels through fork-inherited memory, so
+        # unpicklable members cannot force a serial fallback.
+        shared = _Shared(10, (lambda: None, threading.Lock()))
+        results, notes = self._map(shared, [(0,), (1,)])
+        assert results == [10, 11]
         assert notes == []
 
     def test_dead_task_is_retried_serially(self, monkeypatch):
         from repro.incremental import parallel
 
-        if not parallel.fork_available():
-            pytest.skip("needs fork")
-
         # Workers inherit the monkeypatched task through fork; the
-        # parent retries each shard with the real check function.
+        # parent re-runs each task's items with the real function.
         monkeypatch.setattr(parallel, "_run_task", _die_task)
-        units = self._parsed(["int f(void) { return 1; }",
-                              "int g(void) { return 2; }"])
-        interfaces = [unit_interface(u) for u in units]
-        symtab = build_program_symtab(interfaces)
-        outputs, notes = parallel.check_units_parallel(
-            units, symtab, Checker().flags, {}, jobs=2,
-            interfaces=interfaces,
-        )
-        assert outputs is not None and len(outputs) == 2
-        assert all(out is not None for out in outputs)
-        assert len(notes) == 2
-        assert all("re-checked serially" in note for note in notes)
+        results, notes = self._map(_Shared(10), [(0, 2), (1,)])
+        assert results == [10, 11, 12]
+        assert sorted(notes) == [
+            f"parallel check of item {i} failed (RuntimeError); "
+            f"re-checked serially"
+            for i in range(3)
+        ]
 
     def test_broken_pool_falls_back_serially_once(self, monkeypatch):
-        # Satellite regression: a collapsed pool used to be recorded as
-        # one retry per surviving unit. It must cost one fallback with
-        # one note, and every unit must still be checked.
+        # A collapsed pool costs one note, not one retry per surviving
+        # item, and every item still gets its result.
         from repro.incremental import parallel
-        from repro.obs.metrics import MetricsRegistry
 
-        if not parallel.fork_available():
-            pytest.skip("needs fork")
         monkeypatch.setattr(parallel, "_run_task", _break_pool_task)
-        units = self._parsed([
-            f"int f{i}(void) {{ return {i}; }}" for i in range(4)
-        ])
-        interfaces = [unit_interface(u) for u in units]
-        symtab = build_program_symtab(interfaces)
-        metrics = MetricsRegistry()
-        outputs, notes = parallel.check_units_parallel(
-            units, symtab, Checker().flags, {}, jobs=2, metrics=metrics,
-            interfaces=interfaces,
-        )
-        assert outputs is not None and len(outputs) == 4
-        assert all(out is not None for out in outputs)
+        results, notes = self._map(_Shared(10), [(i,) for i in range(4)])
+        assert results == [10, 11, 12, 13]
         assert len(notes) == 1
         assert "BrokenProcessPool" in notes[0]
-        assert metrics.count("engine.parallel.fallbacks") == 1
-        assert metrics.count("engine.parallel.unit_retries") == 0
 
-    def test_task_payload_does_not_scale_with_unit_count(self, monkeypatch):
-        # Satellite regression: shared state used to be pickled into
-        # every worker via initargs, multiplying peak memory by the job
-        # count. Tasks must now carry only shard indices, so the bytes
-        # pickled per submit stay tiny however large the units are.
+    def test_task_payload_does_not_scale_with_shared_state(
+        self, monkeypatch
+    ):
+        # Tasks carry only their items, so the bytes pickled per submit
+        # stay tiny however large the shared state is, and the pool
+        # keeps no reference to the state once it is done.
         import pickle as pickle_mod
         from concurrent.futures import ProcessPoolExecutor
 
-        from repro.incremental import parallel
-
-        if not parallel.fork_available():
-            pytest.skip("needs fork")
-        big_body = "".join(f"    int a{i} = {i};\n" for i in range(2000))
-        units = self._parsed([
-            f"int f{i}(void) {{\n{big_body}    return {i}; }}"
-            for i in range(3)
-        ])
-        assert sum(len(u.unit.name) for u in units)  # parsed fine
         payload_sizes = []
         real_submit = ProcessPoolExecutor.submit
 
@@ -296,20 +261,16 @@ class TestParallelFallback:
         monkeypatch.setattr(
             ProcessPoolExecutor, "submit", recording_submit
         )
-        interfaces = [unit_interface(u) for u in units]
-        symtab = build_program_symtab(interfaces)
-        outputs, notes = parallel.check_units_parallel(
-            units, symtab, Checker().flags, {}, jobs=2,
-            interfaces=interfaces,
-        )
-        assert outputs is not None and len(outputs) == 3
-        assert payload_sizes, "parallel path did not submit tasks"
+        shared = _Shared(10, "x" * 1_000_000)
+        results, notes = self._map(shared, [(0,), (1,), (2,)])
+        assert results == [10, 11, 12]
+        assert notes == []
+        assert payload_sizes, "the pool submitted no task"
         assert max(payload_sizes) < 4096, payload_sizes
-        # no lingering reference to the shared state once the pool is done
-        shared = weakref.ref(symtab)
-        del symtab
+        freed = weakref.ref(shared)
+        del shared
         gc.collect()
-        assert shared() is None
+        assert freed() is None
 
     def test_keyboard_interrupt_propagates(self, monkeypatch):
         from repro.incremental import parallel
@@ -318,25 +279,18 @@ class TestParallelFallback:
             raise KeyboardInterrupt
 
         monkeypatch.setattr(parallel, "ProcessPoolExecutor", interrupt)
-        units = self._parsed(["int f(void) { return 1; }",
-                              "int g(void) { return 2; }"])
-        interfaces = [unit_interface(u) for u in units]
-        symtab = build_program_symtab(interfaces)
         with pytest.raises(KeyboardInterrupt):
-            parallel.check_units_parallel(
-                units, symtab, Checker().flags, {}, jobs=2,
-                interfaces=interfaces,
-            )
+            self._map(_Shared(10), [(0,), (1,)])
 
 
-def _die_task(indices):
-    raise RuntimeError(f"worker died on {indices}")
+def _die_task(items):
+    raise RuntimeError(f"worker died on {items}")
 
 
-def _break_pool_task(indices):
+def _break_pool_task(items):
     from concurrent.futures.process import BrokenProcessPool
 
-    raise BrokenProcessPool(f"simulated collapse on {indices}")
+    raise BrokenProcessPool(f"simulated collapse on {items}")
 
 
 class TestCancelScopes:

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro
+from repro.driver.cli import main
 from repro.incremental.cacheserver import CacheServer, run_cache_server
 from repro.incremental.server import DaemonServer, run_daemon
 from repro.service.client import ServiceClient
@@ -86,11 +87,11 @@ class TestLineFramer:
 class TestOptionTable:
     def test_spellings(self):
         assert parse_options(
-            ["--cache-dir=/c", "-jobs", "3", "-j", "2", "--workers", "0",
+            ["--cache-dir=/c", "-workers", "3", "--workers", "0",
              "--max-inflight=7", "--request-timeout", "1.5"],
             CheckingService.OPTIONS,
         ) == {
-            "cache_dir": "/c", "jobs": 2, "workers": 1, "max_inflight": 7,
+            "cache_dir": "/c", "workers": 1, "max_inflight": 7,
             "request_timeout": 1.5,
         }
         assert parse_options(
@@ -106,15 +107,20 @@ class TestOptionTable:
         ) == {"unix_path": "/s", "host": "h", "port": 2}
 
     @pytest.mark.parametrize("entry, argv, message", [
-        (run_service, ["--jobs"], "--jobs requires a value"),
+        (run_service, ["--workers"], "--workers requires a value"),
+        (run_service, ["--workers", "abc"], "'abc'"),
         (run_service, ["--addr", "nope"], "bad --addr"),
         (run_service, ["--bogus"], "unknown option '--bogus'"),
         (run_service, ["stray.c"], "unknown option 'stray.c'"),
         (run_cache_server, ["--workers", "2"], "unknown option '--workers'"),
         (run_cache_server, ["--cache-dir"], "--cache-dir requires a value"),
         (run_daemon, ["--addr", "h:1"], "unknown option '--addr'"),
-        (run_daemon, ["--jobs", "abc"], "'abc'"),
-        (run_daemon, ["-j"], "--jobs requires a value"),
+        (run_daemon, ["--workers", "2"], "unknown option '--workers'"),
+        # Checks run in one process, so no server takes a worker count.
+        (main, ["--serve", "--jobs", "2"], "unknown option '--jobs'"),
+        (main, ["--serve", "-j", "2"], "unknown option '-j'"),
+        (main, ["--daemon", "--jobs=2"], "unknown option '--jobs'"),
+        (main, ["--daemon", "-j", "2"], "unknown option '-j'"),
     ])
     def test_bad_usage_exits_2_before_serving(
         self, entry, argv, message, capsys
@@ -190,7 +196,7 @@ class TestLaunch:
 
     def test_daemon_module(self, tmp_path):
         proc = _launch(
-            ["-m", "repro.incremental.server", "-jobs", "2",
+            ["-m", "repro.incremental.server",
              f"--cache-dir={tmp_path / 'c'}"],
             stdin=subprocess.PIPE,
         )
@@ -201,19 +207,19 @@ class TestLaunch:
             if proc.poll() is None:
                 proc.kill()
                 proc.communicate()
-        assert ready == {"ready": True, "jobs": 2, "cache": str(tmp_path / "c")}
+        assert ready == {"ready": True, "cache": str(tmp_path / "c")}
         assert json.loads(out)["bye"] is True
         assert (proc.returncode, err) == (0, b"")
 
     def test_service_unix_address_alone_opens_no_tcp(self, tmp_path):
         path = str(tmp_path / "svc.sock")
         announce = _announce_then_drain([
-            "-m", "repro.service", f"--addr=unix:{path}", "-j", "2",
+            "-m", "repro.service", f"--addr=unix:{path}",
             "--no-cache", "--request-timeout", "0",
         ])
         assert announce["unix"] == path
         assert "addr" not in announce
-        assert announce["jobs"] == 2
+        assert "jobs" not in announce
         assert announce["cache"] is None
         assert announce["request_timeout"] is None
 
