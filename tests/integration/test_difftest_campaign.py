@@ -85,6 +85,27 @@ def test_parallel_campaign_matches_serial(default_campaign):
     assert parallel.render() == default_campaign.render()
 
 
+@pytest.mark.parametrize(
+    "seeds, jobs", [(1, 4), (3, 1)], ids=["one-seed", "one-job"],
+)
+def test_campaign_without_work_to_spread_never_forks(
+    monkeypatch, seeds, jobs
+):
+    # One seed, or one job, runs in the caller's process without a pool
+    # and without a note about one.
+    from repro.difftest import campaign
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("the campaign started a pool")
+
+    monkeypatch.setattr(campaign, "fork_map", no_pool)
+    result = run_campaign(
+        CampaignConfig(seeds=seeds, jobs=jobs, corpus_dir=None)
+    )
+    assert len(result.outcomes) == seeds
+    assert not [n for n in result.notes if "serially" in n], result.notes
+
+
 def test_collapsed_pool_writes_one_note_and_keeps_the_table(monkeypatch):
     # The campaign runs on the engine's pool: a worker that dies takes
     # the pool down, and the campaign salvages finished seeds, re-runs
@@ -294,6 +315,28 @@ def test_cli_rejects_bad_arguments():
         parse_args(["bogus-positional"])
     with pytest.raises(DifftestCliError):
         run_difftest(["--seeds", "1", "-notarealflag"])
+
+
+@pytest.mark.parametrize(
+    "argv", [["--jobs", "2"], ["--jobs=2"], ["-j", "2"]],
+    ids=["jobs", "jobs-equals", "j"],
+)
+def test_cli_jobs_forms_parse(argv):
+    # The campaign is the one command with a worker count.
+    assert parse_args(argv)["jobs"] == 2
+
+
+@pytest.mark.parametrize("value", ["abc", "0"])
+def test_cli_jobs_rejects_garbage(value):
+    with pytest.raises(DifftestCliError, match="--jobs expects"):
+        parse_args(["--jobs", value])
+
+
+def test_cli_jobs_prints_the_serial_table():
+    argv = ["--seeds", "8", "--no-corpus", "--quiet"]
+    assert run_difftest([*argv, "--jobs", "2"]) == run_difftest(
+        [*argv, "--jobs", "1"]
+    )
 
 
 def test_cli_help():

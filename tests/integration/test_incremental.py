@@ -249,3 +249,27 @@ class TestDaemon:
         assert "error" in lines[1]
         assert "error" in lines[2]
         assert lines[-1]["errors"] == 2
+
+
+class TestGeneratedProgram:
+    @pytest.mark.parametrize("stripped", [False, True],
+                             ids=["annotated", "stripped"])
+    @pytest.mark.parametrize("seed", [3, 11])
+    def test_cached_cold_and_warm_equal_plain(self, seed, stripped, tmp_path):
+        # A many-unit program whose units call across each other; the
+        # stripped variant keeps real messages in many units.
+        from repro.bench.generator import generate_program
+
+        program = generate_program(modules=5, filler_functions=3, seed=seed)
+        if stripped:
+            program = program.stripped()
+        plain = Checker().check_sources(dict(program.files))
+        root = str(tmp_path / "c")
+        for run_no in range(2):  # cold, then warm
+            engine = IncrementalChecker(cache=ResultCache(root))
+            result = engine.check_sources(dict(program.files))
+            assert _renders(result) == _renders(plain), run_no
+            assert result.suppressed == plain.suppressed
+        assert engine.stats.cache_hits == engine.stats.units > 5
+        if stripped:
+            assert plain.messages

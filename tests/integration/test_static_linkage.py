@@ -107,6 +107,27 @@ class TestStaticsStayInTheirUnit:
         assert run(argv + paths) == (0, "0 code warning(s)")  # cold
         assert run(argv + paths) == (0, "0 code warning(s)")  # warm
 
+    def test_cli_with_cache_server_cold_and_warm(
+        self, pair, reverse, tmp_path
+    ):
+        # The warm run starts from an empty local cache, so each unit's
+        # memo and result come from the server's copy of the cold run.
+        from repro.driver import cli
+        from repro.incremental import CacheServerThread
+
+        paths = _write(tmp_path, _ordered(pair, reverse))
+        server = CacheServerThread(cache_dir=str(tmp_path / "shared"))
+        try:
+            for local in ("cold", "warm"):
+                argv = ["--cache-dir", str(tmp_path / local),
+                        "--cache-server", server.addr]
+                assert run(argv + paths) == (0, "0 code warning(s)"), local
+            stats = cli.LAST_RUN_STATS
+            assert stats.remote_misses == 0
+            assert stats.remote_hits >= stats.units == 2
+        finally:
+            server.close()
+
 
 def test_a_units_own_static_still_reports_real_bugs():
     # b.c passes NULL to *its own* non-null helper: a true positive that

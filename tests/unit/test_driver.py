@@ -249,20 +249,42 @@ class TestCliIncrementalOptions:
         assert main([*argv, sample_file]) == 2
         assert f"unknown flag {flag}" in capsys.readouterr().err
 
-    def test_importing_the_driver_loads_no_process_pool(self):
-        probe = (
-            "import sys, repro.driver.cli; "
-            "print(sorted({'multiprocessing', 'repro.incremental.parallel'}"
-            " & set(sys.modules)))"
-        )
+    @staticmethod
+    def _probe(probe: str) -> list[str]:
+        """Run *probe* in a fresh interpreter; returns its output lines,
+        the last naming the process-pool modules it left loaded."""
         done = subprocess.run(
-            [sys.executable, "-c", probe], capture_output=True, text=True,
-            check=True, timeout=60, env=dict(
+            [sys.executable, "-c", probe + "; print(sorted("
+             "{'multiprocessing', 'repro.incremental.parallel'}"
+             " & set(sys.modules)))"],
+            capture_output=True, text=True, check=True, timeout=60,
+            env=dict(
                 os.environ,
                 PYTHONPATH=os.path.dirname(os.path.dirname(repro.__file__)),
             ),
         )
-        assert done.stdout.strip() == "[]"
+        return done.stdout.splitlines()
+
+    def test_importing_the_driver_loads_no_process_pool(self):
+        assert self._probe("import sys, repro.driver.cli") == ["[]"]
+
+    @pytest.mark.parametrize(
+        "options",
+        [[], ["--cache-dir", "{tmp}"],
+         ["--cache-dir", "{tmp}", "--cache-server", "127.0.0.1:1"],
+         ["--profile"]],
+        ids=["plain", "cache", "cache-server", "profile"],
+    )
+    def test_checking_loads_no_process_pool(
+        self, sample_file, tmp_path, options
+    ):
+        # Every check runs in the caller's process, whatever the mode.
+        argv = [o.format(tmp=tmp_path / "cache") for o in options]
+        probe = (
+            "import sys; from repro.driver.cli import run; "
+            f"print(run({[*argv, sample_file]!r})[0])"
+        )
+        assert self._probe(probe) == ["1", "[]"]  # warnings, no pool
 
     def test_cache_dir_option(self, sample_file, tmp_path):
         cache_dir = str(tmp_path / "cache")

@@ -190,6 +190,27 @@ def _offset(shared, item):
     return shared.base + item
 
 
+def _worker_pid(shared, item):
+    return os.getpid()
+
+
+def _fails_on_one(shared, item):
+    if item == 1:
+        raise ValueError(f"item {item} fails wherever it runs")
+    return shared.base + item
+
+
+def _layout(count, tasks):
+    """*count* items dealt round-robin into at most *tasks* tasks, each
+    task's items in descending order."""
+    dealt = [
+        tuple(reversed(range(start, count, tasks)))
+        for start in range(min(tasks, count))
+    ]
+    assert sorted(i for task in dealt for i in task) == list(range(count))
+    return dealt
+
+
 class TestParallelFallback:
     """The fork pool's failure modes, driven through ``fork_map`` with a
     small module-level task function."""
@@ -208,6 +229,74 @@ class TestParallelFallback:
             _offset, shared, tasks, 2, name=lambda i: f"item {i}",
             noun="item",
         )
+
+    @pytest.mark.parametrize(
+        "count, tasks", [(1, 1), (2, 1), (5, 3), (7, 20), (10, 4), (48, 8)],
+    )
+    def test_results_follow_the_items_for_any_task_layout(
+        self, count, tasks
+    ):
+        # Whatever tasks the items are dealt into, and in whatever
+        # order a task lists them, results[item] is fn(shared, item).
+        results, notes = self._map(_Shared(100), _layout(count, tasks))
+        assert results == [100 + i for i in range(count)]
+        assert notes == []
+
+    @pytest.mark.parametrize(
+        "jobs, tasks", [(1, 3), (2, 1), (4, 2)],
+    )
+    def test_never_more_workers_than_jobs_or_tasks(self, jobs, tasks):
+        from repro.incremental.parallel import fork_map
+
+        pids, notes = fork_map(
+            _worker_pid, _Shared(0), _layout(2 * tasks, tasks), jobs,
+            name=str, noun="item",
+        )
+        assert notes == []
+        assert os.getpid() not in pids
+        assert 1 <= len(set(pids)) <= min(jobs, tasks)
+
+    def test_parent_keeps_no_worker_state(self):
+        # The per-pool initializer runs in the workers only.
+        from repro.incremental import parallel
+
+        results, _ = self._map(_Shared(10), [(0,), (1,)])
+        assert results == [10, 11]
+        assert parallel._WORKER_STATE is None
+
+    def test_no_fork_returns_none_with_one_note(self, monkeypatch):
+        from repro.incremental import parallel
+
+        monkeypatch.setattr(parallel, "fork_available", lambda: False)
+        assert self._map(_Shared(10), [(0, 2), (1,)]) == (None, [
+            "parallel checking unavailable (no fork start method on this "
+            "platform); checked 3 item(s) serially"
+        ])
+
+    def test_pool_that_cannot_start_returns_none_with_one_note(
+        self, monkeypatch
+    ):
+        from repro.incremental import parallel
+
+        def cannot_start(*args, **kwargs):
+            raise OSError("no more processes")
+
+        monkeypatch.setattr(parallel, "ProcessPoolExecutor", cannot_start)
+        assert self._map(_Shared(10), [(0,), (1,)]) == (None, [
+            "parallel checking unavailable (cannot start worker pool: "
+            "OSError); checked 2 item(s) serially"
+        ])
+
+    def test_item_that_fails_serially_too_raises(self):
+        # The serial re-run is the last word: an item that fails there
+        # as well raises to the caller, as it would without a pool.
+        from repro.incremental.parallel import fork_map
+
+        with pytest.raises(ValueError, match="item 1 fails"):
+            fork_map(
+                _fails_on_one, _Shared(10), [(0,), (1,), (2,)], 2,
+                name=str, noun="item",
+            )
 
     def test_unpicklable_state_still_runs_pooled(self):
         # Shared state travels through fork-inherited memory, so
@@ -280,6 +369,16 @@ class TestParallelFallback:
 
         monkeypatch.setattr(parallel, "ProcessPoolExecutor", interrupt)
         with pytest.raises(KeyboardInterrupt):
+            self._map(_Shared(10), [(0,), (1,)])
+
+    def test_system_exit_propagates(self, monkeypatch):
+        from repro.incremental import parallel
+
+        def exit_now(*args, **kwargs):
+            raise SystemExit(3)
+
+        monkeypatch.setattr(parallel, "ProcessPoolExecutor", exit_now)
+        with pytest.raises(SystemExit):
             self._map(_Shared(10), [(0,), (1,)])
 
 
