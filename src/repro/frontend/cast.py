@@ -2,10 +2,21 @@
 
 Nodes are ``slots=True`` dataclasses: a cold parse allocates hundreds of
 thousands of them, and slots drop the per-node ``__dict__`` (smaller,
-faster attribute access, cheaper construction). Every node carries a
-source :class:`~repro.frontend.source.Location`. Declarations
-additionally carry an :class:`~repro.annotations.kinds.AnnotationSet`,
-which is how the paper's interface assumptions enter the analysis.
+faster attribute access, cheaper construction). Every node has a source
+:class:`~repro.frontend.source.Location`, read as ``node.location``. The
+parser builds a node from the :class:`~repro.frontend.tokens.Token` it
+starts at and stores that token; the first read of ``location`` turns
+it into the token's ``Location`` and keeps that, so a node whose
+location nothing reads never builds one. Nodes built elsewhere (the
+checker, the interpreter, tests) store a ``Location`` (or ``None``)
+directly. Reading is idempotent, so nodes shared between threads (the
+prelude's) need no lock. ``repr``, ``==`` and pickling read through the
+same property: they show, compare and carry the ``Location``, never the
+token. ``Block.end_location`` works the same way.
+
+Declarations additionally carry an
+:class:`~repro.annotations.kinds.AnnotationSet`, which is how the
+paper's interface assumptions enter the analysis.
 """
 
 from __future__ import annotations
@@ -14,6 +25,7 @@ from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING, Iterator
 
 from .source import Location
+from .tokens import Token
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from ..annotations.kinds import AnnotationSet
@@ -28,7 +40,7 @@ _CHILD_FIELDS: dict[type, tuple[str, ...]] = {}
 
 @dataclass(slots=True)
 class Node:
-    location: Location
+    location: Location  # the parser stores a Token here; see _materialized
 
     def children(self) -> Iterator["Node"]:
         """Yield direct child nodes (used by generic walkers)."""
@@ -324,3 +336,29 @@ class TranslationUnit(Node):
 
     def declarations(self) -> list[Declaration]:
         return [item for item in self.items if isinstance(item, Declaration)]
+
+
+def _materialized(slot) -> property:
+    """A property over a node's location *slot*: it reads a stored
+    :class:`Token` as the token's ``Location`` and keeps that.
+
+    The setter is the slot's own: the dataclass ``__init__`` and
+    unpickling store through it, and nothing else writes a location.
+    """
+    get = slot.__get__
+    put = slot.__set__
+
+    def read(node: Node) -> Location:
+        at = get(node)
+        if at.__class__ is Token:
+            at = at.location
+            put(node, at)
+        return at
+
+    return property(read, put)
+
+
+Node.location = _materialized(Node.__dict__["location"])  # type: ignore[assignment]
+Block.end_location = _materialized(  # type: ignore[assignment]
+    Block.__dict__["end_location"]
+)

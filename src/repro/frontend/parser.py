@@ -62,6 +62,16 @@ _QUALIFIER_KEYWORDS = frozenset({"const", "volatile", "inline"})
 _TYPE_START_KEYWORDS = _TYPE_KEYWORDS | _QUALIFIER_KEYWORDS
 _DECL_START_KEYWORDS = _TYPE_KEYWORDS | _STORAGE_KEYWORDS | _QUALIFIER_KEYWORDS
 _UNARY_OPS = frozenset({"&", "*", "+", "-", "~", "!"})
+#: Spellings that start a postfix operator after a primary expression.
+_POSTFIX_STARTS = frozenset({"[", "(", ".", "->", "++", "--"})
+
+_IDENT = TokenKind.IDENT
+_KEYWORD = TokenKind.KEYWORD
+_PUNCT = TokenKind.PUNCT
+_INT_CONST = TokenKind.INT_CONST
+_ANNOTATION = TokenKind.ANNOTATION
+_CONTROL = TokenKind.CONTROL
+_EOF = TokenKind.EOF
 
 #: Canonical multi-word primitive spellings, keyed by sorted specifier words.
 _PRIMITIVE_COMBOS = {
@@ -105,7 +115,7 @@ class _DeclSpecs:
     base: CType
     storage: str | None
     annotations: AnnotationSet
-    location: Location
+    start: Token  # the first token of the specifiers
 
 
 class _Scope:
@@ -141,7 +151,12 @@ class _Scope:
 
 
 class Parser:
-    """Parse a preprocessed token stream into a :class:`TranslationUnit`."""
+    """Parse a preprocessed token stream into a :class:`TranslationUnit`.
+
+    The stream ends in an EOF token, as the lexer's and the
+    preprocessor's output do. Nodes are built from the token they start
+    at; see :mod:`.cast` for when that becomes a ``Location``.
+    """
 
     def __init__(
         self, toks: list[Token], name: str = "<string>",
@@ -149,8 +164,22 @@ class Parser:
         preseed: "_Scope | None" = None,
         engine: str | None = None,
     ) -> None:
-        self.toks = [t for t in toks if t.kind is not TokenKind.CONTROL]
-        self.controls = [t for t in toks if t.kind is TokenKind.CONTROL]
+        tokens: list[Token] = []
+        controls: list[Token] = []
+        keep = tokens.append
+        aside = controls.append
+        for tok in toks:
+            if tok.kind is _CONTROL:
+                aside(tok)
+            else:
+                keep(tok)
+        # The parser never steps past the first EOF, and looks at most
+        # two tokens ahead of it: two more copies let every token step
+        # index ``self.toks`` without a length test.
+        eof = tokens[-1]
+        tokens += (eof, eof)
+        self.toks = tokens
+        self.controls = controls
         self.name = name
         self.idx = 0
         self.scope = _Scope()
@@ -170,7 +199,7 @@ class Parser:
         if engine is None:
             engine = _DEFAULT_ENGINE
         if engine == "table":
-            self._binary_expr = self._table_binary_expression
+            self._binary_expr = self._binary_climb
         elif engine == "reference":
             self._binary_expr = self._reference_binary_expression
         else:
@@ -179,30 +208,25 @@ class Parser:
     # -- token plumbing ----------------------------------------------------
 
     # _peek/_next/_accept are the parser's innermost loop; each avoids
-    # delegating to the other so a token step costs one method call.
+    # delegating to the other so a token step costs one method call, and
+    # the hottest callers index ``self.toks[self.idx]`` themselves. The
+    # EOF copies at the end of ``self.toks`` keep every index in range.
 
     def _peek(self, ahead: int = 0) -> Token:
-        toks = self.toks
-        idx = self.idx + ahead
-        if idx < len(toks):
-            return toks[idx]
-        return toks[-1]  # EOF sentinel
+        return self.toks[self.idx + ahead]
 
     def _next(self) -> Token:
-        toks = self.toks
         idx = self.idx
-        tok = toks[idx] if idx < len(toks) else toks[-1]
-        if tok.kind is not TokenKind.EOF:
+        tok = self.toks[idx]
+        if tok.kind is not _EOF:
             self.idx = idx + 1
         return tok
 
     def _accept(self, spelling: str) -> Token | None:
-        toks = self.toks
         idx = self.idx
-        tok = toks[idx] if idx < len(toks) else toks[-1]
-        kind = tok.kind
-        if (kind is TokenKind.PUNCT or kind is TokenKind.KEYWORD) and (
-            tok.value == spelling
+        tok = self.toks[idx]
+        if tok.value == spelling and (
+            tok.kind is _PUNCT or tok.kind is _KEYWORD
         ):
             self.idx = idx + 1
             return tok
@@ -216,24 +240,23 @@ class Parser:
         return tok
 
     def _at_eof(self) -> bool:
-        return self._peek().kind is TokenKind.EOF
+        return self.toks[self.idx].kind is _EOF
 
     def _collect_annotations(self, builder: AnnotationBuilder) -> None:
         """Consume any annotation comments at the current position."""
-        while self._peek().kind is TokenKind.ANNOTATION:
-            tok = self._next()
-            payload = tok.value
-            if payload.split()[:1] in (["globals"], ["modifies"], ["uses"]):
-                # function-level clauses are handled by the declarator parser
-                self.idx -= 1
-                return
-            builder.add_payload(payload, tok.location)
+        toks = self.toks
+        while toks[self.idx].kind is _ANNOTATION:
+            tok = toks[self.idx]
+            if _is_clause(tok):
+                return  # function-level clauses: the declarator's job
+            self.idx += 1
+            builder.add_payload(tok.value, tok.location)
 
     # -- entry point ---------------------------------------------------------
 
     def parse_translation_unit(self) -> A.TranslationUnit:
         items: list[A.Node] = []
-        first_loc = self._peek().location
+        first = self.toks[self.idx]
         while not self._at_eof():
             start_idx = self.idx
             try:
@@ -247,7 +270,7 @@ class Parser:
                 continue
             if item is not None:
                 items.append(item)
-        unit = A.TranslationUnit(first_loc, name=self.name, items=items)
+        unit = A.TranslationUnit(first, name=self.name, items=items)
         return unit
 
     def _recover(self, start_idx: int) -> None:
@@ -270,12 +293,13 @@ class Parser:
     # -- declarations ----------------------------------------------------------
 
     def _starts_declaration(self) -> bool:
-        tok = self._peek()
-        if tok.kind is TokenKind.ANNOTATION:
+        tok = self.toks[self.idx]
+        kind = tok.kind
+        if kind is _ANNOTATION:
             return True
-        if tok.kind is TokenKind.KEYWORD:
+        if kind is _KEYWORD:
             return tok.value in _DECL_START_KEYWORDS
-        if tok.kind is TokenKind.IDENT:
+        if kind is _IDENT:
             if self.scope.lookup_typedef(tok.value) is None:
                 return False
             # 'lst * x;' is a declaration if lst is a typedef; an identifier
@@ -290,7 +314,7 @@ class Parser:
         specs = self._declaration_specifiers()
         if self._accept(";"):
             # struct/union/enum definition with no declarators
-            return A.Declaration(specs.location, declarators=[], storage=specs.storage)
+            return A.Declaration(specs.start, declarators=[], storage=specs.storage)
         return self._init_declarator_list(specs, allow_funcdef=True)
 
     def _declaration_specifiers(self) -> _DeclSpecs:
@@ -300,22 +324,23 @@ class Parser:
         tagged: CType | None = None
         typedef_ref: TypedefType | None = None
         builder = AnnotationBuilder()
-        start = self._peek().location
+        start = self.toks[self.idx]
 
         # Dispatch on token kind first: the specifier loop runs for every
         # declaration, and the original chain re-tested kind per branch.
         # Branch conditions are mutually exclusive, so the reordering is
         # behavior-preserving.
+        toks = self.toks
         while True:
-            tok = self._peek()
+            tok = toks[self.idx]
             kind = tok.kind
-            if kind is TokenKind.ANNOTATION:
+            if kind is _ANNOTATION:
                 self._collect_annotations(builder)
-                tok = self._peek()
+                tok = toks[self.idx]
                 kind = tok.kind
-                if kind is TokenKind.ANNOTATION:
+                if kind is _ANNOTATION:
                     break  # a globals/modifies/uses clause: declarator's job
-            if kind is TokenKind.KEYWORD:
+            if kind is _KEYWORD:
                 value = tok.value
                 if value in _TYPE_KEYWORDS:
                     if value == "enum":
@@ -340,7 +365,7 @@ class Parser:
                 else:
                     break
             elif (
-                kind is TokenKind.IDENT
+                kind is _IDENT
                 and not type_words
                 and tagged is None
                 and typedef_ref is None
@@ -369,7 +394,10 @@ class Parser:
             key = tuple(sorted(type_words))
             name = _PRIMITIVE_COMBOS.get(key)
             if name is None:
-                raise ParseError(f"invalid type specifier {' '.join(type_words)!r}", start)
+                raise ParseError(
+                    f"invalid type specifier {' '.join(type_words)!r}",
+                    start.location,
+                )
             base = make_primitive(name)
         else:
             # implicit int (K&R); LCLint accepts it with a warning
@@ -407,7 +435,7 @@ class Parser:
                 while True:
                     builder = AnnotationBuilder()
                     self._collect_annotations(builder)
-                    name, ctype, _ = self._declarator(specs.base)
+                    name, ctype, _ = self._declarator(specs.base, builder)
                     if self._accept(":"):  # bit-field width
                         self._conditional_expression()
                     self.problems.extend(builder.problems)
@@ -461,11 +489,11 @@ class Parser:
         while True:
             builder = AnnotationBuilder()
             self._collect_annotations(builder)
-            name, ctype, params = self._declarator(specs.base)
+            name, ctype, params = self._declarator(specs.base, builder)
             globals_list, modifies_list = self._function_clauses()
             self.problems.extend(builder.problems)
             anns = builder.build().merged_under(specs.annotations)
-            loc = self._peek().location
+            at = self.toks[self.idx]
 
             if (
                 first
@@ -475,14 +503,16 @@ class Parser:
                 and self._peek().is_punct("{")
             ):
                 if name is None:
-                    raise ParseError("function definition without a name", loc)
+                    raise ParseError(
+                        "function definition without a name", at.location
+                    )
                 body = self._compound_statement()
                 return A.FunctionDef(
-                    loc,
+                    at,
                     name=name,
                     ctype=ctype,
                     params=[
-                        A.ParamDecl(p.location or loc, name=p.name,
+                        A.ParamDecl(p.location or at, name=p.name,
                                     ctype=p.ctype, annotations=p.annotations)
                         for p in (params or ctype.params)
                     ],
@@ -501,7 +531,7 @@ class Parser:
                     tdef = TypedefType(name, ctype, anns)
                     self.scope.typedefs[name] = tdef
                 declarators.append(
-                    A.Declarator(loc, name=name, ctype=ctype,
+                    A.Declarator(at, name=name, ctype=ctype,
                                  annotations=anns, init=init,
                                  globals_list=globals_list,
                                  modifies_list=modifies_list)
@@ -511,7 +541,7 @@ class Parser:
                 break
         self._expect(";")
         return A.Declaration(
-            specs.location,
+            specs.start,
             declarators=declarators,
             storage=specs.storage,
             is_typedef=is_typedef,
@@ -521,12 +551,13 @@ class Parser:
         """Parse ``/*@globals ...@*/`` and ``/*@modifies ...@*/`` clauses."""
         out: list[A.GlobalUse] = []
         modifies: list[str] | None = None
-        while self._peek().kind is TokenKind.ANNOTATION:
-            payload = self._peek().value
-            words = payload.split()
+        toks = self.toks
+        while toks[self.idx].kind is _ANNOTATION:
+            tok = toks[self.idx]
+            words = tok.value.split()
             if not words or words[0] not in ("globals", "modifies", "uses"):
                 return out, modifies
-            tok = self._next()
+            self.idx += 1
             if words[0] == "modifies":
                 modifies = [] if modifies is None else modifies
                 for word in words[1:]:
@@ -546,8 +577,7 @@ class Parser:
                     killed = True
                 elif word:
                     out.append(
-                        A.GlobalUse(tok.location, name=word, undef=undef,
-                                    killed=killed)
+                        A.GlobalUse(tok, name=word, undef=undef, killed=killed)
                     )
                     undef = killed = False
         return out, modifies
@@ -555,61 +585,70 @@ class Parser:
     # -- declarators -----------------------------------------------------------
 
     def _declarator(
-        self, base: CType, abstract: bool = False
+        self, base: CType, builder: AnnotationBuilder, abstract: bool = False
     ) -> tuple[str | None, CType, list[ParamType] | None]:
         """Parse a declarator; returns (name, full type, outermost fn params).
 
         Implements the standard inside-out rule via a two-phase approach:
         collect pointer prefixes, then the direct declarator, then apply
         suffixes (arrays / parameter lists).
+
+        An annotation after the last ``*`` of the declared name's type
+        (``char * /*@null@*/ p``) annotates its outer level, so it goes
+        into *builder* with the annotations before the declarator. One
+        that another ``*`` follows would annotate an inner level, which
+        the outer-level rule leaves unannotated: it is reported.
         """
+        toks = self.toks
         ptr_quals: list[set[str]] = []
+        after_star: list[Token] = []  # annotations after the latest '*'
         while self._accept("*"):
+            self._report_inner_level(after_star)
+            after_star = []
             quals: set[str] = set()
             while True:
-                tok = self._peek()
-                if tok.kind is TokenKind.KEYWORD and tok.value in _QUALIFIER_KEYWORDS:
-                    self._next()
+                tok = toks[self.idx]
+                if tok.kind is _KEYWORD and tok.value in _QUALIFIER_KEYWORDS:
+                    self.idx += 1
                     quals.add(tok.value)
-                elif tok.kind is TokenKind.ANNOTATION:
-                    # annotation between '*'s: applies at outer level; collect
-                    builder = AnnotationBuilder()
-                    self._collect_annotations(builder)
-                    self.problems.extend(builder.problems)
-                    # note: outer-level rule means these merge with declarator
-                    # annotations; stash via closure below
-                    self._pending_ptr_annotations = getattr(
-                        self, "_pending_ptr_annotations", AnnotationBuilder()
-                    )
+                elif tok.kind is _ANNOTATION and not _is_clause(tok):
+                    self.idx += 1
+                    after_star.append(tok)
                 else:
                     break
             ptr_quals.append(quals)
 
         name: str | None = None
         inner: tuple[str | None, CType, list[ParamType] | None] | None = None
-        tok = self._peek()
+        tok = toks[self.idx]
         if tok.is_punct("(") and self._is_nested_declarator():
-            self._next()
-            inner = self._declarator(make_primitive("int"), abstract=abstract)
+            self.idx += 1
+            # The nested declarator holds the declared name's outer
+            # level; the pointers before it are inner levels.
+            self._report_inner_level(after_star)
+            after_star = []
+            inner = self._declarator(
+                make_primitive("int"), builder, abstract=abstract
+            )
             self._expect(")")
-        elif tok.kind is TokenKind.IDENT and not abstract:
-            name = self._next().value
-        elif tok.kind is TokenKind.IDENT and abstract:
-            # abstract declarators have no name; an identifier here would be
-            # a parse error at a higher level
-            pass
+        elif tok.kind is _IDENT and not abstract:
+            # (in an abstract declarator an identifier is left for the
+            # caller to reject)
+            self.idx += 1
+            name = tok.value
+        for ann in after_star:
+            builder.add_payload(ann.value, ann.location)
 
         suffixes: list[tuple[str, object]] = []
         params: list[ParamType] | None = None
         while True:
             if self._accept("["):
                 size: int | None = None
-                if not self._peek().is_punct("]"):
+                if not toks[self.idx].is_punct("]"):
                     size = self._fold(self._conditional_expression())
                 self._expect("]")
                 suffixes.append(("array", size))
-            elif self._peek().is_punct("(") and self._params_follow():
-                self._next()
+            elif self._accept("("):
                 plist, variadic, old_style = self._parameter_list()
                 suffixes.append(("func", (plist, variadic, old_style)))
                 if params is None:
@@ -637,17 +676,26 @@ class Parser:
             return inner_name, ctype, inner_params or params
         return name, ctype, params
 
+    def _report_inner_level(self, annotations: list[Token]) -> None:
+        """Report annotations that would annotate an inner pointer level."""
+        for ann in annotations:
+            self.problems.append(
+                AnnotationProblem(
+                    ann.location,
+                    f"annotation {ann.value.strip()!r} would apply to an "
+                    f"inner pointer level (only the outer level of a "
+                    f"declaration is annotated)",
+                )
+            )
+
     def _is_nested_declarator(self) -> bool:
         """Disambiguate '(' after a type: nested declarator vs parameter list."""
         nxt = self._peek(1)
         if nxt.is_punct("*") or nxt.is_punct("("):
             return True
-        if nxt.kind is TokenKind.IDENT and self.scope.lookup_typedef(nxt.value) is None:
+        if nxt.kind is _IDENT and self.scope.lookup_typedef(nxt.value) is None:
             return True
         return False
-
-    def _params_follow(self) -> bool:
-        return True  # only called when '(' follows a direct declarator
 
     def _parameter_list(self) -> tuple[list[ParamType], bool, bool]:
         params: list[ParamType] = []
@@ -658,12 +706,12 @@ class Parser:
             if self._accept("..."):
                 variadic = True
                 break
-            param_loc = self._peek().location
+            param_loc = self.toks[self.idx].location
             builder = AnnotationBuilder()
             self._collect_annotations(builder)
             specs = self._declaration_specifiers()
             self._collect_annotations(builder)
-            pname, ptype, _ = self._declarator_maybe_abstract(specs.base)
+            pname, ptype, _ = self._declarator(specs.base, builder)
             self._collect_annotations(builder)
             self.problems.extend(builder.problems)
             anns = builder.build().merged_under(specs.annotations)
@@ -680,23 +728,21 @@ class Parser:
         # '(void)' handled above by skipping the lone void parameter
         return params, variadic, False
 
-    def _declarator_maybe_abstract(
-        self, base: CType
-    ) -> tuple[str | None, CType, list[ParamType] | None]:
-        return self._declarator(base, abstract=False)
-
     def _type_name(self) -> CType:
         specs = self._declaration_specifiers()
         # abstract declarator (may be empty)
-        tok = self._peek()
-        if tok.is_punct(")"):
+        if self.toks[self.idx].is_punct(")"):
             return specs.base
-        _, ctype, _ = self._declarator(specs.base, abstract=True)
+        # A type name carries no annotations: like those of its
+        # specifiers, its declarator's are parsed and dropped.
+        builder = AnnotationBuilder()
+        _, ctype, _ = self._declarator(specs.base, builder, abstract=True)
+        self.problems.extend(builder.problems)
         return ctype
 
     def _initializer(self) -> A.Expr:
-        if self._peek().is_punct("{"):
-            loc = self._next().location
+        if self.toks[self.idx].is_punct("{"):
+            at = self._next()
             elems: list[A.Expr] = []
             while not self._accept("}"):
                 if self._accept("."):  # designated initializer: .field = e
@@ -706,25 +752,26 @@ class Parser:
                 if not self._accept(","):
                     self._expect("}")
                     break
-            return A.InitList(loc, items=elems)
+            return A.InitList(at, items=elems)
         return self._assignment_expression()
 
     # -- statements ------------------------------------------------------------
 
     def _compound_statement(self) -> A.Block:
-        loc = self._expect("{").location
+        opening = self._expect("{")
         outer = self.scope
         self.scope = _Scope(outer)
         items: list[A.Node] = []
-        end_loc = loc
+        toks = self.toks
         try:
             while True:
-                closing = self._accept("}")
-                if closing is not None:
-                    end_loc = closing.location
+                tok = toks[self.idx]
+                if tok.value == "}" and tok.kind is _PUNCT:
+                    self.idx += 1
+                    closing = tok
                     break
-                if self._at_eof():
-                    raise ParseError("unterminated block", loc)
+                if tok.kind is _EOF:
+                    raise ParseError("unterminated block", opening.location)
                 if self._starts_declaration():
                     item = self._external_declaration()
                     if item is not None:
@@ -737,121 +784,123 @@ class Parser:
                     items.append(self._statement())
         finally:
             self.scope = outer
-        return A.Block(loc, items=items, end_location=end_loc)
+        return A.Block(opening, items=items, end_location=closing)
 
     def _statement(self) -> A.Stmt:
-        tok = self._peek()
-        loc = tok.location
-        if tok.is_punct("{"):
-            return self._compound_statement()
-        if tok.is_punct(";"):
-            self._next()
-            return A.EmptyStmt(loc)
-        if tok.kind is TokenKind.KEYWORD:
+        toks = self.toks
+        idx = self.idx
+        tok = toks[idx]
+        kind = tok.kind
+        if kind is _PUNCT:
+            if tok.value == "{":
+                return self._compound_statement()
+            if tok.value == ";":
+                self.idx = idx + 1
+                return A.EmptyStmt(tok)
+        elif kind is _KEYWORD:
             handler = self._STMT_HANDLERS.get(tok.value)
             if handler is not None:
                 return handler(self)
-        if (
-            tok.kind is TokenKind.IDENT
-            and self._peek(1).is_punct(":")
-            and not self._peek(2).is_punct(":")
+        elif (
+            kind is _IDENT
+            and toks[idx + 1].is_punct(":")
+            and not toks[idx + 2].is_punct(":")
         ):
-            self._next()
-            self._next()
+            self.idx = idx + 2
             body = self._statement()
-            return A.Label(loc, name=tok.value, body=body)
+            return A.Label(tok, name=tok.value, body=body)
         expr = self._expression()
         self._expect(";")
-        return A.ExprStmt(loc, expr=expr)
+        return A.ExprStmt(tok, expr=expr)
 
     def _stmt_if(self) -> A.Stmt:
-        loc = self._next().location
+        at = self._next()
         self._expect("(")
         cond = self._expression()
         self._expect(")")
         then = self._statement()
         orelse = self._statement() if self._accept("else") else None
-        return A.If(loc, cond=cond, then=then, orelse=orelse)
+        return A.If(at, cond=cond, then=then, orelse=orelse)
 
     def _stmt_while(self) -> A.Stmt:
-        loc = self._next().location
+        at = self._next()
         self._expect("(")
         cond = self._expression()
         self._expect(")")
         body = self._statement()
-        return A.While(loc, cond=cond, body=body)
+        return A.While(at, cond=cond, body=body)
 
     def _stmt_do(self) -> A.Stmt:
-        loc = self._next().location
+        at = self._next()
         body = self._statement()
         self._expect("while")
         self._expect("(")
         cond = self._expression()
         self._expect(")")
         self._expect(";")
-        return A.DoWhile(loc, body=body, cond=cond)
+        return A.DoWhile(at, body=body, cond=cond)
 
     def _stmt_for(self) -> A.Stmt:
-        loc = self._next().location
+        at = self._next()
         self._expect("(")
         init: A.Node | None = None
         if not self._accept(";"):
             if self._starts_declaration():
                 init = self._external_declaration()
             else:
-                init = A.ExprStmt(loc, expr=self._expression())
+                init = A.ExprStmt(at, expr=self._expression())
                 self._expect(";")
         cond = None if self._peek().is_punct(";") else self._expression()
         self._expect(";")
         step = None if self._peek().is_punct(")") else self._expression()
         self._expect(")")
         body = self._statement()
-        return A.For(loc, init=init, cond=cond, step=step, body=body)
+        return A.For(at, init=init, cond=cond, step=step, body=body)
 
     def _stmt_switch(self) -> A.Stmt:
-        loc = self._next().location
+        at = self._next()
         self._expect("(")
         cond = self._expression()
         self._expect(")")
         body = self._statement()
-        return A.Switch(loc, cond=cond, body=body)
+        return A.Switch(at, cond=cond, body=body)
 
     def _stmt_case(self) -> A.Stmt:
-        loc = self._next().location
+        at = self._next()
         value = self._conditional_expression()
         self._expect(":")
         body = self._statement()
-        return A.Case(loc, value=value, body=body)
+        return A.Case(at, value=value, body=body)
 
     def _stmt_default(self) -> A.Stmt:
-        loc = self._next().location
+        at = self._next()
         self._expect(":")
         body = self._statement()
-        return A.Case(loc, value=None, body=body)
+        return A.Case(at, value=None, body=body)
 
     def _stmt_break(self) -> A.Stmt:
-        loc = self._next().location
+        at = self._next()
         self._expect(";")
-        return A.Break(loc)
+        return A.Break(at)
 
     def _stmt_continue(self) -> A.Stmt:
-        loc = self._next().location
+        at = self._next()
         self._expect(";")
-        return A.Continue(loc)
+        return A.Continue(at)
 
     def _stmt_return(self) -> A.Stmt:
-        loc = self._next().location
+        at = self._next()
         value = None if self._peek().is_punct(";") else self._expression()
         self._expect(";")
-        return A.Return(loc, value=value)
+        return A.Return(at, value=value)
 
     def _stmt_goto(self) -> A.Stmt:
-        loc = self._next().location
+        at = self._next()
         label = self._next()
-        if label.kind is not TokenKind.IDENT:
+        if label.kind is not _IDENT:
             raise ParseError("expected label after goto", label.location)
         self._expect(";")
-        return A.Goto(loc, label=label.value)
+        return A.Goto(at, label=label.value)
 
     #: Keyword -> unbound handler, replacing per-statement
     #: ``getattr(self, f"_stmt_{...}")`` string formatting + lookup.
@@ -867,7 +916,8 @@ class Parser:
 
     def _expression(self) -> A.Expr:
         expr = self._assignment_expression()
-        if not self._peek().is_punct(","):
+        tok = self.toks[self.idx]
+        if tok.value != "," or tok.kind is not _PUNCT:
             return expr
         exprs = [expr]
         loc = expr.location
@@ -881,22 +931,22 @@ class Parser:
 
     def _assignment_expression(self) -> A.Expr:
         lhs = self._conditional_expression()
-        tok = self._peek()
-        if tok.kind is TokenKind.PUNCT and tok.value in self._ASSIGN_OPS:
-            self._next()
+        tok = self.toks[self.idx]
+        if tok.value in self._ASSIGN_OPS and tok.kind is _PUNCT:
+            self.idx += 1
             rhs = self._assignment_expression()
-            return A.Assign(tok.location, op=tok.value, target=lhs, value=rhs)
+            return A.Assign(tok, op=tok.value, target=lhs, value=rhs)
         return lhs
 
     def _conditional_expression(self) -> A.Expr:
         cond = self._binary_expr()
-        tok = self._peek()
-        if tok.kind is TokenKind.PUNCT and tok.value == "?":
-            loc = self._next().location
+        tok = self.toks[self.idx]
+        if tok.value == "?" and tok.kind is _PUNCT:
+            self.idx += 1
             then = self._expression()
             self._expect(":")
             other = self._conditional_expression()
-            return A.Ternary(loc, cond=cond, then=then, other=other)
+            return A.Ternary(tok, cond=cond, then=then, other=other)
         return cond
 
     #: Binary operator precedence (all left-associative in this grammar);
@@ -911,10 +961,7 @@ class Parser:
         "*": 10, "/": 10, "%": 10,
     }
 
-    def _table_binary_expression(self) -> A.Expr:
-        return self._binary_climb(1)
-
-    def _binary_climb(self, min_prec: int) -> A.Expr:
+    def _binary_climb(self, min_prec: int = 1) -> A.Expr:
         """Precedence-climbing binary-expression core (production engine).
 
         One table lookup per operator replaces the reference grammar's
@@ -923,19 +970,34 @@ class Parser:
         ``prec + 1`` on the right-operand climb; the resulting tree is
         node-for-node identical to the reference engine's, which the
         parser parity suite asserts.
+
+        An identifier or integer constant that no postfix operator
+        follows is built here, in this one frame, rather than through
+        the cast/unary/postfix/primary chain it would otherwise descend.
         """
-        expr = self._cast_expression()
+        toks = self.toks
+        idx = self.idx
+        tok = toks[idx]
+        kind = tok.kind
+        if (kind is _IDENT or kind is _INT_CONST) and (
+            toks[idx + 1].value not in _POSTFIX_STARTS
+        ):
+            self.idx = idx + 1
+            if kind is _IDENT:
+                expr: A.Expr = A.Ident(tok, name=tok.value)
+            else:
+                expr = _int_literal(tok)
+        else:
+            expr = self._cast_expression()
         prec_of = self._BIN_PREC
         while True:
-            tok = self._peek()
-            if tok.kind is not TokenKind.PUNCT:
-                return expr
+            tok = toks[self.idx]
             prec = prec_of.get(tok.value)
-            if prec is None or prec < min_prec:
+            if prec is None or prec < min_prec or tok.kind is not _PUNCT:
                 return expr
-            self._next()
+            self.idx += 1
             rhs = self._binary_climb(prec + 1)
-            expr = A.Binary(tok.location, op=tok.value, lhs=expr, rhs=rhs)
+            expr = A.Binary(tok, op=tok.value, lhs=expr, rhs=rhs)
 
     _BINARY_LEVELS = (
         ("||",),
@@ -966,132 +1028,127 @@ class Parser:
                 # climbing already handles this correctly.
                 self._next()
                 rhs = self._binary_expression(level + 1)
-                expr = A.Binary(tok.location, op=tok.value, lhs=expr, rhs=rhs)
+                expr = A.Binary(tok, op=tok.value, lhs=expr, rhs=rhs)
             else:
                 return expr
 
     def _cast_expression(self) -> A.Expr:
-        tok = self._peek()
+        idx = self.idx
+        tok = self.toks[idx]
         if (
-            tok.kind is TokenKind.PUNCT
-            and tok.value == "("
-            and self._is_type_start(self._peek(1))
+            tok.value == "("
+            and tok.kind is _PUNCT
+            and self._is_type_start(self.toks[idx + 1])
         ):
-            loc = self._next().location
+            self.idx = idx + 1
             to_type = self._type_name()
             self._expect(")")
             if self._peek().is_punct("{"):
                 # compound literal (C99) -- parse as initializer expression
                 init = self._initializer()
-                return A.Cast(loc, to_type=to_type, operand=init)
+                return A.Cast(tok, to_type=to_type, operand=init)
             operand = self._cast_expression()
-            return A.Cast(loc, to_type=to_type, operand=operand)
+            return A.Cast(tok, to_type=to_type, operand=operand)
         return self._unary_expression()
 
     def _is_type_start(self, tok: Token) -> bool:
-        if tok.kind is TokenKind.KEYWORD:
+        if tok.kind is _KEYWORD:
             return tok.value in _TYPE_START_KEYWORDS
-        if tok.kind is TokenKind.ANNOTATION:
+        if tok.kind is _ANNOTATION:
             return True
-        if tok.kind is TokenKind.IDENT:
+        if tok.kind is _IDENT:
             return self.scope.lookup_typedef(tok.value) is not None
         return False
 
     def _unary_expression(self) -> A.Expr:
-        tok = self._peek()
-        loc = tok.location
-        if tok.kind is TokenKind.KEYWORD and tok.value == "sizeof":
-            self._next()
+        tok = self.toks[self.idx]
+        kind = tok.kind
+        if kind is _KEYWORD and tok.value == "sizeof":
+            self.idx += 1
             if self._peek().is_punct("(") and self._is_type_start(self._peek(1)):
-                self._next()
+                self.idx += 1
                 of_type = self._type_name()
                 self._expect(")")
-                return A.SizeofType(loc, of_type=of_type)
+                return A.SizeofType(tok, of_type=of_type)
             operand = self._unary_expression()
-            return A.SizeofExpr(loc, operand=operand)
-        if tok.kind is TokenKind.PUNCT:
+            return A.SizeofExpr(tok, operand=operand)
+        if kind is _PUNCT:
             op = tok.value
             if op in ("++", "--"):
-                self._next()
+                self.idx += 1
                 operand = self._unary_expression()
-                return A.Unary(loc, op=op, operand=operand)
+                return A.Unary(tok, op=op, operand=operand)
             if op in _UNARY_OPS:
-                self._next()
+                self.idx += 1
                 operand = self._cast_expression()
-                return A.Unary(loc, op=op, operand=operand)
+                return A.Unary(tok, op=op, operand=operand)
         return self._postfix_expression()
 
     def _postfix_expression(self) -> A.Expr:
         expr = self._primary_expression()
-        punct = TokenKind.PUNCT
+        toks = self.toks
         while True:
-            tok = self._peek()
+            tok = toks[self.idx]
             # One kind test up front, then value dispatch: this loop runs
             # after every primary expression, and most exits are cold.
-            if tok.kind is not punct:
+            if tok.kind is not _PUNCT:
                 return expr
             value = tok.value
             if value == "[":
-                self._next()
+                self.idx += 1
                 index = self._expression()
                 self._expect("]")
-                expr = A.Index(tok.location, array=expr, index=index)
+                expr = A.Index(tok, array=expr, index=index)
             elif value == "(":
-                self._next()
+                self.idx += 1
                 args: list[A.Expr] = []
-                if not self._peek().is_punct(")"):
+                if not toks[self.idx].is_punct(")"):
                     args.append(self._assignment_expression())
                     while self._accept(","):
                         args.append(self._assignment_expression())
                 self._expect(")")
-                expr = A.Call(tok.location, func=expr, args=args)
+                expr = A.Call(tok, func=expr, args=args)
             elif value == ".":
-                self._next()
+                self.idx += 1
                 name = self._next()
-                expr = A.Member(tok.location, obj=expr, fieldname=name.value,
+                expr = A.Member(tok, obj=expr, fieldname=name.value,
                                 arrow=False)
             elif value == "->":
-                self._next()
+                self.idx += 1
                 name = self._next()
-                expr = A.Member(tok.location, obj=expr, fieldname=name.value,
+                expr = A.Member(tok, obj=expr, fieldname=name.value,
                                 arrow=True)
             elif value == "++" or value == "--":
-                self._next()
-                expr = A.Unary(tok.location, op="p" + value, operand=expr)
+                self.idx += 1
+                expr = A.Unary(tok, op="p" + value, operand=expr)
             else:
                 return expr
 
     def _primary_expression(self) -> A.Expr:
         tok = self._next()
-        loc = tok.location
-        if tok.kind is TokenKind.IDENT:
-            return A.Ident(loc, name=tok.value)
-        if tok.kind is TokenKind.INT_CONST:
-            try:
-                value = parse_int_constant(tok.value)
-            except ValueError:
-                raise ParseError(
-                    f"malformed integer constant {tok.value!r}", loc
-                ) from None
-            return A.IntLit(loc, value=value, spelling=tok.value)
-        if tok.kind is TokenKind.FLOAT_CONST:
-            return A.FloatLit(loc, value=float(tok.value.rstrip("fFlL")),
+        kind = tok.kind
+        if kind is _IDENT:
+            return A.Ident(tok, name=tok.value)
+        if kind is _INT_CONST:
+            return _int_literal(tok)
+        if kind is TokenKind.FLOAT_CONST:
+            return A.FloatLit(tok, value=float(tok.value.rstrip("fFlL")),
                               spelling=tok.value)
-        if tok.kind is TokenKind.CHAR_CONST:
+        if kind is TokenKind.CHAR_CONST:
             return A.CharLit(
-                loc, value=_escaped(char_value, tok), spelling=tok.value
+                tok, value=_escaped(char_value, tok), spelling=tok.value
             )
-        if tok.kind is TokenKind.STRING:
+        if kind is TokenKind.STRING:
             text = _escaped(string_value, tok)
             # adjacent string literals concatenate
             while self._peek().kind is TokenKind.STRING:
                 text += _escaped(string_value, self._next())
-            return A.StringLit(loc, value=text, spelling=tok.value)
+            return A.StringLit(tok, value=text, spelling=tok.value)
         if tok.is_punct("("):
             expr = self._expression()
             self._expect(")")
             return expr
-        raise ParseError(f"unexpected token {tok.value!r}", loc)
+        raise ParseError(f"unexpected token {tok.value!r}", tok.location)
 
     # -- constant folding (array sizes, enum values, #if) ----------------------
 
@@ -1161,6 +1218,22 @@ def _replace_base(ctype: CType, new_base: CType) -> CType:
             ctype.old_style,
         )
     return new_base
+
+
+def _is_clause(tok: Token) -> bool:
+    """Whether an annotation token is a ``globals``/``modifies``/``uses``
+    function clause rather than an annotation of the declared entity."""
+    return tok.value.split()[:1] in (["globals"], ["modifies"], ["uses"])
+
+
+def _int_literal(tok: Token) -> A.IntLit:
+    try:
+        value = parse_int_constant(tok.value)
+    except ValueError:
+        raise ParseError(
+            f"malformed integer constant {tok.value!r}", tok.location
+        ) from None
+    return A.IntLit(tok, value=value, spelling=tok.value)
 
 
 def _escaped(read, tok: Token):

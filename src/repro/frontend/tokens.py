@@ -150,15 +150,7 @@ class Token:
     def __hash__(self) -> int:
         return hash((self.kind, self.value))
 
-    # Pickled tokens materialize their location and drop the source
-    # reference so the whole file text does not ride along with every
-    # token.
-
-    def __getstate__(self):
-        return (self.kind, self.value, self.location)
-
-    def __setstate__(self, state) -> None:
-        self.kind, self.value, self._location = state
-        self._source = None
-        self._offset = -1
-        self._fp = None
+    def __reduce__(self):
+        # A lexer token references its whole source file; nothing that
+        # is cached or sent holds one (AST nodes pickle their Location).
+        raise TypeError(f"a token is not picklable: {self!r}")

@@ -24,6 +24,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 import hashlib
+from bisect import bisect_right
 
 from ..flags.registry import FLAG_REGISTRY, Flags
 from ..frontend.tokens import Token, TokenKind
@@ -124,6 +125,11 @@ def token_stream_digest(tokens: list[Token]) -> str:
     return digest.hexdigest()
 
 
+#: ``kind.name`` goes through the enum's descriptor, a Python frame per
+#: read; the digest pass reads the names from this table instead.
+_KIND_NAMES = {kind: kind.name for kind in TokenKind}
+
+
 def unit_digests(tokens: list[Token]) -> tuple[str, str]:
     """``(token digest, interface digest)`` of a unit, in one pass.
 
@@ -152,27 +158,59 @@ def unit_digests(tokens: list[Token]) -> tuple[str, str]:
     an interface change. One loop serves both digests because the
     per-token cost (coords + formatting) dominates; each token's bytes
     are those of :func:`token_stream_digest`, memoized on the token.
+
+    A lexer token's line and column come from a cursor over its
+    source's line starts rather than a bisect per token: a source's
+    tokens arrive in offset order, so the cursor only moves forward. It
+    is re-seated with one bisect when the stream moves to another
+    source (an included header and back) or, rarely, back within one.
+    A token that carries its own ``Location`` (a macro expansion's)
+    reads it through ``coords()``.
     """
     full = hashlib.sha256()
     iface = hashlib.sha256()
     full_update = full.update
     iface_update = iface.update
+    kind_names = _KIND_NAMES
     punct = TokenKind.PUNCT
     control = TokenKind.CONTROL
     annotation = TokenKind.ANNOTATION
-    n = len(tokens)
-    i = 0
+    src = None  # the source the cursor walks
+    name = ""
+    starts: list[int] = []
+    n_starts = 0
+    line_idx = 0  # 0-based line of the cursor in ``src``
     body_depth = 0  # >0 while inside a skippable function body
     prev_is_body_opener = False
-    while i < n:
-        tok = tokens[i]
+    for tok in tokens:
         kind = tok.kind
         value = tok.value
         part = tok._fp
         if part is None:
-            filename, line, column = tok.coords()
+            if tok._location is None:
+                source = tok._source
+                offset = tok._offset
+                if source is not src:
+                    src = source
+                    name = source.name
+                    starts = source.line_starts
+                    n_starts = len(starts)
+                    line_idx = bisect_right(starts, offset) - 1
+                elif offset < starts[line_idx]:
+                    line_idx = bisect_right(starts, offset) - 1
+                else:
+                    while (
+                        line_idx + 1 < n_starts
+                        and offset >= starts[line_idx + 1]
+                    ):
+                        line_idx += 1
+                filename = name
+                line = line_idx + 1
+                column = offset - starts[line_idx] + 1
+            else:
+                filename, line, column = tok.coords()
             part = (
-                f"{kind.name}\x00{value}\x00"
+                f"{kind_names[kind]}\x00{value}\x00"
                 f"{filename}\x00{line}\x00{column}\x01".encode(
                     "utf-8", "surrogatepass"
                 )
@@ -187,15 +225,12 @@ def unit_digests(tokens: list[Token]) -> tuple[str, str]:
                     body_depth += 1
                 elif value == "}":
                     body_depth -= 1
-            i += 1
             continue
         if kind is control:
-            i += 1
             continue
         if value == "{" and kind is punct and prev_is_body_opener:
             body_depth = 1
             prev_is_body_opener = False
-            i += 1
             continue
         iface_update(part)
         if kind is punct:
@@ -207,7 +242,6 @@ def unit_digests(tokens: list[Token]) -> tuple[str, str]:
             )
         else:
             prev_is_body_opener = False
-        i += 1
     return full.hexdigest(), iface.hexdigest()
 
 

@@ -1,5 +1,7 @@
 """Null-pointer checking behaviour (paper section 4, 'Null Pointers')."""
 
+import pytest
+
 from repro import Flags, check_source
 from repro.messages.message import MessageCode
 
@@ -18,6 +20,20 @@ class TestDereference:
     def test_deref_possibly_null_param(self):
         src = "int f(/*@null@*/ int *p) { return *p; }"
         assert MessageCode.NULL_DEREF in codes(src)
+
+    @pytest.mark.parametrize("decl", [
+        "extern /*@null@*/ char *gp;", "extern char * /*@null@*/ gp;",
+    ])
+    def test_null_global_either_side_of_the_star(self, decl):
+        src = f"{decl}\nchar f(void) {{ return *gp; }}"
+        assert texts(src) == ["Dereference of possibly null pointer gp: *gp"]
+
+    @pytest.mark.parametrize("param", [
+        "/*@null@*/ char *p", "char * /*@null@*/ p",
+    ])
+    def test_null_param_either_side_of_the_star(self, param):
+        src = f"char f({param}) {{ return *p; }}"
+        assert texts(src) == ["Dereference of possibly null pointer p: *p"]
 
     def test_deref_after_comparison_guard(self):
         src = """int f(/*@null@*/ int *p) {

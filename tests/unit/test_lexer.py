@@ -213,15 +213,53 @@ class TestLazyTokens:
         assert a[0].value is b[0].value  # "int" shared across lexes
         assert a[2].value is b[2].value  # ";" shared across lexes
 
-    def test_tokens_pickle_with_materialized_location(self):
-        toks = lex("int\n  x;")
-        clones = pickle.loads(pickle.dumps(toks))
-        assert [(t.kind, t.value) for t in clones] == [
-            (t.kind, t.value) for t in toks
+    def test_tokens_refuse_pickling(self):
+        # A lexer token would drag its whole source file into the pickle;
+        # one backed by a Location is refused too, so the rule is one.
+        lexed = lex("int\n  x;")[1]
+        placed = Token(TokenKind.IDENT, "x", lexed.location)
+        for tok in (lexed, placed):
+            with pytest.raises(TypeError, match="not picklable"):
+                pickle.dumps(tok)
+            with pytest.raises(TypeError, match="not picklable"):
+                pickle.dumps([tok])
+
+    def test_interface_and_library_pickles_carry_locations(self, tmp_path):
+        from repro.core.api import Checker, unit_interface
+        from repro.driver.library import load_library, save_library
+        from repro.frontend import cast as A
+
+        text = (
+            "int counter;\n"
+            "/*@null@*/ char *name;\n"
+            "void bump(void) /*@globals counter, undef name@*/\n"
+            "{\n  counter++;\n}\n"
+        )
+        parsed = Checker().parse_unit(text, "g.c")
+        assert not parsed.problems and not parsed.degraded
+        iface = unit_interface(parsed)
+        uses = iface.functions["bump"].globals_list
+        assert [(g.name, g.undef) for g in uses] == [
+            ("counter", False), ("name", True),
         ]
-        assert [t.location for t in clones] == [t.location for t in toks]
-        # The clone must not drag the source file along.
-        assert clones[0]._source is None
+        assert all(isinstance(g, A.GlobalUse) for g in uses)
+
+        # The engine's memo slice: (interface, enum constants).
+        blob = pickle.dumps((iface, dict(parsed.enum_consts)))
+        clone, enum_consts = pickle.loads(blob)
+        assert clone.functions == iface.functions
+        assert clone.globals == iface.globals
+        assert enum_consts == parsed.enum_consts
+        assert [g.location for g in clone.functions["bump"].globals_list] \
+            == [g.location for g in uses]
+        assert clone.functions["bump"].globals_list[0].location.line == 3
+
+        # The -dump library of the same symbol table.
+        path = str(tmp_path / "g.lcd")
+        save_library(iface, path)
+        loaded = load_library(path)
+        assert loaded.functions == iface.functions
+        assert loaded.globals == iface.globals
 
     def test_token_equality_and_str(self):
         a = lex("x")[0]

@@ -291,6 +291,58 @@ class TestAnnotationsOnDeclarations:
         _, _, problems = parse_source("extern /*@bogus@*/ char *p;", "t.c")
         assert any("unrecognized" in p.description for p in problems)
 
+    # An annotation right after the last '*' annotates the declared
+    # name's outer level, like one before the type.
+
+    @pytest.mark.parametrize("code", [
+        "extern char * /*@null@*/ gp;",
+        "extern char * const /*@null@*/ gp;",
+        "extern char * /*@null only@*/ gp;",
+        "extern char (* /*@null@*/ gp);",
+    ])
+    def test_annotation_after_the_last_star(self, code):
+        unit, _, problems = parse_source(code, "t.c")
+        d = unit.items[0].declarators[0]
+        assert d.name == "gp"
+        assert "null" in d.annotations.names
+        assert problems == []
+
+    def test_annotation_after_the_last_star_of_a_parameter(self):
+        f = only_function("void f(char * /*@null@*/ p, char * /*@null@*/) { }")
+        assert [p.annotations.names for p in f.params] == [("null",), ("null",)]
+
+    def test_annotation_after_the_last_star_of_a_field(self):
+        d = first_decl("struct s { char * /*@null@*/ name; } v;")
+        fld = strip_typedefs(d.ctype).fields[0]
+        assert "null" in fld.annotations.names
+
+    @pytest.mark.parametrize("code, where", [
+        ("extern char * /*@null@*/ * gp;", (1, 15)),
+        ("void f(char * /*@null@*/ * p) { }", (1, 15)),
+        ("extern char * /*@null@*/ (*gp)(void);", (1, 15)),
+    ])
+    def test_annotation_on_an_inner_level_is_reported(self, code, where):
+        unit, _, problems = parse_source(code, "t.c")
+        item = unit.items[0]
+        if isinstance(item, A.FunctionDef):
+            anns = item.params[0].annotations
+        else:
+            anns = item.declarators[0].annotations
+        assert "null" not in anns.names
+        [problem] = problems
+        assert (problem.location.line, problem.location.column) == where
+        assert problem.description == (
+            "annotation 'null' would apply to an inner pointer level "
+            "(only the outer level of a declaration is annotated)"
+        )
+
+    def test_annotation_after_the_star_of_a_cast_is_dropped(self):
+        # A type name carries no annotations, before the '*' or after it.
+        _, _, problems = parse_source(
+            "void f(void *q) { char *p = (char * /*@null@*/) q; }", "t.c"
+        )
+        assert problems == []
+
     def test_globals_clause(self):
         code = "extern int g;\nvoid f(void) /*@globals g@*/ { }"
         unit = parse(code)
@@ -481,6 +533,106 @@ class TestParseErrors:
         assert errors and errors[0].location.line >= 2
 
 
+class TestLazyLocations:
+    """Nodes keep the token they start at until their location is read."""
+
+    @staticmethod
+    def _parse_db(monkeypatch):
+        """Parse db's units as the engine does; returns the units, the
+        source manager and the ``(file, offset)`` of every Location the
+        parse built."""
+        from repro.bench.dbexample import db_sources
+        from repro.core.api import prelude
+        from repro.frontend.parser import Parser
+        from repro.frontend.preprocessor import Preprocessor
+        from repro.frontend.source import SourceFile, SourceManager
+        from repro.stdlib.specs import (
+            PRELUDE_COVERED_HEADERS, PRELUDE_DEFINES, SYSTEM_HEADERS,
+        )
+
+        scope = prelude().scope
+        files = db_sources()
+        sources = SourceManager()
+        for name, text in files.items():
+            sources.add(name, text)
+        streams = [
+            (name, Preprocessor(
+                sources, defines=dict(PRELUDE_DEFINES),
+                system_headers=SYSTEM_HEADERS,
+                prelude_covered=PRELUDE_COVERED_HEADERS,
+            ).preprocess_text(files[name], name))
+            for name in sorted(files) if name.endswith(".c")
+        ]
+        built: list[tuple[str, int]] = []
+        original = SourceFile.location
+
+        def counting(self, offset):
+            built.append((self.name, offset))
+            return original(self, offset)
+
+        monkeypatch.setattr(SourceFile, "location", counting)
+        units = [
+            Parser(toks, name, preseed=scope).parse_translation_unit()
+            for name, toks in streams
+        ]
+        monkeypatch.undo()
+        return units, sources, built
+
+    def test_parsing_db_builds_no_location_for_expressions_or_statements(
+        self, monkeypatch
+    ):
+        units, sources, built = self._parse_db(monkeypatch)
+        nodes = [
+            node for unit in units for node in A.walk(unit)
+            if isinstance(node, (A.Expr, A.Stmt))
+        ]
+        assert len(nodes) > 1000
+        # What the parse builds serves annotations and parameter types.
+        assert len(built) < len(nodes) / 5, (len(built), len(nodes))
+        at_parse = set(built)
+        for node in nodes:
+            loc = node.location
+            source = sources.get(loc.filename)
+            offset = source.line_starts[loc.line - 1] + loc.column - 1
+            assert (loc.filename, offset) not in at_parse, node
+
+    def test_a_location_is_built_once_on_first_read(self, monkeypatch):
+        from repro.frontend.source import SourceFile
+
+        unit = parse("int f(int x) {\n  return x + 1;\n}\n")
+        ret = unit.functions()[0].body.items[0]
+        calls = []
+        original = SourceFile.location
+
+        def counting(self, offset):
+            calls.append(offset)
+            return original(self, offset)
+
+        monkeypatch.setattr(SourceFile, "location", counting)
+        first = ret.location
+        assert (first.line, first.column) == (2, 3)
+        assert ret.location is first
+        assert ret.value.location == first.with_column(12)
+        assert len(calls) == 2
+
+    def test_repr_equality_and_pickle_show_the_location(self):
+        import pickle
+
+        from repro.frontend.source import Location
+
+        block = parse("void f(void) {\n  g();\n}\n").functions()[0].body
+        stmt = block.items[0]
+        assert "Token" not in repr(block)
+        assert repr(stmt).startswith(
+            "ExprStmt(location=Location(filename='t.c', line=2, column=3)"
+        )
+        built = A.ExprStmt(Location("t.c", 2, 3), expr=stmt.expr)
+        assert stmt == built
+        clone = pickle.loads(pickle.dumps(block))
+        assert clone == block
+        assert clone.end_location == Location("t.c", 3, 1)
+
+
 class TestWalk:
     def test_walk_visits_subtree(self):
         unit = parse("void f(int x) { if (x) x = 1; }")
@@ -511,6 +663,18 @@ class TestErrorRecovery:
         unit = parser.parse_translation_unit()
         assert parser.parse_errors
         assert parser.parse_errors[0].location.line >= 2
+
+    def test_a_clause_after_a_star_is_a_parse_error(self):
+        # The pointer-qualifier loop once spun forever on a function
+        # clause it could not consume; run it where a hang times out.
+        code = (
+            "from repro.frontend import parse_source\n"
+            "unit, _, _ = parse_source("
+            "'int * /*@globals g@*/ f(void);\\nint ok;\\n', 'c.c')\n"
+            "assert [d.name for d in unit.declarations()[0].declarators]"
+            " == ['ok']\n"
+        )
+        subprocess.run([sys.executable, "-c", code], check=True, timeout=60)
 
     def test_recovery_makes_progress_on_garbage(self):
         unit, _, _ = parse_source("= = = = ;\nint ok;\n", "g.c")

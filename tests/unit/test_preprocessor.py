@@ -140,6 +140,34 @@ class TestConditionals:
         with pytest.raises(PreprocessError, match=problem):
             pp_values(f"#if {condition}\nx\n#endif")
 
+    # The parser reads an #if line that ends in its EOF token; the
+    # operand shortcut looks one token past an operand, at that EOF.
+
+    @pytest.mark.parametrize("text, values", [
+        ("#if 1\nx\n#endif", ["x"]),
+        ("#if 1\nx\n#endif\n", ["x"]),
+        ("#define X\n#if defined X\nx\n#endif", ["x"]),
+        ("#if defined X\nx\n#endif", []),
+        ("#if 0\n#elif 2\nx\n#endif", ["x"]),
+    ])
+    def test_if_expression_that_ends_at_its_eof(self, text, values):
+        assert pp_values(text) == values
+
+    @pytest.mark.parametrize("text, message, column", [
+        ("#if 1 +\nx\n#endif", "unexpected token '' in #if expression", 1),
+        ("#if 1 +", "unexpected token '' in #if expression", 1),
+        ("  #if 3 *", "unexpected token '' in #if expression", 3),
+        ("#if (1\nx\n#endif", "expected ')', got '' in #if expression", 1),
+        ("#if 1", "unterminated conditional", 1),
+        ("#if defined X", "unterminated conditional", 1),
+    ])
+    def test_truncated_if_expression(self, text, message, column):
+        with pytest.raises(PreprocessError) as info:
+            pp_values(text)
+        assert str(info.value) == f"t.c:1: {message}"
+        assert (info.value.location.line, info.value.location.column) \
+            == (1, column)
+
     def test_unterminated_conditional_raises(self):
         with pytest.raises(PreprocessError):
             pp_values("#ifdef A\nx")
