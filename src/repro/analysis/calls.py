@@ -25,7 +25,6 @@ from ..annotations.kinds import (
 from ..frontend import cast as A
 from ..frontend.ctypes import Array, ParamType, is_pointerish, strip_typedefs
 from ..frontend.render import render_expr
-from ..frontend.source import Location
 from ..frontend.symtab import FunctionSignature
 from ..messages.message import MessageCode
 from .states import AllocState, DefState, NullState, RefState
@@ -61,7 +60,8 @@ class CallMixin:
             param = sig.params[i] if i < len(sig.params) else None
             arg_values.append(self._eval_argument(arg, param, store))
 
-        self._check_globals_pre(sig, store, expr.location, expr)
+        pos = A.position(expr)
+        self._check_globals_pre(sig, store, pos, expr)
 
         unique_slots: list[tuple[int, Value]] = []
         for i, value in enumerate(arg_values):
@@ -76,7 +76,7 @@ class CallMixin:
         for i, value in enumerate(arg_values):
             param = sig.params[i] if i < len(sig.params) else None
             if param is not None:
-                self._apply_argument_effects(value, param, store, expr.location)
+                self._apply_argument_effects(value, param, store, pos)
 
         self._apply_globals_post(sig, store)
 
@@ -106,7 +106,7 @@ class CallMixin:
         store: Store,
         expr: A.Call,
     ) -> None:
-        loc = expr.location
+        loc = A.position(expr)
         rendered = LazyText(render_expr, expr)
         ann = param.annotations
         name = (
@@ -200,7 +200,7 @@ class CallMixin:
         expr: A.Call,
         name: LazyText,
     ) -> None:
-        loc = expr.location
+        loc = A.position(expr)
         rendered = LazyText(render_expr, expr)
         alloc = value.state.alloc
         label = LazyText(self._param_label, i, param, sig)
@@ -384,7 +384,7 @@ class CallMixin:
     # -- post-call effects --------------------------------------------------------
 
     def _apply_argument_effects(
-        self, value: Value, param: ParamType, store: Store, loc: Location
+        self, value: Value, param: ParamType, store: Store, loc: A.Position
     ) -> None:
         ann = param.annotations
         ref = value.ref
@@ -426,7 +426,8 @@ class CallMixin:
     # -- callee globals ---------------------------------------------------------
 
     def _check_globals_pre(
-        self, sig: FunctionSignature, store: Store, loc: Location, expr: A.Call
+        self, sig: FunctionSignature, store: Store, loc: A.Position,
+        expr: A.Call,
     ) -> None:
         for guse in sig.globals_list:
             gref = self.global_ref(guse.name)

@@ -38,7 +38,6 @@ from ..frontend.ctypes import (
     struct_fields,
 )
 from ..frontend.render import render_expr
-from ..frontend.source import Location
 from ..frontend.symtab import FunctionSignature, GlobalVariable, SymbolTable
 from ..messages.message import MessageCode
 from ..messages.reporter import Reporter
@@ -72,15 +71,16 @@ _DERIVED_DEFINITION = {
 }
 
 #: Declaration facts of a reference: type, declared annotations (typedef
-#: annotations merged beneath) and the declaration site of its base.
-DeclFacts = tuple[CType | None, AnnotationSet, Location | None]
+#: annotations merged beneath) and the declaration site of its base, a
+#: position (see :data:`~repro.frontend.cast.Position`).
+DeclFacts = tuple[CType | None, AnnotationSet, A.Position]
 
 
 @dataclass
 class LocalInfo:
     ctype: CType
     annotations: AnnotationSet
-    location: Location
+    node: A.Node  # the declarator or parameter: its position is the site
     param_index: int = -1
 
     @property
@@ -117,11 +117,11 @@ class FunctionChecker(ExprMixin, CallMixin):
                 if i < len(self.sig.params):
                     anns = anns.merged_under(self.sig.params[i].annotations)
                 merged_params.append(
-                    A.ParamDecl(param.location, name=param.name,
+                    A.ParamDecl(A.position(param), name=param.name,
                                 ctype=param.ctype, annotations=anns)
                 )
             fdef = A.FunctionDef(
-                fdef.location, name=fdef.name, ctype=fdef.ctype,
+                A.position(fdef), name=fdef.name, ctype=fdef.ctype,
                 params=merged_params, annotations=fdef.annotations,
                 body=fdef.body, storage=fdef.storage,
                 globals_list=fdef.globals_list or self.sig.globals_list,
@@ -136,7 +136,8 @@ class FunctionChecker(ExprMixin, CallMixin):
         self._all_locals: dict[str, LocalInfo] = {}
         self._loop_frames: list[tuple[list[Store], list[Store]]] = []
         self.used_globals: set[str] = set()
-        self.assigned_globals: dict[str, Location] = {}
+        # The first assignment's position per global (the modifies check).
+        self.assigned_globals: dict[str, A.Position] = {}
         self._guards = GuardAnalyzer(
             resolve_ref=self._guard_resolve,
             null_predicate=self._null_predicate,
@@ -272,9 +273,9 @@ class FunctionChecker(ExprMixin, CallMixin):
     def note_global_use(self, name: str) -> None:
         self.used_globals.add(name)
 
-    def note_global_assignment(self, name: str, loc: Location) -> None:
+    def note_global_assignment(self, name: str, pos: A.Position) -> None:
         self.used_globals.add(name)
-        self.assigned_globals.setdefault(name, loc)
+        self.assigned_globals.setdefault(name, pos)
 
     def param_annotations(self, index: int) -> AnnotationSet | None:
         param = self._param(index)
@@ -291,18 +292,18 @@ class FunctionChecker(ExprMixin, CallMixin):
             return self.fdef.params[index]
         return None
 
-    def _base_decl(self, ref: Ref) -> tuple[CType | None, AnnotationSet, Location | None]:
+    def _base_decl(self, ref: Ref) -> DeclFacts:
         kind = ref.base.kind
         if kind == "local":
             info = self._all_locals.get(ref.base.name)
             if info is None:
                 return None, EMPTY_ANNOTATIONS, None
-            return info.ctype, info.annotations, info.location
+            return info.ctype, info.annotations, A.position(info.node)
         if kind == "arg":
             param = self._param(ref.base.index)
             if param is None:
                 return None, EMPTY_ANNOTATIONS, None
-            return param.ctype, param.annotations, param.location
+            return param.ctype, param.annotations, A.position(param)
         if kind == "global":
             gvar = self.global_decl(ref.base.name)
             if gvar is None:
@@ -415,7 +416,8 @@ class FunctionChecker(ExprMixin, CallMixin):
             ann = ann.with_alloc(AllocAnn.ONLY)
         return ann
 
-    def decl_site(self, ref: Ref) -> Location | None:
+    def decl_site(self, ref: Ref) -> A.Position:
+        """The position of the declaration of *ref*'s base."""
         return self._decl(ref)[2]
 
     def describe_ref(self, ref: Ref) -> str:
@@ -559,8 +561,8 @@ class FunctionChecker(ExprMixin, CallMixin):
         out = self.exec_stmt(self.fdef.body, store)
         self._scopes.pop()
         if not out.unreachable:
-            loc = self.fdef.body.end_location or self.fdef.location
-            self.check_exit(out, loc, None)
+            pos = A.end_position(self.fdef.body) or A.position(self.fdef)
+            self.check_exit(out, pos, None)
         self._check_modifies()
 
     def _check_modifies(self) -> None:
@@ -570,11 +572,11 @@ class FunctionChecker(ExprMixin, CallMixin):
         if allowed is None:
             return
         allowed_set = set(allowed)
-        for name, loc in sorted(self.assigned_globals.items()):
+        for name in sorted(self.assigned_globals):
             if name in allowed_set:
                 continue
             self.reporter.report(
-                MessageCode.MODIFIES, loc,
+                MessageCode.MODIFIES, self.assigned_globals[name],
                 f"Undocumented modification of global {name} "
                 f"(not listed in the modifies clause of {self.fdef.name})",
             )
@@ -584,7 +586,7 @@ class FunctionChecker(ExprMixin, CallMixin):
         for i, param in enumerate(self.fdef.params):
             if param.name is None:
                 continue
-            info = LocalInfo(param.ctype, param.annotations, param.location, i)
+            info = LocalInfo(param.ctype, param.annotations, param, i)
             scope[param.name] = info
             self._bind_local(param.name, info)
         return scope
@@ -630,7 +632,7 @@ class FunctionChecker(ExprMixin, CallMixin):
         scope = self._scopes.pop()
         if not store.unreachable:
             self._check_scope_leaks(
-                scope, store, stmt.end_location or stmt.location
+                scope, store, A.end_position(stmt) or A.position(stmt)
             )
         for name in scope:
             ref = self.local_ref(name)
@@ -646,7 +648,7 @@ class FunctionChecker(ExprMixin, CallMixin):
             actual = strip_typedefs(dtor.ctype)
             if isinstance(actual, FunctionType):
                 continue
-            info = LocalInfo(dtor.ctype, dtor.annotations, dtor.location)
+            info = LocalInfo(dtor.ctype, dtor.annotations, dtor)
             self._scopes[-1][dtor.name] = info
             self._bind_local(dtor.name, info)
             ref = self.local_ref(dtor.name)
@@ -671,9 +673,9 @@ class FunctionChecker(ExprMixin, CallMixin):
                     RefState(DefState.UNDEFINED, NullState.NOTNULL,
                              AllocState.IMPLICIT),
                 )
+                pos = A.position(dtor)
                 assign = A.Assign(
-                    dtor.location, op="=",
-                    target=A.Ident(dtor.location, name=dtor.name),
+                    pos, op="=", target=A.Ident(pos, name=dtor.name),
                     value=dtor.init,
                 )
                 self.handle_assignment(assign, store)
@@ -692,8 +694,8 @@ class FunctionChecker(ExprMixin, CallMixin):
             return true_store
         value = self.eval_rvalue(expr, store)
         if (
-            self.flags.enabled("retvalother")
-            and isinstance(expr, A.Call)
+            isinstance(expr, A.Call)
+            and self.flags.enabled("retvalother")
             and isinstance(expr.func, A.Ident)
             and value.ctype is not None
             and not (
@@ -732,18 +734,20 @@ class FunctionChecker(ExprMixin, CallMixin):
             else false_store
         )
         merged, reports = out_true.merge(out_false)
-        self._report_merges(reports, stmt.location)
+        self._report_merges(reports, A.position(stmt))
         return merged
 
     def _exec_while(self, stmt: A.While, store: Store) -> Store:
-        return self._exec_loop(stmt.cond, stmt.body, None, store, stmt.location)
+        return self._exec_loop(
+            stmt.cond, stmt.body, None, store, A.position(stmt)
+        )
 
     def _exec_for(self, stmt: A.For, store: Store) -> Store:
         if stmt.init is not None:
             store = self.exec_stmt(stmt.init, store)
         widen = self._loop_widen_plan(stmt, store)
         return self._exec_loop(stmt.cond, stmt.body, stmt.step, store,
-                               stmt.location, widen=widen)
+                               A.position(stmt), widen=widen)
 
     def _loop_widen_plan(
         self, stmt: A.For, store: Store
@@ -809,7 +813,7 @@ class FunctionChecker(ExprMixin, CallMixin):
         body: A.Stmt,
         step: A.Expr | None,
         store: Store,
-        loc: Location,
+        loc: A.Position,
         widen: tuple[Ref, int, int] | None = None,
     ) -> Store:
         """Loops execute zero or one times (paper section 2)."""
@@ -855,18 +859,19 @@ class FunctionChecker(ExprMixin, CallMixin):
         return merged
 
     def _exec_dowhile(self, stmt: A.DoWhile, store: Store) -> Store:
+        pos = A.position(stmt)
         self._loop_frames.append(([], []))
         body_out = self.exec_stmt(stmt.body, store)
         breaks, continues = self._loop_frames.pop()
         for cont in continues:
             body_out, reports = body_out.merge(cont)
-            self._report_merges(reports, stmt.location)
+            self._report_merges(reports, pos)
         if not body_out.unreachable:
             _, false_store = self.eval_condition(stmt.cond, body_out)
             body_out = false_store
         for brk in breaks:
             body_out, reports = body_out.merge(brk)
-            self._report_merges(reports, stmt.location)
+            self._report_merges(reports, pos)
         return body_out
 
     def _exec_switch(self, stmt: A.Switch, store: Store) -> Store:
@@ -883,7 +888,7 @@ class FunctionChecker(ExprMixin, CallMixin):
             if isinstance(item, A.Case):
                 entry = store.copy()
                 current, reports = current.merge(entry)  # fallthrough + entry
-                self._report_merges(reports, item.location)
+                self._report_merges(reports, A.position(item))
                 if item.value is None:
                     has_default = True
                 else:
@@ -894,12 +899,13 @@ class FunctionChecker(ExprMixin, CallMixin):
         self._scopes.pop()
         breaks, _ = self._loop_frames.pop()
         result = current
+        pos = A.position(stmt)
         for brk in breaks:
             result, reports = result.merge(brk)
-            self._report_merges(reports, stmt.location)
+            self._report_merges(reports, pos)
         if not has_default:
             result, reports = result.merge(store)
-            self._report_merges(reports, stmt.location)
+            self._report_merges(reports, pos)
         return result
 
     def _exec_case(self, stmt: A.Case, store: Store) -> Store:
@@ -924,8 +930,9 @@ class FunctionChecker(ExprMixin, CallMixin):
         value = None
         if stmt.value is not None:
             value = self.eval_rvalue(stmt.value, store)
-        self._check_all_scope_leaks(store, stmt.location, value)
-        self.check_exit(store, stmt.location, value, ret_expr=stmt.value)
+        pos = A.position(stmt)
+        self._check_all_scope_leaks(store, pos, value)
+        self.check_exit(store, pos, value, ret_expr=stmt.value)
         out = store.copy()
         out.unreachable = True
         return out
@@ -983,7 +990,7 @@ class FunctionChecker(ExprMixin, CallMixin):
 
     # -- merge reporting -------------------------------------------------------------
 
-    def _report_merges(self, reports: list[MergeReport], loc: Location) -> None:
+    def _report_merges(self, reports: list[MergeReport], loc: A.Position) -> None:
         seen: set[Ref] = set()
         for report in reports:
             if report.ref in seen:
@@ -1002,7 +1009,7 @@ class FunctionChecker(ExprMixin, CallMixin):
     # -- leaks at scope exit -------------------------------------------------------
 
     def _check_scope_leaks(
-        self, scope: dict[str, LocalInfo], store: Store, loc: Location,
+        self, scope: dict[str, LocalInfo], store: Store, loc: A.Position,
         ret_value: Value | None = None,
     ) -> None:
         if self.flags.gc_mode:
@@ -1040,7 +1047,7 @@ class FunctionChecker(ExprMixin, CallMixin):
             )
 
     def _check_all_scope_leaks(
-        self, store: Store, loc: Location, ret_value: Value | None
+        self, store: Store, loc: A.Position, ret_value: Value | None
     ) -> None:
         for scope in self._scopes:
             self._check_scope_leaks(scope, store, loc, ret_value)
@@ -1052,7 +1059,7 @@ class FunctionChecker(ExprMixin, CallMixin):
     def check_exit(
         self,
         store: Store,
-        loc: Location,
+        loc: A.Position,
         ret_value: Value | None,
         ret_expr: A.Expr | None = None,
     ) -> None:
@@ -1064,7 +1071,7 @@ class FunctionChecker(ExprMixin, CallMixin):
     def _check_return_value(
         self,
         store: Store,
-        loc: Location,
+        loc: A.Position,
         value: Value,
         ret_expr: A.Expr | None,
     ) -> None:
@@ -1156,7 +1163,7 @@ class FunctionChecker(ExprMixin, CallMixin):
                         f"(obligation to release is lost): {rendered}",
                     )
 
-    def _check_globals_at_exit(self, store: Store, loc: Location) -> None:
+    def _check_globals_at_exit(self, store: Store, loc: A.Position) -> None:
         names = set(self.used_globals)
         names.update(
             ref.base.name
@@ -1203,7 +1210,7 @@ class FunctionChecker(ExprMixin, CallMixin):
                         f"completely defined at function exit",
                     )
 
-    def _check_params_at_exit(self, store: Store, loc: Location) -> None:
+    def _check_params_at_exit(self, store: Store, loc: A.Position) -> None:
         for i, param in enumerate(self.fdef.params):
             if param.name is None:
                 continue

@@ -13,8 +13,11 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from operator import itemgetter
 
 from ..annotations.kinds import AllocAnn, AnnotationSet, DefAnn, NullAnn
+
+_tuple_new = tuple.__new__
 
 
 class DefState(enum.Enum):
@@ -242,36 +245,56 @@ def intersect_range(
     return (lo, hi)
 
 
-@dataclass(frozen=True)
-class RefState:
+class RefState(tuple):
     """The three dataflow values for one reference at one program point.
 
     ``rng`` is a fourth, optional component: the known integer value
     interval of the reference (constant assignments, guard refinement and
     canonical loop bounds feed it; anything else clears it to ``None``).
+
+    A tuple with named read-only fields, like the references it is kept
+    for (see :mod:`~repro.analysis.storage`): states are built on every
+    assignment, and the ``with_*`` copies build the tuple in C.
     """
 
-    definition: DefState = DefState.DEFINED
-    null: NullState = NullState.NOTNULL
-    alloc: AllocState = AllocState.IMPLICIT
-    rng: tuple[int | None, int | None] | None = None
+    __slots__ = ()
 
-    # Built directly rather than through dataclasses.replace, which
-    # introspects the fields on every call: these run per assignment.
+    definition = property(itemgetter(0))
+    null = property(itemgetter(1))
+    alloc = property(itemgetter(2))
+    rng = property(itemgetter(3))  # tuple[int | None, int | None] | None
+
+    def __new__(
+        cls,
+        definition: DefState = DefState.DEFINED,
+        null: NullState = NullState.NOTNULL,
+        alloc: AllocState = AllocState.IMPLICIT,
+        rng: tuple[int | None, int | None] | None = None,
+    ) -> "RefState":
+        return _tuple_new(cls, (definition, null, alloc, rng))
+
+    def __getnewargs__(self) -> tuple:
+        return tuple(self)
+
+    def __repr__(self) -> str:
+        return (
+            f"RefState(definition={self[0]!r}, null={self[1]!r}, "
+            f"alloc={self[2]!r}, rng={self[3]!r})"
+        )
 
     def with_definition(self, definition: DefState) -> "RefState":
-        return RefState(definition, self.null, self.alloc, self.rng)
+        return _tuple_new(RefState, (definition, self[1], self[2], self[3]))
 
     def with_null(self, null: NullState) -> "RefState":
-        return RefState(self.definition, null, self.alloc, self.rng)
+        return _tuple_new(RefState, (self[0], null, self[2], self[3]))
 
     def with_alloc(self, alloc: AllocState) -> "RefState":
-        return RefState(self.definition, self.null, alloc, self.rng)
+        return _tuple_new(RefState, (self[0], self[1], alloc, self[3]))
 
     def with_range(
         self, rng: tuple[int | None, int | None] | None
     ) -> "RefState":
-        return RefState(self.definition, self.null, self.alloc, rng)
+        return _tuple_new(RefState, (self[0], self[1], self[2], rng))
 
     def merged(self, other: "RefState") -> tuple["RefState", list[MergeAnomaly]]:
         anomalies: list[MergeAnomaly] = []

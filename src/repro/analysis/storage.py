@@ -13,15 +13,39 @@ checking constrains. At function entry the local aliases the external.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterator
 
+# References key the store's states, aliases and sites, so one is built,
+# hashed and compared many times per statement. They are tuples with
+# named read-only fields: construction, hashing, equality and ordering
+# run in C. The tuple order is the field order, so references compare
+# and sort by base kind, name and index, then path. Hot constructors
+# skip the Python-level ``__new__`` and call ``_tuple_new`` directly;
+# ``__getnewargs__`` gives pickling the arguments of ``__new__``. They
+# are not named tuples: hypothesis's ``builds()`` would then generate
+# every field, defaulted ones included, for the strategies the tests
+# build states with.
+_tuple_new = tuple.__new__
 
-@dataclass(frozen=True, order=True)
-class RefBase:
-    kind: str  # 'local' | 'arg' | 'global' | 'ret' | 'alloc'
-    name: str = ""
-    index: int = -1
+
+class RefBase(tuple):
+    """The variable a reference starts from."""
+
+    __slots__ = ()
+
+    kind = property(itemgetter(0))  # 'local' | 'arg' | 'global' | 'ret' | 'alloc'
+    name = property(itemgetter(1))
+    index = property(itemgetter(2))
+
+    def __new__(cls, kind: str, name: str = "", index: int = -1) -> "RefBase":
+        return _tuple_new(cls, (kind, name, index))
+
+    def __getnewargs__(self) -> tuple:
+        return tuple(self)
+
+    def __repr__(self) -> str:
+        return f"RefBase(kind={self[0]!r}, name={self[1]!r}, index={self[2]!r})"
 
     def describe(self) -> str:
         if self.kind == "arg":
@@ -37,43 +61,25 @@ class RefBase:
 #: ('deref', '') for *p, ('index', '') for p[i] (indices collapse, §2).
 PathStep = tuple[str, str]
 
+_DEREF = ("deref", "")
 
-@dataclass(frozen=True, order=True)
-class Ref:
+
+class Ref(tuple):
     """A reference: a base plus a (possibly empty) access path."""
 
-    base: RefBase
-    path: tuple[PathStep, ...] = ()
+    __slots__ = ()
 
-    # Refs key the store's states/aliases/sites dicts, so one ref is
-    # hashed many times per statement; the dataclass-generated __hash__
-    # re-hashed the field tuple on every lookup. Cache it on first use.
-    # The cache must never be pickled (string hashes are per-process
-    # under hash randomization), hence the explicit state methods.
+    base = property(itemgetter(0))
+    path = property(itemgetter(1))  # tuple[PathStep, ...]
 
-    def __hash__(self) -> int:
-        try:
-            return self._cached_hash
-        except AttributeError:
-            value = hash((self.base, self.path))
-            object.__setattr__(self, "_cached_hash", value)
-            return value
+    def __new__(cls, base: RefBase, path: tuple[PathStep, ...] = ()) -> "Ref":
+        return _tuple_new(cls, (base, path))
 
-    # A function check interns its base references (see FunctionChecker),
-    # so most comparisons are between identical objects: try that first.
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.base, self.path) == (other.base, other.path)
+    def __getnewargs__(self) -> tuple:
+        return tuple(self)
 
-    def __getstate__(self):
-        return (self.base, self.path)
-
-    def __setstate__(self, state) -> None:
-        object.__setattr__(self, "base", state[0])
-        object.__setattr__(self, "path", state[1])
+    def __repr__(self) -> str:
+        return f"Ref(base={self[0]!r}, path={self[1]!r})"
 
     # -- constructors ------------------------------------------------------
 
@@ -100,13 +106,13 @@ class Ref:
     # -- derivation --------------------------------------------------------
 
     def arrow(self, fieldname: str) -> "Ref":
-        return Ref(self.base, self.path + (("arrow", fieldname),))
+        return _tuple_new(Ref, (self[0], self[1] + (("arrow", fieldname),)))
 
     def dot(self, fieldname: str) -> "Ref":
-        return Ref(self.base, self.path + (("dot", fieldname),))
+        return _tuple_new(Ref, (self[0], self[1] + (("dot", fieldname),)))
 
     def deref(self) -> "Ref":
-        return Ref(self.base, self.path + (("deref", ""),))
+        return _tuple_new(Ref, (self[0], self[1] + (_DEREF,)))
 
     def index(self, strict: bool = False, key: str = "") -> "Ref":
         # Default analysis model (paper section 2): compile-time-unknown
@@ -114,32 +120,34 @@ class Ref:
         # the same reference. Under +strictindex they are independent
         # elements: constant indexes get their own reference per value.
         if not strict:
-            return Ref(self.base, self.path + (("deref", ""),))
-        return Ref(self.base, self.path + (("index", key),))
+            return _tuple_new(Ref, (self[0], self[1] + (_DEREF,)))
+        return _tuple_new(Ref, (self[0], self[1] + (("index", key),)))
 
     def parent(self) -> "Ref | None":
         """The base reference this one is derived from (one step up)."""
-        if not self.path:
+        path = self[1]
+        if not path:
             return None
-        return Ref(self.base, self.path[:-1])
+        return _tuple_new(Ref, (self[0], path[:-1]))
 
     def ancestors(self) -> Iterator["Ref"]:
         """All proper prefixes, nearest first."""
-        for cut in range(len(self.path) - 1, -1, -1):
-            yield Ref(self.base, self.path[:cut])
+        base, path = self
+        for cut in range(len(path) - 1, -1, -1):
+            yield _tuple_new(Ref, (base, path[:cut]))
 
     def is_prefix_of(self, other: "Ref") -> bool:
-        path = self.path
+        path = self[1]
         return (
-            len(path) < len(other.path)
-            and (self.base is other.base or self.base == other.base)
-            and other.path[: len(path)] == path
+            len(path) < len(other[1])
+            and self[0] == other[0]
+            and other[1][: len(path)] == path
         )
 
     def replace_prefix(self, old: "Ref", new: "Ref") -> "Ref":
         """Rewrite this ref's leading *old* prefix with *new*."""
         assert old.is_prefix_of(self) or old == self
-        return Ref(new.base, new.path + self.path[len(old.path) :])
+        return _tuple_new(Ref, (new[0], new[1] + self[1][len(old[1]) :]))
 
     @property
     def depth(self) -> int:
@@ -221,6 +229,11 @@ class AliasMap:
 
     def refs(self) -> Iterator[Ref]:
         return iter(self._aliases)
+
+    def __contains__(self, ref: Ref) -> bool:
+        """True if *ref* has an entry, even an emptied one (which
+        :meth:`clear` would remove)."""
+        return ref in self._aliases
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, AliasMap):

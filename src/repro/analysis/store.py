@@ -62,8 +62,10 @@ class Store:
         self.aliases = AliasMap()
         self.unreachable = False  # after return/break/continue/exit()
         # Where a reference last acquired a noteworthy state: keys are
-        # (ref, kind) with kind in {'null', 'fresh', 'release'}; used for
-        # the indented sub-locations in messages (paper footnote 3).
+        # (ref, kind) with kind in {'null', 'fresh', 'release'}, values
+        # the position of the statement (see repro.frontend.cast.Position);
+        # used for the indented sub-locations in messages (paper
+        # footnote 3).
         self.sites: dict[tuple[Ref, str], object] = {}
         self._shared = False
 
@@ -148,6 +150,8 @@ class Store:
         self.aliases.add(a, b)
 
     def clear_aliases(self, ref: Ref) -> None:
+        if ref not in self.aliases:
+            return  # nothing to clear: a shared store stays shared
         if self._shared:
             self._own()
         self.aliases.clear(ref)
@@ -163,8 +167,17 @@ class Store:
         Used when *ref* is assigned a new value: ``l = l->next`` must not
         let the old ``l->next`` state shadow the new one.
         """
-        state_keys = [k for k in self.states if ref.is_prefix_of(k)]
-        alias_keys = [k for k in self.aliases.refs() if ref.is_prefix_of(k)]
+        # ref.is_prefix_of(k), inline: this runs on every assignment.
+        base, path = ref
+        cut = len(path)
+        state_keys = [
+            k for k in self.states
+            if len(k[1]) > cut and k[0] == base and k[1][:cut] == path
+        ]
+        alias_keys = [
+            k for k in self.aliases.refs()
+            if len(k[1]) > cut and k[0] == base and k[1][:cut] == path
+        ]
         if not state_keys and not alias_keys:
             return
         if self._shared:

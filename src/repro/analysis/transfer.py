@@ -11,7 +11,8 @@ and definition-state propagation to base storage.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from functools import lru_cache
+from operator import itemgetter
 
 from ..annotations.kinds import AllocAnn, DefAnn
 from ..frontend import cast as A
@@ -23,24 +24,54 @@ from ..frontend.ctypes import (
     strip_typedefs,
 )
 from ..frontend.render import render_expr
-from ..frontend.source import Location
 from ..messages.message import MessageCode
 from .guards import is_null_literal
 from .states import AllocState, DefState, NullState, RefState
 from .storage import Ref
 from .store import Store
 
+_tuple_new = tuple.__new__
 
-@dataclass(frozen=True)
-class Value:
-    """Abstract result of evaluating an expression."""
 
-    state: RefState
-    ref: Ref | None = None
-    ctype: CType | None = None
-    null_literal: bool = False
-    fresh_call: str | None = None  # callee that produced a fresh obligation
-    alias_refs: frozenset[Ref] = field(default_factory=frozenset)
+class Value(tuple):
+    """Abstract result of evaluating an expression.
+
+    A tuple with named read-only fields, like the references and states
+    it carries (see :mod:`~repro.analysis.storage`): one is built for
+    nearly every expression evaluated.
+    """
+
+    __slots__ = ()
+
+    state = property(itemgetter(0))  # RefState
+    ref = property(itemgetter(1))  # Ref | None
+    ctype = property(itemgetter(2))  # CType | None
+    null_literal = property(itemgetter(3))  # bool
+    fresh_call = property(itemgetter(4))  # callee that produced a fresh obligation
+    alias_refs = property(itemgetter(5))  # frozenset[Ref]
+
+    def __new__(
+        cls,
+        state: RefState,
+        ref: Ref | None = None,
+        ctype: CType | None = None,
+        null_literal: bool = False,
+        fresh_call: str | None = None,
+        alias_refs: frozenset[Ref] = frozenset(),
+    ) -> "Value":
+        return _tuple_new(
+            cls, (state, ref, ctype, null_literal, fresh_call, alias_refs)
+        )
+
+    def __getnewargs__(self) -> tuple:
+        return tuple(self)
+
+    def __repr__(self) -> str:
+        return (
+            f"Value(state={self[0]!r}, ref={self[1]!r}, ctype={self[2]!r}, "
+            f"null_literal={self[3]!r}, fresh_call={self[4]!r}, "
+            f"alias_refs={self[5]!r})"
+        )
 
     @staticmethod
     def plain(ctype: CType | None = None) -> "Value":
@@ -61,6 +92,7 @@ class Value:
 _PLAIN_STATE = RefState(DefState.DEFINED, NullState.NOTNULL, AllocState.IMPLICIT)
 #: ``Value.plain()``: values are immutable, so every untyped one is this one.
 _PLAIN = Value(_PLAIN_STATE)
+_STATIC_STATE = RefState(DefState.DEFINED, NullState.NOTNULL, AllocState.STATIC)
 
 
 def _index_key(index_expr: A.Expr) -> str:
@@ -73,9 +105,11 @@ def _index_key(index_expr: A.Expr) -> str:
     return "?"
 
 
+@lru_cache(maxsize=4096, typed=True)
 def _constant_value(value: int) -> Value:
     """An integer constant: a plain value carrying its exact range (and
-    the null-literal marker for 0)."""
+    the null-literal marker for 0). Values are immutable, so each
+    constant's is built once."""
     null = NullState.ISNULL if value == 0 else NullState.NOTNULL
     state = RefState(DefState.DEFINED, null, AllocState.IMPLICIT, (value, value))
     return Value(state, null_literal=value == 0)
@@ -179,8 +213,9 @@ class ExprMixin:
 
     # -- use checks --------------------------------------------------------------
 
-    def check_usable(self, ref: Ref, store: Store, loc: Location) -> None:
-        """Checks for using *ref* as an rvalue (paper section 3)."""
+    def check_usable(self, ref: Ref, store: Store, expr: A.Expr) -> None:
+        """Checks for using *ref*, read by *expr*, as an rvalue (paper
+        section 3)."""
         st = store.state(ref)
         if st.definition is DefState.UNDEFINED:
             ann = self.declared_annotations(ref)
@@ -207,12 +242,12 @@ class ExprMixin:
                         f"{self.describe_ref(parent)} is only partially "
                         f"initialized"
                     )
-            self.reporter.report(code, loc, text)
+            self.reporter.report(code, expr.location, text)
             # poison to avoid cascades
             store.set_state(ref, st.with_definition(DefState.ERROR))
         elif st.definition is DefState.DEAD or st.alloc is AllocState.DEAD:
             self.reporter.report(
-                MessageCode.USE_AFTER_RELEASE, loc,
+                MessageCode.USE_AFTER_RELEASE, expr.location,
                 f"Storage {self.describe_ref(ref)} used after release",
                 subs=self._site_subs(store, ref, "release"),
             )
@@ -221,7 +256,7 @@ class ExprMixin:
             )
 
     def check_deref(
-        self, base: Value, store: Store, loc: Location, how: str, expr: A.Expr
+        self, base: Value, store: Store, how: str, expr: A.Expr
     ) -> None:
         """Check a dereference (``*p``, ``p->f``, ``p[i]``) for null misuse."""
         st = base.state
@@ -237,7 +272,7 @@ class ExprMixin:
         }[how]
         kind = "null" if st.null.definitely_null() else "possibly null"
         self.reporter.report(
-            MessageCode.NULL_DEREF, loc,
+            MessageCode.NULL_DEREF, expr.location,
             f"{access} {kind} pointer {name}: {render_expr(expr)}",
             subs=self._site_subs(store, base.ref, "null") if base.ref else None,
         )
@@ -249,32 +284,35 @@ class ExprMixin:
 
     def _site_subs(
         self, store: Store, ref: Ref | None, kind: str
-    ) -> list[tuple[Location, str]] | None:
+    ) -> list[tuple[A.Position, str]] | None:
         if ref is None:
             return None
-        loc = store.sites.get((ref, kind))
-        if loc is None:
+        pos = store.sites.get((ref, kind))
+        if pos is None:
             return None
         name = self.describe_ref(ref)
         text = {
             "null": f"Storage {name} may become null",
             "release": f"Storage {name} is released",
         }[kind]
-        return [(loc, text)]
+        return [(pos, text)]
 
     # -- rvalue / lvalue evaluation ---------------------------------------------
 
+    # Each dispatches through the handler table itself: these run for
+    # every expression, so a shared dispatcher would cost a frame each.
+
     def eval_rvalue(self, expr: A.Expr, store: Store) -> Value:
-        return self._eval(expr, store, False)
-
-    def eval_lvalue(self, expr: A.Expr, store: Store) -> Value:
-        return self._eval(expr, store, True)
-
-    def _eval(self, expr: A.Expr, store: Store, want_lvalue: bool) -> Value:
         handler = _EVAL_HANDLERS[self.__class__, expr.__class__]
         if handler is None:
             return _PLAIN
-        return handler(self, expr, store, want_lvalue)
+        return handler(self, expr, store, False)
+
+    def eval_lvalue(self, expr: A.Expr, store: Store) -> Value:
+        handler = _EVAL_HANDLERS[self.__class__, expr.__class__]
+        if handler is None:
+            return _PLAIN
+        return handler(self, expr, store, True)
 
     # Each _eval_* handler: (expr, store, want_lvalue) -> Value.
 
@@ -288,9 +326,7 @@ class ExprMixin:
         return _constant_value(expr.value)
 
     def _eval_stringlit(self, expr, store, want_lvalue) -> Value:
-        return Value(
-            RefState(DefState.DEFINED, NullState.NOTNULL, AllocState.STATIC)
-        )
+        return Value(_STATIC_STATE)
 
     def _eval_ident(self, expr: A.Ident, store: Store, want_lvalue: bool) -> Value:
         kind, info = self.resolve_name(expr.name)
@@ -300,23 +336,21 @@ class ExprMixin:
             ref = self.global_ref(expr.name)
             self.note_global_use(expr.name)
         elif kind == "func":
-            return Value(
-                RefState(DefState.DEFINED, NullState.NOTNULL, AllocState.STATIC)
-            )
+            return Value(_STATIC_STATE)
         elif kind == "enum":
             return _constant_value(info) if isinstance(info, int) else Value.plain()
         else:
             return Value.plain()
         if not want_lvalue:
-            self.check_usable(ref, store, expr.location)
+            self.check_usable(ref, store, expr)
         return Value(store.state(ref), ref=ref, ctype=self.ref_type(ref))
 
     def _eval_member(self, expr: A.Member, store: Store, want_lvalue: bool) -> Value:
         if expr.arrow:
             obj = self.eval_rvalue(expr.obj, store)
-            self.check_deref(obj, store, expr.location, "arrow", expr)
+            self.check_deref(obj, store, "arrow", expr)
         else:
-            obj = self._eval(expr.obj, store, want_lvalue=True)
+            obj = self.eval_lvalue(expr.obj, store)
         if obj.ref is None:
             return Value.plain()
         ref = (
@@ -325,7 +359,7 @@ class ExprMixin:
             else obj.ref.dot(expr.fieldname)
         )
         if not want_lvalue:
-            self.check_usable(ref, store, expr.location)
+            self.check_usable(ref, store, expr)
         return Value(store.state(ref), ref=ref, ctype=self.ref_type(ref))
 
     def _eval_index(self, expr: A.Index, store: Store, want_lvalue: bool) -> Value:
@@ -339,10 +373,11 @@ class ExprMixin:
             base_is_array = qtype is not None and isinstance(
                 strip_typedefs(qtype), Array
             )
-        arr = self._eval(expr.array, store, want_lvalue=base_is_array)
+        evaluate = self.eval_lvalue if base_is_array else self.eval_rvalue
+        arr = evaluate(expr.array, store)
         self.eval_rvalue(expr.index, store)
         if not base_is_array and arr.ctype is not None and is_pointerish(arr.ctype):
-            self.check_deref(arr, store, expr.location, "index", expr)
+            self.check_deref(arr, store, "index", expr)
         if qref is not None and self.flags.enabled("bounds"):
             self._check_index_bounds(qref, expr, store)
         if arr.ref is None:
@@ -350,7 +385,7 @@ class ExprMixin:
         ref = arr.ref.index(strict=self.flags.enabled("strictindex"),
                             key=_index_key(expr.index))
         if not want_lvalue:
-            self.check_usable(ref, store, expr.location)
+            self.check_usable(ref, store, expr)
         return Value(store.state(ref), ref=ref, ctype=self.ref_type(ref))
 
     def _index_extent(self, qref: Ref) -> int | None:
@@ -414,17 +449,17 @@ class ExprMixin:
         op = expr.op
         if op == "*":
             operand = self.eval_rvalue(expr.operand, store)
-            self.check_deref(operand, store, expr.location, "deref", expr)
+            self.check_deref(operand, store, "deref", expr)
             if operand.ref is None:
                 return Value.plain()
             ref = operand.ref.deref()
             if not want_lvalue:
-                self.check_usable(ref, store, expr.location)
+                self.check_usable(ref, store, expr)
             return Value(store.state(ref), ref=ref, ctype=self.ref_type(ref))
         if op == "&":
             inner = self.eval_lvalue(expr.operand, store)
             return Value(
-                RefState(DefState.DEFINED, NullState.NOTNULL, AllocState.STATIC),
+                _STATIC_STATE,
                 alias_refs=frozenset({inner.ref} if inner.ref else ()),
             )
         if op in ("++", "--", "p++", "p--"):
@@ -446,15 +481,17 @@ class ExprMixin:
     def _eval_binary(self, expr: A.Binary, store: Store, want_lvalue: bool) -> Value:
         lhs = self.eval_rvalue(expr.lhs, store)
         rhs = self.eval_rvalue(expr.rhs, store)
+        if expr.op not in ("+", "-"):
+            return _PLAIN
         # Pointer arithmetic yields an offset pointer into the same object:
         # it shares the storage but must not carry the release obligation.
         for side in (lhs, rhs):
-            if side.ctype is not None and is_pointerish(side.ctype) and expr.op in ("+", "-"):
+            if side.ctype is not None and is_pointerish(side.ctype):
                 offset_state = RefState(
                     side.state.definition, side.state.null, AllocState.DEPENDENT
                 )
                 return Value(offset_state, ctype=side.ctype)
-        return Value.plain()
+        return _PLAIN
 
     def _eval_ternary(self, expr: A.Ternary, store: Store, want_lvalue: bool) -> Value:
         # The condition guards each arm exactly like an if/else:
@@ -464,7 +501,7 @@ class ExprMixin:
         then = self.eval_rvalue(expr.then, true_store)
         other = self.eval_rvalue(expr.other, false_store)
         merged_store, reports = true_store.merge(false_store)
-        self._report_merges(reports, expr.location)
+        self._report_merges(reports, A.position(expr))
         store.absorb(merged_store)
         merged, _ = then.state.merged(other.state)
         return Value(merged, ctype=then.ctype or other.ctype)
@@ -478,7 +515,8 @@ class ExprMixin:
     def _eval_cast(self, expr: A.Cast, store: Store, want_lvalue: bool) -> Value:
         if is_null_literal(expr.operand):
             return Value.null(expr.to_type)
-        inner = self._eval(expr.operand, store, want_lvalue)
+        evaluate = self.eval_lvalue if want_lvalue else self.eval_rvalue
+        inner = evaluate(expr.operand, store)
         return Value(
             inner.state, ref=inner.ref, ctype=expr.to_type,
             null_literal=inner.null_literal, fresh_call=inner.fresh_call,
@@ -501,7 +539,7 @@ class ExprMixin:
     # -- assignment -----------------------------------------------------------
 
     def handle_assignment(self, expr: A.Assign, store: Store) -> Value:
-        loc = expr.location
+        loc = A.position(expr)
         if expr.op != "=":
             # Compound assignment: target is read and written; no pointer
             # obligation semantics (arithmetic on the pointed value).
@@ -523,7 +561,7 @@ class ExprMixin:
 
         # Observer storage must not be modified through derived references
         # (Appendix B: "Returned storage must not be modified ... by caller").
-        if tref.depth > 0:
+        if tref.path:
             for ancestor in tref.ancestors():
                 if store.state(ancestor).alloc is AllocState.OBSERVER:
                     self.reporter.report(
@@ -556,27 +594,31 @@ class ExprMixin:
         # through a stable reference (argl->next), not the rebound l —
         # so the candidates must be computed while l's aliases survive.
         derived_states: list[tuple[Ref, RefState]] = []
-        alias_candidates = set(value.alias_refs)
-        if value.ref is not None:
+        alias_candidates = value.alias_refs
+        src = value.ref
+        if src is not None:
+            base, path = src
+            cut = len(path)
             derived_states = [
                 (k, st)
                 for k, st in store.states.items()
-                if value.ref.is_prefix_of(k)
+                if len(k[1]) > cut and k[0] == base and k[1][:cut] == path
             ]
-            alias_candidates |= self.equivalent_refs(value.ref, store)
-        alias_candidates = {
-            cand
-            for cand in alias_candidates
-            if cand != tref and not tref.is_prefix_of(cand)
-        }
+            alias_candidates = alias_candidates | self.equivalent_refs(src, store)
+        if alias_candidates:
+            alias_candidates = {
+                cand
+                for cand in alias_candidates
+                if cand != tref and not tref.is_prefix_of(cand)
+            }
 
-        targets = equivalents if tref.depth > 0 else {tref}
+        targets = equivalents if tref.path else (tref,)
         for target_ref in targets:
             store.kill_derived(target_ref)
             store.set_state(target_ref, new_state)
             if new_state.null.possibly_null():
                 store.set_site(target_ref, "null", loc)
-        if tref.depth == 0:
+        if not tref.path:
             store.clear_aliases(tref)
         if value.ref is not None:
             for target_ref in targets:
@@ -605,7 +647,7 @@ class ExprMixin:
         old: RefState,
         value: Value,
         store: Store,
-        loc: Location,
+        loc: A.Position,
         expr: A.Assign,
     ) -> None:
         """Paper Figure 4: 'Only storage gname not released before assignment'."""
@@ -646,20 +688,18 @@ class ExprMixin:
         tref: Ref,
         value: Value,
         store: Store,
-        loc: Location,
+        loc: A.Position,
         expr: A.Assign,
     ) -> AllocState:
         """Compute the target's allocation state; apply transfer rules."""
         target_ann = self.effective_alloc_ann(tref)
-        tname = LazyText(self.describe_ref, tref)
-        rendered = LazyText(render_expr, expr)
         # an unannotated local takes frame ownership
         obligation_state = _OBLIGATION_STATES.get(target_ann, AllocState.FRESH)
 
         rhs_state = value.state
         takes_obligation = (
             target_ann in (AllocAnn.ONLY, AllocAnn.OWNED)
-            or (tref.depth == 0 and tref.base.kind == "local" and target_ann is None)
+            or (not tref.path and tref.base.kind == "local" and target_ann is None)
         )
 
         # Case 1: fresh storage straight from an allocating call.
@@ -667,6 +707,8 @@ class ExprMixin:
             if takes_obligation:
                 store.set_site(tref, "fresh", loc)
                 return obligation_state
+            tname = LazyText(self.describe_ref, tref)
+            rendered = LazyText(render_expr, expr)
             if target_ann in (AllocAnn.TEMP, AllocAnn.DEPENDENT, AllocAnn.SHARED):
                 self.reporter.report(
                     MessageCode.BAD_TRANSFER, loc,
@@ -686,6 +728,8 @@ class ExprMixin:
         if value.ref is not None:
             src = value.ref
             sname = LazyText(self.describe_ref, src)
+            tname = LazyText(self.describe_ref, tref)
+            rendered = LazyText(render_expr, expr)
             if rhs_state.alloc.holds_obligation():
                 frame_owned = src.depth == 0 and src.base.kind in ("local", "arg")
                 # An owning *field* also transfers, but only into another
@@ -797,6 +841,8 @@ class ExprMixin:
             DefState.UNDEFINED, DefState.ALLOCATED, DefState.PARTIAL,
         )
         for base_ref in equivalents:
+            if not base_ref.path:
+                continue
             for ancestor in base_ref.ancestors():
                 st = store.state(ancestor)
                 if st.definition is DefState.DEFINED and incomplete:
@@ -828,8 +874,11 @@ class ExprMixin:
                 if not any(b.is_prefix_of(a) for b in aliases if b != a)
             ]
 
+        aliases = store.aliases.aliases_of(tref)
+        if not tref.path and not aliases:
+            return {tref}
         out = {tref}
-        out.update(shortest(store.aliases.aliases_of(tref)))
+        out.update(shortest(aliases))
         for ancestor in tref.ancestors():
             for alias in shortest(store.aliases.aliases_of(ancestor)):
                 out.add(tref.replace_prefix(ancestor, alias))

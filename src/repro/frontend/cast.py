@@ -7,12 +7,16 @@ faster attribute access, cheaper construction). Every node has a source
 parser builds a node from the :class:`~repro.frontend.tokens.Token` it
 starts at and stores that token; the first read of ``location`` turns
 it into the token's ``Location`` and keeps that, so a node whose
-location nothing reads never builds one. Nodes built elsewhere (the
-checker, the interpreter, tests) store a ``Location`` (or ``None``)
-directly. Reading is idempotent, so nodes shared between threads (the
-prelude's) need no lock. ``repr``, ``==`` and pickling read through the
-same property: they show, compare and carry the ``Location``, never the
-token. ``Block.end_location`` works the same way.
+location nothing reads never builds one. Nodes the checker builds from
+parsed ones store the same position; nodes built elsewhere (the
+interpreter, tests) store a ``Location`` (or ``None``) directly.
+Reading is idempotent, so nodes shared between threads (the prelude's)
+need no lock. ``repr``, ``==`` and pickling read through the same
+property: they show, compare and carry the ``Location``, never the
+token. ``Block.end_location`` works the same way. Code that only passes
+a position on, such as the checker, reads the stored value with
+:func:`position` and leaves building the ``Location`` to whatever
+reports it (:func:`location_of`).
 
 Declarations additionally carry an
 :class:`~repro.annotations.kinds.AnnotationSet`, which is how the
@@ -358,7 +362,27 @@ def _materialized(slot) -> property:
     return property(read, put)
 
 
-Node.location = _materialized(Node.__dict__["location"])  # type: ignore[assignment]
+_LOCATION_SLOT = Node.__dict__["location"]
+_END_LOCATION_SLOT = Block.__dict__["end_location"]
+Node.location = _materialized(_LOCATION_SLOT)  # type: ignore[assignment]
 Block.end_location = _materialized(  # type: ignore[assignment]
-    Block.__dict__["end_location"]
+    _END_LOCATION_SLOT
 )
+
+#: A source position as a node stores it: the parser's ``Token``, a
+#: ``Location``, or ``None``. The analysis carries positions and builds
+#: a ``Location`` only for what it reports (:func:`location_of`).
+Position = Token | Location | None
+
+#: ``position(node)``: the position *node* stores, read without building
+#: a ``Location``; ``end_position(block)`` does the same for
+#: ``Block.end_location``.
+position = _LOCATION_SLOT.__get__
+end_position = _END_LOCATION_SLOT.__get__
+
+
+def location_of(pos: Position) -> Location | None:
+    """The ``Location`` of a position (a ``Token`` builds it once)."""
+    if pos.__class__ is Token:
+        return pos.location
+    return pos

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..flags.registry import DEFAULT_FLAGS, Flags
-from ..frontend.source import Location
+from ..frontend.cast import Position, location_of
 from .message import Message, MessageCode, SubLocation
 from .suppress import SuppressionTable
 
@@ -16,7 +16,9 @@ class Reporter:
 
     Messages are deduplicated (the analysis may traverse shared subtrees
     more than once), filtered by flags and suppression tables, and sorted
-    into source order for output.
+    into source order for output. A message and its sub-locations are
+    given as positions (:data:`~repro.frontend.cast.Position`); the
+    ``Location`` of each is built here, for the messages that are kept.
     """
 
     flags: Flags = field(default_factory=lambda: DEFAULT_FLAGS)
@@ -27,13 +29,14 @@ class Reporter:
     def report(
         self,
         code: MessageCode,
-        location: Location,
+        location: Position,
         text: str,
-        subs: list[tuple[Location, str]] | None = None,
+        subs: list[tuple[Position, str]] | None = None,
     ) -> None:
         if not self.flags.enabled(code.flag):
             self.suppressed_count += 1
             return
+        location = location_of(location)
         key = (code, location, text)
         if key in self._seen:
             return
@@ -43,7 +46,9 @@ class Reporter:
                 code,
                 location,
                 text,
-                tuple(SubLocation(loc, t) for loc, t in (subs or [])),
+                tuple(
+                    SubLocation(location_of(pos), t) for pos, t in (subs or [])
+                ),
             )
         )
 

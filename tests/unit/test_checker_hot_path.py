@@ -15,7 +15,14 @@ from repro.analysis.checker import CheckContext, FunctionChecker
 from repro.analysis.storage import Ref
 from repro.analysis.transfer import ExprMixin
 from repro.bench.dbexample import FINAL_STAGE, db_sources
-from repro.core.api import Checker
+from repro.bench.generator import generate_program_of_size
+from repro.core.api import (
+    Checker,
+    build_program_symtab,
+    check_parsed_unit,
+    unit_interface,
+)
+from repro.frontend.source import SourceFile
 from repro.messages.reporter import Reporter
 
 # The outer q is an unannotated local, so it takes the obligation of
@@ -110,8 +117,6 @@ class TestInternedRefs:
     def test_pickle_round_trip(self):
         _, pairs = self._pairs()
         for interned, fresh in pairs:
-            hash(interned)  # cache the hash before pickling
-            assert interned.__getstate__() == (interned.base, interned.path)
             copy = pickle.loads(pickle.dumps(interned))
             assert copy == fresh and copy == interned
             assert hash(copy) == hash(fresh)
@@ -161,3 +166,135 @@ def test_methods_patched_after_import_see_every_call(monkeypatch):
     assert set(executed) == {name for _, name in HOOKS}
     assert through_patch == executed
 
+
+
+def _analyze_counting_locations(files, monkeypatch):
+    """Parse *files* as the engine does, then check every unit while
+    counting the ``Location``s built (``SourceFile.location`` calls).
+    Returns the count and the messages."""
+    checker = Checker()
+    for name, text in files.items():
+        checker.sources.add(name, text)
+    units = [
+        checker.parse_unit(files[name], name)
+        for name in sorted(files) if name.endswith(".c")
+    ]
+    interfaces = [unit_interface(pu) for pu in units]
+    symtab = build_program_symtab(interfaces)
+    built = 0
+    original = SourceFile.location
+
+    def counting(self, offset):
+        nonlocal built
+        built += 1
+        return original(self, offset)
+
+    monkeypatch.setattr(SourceFile, "location", counting)
+    messages = []
+    for pu, interface in zip(units, interfaces):
+        messages += check_parsed_unit(
+            pu, symtab, checker.flags, pu.enum_consts, interface=interface,
+        ).messages
+    monkeypatch.undo()
+    return built, messages
+
+
+class TestAnalyzeBuildsLocationsOnlyToReport:
+    """Analysis passes on the positions nodes store; a ``Location`` is
+    built only for a message or sub-location that is reported."""
+
+    def test_clean_generated_program_builds_none(self, monkeypatch):
+        files = dict(generate_program_of_size(2000, seed=1).files)
+        built, messages = _analyze_counting_locations(files, monkeypatch)
+        assert messages == []
+        assert built == 0
+
+    def test_clean_db_builds_none(self, monkeypatch):
+        built, messages = _analyze_counting_locations(
+            db_sources(FINAL_STAGE), monkeypatch
+        )
+        assert messages == []
+        assert built == 0
+
+
+#: Messages whose location and sub-locations come from positions the
+#: analysis carried: a store site, a declaration, an assignment recorded
+#: for the modifies check. Pinned to the output of the checker that built
+#: every Location eagerly.
+POSITION_CASES = {
+    "null.c": ("""#include <stdlib.h>
+
+int first(void)
+{
+  int *p = (int *) malloc(sizeof(int));
+  int v = *p;
+  free(p);
+  return v;
+}
+""", [
+        {"code": "null-deref", "location": ["null.c", 6, 11],
+         "text": "Dereference of possibly null pointer p: *p",
+         "subs": [[["null.c", 5, 10], "Storage p may become null"]]},
+        {"code": "use-before-def", "location": ["null.c", 6, 11],
+         "text": "Value *p used before definition", "subs": []},
+    ]),
+    "merge.c": ("""#include <stdlib.h>
+
+void drop(/*@only@*/ int *p, int c)
+{
+  if (c) {
+    free(p);
+  } else {
+    free(p);
+  }
+  *p = 1;
+}
+""", [
+        {"code": "use-after-release", "location": ["merge.c", 10, 4],
+         "text": "Storage p used after release",
+         "subs": [[["merge.c", 6, 9], "Storage p is released"]]},
+    ]),
+    "scope.c": ("""#include <stdlib.h>
+
+void spill(void)
+{
+  {
+    char *s = (char *) malloc(10);
+    if (s != NULL) { *s = 'a'; }
+  }
+}
+""", [
+        {"code": "leak-scope", "location": ["scope.c", 8, 3],
+         "text": "Fresh storage s not released before scope exit "
+                 "(memory leak)",
+         "subs": [[["scope.c", 6, 13], "Fresh storage s allocated"]]},
+    ]),
+    "modifies.c": ("""extern int counter;
+extern int other;
+
+void f(void) /*@globals counter, other@*/ /*@modifies counter@*/
+{
+  counter = 1;
+  other = 2;
+}
+""", [
+        {"code": "modifies", "location": ["modifies.c", 7, 9],
+         "text": "Undocumented modification of global other (not listed "
+                 "in the modifies clause of f)", "subs": []},
+    ]),
+}
+
+
+class TestReportedPositions:
+    def test_messages_keep_text_location_and_sub_locations(self):
+        for name, (source, expected) in POSITION_CASES.items():
+            result = Checker().check_sources({name: source})
+            assert [m.to_dict() for m in result.messages] == expected, name
+
+    def test_only_reported_positions_build_a_location(self, monkeypatch):
+        files = {name: source for name, (source, _) in POSITION_CASES.items()}
+        built, messages = _analyze_counting_locations(files, monkeypatch)
+        reported = {m.location for m in messages} | {
+            sub.location for m in messages for sub in m.subs
+        }
+        assert 0 < built <= len(reported)

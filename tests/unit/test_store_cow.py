@@ -103,6 +103,17 @@ class TestWritePaths:
         assert Y in s.aliases.closure(X)
         assert list(clone.aliases.closure(X)) == [X]
 
+    def test_clearing_an_unaliased_ref_keeps_both_stores_shared(self):
+        s = populated()
+        clone = s.copy()
+        clone.clear_aliases(P)  # P has no alias entry: nothing to clear
+        assert clone.aliases is s.aliases
+        assert clone.states is s.states
+        assert clone.sites is s.sites
+        clone.set_state(P, RefState())  # a real write still unshares
+        assert clone.states is not s.states
+        assert P not in s.states
+
     def test_set_site(self):
         s = populated()
         clone = s.copy()
