@@ -138,12 +138,6 @@ class FunctionChecker(ExprMixin, CallMixin):
         self.used_globals: set[str] = set()
         # The first assignment's position per global (the modifies check).
         self.assigned_globals: dict[str, A.Position] = {}
-        self._guards = GuardAnalyzer(
-            resolve_ref=self._guard_resolve,
-            null_predicate=self._null_predicate,
-            const_eval=self._const_int,
-        )
-        self._guard_store: Store | None = None
         # Per-check memos. Base references are interned, so the store's
         # dict lookups and comparisons mostly meet identical objects.
         # Declaration facts depend on which declaration a local name is
@@ -438,10 +432,6 @@ class FunctionChecker(ExprMixin, CallMixin):
         return text
 
     # -- guard support -------------------------------------------------------
-
-    def _guard_resolve(self, expr: A.Expr) -> Ref | None:
-        assert self._guard_store is not None
-        return self.resolve_ref_quiet(expr, self._guard_store)
 
     def _null_predicate(self, name: str) -> str | None:
         sig = self.signature(name)
@@ -967,11 +957,15 @@ class FunctionChecker(ExprMixin, CallMixin):
             t2, f2 = self.eval_condition(cond.rhs, f1)
             true_store, _ = t1.merge(t2)
             return true_store, f2
-        # Leaf: evaluate for effect, then apply guard refinements.
+        # Leaf: evaluate for effect, then apply guard refinements. The
+        # analyzer is made per condition: one the checker kept would
+        # hold the checker's bound methods, a reference cycle.
         self.eval_rvalue(cond, store)
-        self._guard_store = store
-        true_facts, false_facts = self._guards.split(cond)
-        self._guard_store = None
+        true_facts, false_facts = GuardAnalyzer(
+            resolve_ref=lambda expr: self.resolve_ref_quiet(expr, store),
+            null_predicate=self._null_predicate,
+            const_eval=self._const_int,
+        ).split(cond)
         true_store = store.copy()
         false_store = store.copy()
         for ref, null in true_facts.facts.items():

@@ -50,6 +50,13 @@ class ParseError(Exception):
         self.location = location
 
 
+def _detached(exc: ParseError) -> ParseError:
+    """*exc* without its traceback or the exceptions chained to it,
+    whose frames would keep the parser alive."""
+    exc.__context__ = exc.__cause__ = None
+    return exc.with_traceback(None)
+
+
 _TYPE_KEYWORDS = frozenset(
     {"void", "char", "short", "int", "long", "float", "double",
      "signed", "unsigned", "struct", "union", "enum"}
@@ -198,12 +205,11 @@ class Parser:
         self.lcl_mode = lcl_mode
         if engine is None:
             engine = _DEFAULT_ENGINE
-        if engine == "table":
-            self._binary_expr = self._binary_climb
-        elif engine == "reference":
-            self._binary_expr = self._reference_binary_expression
-        else:
+        if engine not in ("table", "reference"):
             raise ValueError(f"unknown parser engine {engine!r}")
+        # A flag, not a bound method: a parser holding one of its own
+        # bound methods would be a reference cycle keeping its tokens.
+        self._climb = engine == "table"
 
     # -- token plumbing ----------------------------------------------------
 
@@ -265,7 +271,9 @@ class Parser:
                 # Error recovery: record the error, resynchronize at the
                 # next declaration boundary, and keep checking the rest of
                 # the file (one bad declaration must not hide the others).
-                self.parse_errors.append(exc)
+                # The record keeps no traceback: its frames hold this
+                # parser and every token of the unit.
+                self.parse_errors.append(_detached(exc))
                 self._recover(start_idx)
                 continue
             if item is not None:
@@ -939,7 +947,10 @@ class Parser:
         return lhs
 
     def _conditional_expression(self) -> A.Expr:
-        cond = self._binary_expr()
+        cond = (
+            self._binary_climb() if self._climb
+            else self._reference_binary_expression()
+        )
         tok = self.toks[self.idx]
         if tok.value == "?" and tok.kind is _PUNCT:
             self.idx += 1

@@ -137,15 +137,18 @@ class Preprocessor:
         source = self.sources.get(name)
         if source is None:
             source = self.sources.load(name)
-        # Token lists are immutable; cache per source file so headers
-        # included from several translation units lex only once.
-        raw = getattr(source, "_token_cache", None)
+        # Token lists are immutable; the source manager keeps an included
+        # file's tokens so a header several units include lexes once. A
+        # unit's own text is a new source on every preprocess_text call,
+        # so its tokens are not kept.
+        raw = self.sources.lexed(source) if depth else None
         if raw is None:
             t0 = time.perf_counter()
             raw = [t for t in Lexer(source).tokens()
                    if t.kind is not TokenKind.EOF]
             self.lex_s += time.perf_counter() - t0
-            source._token_cache = raw  # type: ignore[attr-defined]
+            if depth:
+                self.sources.keep_lexed(source, raw)
         # Fast path: a file with no directives and no identifier naming a
         # defined macro passes through verbatim — no line splitting, no
         # expansion cursors. (Without directives the macro table cannot

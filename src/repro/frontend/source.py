@@ -104,10 +104,21 @@ class SourceManager:
     The preprocessor resolves ``#include`` directives against this manager,
     which lets tests and the benchmark generator assemble multi-file
     programs without touching the real filesystem.
+
+    The manager also owns the tokens of the included files lexed from
+    it (:meth:`lexed`), so a header included by several units is lexed
+    once. The cache lives here, not on the :class:`SourceFile`: every
+    token points to its source, and a source that pointed back to its
+    tokens would make each file a reference cycle.
     """
 
     def __init__(self) -> None:
         self._files: dict[str, SourceFile] = {}
+        #: name -> (source, its tokens) for the sources added here.
+        self._lexed: dict[str, tuple[SourceFile, list]] = {}
+        #: The manager this one was copied from, which still owns the
+        #: tokens of the files it holds.
+        self._base: SourceManager | None = None
 
     def add(self, name: str, text: str) -> SourceFile:
         sf = SourceFile(name, text)
@@ -122,10 +133,32 @@ class SourceManager:
 
     def copy(self) -> "SourceManager":
         """A manager holding the same files; what is added to or loaded
-        into the copy stays out of this one."""
+        into the copy stays out of this one. Tokens of the shared files
+        stay cached here, those of the copy's own files in the copy."""
         clone = SourceManager()
         clone._files = dict(self._files)
+        clone._base = self
         return clone
+
+    def _owner(self, source: SourceFile) -> "SourceManager":
+        """The manager *source* was added to."""
+        owner = self
+        while owner._base is not None and (
+            owner._base._files.get(source.name) is source
+        ):
+            owner = owner._base
+        return owner
+
+    def lexed(self, source: SourceFile) -> list | None:
+        """The tokens kept for *source* by :meth:`keep_lexed`, if any."""
+        entry = self._owner(source)._lexed.get(source.name)
+        if entry is not None and entry[0] is source:
+            return entry[1]
+        return None
+
+    def keep_lexed(self, source: SourceFile, tokens: list) -> None:
+        """Keep *source*'s tokens for as long as its owner lives."""
+        self._owner(source)._lexed[source.name] = (source, tokens)
 
     def load(self, path: str) -> SourceFile:
         """Load a file from disk (cached by path)."""

@@ -87,7 +87,7 @@ class Token:
         self._offset = offset
         # ``_fp`` caches this token's fingerprint bytes (see
         # ``incremental.fingerprint.unit_digests``). Header tokens are
-        # shared across every including unit via the preprocessor's
+        # shared across every including unit via the source manager's
         # per-file token cache, so the cache turns the dominant digest
         # cost from per-unit into per-batch.
         self._fp: bytes | None = None

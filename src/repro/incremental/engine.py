@@ -25,8 +25,10 @@ nor counts cache traffic (:attr:`IncrementalChecker.incremental`).
 
 from __future__ import annotations
 
+import gc
 import os
 import pickle
+import time
 from dataclasses import dataclass, field
 
 from ..core.api import (
@@ -110,6 +112,10 @@ class CheckStats:
     remote_used: bool = False
     remote_hits: int = 0
     remote_misses: int = 0
+    # Cyclic-collector passes during the run and their time (already
+    # inside whichever phases triggered them; see _CollectorClock).
+    gc_collections: int = 0
+    gc_s: float = 0.0
     notes: list[str] = field(default_factory=list)
 
     def render(self) -> str:
@@ -185,6 +191,10 @@ class CheckStats:
                 f"  {phase:<12} {seconds * 1000:>8.1f} ms  {seconds / total:>5.1%}"
             )
         lines.append(f"  {'total':<12} {timings['total'] * 1000:>8.1f} ms")
+        lines.append(
+            f"  collector:   {self.gc_collections} collection(s), "
+            f"{self.gc_s * 1000:.1f} ms (inside the phases above)"
+        )
         if self.prologue_s or self.render_s:
             lines.append(
                 f"  driver:      prologue {self.prologue_s * 1000:.1f} ms, "
@@ -199,6 +209,27 @@ class CheckStats:
             f"{self.memo_misses} miss(es)"
         )
         return "\n".join(lines)
+
+
+class _CollectorClock:
+    """A ``gc.callbacks`` hook counting the cyclic collector's passes
+    and timing them. The hook is process-wide: while it is installed,
+    a concurrent run's collections count too."""
+
+    __slots__ = ("collections", "seconds", "_start")
+
+    def __init__(self) -> None:
+        self.collections = 0
+        self.seconds = 0.0
+        self._start = 0.0
+
+    def __call__(self, phase: str, info: dict) -> None:
+        if phase == "start":
+            self._start = time.perf_counter()
+        elif self._start:  # not a pass that began before the hook
+            self.collections += 1
+            self.seconds += time.perf_counter() - self._start
+            self._start = 0.0
 
 
 @dataclass
@@ -396,6 +427,8 @@ class IncrementalChecker:
             stats.notes.extend(self.cache.notes)
             del self.cache.notes[:]
 
+        collector = _CollectorClock()
+        gc.callbacks.append(collector)
         batch_span = self.tracer.span("batch", cat="batch")
         try:
             stages(run)
@@ -411,7 +444,10 @@ class IncrementalChecker:
             )
         finally:
             batch_span.end()
+            gc.callbacks.remove(collector)
         stats.total_s = batch_span.duration
+        stats.gc_collections = collector.collections
+        stats.gc_s = collector.seconds
         metrics.inc("engine.units", len(plans))
         metrics.inc("engine.units.degraded", stats.degraded_units)
         metrics.inc("engine.internal_errors", stats.internal_errors)

@@ -9,6 +9,7 @@ is byte-identical to a traced one.
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -303,3 +304,44 @@ class TestDifftestMetrics:
         assert status in (0, 1)
         counters = json.loads(metrics.read_text())["counters"]
         assert counters.get("difftest.variants", 0) >= 3
+
+
+class TestProfileCollector:
+    def test_cold_profile_run_prints_the_collector_line(self, tmp_path):
+        paths = sorted(
+            os.path.join(DB_DIR, name) for name in _example_db()
+        )
+        status, output = run(
+            ["--profile", "--cache-dir", str(tmp_path / "cache"), "-quiet",
+             *paths]
+        )
+        assert status == 0
+        lines = output.splitlines()
+        total = next(
+            i for i, line in enumerate(lines)
+            if line.startswith("  total ")
+        )
+        assert re.fullmatch(
+            r"  collector:   \d+ collection\(s\), \d+\.\d ms "
+            r"\(inside the phases above\)",
+            lines[total + 1],
+        ), lines[total + 1]
+
+    def test_the_run_counts_collections_and_removes_its_hook(
+        self, monkeypatch
+    ):
+        import gc
+
+        hooks = list(gc.callbacks)
+        checker = Checker()
+        original = checker._check
+
+        def collecting(run, misses):
+            gc.collect()
+            original(run, misses)
+
+        monkeypatch.setattr(checker, "_check", collecting)
+        checker.check_sources(db_sources(1))
+        assert checker.stats.gc_collections >= 1
+        assert checker.stats.gc_s > 0
+        assert gc.callbacks == hooks
