@@ -3,32 +3,27 @@
 Layout::
 
     <root>/meta.json            cache-format + engine version stamp
-    <root>/lock                 advisory flock taken around wipes and
-                                journal writes (see repro.service.locking)
+    <root>/lock                 advisory flock held around a version wipe
     <root>/units/<key>.pkl      per-unit memo: token digest, interface
                                 digest + pickled interface slice, include
                                 closure, enum constants
     <root>/results/<fp>.json    per-unit check result: serialized messages
                                 and the suppressed-message count
-    <root>/results/journal.jsonl
-                                append-only result journal: recent check
-                                results land here first, one JSON object
-                                per line, one append per unit *batch*
-                                instead of one file write per unit; the
-                                journal is folded into ``<fp>.json``
-                                files when it grows past
-                                :data:`JOURNAL_COMPACT_ENTRIES`
+
+Each result is one file, written the moment it is put: the engine, the
+cache service and every process sharing the directory write the same
+form, and a reader needs no state beyond the file. Writes go through a
+temp file + ``os.replace``, so a reader sees the old entry or the new
+one, never a mix, and two writers of one fingerprint write the same
+bytes. Nothing is fsync'd: a lost or torn entry after a crash is a miss.
 
 Every load path is corruption-tolerant: a truncated, garbled, or
 version-mismatched file is treated as a miss and discarded, never an
 error — a bad cache can cost time, but it must not change results or
-crash the checker. Each discarded entry is counted (``dropped`` /
-``cache.entries.dropped`` in the metrics registry) so corruption is
-diagnosable: the engine surfaces the total as a run note. Per-entry
-writes go through a temp file + ``os.replace``; journal appends are a
-single buffered write, and a process killed mid-append leaves at worst
-one truncated final line, which the next load drops and heals by
-rewriting the journal's valid prefix.
+crash the checker. Each discarded entry is counted (per thread, see
+:meth:`ResultCache.drain_dropped`, and in ``cache.entries.dropped`` in
+the metrics registry) so corruption is diagnosable: the engine surfaces
+its run's count as a run note.
 """
 
 from __future__ import annotations
@@ -39,27 +34,62 @@ import pickle
 import shutil
 import tempfile
 import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+
+try:
+    import fcntl
+except ImportError:  # pragma: no cover - non-POSIX fallback
+    fcntl = None
 
 from ..messages.message import Message
 from ..obs.metrics import GLOBAL_METRICS
-from ..service.locking import LOCK_FILE_NAME, CacheDirLock
 from .fingerprint import ENGINE_VERSION
 
 DEFAULT_CACHE_DIR = ".pylclint-cache"
 
 #: Format version of the on-disk layout itself (distinct from the engine
-#: version, which participates in fingerprints).
-CACHE_FORMAT_VERSION = 1
+#: version, which participates in fingerprints). 2: one file per result,
+#: no results journal.
+CACHE_FORMAT_VERSION = 2
 
-#: Journal entries beyond this count are compacted into per-fingerprint
-#: files on the next load or flush, bounding both journal-replay time
-#: and the memory held by the in-process overlay.
-JOURNAL_COMPACT_ENTRIES = 512
-
-_JOURNAL_NAME = "journal.jsonl"
+#: The lock file inside the cache root: never an entry, never wiped.
+LOCK_FILE_NAME = "lock"
 
 _HEX = set("0123456789abcdef")
+
+
+@contextmanager
+def _flock(root: str):
+    """Hold an exclusive advisory flock on ``<root>/lock`` for the block.
+
+    A no-op without ``fcntl`` or where flock fails (some NFS mounts):
+    the block then runs unguarded, as every entry write does anyway.
+    """
+    fd = None
+    if fcntl is not None:
+        try:
+            os.makedirs(root, exist_ok=True)
+            fd = os.open(
+                os.path.join(root, LOCK_FILE_NAME), os.O_RDWR | os.O_CREAT,
+                0o644,
+            )
+            fcntl.flock(fd, fcntl.LOCK_EX)
+        except OSError:
+            if fd is not None:
+                os.close(fd)
+            fd = None
+    try:
+        yield
+    finally:
+        if fd is not None:
+            os.close(fd)  # closing the descriptor releases the flock
+
+
+class _Drops(threading.local):
+    """Entries discarded as corrupt by the calling thread, undrained."""
+
+    count = 0
 
 
 @dataclass
@@ -80,25 +110,15 @@ class ResultCache:
         self.root = os.path.abspath(root)
         self.notes: list[str] = []
         self.metrics = metrics if metrics is not None else GLOBAL_METRICS
-        # Corrupt/unreadable entries discarded since the last drain; the
-        # engine turns a non-zero total into a CheckStats note, so cache
-        # corruption is diagnosable instead of silently costing time.
-        self.dropped = 0
-        self.lock = CacheDirLock(self.root)
-        # Result-journal state: the parsed overlay of journal entries
-        # (consulted before per-fingerprint files), writes buffered by
-        # an open batch() awaiting one flush, and the entries a flush is
-        # writing right now (readable until the overlay holds them). The
-        # checking service's worker threads share one cache, so all of
-        # it is guarded by _state_lock (the cross-process CacheDirLock
-        # guards the files).
-        self._state_lock = threading.Lock()
-        self._journal: dict[str, dict] = {}
-        self._pending: dict[str, dict] = {}
-        self._flushing: dict[str, dict] = {}
-        self._batch_depth = 0
+        self._drops = _Drops()
         self._ensure_layout()
-        self._load_journal()
+        # Opening may drop a garbled meta.json, counted on this thread;
+        # the checking service opens its cache on one thread and runs
+        # checks on others, so the next run reports it, as it reports
+        # the rebuilding note.
+        note = self.drop_note()
+        if note is not None:
+            self.notes.append(note)
 
     # -- layout / versioning ------------------------------------------------
 
@@ -106,8 +126,16 @@ class ResultCache:
         return os.path.join(self.root, "meta.json")
 
     def _ensure_layout(self) -> None:
+        """Stamp a fresh directory; wipe one of another version.
+
+        The flock serializes only this check-and-wipe, so two processes
+        opening one directory never wipe each other's fresh stamp. Puts
+        do not take it: a put racing another process's wipe may be lost
+        or land unread, a miss either way, since fingerprints include
+        ``ENGINE_VERSION``.
+        """
         meta = {"format": CACHE_FORMAT_VERSION, "engine": ENGINE_VERSION}
-        with self.lock.exclusive():
+        with _flock(self.root):
             current = self._read_json(self._meta_path())
             if current != meta:
                 if current is not None or os.path.exists(self._meta_path()):
@@ -124,18 +152,34 @@ class ResultCache:
                 )
 
     def drain_dropped(self) -> int:
-        """Return and reset the dropped-entry count for this period."""
-        out = self.dropped
-        self.dropped = 0
+        """Return and reset the calling thread's dropped-entry count.
+
+        Counted per thread because a run executes on one thread: the
+        checking service runs several at once on one cache, and each
+        run's note must name only the drops that run made.
+        """
+        out = self._drops.count
+        self._drops.count = 0
         return out
+
+    def drop_note(self) -> str | None:
+        """Drain the calling thread's drops into a run note; ``None``
+        when it dropped nothing."""
+        dropped = self.drain_dropped()
+        if not dropped:
+            return None
+        return (
+            f"result cache dropped {dropped} corrupt or unreadable "
+            f"entr{'y' if dropped == 1 else 'ies'} under {self.root}"
+        )
 
     def _wipe(self) -> None:
         if os.path.isdir(self.root):
-            # The lock file is excluded twice over: the wipe runs while
-            # holding the flock on it (deleting it would silently break
-            # exclusion for other processes), and its presence alone —
-            # taking the lock creates it — is not cache content, so a
-            # fresh directory does not count as a wipe.
+            # The lock file is not wiped: the wipe runs while holding the
+            # flock on it (deleting it would silently break exclusion for
+            # other processes), and its presence alone — taking the lock
+            # creates it — does not make a fresh directory count as a
+            # wipe.
             entries = [
                 e for e in os.listdir(self.root) if e != LOCK_FILE_NAME
             ]
@@ -189,7 +233,7 @@ class ResultCache:
         """Remove a cache file; *corrupt* entries are counted so the drop
         is visible in metrics and run notes (temp-file cleanup is not)."""
         if corrupt:
-            self.dropped += 1
+            self._drops.count += 1
             self.metrics.inc("cache.entries.dropped")
         try:
             os.unlink(path)
@@ -259,29 +303,7 @@ class ResultCache:
         return messages, suppressed
 
     def get_result(self, fingerprint: str):
-        """Return ``(messages, suppressed)`` or ``None`` on a miss.
-
-        Journal entries (and results buffered in an open batch or being
-        flushed) shadow per-fingerprint files: they are strictly newer.
-        """
-        with self._state_lock:
-            payload = self._pending.get(fingerprint)
-            if payload is None:
-                payload = self._flushing.get(fingerprint)
-            if payload is None:
-                payload = self._journal.get(fingerprint)
-        if payload is not None:
-            decoded = self._decode_result(payload)
-            if decoded is not None:
-                return decoded
-            # A garbled overlay entry (corrupt journal line that still
-            # parsed as JSON) is dropped like a corrupt file would be.
-            with self._state_lock:
-                self._journal.pop(fingerprint, None)
-                self._pending.pop(fingerprint, None)
-                self._flushing.pop(fingerprint, None)
-            self.dropped += 1
-            self.metrics.inc("cache.entries.dropped")
+        """Return ``(messages, suppressed)`` or ``None`` on a miss."""
         path = self._entry_path("results", fingerprint, ".json")
         payload = self._read_json(path)
         if payload is None:
@@ -289,198 +311,28 @@ class ResultCache:
         decoded = self._decode_result(payload)
         if decoded is None:
             self._discard(path)
-            return None
         return decoded
 
     def put_result(
         self, fingerprint: str, messages: list[Message], suppressed: int
     ) -> None:
-        """Store a check result.
-
-        Inside a :meth:`batch` the write is buffered and lands in one
-        journal append when the batch closes; outside a batch it is an
-        immediate (atomic) per-fingerprint file write, preserving the
-        one-shot behaviour.
-        """
+        """Store a check result: one atomic ``results/<fp>.json`` write."""
         payload = {
             "messages": [m.to_dict() for m in messages],
             "suppressed": suppressed,
         }
-        # Validate the key eagerly so a bad fingerprint fails at the call
-        # site, not at flush time.
-        path = self._entry_path("results", fingerprint, ".json")
-        with self._state_lock:
-            if self._batch_depth > 0:
-                self._pending[fingerprint] = payload
-                return
-        self._write_bytes(path, json.dumps(payload).encode("utf-8"))
-
-    # -- the results journal -------------------------------------------------
-
-    def _journal_path(self) -> str:
-        return os.path.join(self.root, "results", _JOURNAL_NAME)
-
-    def batch(self) -> "_Batch":
-        """Context manager buffering :meth:`put_result` calls into one
-        journal append (re-entrant; only the outermost exit flushes)."""
-        return _Batch(self)
+        self._write_bytes(
+            self._entry_path("results", fingerprint, ".json"),
+            json.dumps(payload).encode("utf-8"),
+        )
 
     def flush_batch(self) -> None:
-        """Append every buffered result to the journal in one write.
+        """Do nothing: every put is already on disk.
 
-        The buffer is swapped out under the state lock before writing,
-        so a result another thread puts meanwhile lands in the next
-        flush instead of being iterated over or cleared by this one.
-        The swapped-out entries stay readable in ``_flushing`` until
-        the overlay holds them.
+        Kept because ``perfbench/tracer.py`` wraps this name, and its
+        ``install`` raises ``KeyError`` on a missing one; the benchmark
+        may not change outside a benchmark change.
         """
-        with self._state_lock:
-            pending, self._pending = self._pending, {}
-            self._flushing.update(pending)
-        if not pending:
-            return
-        lines = []
-        for fingerprint, payload in pending.items():
-            record = dict(payload)
-            record["fp"] = fingerprint
-            lines.append(json.dumps(record) + "\n")
-        data = "".join(lines).encode("utf-8")
-        with self.lock.exclusive():
-            try:
-                with open(self._journal_path(), "ab") as handle:
-                    handle.write(data)
-                    handle.flush()
-                    os.fsync(handle.fileno())
-            except OSError:
-                self.metrics.inc("cache.write.failures")
-                with self._state_lock:
-                    self._unflush(pending)
-                return
-        with self._state_lock:
-            self._journal.update(pending)
-            self._unflush(pending)
-            oversized = len(self._journal) > JOURNAL_COMPACT_ENTRIES
-        self.metrics.inc("cache.journal.flushes")
-        self.metrics.inc("cache.journal.entries", len(pending))
-        if oversized:
-            self.compact_journal()
-
-    def _unflush(self, pending: dict[str, dict]) -> None:
-        """Forget a finished flush's entries (caller holds the state
-        lock); an entry a concurrent flush re-buffered stays."""
-        for fingerprint, payload in pending.items():
-            if self._flushing.get(fingerprint) is payload:
-                del self._flushing[fingerprint]
-
-    def _load_journal(self) -> None:
-        """Replay the journal into the in-process overlay.
-
-        Tolerant line by line: a truncated final line (a process killed
-        mid-append) or garbled bytes drop just that line. When anything
-        was dropped, the journal is rewritten with only the valid
-        entries — the cache heals itself instead of re-reporting the
-        same corruption on every run.
-        """
-        try:
-            with open(self._journal_path(), "rb") as handle:
-                raw_lines = handle.read().split(b"\n")
-        except OSError:
-            return
-        entries, corrupt = self._parse_journal_lines(raw_lines)
-        self._journal = entries
-        if corrupt:
-            self.dropped += corrupt
-            self.metrics.inc("cache.entries.dropped", corrupt)
-            self.metrics.inc("cache.journal.healed")
-            self._rewrite_journal()
-        elif len(entries) > JOURNAL_COMPACT_ENTRIES:
-            self.compact_journal()
-
-    @classmethod
-    def _parse_journal_lines(
-        cls, raw_lines: list[bytes]
-    ) -> tuple[dict[str, dict], int]:
-        """Tolerantly parse journal lines → (entries, corrupt count).
-
-        Shared by journal replay and compaction so both agree exactly on
-        what a valid entry is.
-        """
-        corrupt = 0
-        entries: dict[str, dict] = {}
-        for raw in raw_lines:
-            if not raw.strip():
-                continue
-            try:
-                record = json.loads(raw.decode("utf-8"))
-                fingerprint = record.pop("fp")
-            except (ValueError, KeyError, AttributeError, TypeError):
-                corrupt += 1
-                continue
-            if (
-                not isinstance(fingerprint, str)
-                or not fingerprint
-                or any(ch not in _HEX for ch in fingerprint)
-                or cls._decode_result(record) is None
-            ):
-                corrupt += 1
-                continue
-            entries[fingerprint] = record
-        return entries, corrupt
-
-    def _rewrite_journal(self) -> None:
-        """Atomically replace the journal with the overlay's entries."""
-        lines = []
-        for fingerprint, payload in self._journal.items():
-            record = dict(payload)
-            record["fp"] = fingerprint
-            lines.append(json.dumps(record) + "\n")
-        with self.lock.exclusive():
-            self._write_bytes(
-                self._journal_path(), "".join(lines).encode("utf-8")
-            )
-
-    def compact_journal(self) -> None:
-        """Fold journal entries into per-fingerprint files and truncate.
-
-        The whole fold-then-truncate sequence runs under the cache-dir
-        lock, and the entries folded are re-read from the file *inside*
-        the lock. Two processes can both cross the size threshold
-        concurrently, but whichever folds second folds whatever the
-        journal then contains (usually nothing) instead of truncating
-        appends it never observed — folding only this process's
-        in-memory overlay would discard the other process's results.
-        The disk journal is a superset of any process's overlay (an
-        append lands before the overlay is updated), so folding the
-        disk contents never loses a result. A concurrent reader sees
-        either the journal entry or the compacted file, both with
-        identical contents.
-        """
-        with self.lock.exclusive():
-            try:
-                with open(self._journal_path(), "rb") as handle:
-                    raw_lines = handle.read().split(b"\n")
-            except OSError:
-                raw_lines = []
-            entries, corrupt = self._parse_journal_lines(raw_lines)
-            if not entries and not corrupt:
-                with self._state_lock:
-                    self._journal.clear()
-                return
-            for fingerprint, payload in entries.items():
-                self._write_bytes(
-                    self._entry_path("results", fingerprint, ".json"),
-                    json.dumps(payload).encode("utf-8"),
-                )
-            self._write_bytes(self._journal_path(), b"")
-            # Cleared under the file lock: a flush appends before it adds
-            # to the overlay, so no entry can be appended after this fold
-            # yet dropped from the overlay.
-            with self._state_lock:
-                self._journal.clear()
-        if corrupt:
-            self.dropped += corrupt
-            self.metrics.inc("cache.entries.dropped", corrupt)
-        self.metrics.inc("cache.journal.compactions")
 
     # -- integrity ------------------------------------------------------------
 
@@ -489,31 +341,23 @@ class ResultCache:
 
         Used by the chaos harness (and available to operators) to prove
         that a fault-injected run left the cache fully readable:
-        ``corrupt`` must be 0 afterwards. Reading is done with the same
-        tolerant decoders the hot path uses, so "intact" means exactly
-        "every entry would be a hit, none would be dropped".
+        ``corrupt`` must be 0 afterwards. Reading goes through the hot
+        path's own getters, so "intact" means exactly "every entry would
+        be a hit, none would be dropped" (a corrupt one is dropped, as a
+        hot-path read would drop it).
         """
-        report = {"results": 0, "unit_memos": 0, "journal": 0, "corrupt": 0}
-        with self._state_lock:
-            journal = list(self._journal.values())
-        for payload in journal:
-            if self._decode_result(payload) is None:
-                report["corrupt"] += 1
-            else:
-                report["journal"] += 1
-        results_dir = os.path.join(self.root, "results")
-        units_dir = os.path.join(self.root, "units")
-        for name in self._entry_names(results_dir, ".json"):
-            payload = self._read_json(os.path.join(results_dir, name))
-            if self._decode_result(payload) is None:
-                report["corrupt"] += 1
-            else:
-                report["results"] += 1
-        for name in self._entry_names(units_dir, ".pkl"):
-            if self.get_unit_memo(name[: -len(".pkl")]) is None:
-                report["corrupt"] += 1
-            else:
-                report["unit_memos"] += 1
+        report = {"results": 0, "unit_memos": 0, "corrupt": 0}
+        for kind, suffix, get, counter in (
+            ("results", ".json", self.get_result, "results"),
+            ("units", ".pkl", self.get_unit_memo, "unit_memos"),
+        ):
+            for name in self._entry_names(
+                os.path.join(self.root, kind), suffix
+            ):
+                if get(name[: -len(suffix)]) is None:
+                    report["corrupt"] += 1
+                else:
+                    report[counter] += 1
         return report
 
     @staticmethod
@@ -524,28 +368,6 @@ class ResultCache:
             return []
         return sorted(
             n for n in names
-            if n.endswith(suffix)
+            if n.endswith(suffix) and n != suffix
             and all(ch in _HEX for ch in n[: -len(suffix)])
-            and n != _JOURNAL_NAME
         )
-
-
-class _Batch:
-    """Re-entrant context manager driving one journal flush."""
-
-    __slots__ = ("_cache",)
-
-    def __init__(self, cache: ResultCache) -> None:
-        self._cache = cache
-
-    def __enter__(self) -> ResultCache:
-        with self._cache._state_lock:
-            self._cache._batch_depth += 1
-        return self._cache
-
-    def __exit__(self, *exc) -> None:
-        with self._cache._state_lock:
-            self._cache._batch_depth -= 1
-            outermost = self._cache._batch_depth == 0
-        if outermost:
-            self._cache.flush_batch()

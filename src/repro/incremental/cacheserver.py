@@ -115,10 +115,10 @@ def _decode_memo(payload) -> UnitMemo | None:
 class CacheServer(LineServer):
     """Serve one cache directory's results and memos to many checkers.
 
-    All cache access happens on the event loop thread — entry reads and
-    writes are small file operations, and serializing them through one
-    thread is what makes concurrent ``put``s safe without extra locks
-    (the cache's own flock still guards against *other* processes).
+    All cache access happens on the event loop thread: entry reads and
+    writes are small file operations. Each ``put`` is one atomic file
+    write, so nothing is left to flush at the drain, and puts from other
+    processes on the same directory are as safe as this server's own.
     """
 
     MAX_LINE_BYTES = CACHE_LINE_MAX_BYTES
@@ -146,9 +146,6 @@ class CacheServer(LineServer):
 
     def greeting(self) -> dict:
         return self.describe()
-
-    async def drain(self) -> None:
-        self.cache.flush_batch()
 
     def oversized(self, session, prefix: str, size: int) -> dict:
         self.metrics.inc("cacheserver.errors")

@@ -365,7 +365,7 @@ class IncrementalChecker:
         * **symtab** — the merged program symbol table, built only when
           a unit must be checked;
         * **check** — the result misses, one unit after another;
-        * **write** — one local journal batch, one remote publish.
+        * **write** — one local file per result, one remote publish.
 
         A fully-warm run stops after the probe: it decodes no interface
         slice, and the result builds :attr:`CheckResult.symtab` only if
@@ -455,13 +455,9 @@ class IncrementalChecker:
         # Cache entries silently discarded as corrupt/unreadable during
         # this run become a visible note: corruption must be diagnosable.
         if self.cache is not None:
-            dropped = self.cache.drain_dropped()
-            if dropped:
-                stats.notes.append(
-                    f"result cache dropped {dropped} corrupt or unreadable "
-                    f"entr{'y' if dropped == 1 else 'ies'} under "
-                    f"{self.cache.root}"
-                )
+            note = self.cache.drop_note()
+            if note is not None:
+                stats.notes.append(note)
         # A cache-server failure mid-run became silent misses; the note
         # explains why the run was slower than expected.
         if self.remote is not None:
@@ -688,8 +684,9 @@ class IncrementalChecker:
         run.stats.check_s += check_span.duration
 
     def _write(self, run: _Run, misses: list[_UnitPlan]) -> None:
-        """Stage 5: one local journal batch (remote hits + fresh
-        results) and one remote publish (fresh memos + fresh results).
+        """Stage 5: one local ``results/<fp>.json`` per result (remote
+        hits + fresh results) and one remote publish (fresh memos +
+        fresh results).
 
         Degraded results (parse recovery, skipped files, contained
         crashes) are never cached: the unit must be re-checked from
@@ -701,9 +698,8 @@ class IncrementalChecker:
         ]
         with self.tracer.span("write", cat="stage") as write_span:
             if self.cache is not None:
-                with self.cache.batch():
-                    for entry in run.copies + fresh:
-                        self.cache.put_result(*entry)
+                for entry in run.copies + fresh:
+                    self.cache.put_result(*entry)
             if self._remote_alive():
                 self.remote.put_memos(run.new_memos)
                 self.remote.put_results(fresh)

@@ -927,8 +927,20 @@ class Interpreter:
 # ---------------------------------------------------------------------------
 
 
+def _size_arg(args, i: int, default: int, loc) -> int:
+    """Argument *i* of an allocation model as a byte count. A pointer
+    there (``malloc NULL``: ``NULL`` expands to a parenthesized pointer)
+    is a program the interpreter cannot model."""
+    if i >= len(args):
+        return default
+    value = args[i]
+    if isinstance(value, (int, float)):
+        return int(value)
+    raise InterpreterError(f"expected a size, got {value!r}", loc)
+
+
 def _bi_malloc(interp: Interpreter, args, loc):
-    size = int(args[0]) if args else 0
+    size = _size_arg(args, 0, 0, loc)
     obj = interp.heap.new_object("heap", max(size, 1), max(size, 1), loc,
                                  label="malloc")
     obj._raw = True  # type: ignore[attr-defined]
@@ -936,8 +948,8 @@ def _bi_malloc(interp: Interpreter, args, loc):
 
 
 def _bi_calloc(interp: Interpreter, args, loc):
-    n = int(args[0]) if args else 0
-    size = int(args[1]) if len(args) > 1 else 1
+    n = _size_arg(args, 0, 0, loc)
+    size = _size_arg(args, 1, 1, loc)
     total = max(n * size, 1)
     obj = interp.heap.new_object("heap", total, total, loc, label="calloc",
                                  defined=True, fill=0)
@@ -960,7 +972,7 @@ def _bi_free(interp: Interpreter, args, loc):
 
 def _bi_realloc(interp: Interpreter, args, loc):
     ptr = args[0] if args else NULL
-    size = int(args[1]) if len(args) > 1 else 0
+    size = _size_arg(args, 1, 0, loc)
     new = _bi_malloc(interp, [size], loc)
     if isinstance(ptr, Pointer) and not ptr.is_null and ptr.obj is not None:
         old = ptr.obj

@@ -19,12 +19,6 @@ Layers:
   half-close at each session's end.
 * :mod:`repro.service.client` — a small blocking client used by tests,
   the chaos-load harness, and scripts.
-* :mod:`repro.service.locking` — advisory cache-directory locking
-  shared with :mod:`repro.incremental.cache`.
-
-This ``__init__`` stays import-light on purpose: the incremental cache
-imports :mod:`repro.service.locking`, so importing the server (which
-imports the cache) here would be circular.
 """
 
-__all__ = ["protocol", "lineserver", "server", "client", "locking"]
+__all__ = ["protocol", "lineserver", "server", "client"]

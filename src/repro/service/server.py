@@ -9,8 +9,8 @@ this module says what a request line does. What the daemon could not
 do:
 
 * **concurrent sessions** — every connection is its own session; the
-  parsed prelude, the result cache, and the journal batcher are shared
-  process-wide, so one client's cold check warms everyone.
+  parsed prelude and the result cache are shared process-wide, so one
+  client's cold check warms everyone.
 * **backpressure** — admitted requests (queued + running) are bounded
   by ``max_inflight``; beyond it a client gets an immediate ``busy``
   reply carrying ``retry_after_ms`` instead of unbounded queueing.
@@ -185,8 +185,8 @@ class CheckingService(LineServer):
         }
 
     async def drain(self) -> None:
-        """Finish admitted work, flush the journal, release the workers,
-        and say bye to every session."""
+        """Finish admitted work, release the workers, and say bye to
+        every session."""
         self.metrics.inc("service.drains")
         # Every admitted job completes (or hits its deadline) before the
         # workers are released; new lines get shutting-down replies.
@@ -196,8 +196,6 @@ class CheckingService(LineServer):
         await asyncio.gather(*self._worker_tasks, return_exceptions=True)
         for session in list(self._connections.values()):
             await session.send_bye()
-        if self.cache is not None:
-            self.cache.flush_batch()
         self._pool.shutdown(wait=True)
 
     # -- sessions ------------------------------------------------------------

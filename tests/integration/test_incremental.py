@@ -8,6 +8,11 @@ runs, and a corrupted or version-mismatched cache silently rebuilds.
 import io
 import json
 import os
+import re
+import shutil
+import subprocess
+import sys
+import threading
 import time
 
 import pytest
@@ -187,6 +192,79 @@ class TestCorruptionTolerance:
         assert [l for l in out1.splitlines() if "warning:" not in l] == [
             l for l in out2.splitlines() if "warning:" not in l
         ]
+
+    def test_drop_while_opening_reaches_a_run_on_another_thread(
+        self, db_files, tmp_path
+    ):
+        # The checking service opens its cache on the main thread and
+        # runs checks on pool threads: a garbled meta.json dropped while
+        # opening must still reach a run's notes.
+        root = str(tmp_path / "c")
+        ResultCache(root)
+        with open(os.path.join(root, "meta.json"), "w") as handle:
+            handle.write("}{")
+        cache = ResultCache(root)
+        notes = []
+
+        def check():
+            engine = IncrementalChecker(cache=cache)
+            engine.check_sources(dict(db_files))
+            notes.extend(engine.stats.notes)
+
+        worker = threading.Thread(target=check)
+        worker.start()
+        worker.join(60)
+        assert not worker.is_alive()
+        assert notes == [
+            f"result cache dropped 1 corrupt or unreadable entry under {root}"
+        ]
+        assert cache.drain_dropped() == 0
+
+
+class TestOneFilePerResult:
+    """A cached check leaves one ``results/<fp>.json`` per healthy unit,
+    and a fresh process answers from those files alone."""
+
+    def _check(self, paths, cache_dir):
+        repo = os.path.dirname(os.path.dirname(os.path.dirname(__file__)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.path.join(repo, "src") + os.pathsep + env.get(
+            "PYTHONPATH", ""
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "--cache-dir", cache_dir,
+             "-stats", *paths],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert proc.returncode == 1, proc.stderr  # broken.c's parse error
+        hits, misses = re.search(
+            r"result cache:\s+(\d+) hit\(s\), (\d+) miss\(es\)", proc.stdout
+        ).groups()
+        return proc.stdout.split("statistics:")[0], int(hits), int(misses)
+
+    def test_cold_db_run_writes_six_files_a_fresh_process_reads(
+        self, tmp_path
+    ):
+        repo = os.path.dirname(os.path.dirname(os.path.dirname(__file__)))
+        db_dir = os.path.join(repo, "examples", "db")
+        work = tmp_path / "db"
+        work.mkdir()
+        for name in os.listdir(db_dir):
+            if name.endswith((".c", ".h")):
+                shutil.copy(os.path.join(db_dir, name), work / name)
+        # A degraded unit (parse recovery) is never cached.
+        (work / "broken.c").write_text("int oops( { ;;;\n")
+        paths = sorted(str(p) for p in work.glob("*.c"))
+        assert len(paths) == 7
+        cache_dir = str(tmp_path / "cache")
+        cold, hits, misses = self._check(paths, cache_dir)
+        assert (hits, misses) == (0, 7)
+        names = os.listdir(os.path.join(cache_dir, "results"))
+        assert len(names) == 6
+        assert all(re.fullmatch(r"[0-9a-f]{64}\.json", n) for n in names)
+        warm, hits, misses = self._check(paths, cache_dir)
+        assert (hits, misses) == (6, 1)
+        assert warm == cold
 
 
 class TestDaemon:

@@ -1,17 +1,23 @@
 """Tests for the fingerprint layer and the on-disk result cache."""
 
+import errno
 import json
 import os
+import threading
+import types
 
 import pytest
 
 from repro.core.api import Checker
 from repro.flags.registry import Flags
 from repro.frontend.source import Location
+from repro.incremental import cache as cache_mod
 from repro.incremental.cache import (
     CACHE_FORMAT_VERSION,
+    LOCK_FILE_NAME,
     ResultCache,
     UnitMemo,
+    _flock,
 )
 from repro.incremental import fingerprint
 from repro.incremental.fingerprint import (
@@ -26,6 +32,7 @@ from repro.incremental.fingerprint import (
     token_stream_digest,
 )
 from repro.messages.message import Message, MessageCode
+from repro.obs.metrics import MetricsRegistry
 
 
 def _tokens(source: str, name: str = "t.c"):
@@ -206,14 +213,17 @@ class TestDroppedEntryAccounting:
     FP = "ab" * 32
 
     def _cache(self, tmp_path):
-        from repro.obs.metrics import MetricsRegistry
-
         registry = MetricsRegistry()
         return ResultCache(str(tmp_path / "c"), metrics=registry), registry
 
+    def _corrupt_result(self, cache):
+        victim = os.path.join(cache.root, "results", self.FP + ".json")
+        with open(victim, "w") as handle:
+            handle.write("not json at all")
+
     def test_fresh_cache_has_no_drops(self, tmp_path):
         cache, registry = self._cache(tmp_path)
-        assert cache.dropped == 0
+        assert cache.drain_dropped() == 0
         assert registry.count("cache.entries.dropped") == 0
 
     def test_plain_miss_is_not_a_drop(self, tmp_path):
@@ -225,11 +235,9 @@ class TestDroppedEntryAccounting:
 
     def test_corrupt_result_counts_one_drop(self, tmp_path):
         cache, registry = self._cache(tmp_path)
-        victim = os.path.join(cache.root, "results", self.FP + ".json")
-        with open(victim, "w") as handle:
-            handle.write("not json at all")
+        self._corrupt_result(cache)
         assert cache.get_result(self.FP) is None
-        assert cache.dropped == 1
+        assert cache.drain_dropped() == 1
         assert registry.count("cache.entries.dropped") == 1
 
     def test_corrupt_memo_counts_one_drop(self, tmp_path):
@@ -238,18 +246,47 @@ class TestDroppedEntryAccounting:
         with open(victim, "wb") as handle:
             handle.write(b"\x80\x04 truncated garbage")
         assert cache.get_unit_memo(self.FP) is None
-        assert cache.dropped == 1
+        assert cache.drain_dropped() == 1
         assert registry.count("cache.entries.dropped") == 1
 
     def test_drain_returns_and_resets(self, tmp_path):
         cache, registry = self._cache(tmp_path)
-        victim = os.path.join(cache.root, "results", self.FP + ".json")
-        with open(victim, "w") as handle:
-            handle.write("garbage")
+        self._corrupt_result(cache)
         cache.get_result(self.FP)
         assert cache.drain_dropped() == 1
         assert cache.drain_dropped() == 0
         # The metrics counter is cumulative, not drained.
+        assert registry.count("cache.entries.dropped") == 1
+
+    def test_drops_are_counted_per_thread(self, tmp_path):
+        # The checking service runs several checks at once on one cache,
+        # and each run drains at its end: a drop must land in the note of
+        # the run that made it, never in another request's output.
+        cache, registry = self._cache(tmp_path)
+        self._corrupt_result(cache)
+        read, drained_b = threading.Event(), threading.Event()
+        drained = {}
+
+        def thread_a():
+            cache.get_result(self.FP)
+            read.set()
+            drained_b.wait(10)
+            drained["a"] = cache.drain_dropped()
+
+        def thread_b():
+            read.wait(10)
+            drained["b"] = cache.drain_dropped()
+            drained_b.set()
+
+        threads = [threading.Thread(target=thread_a),
+                   threading.Thread(target=thread_b)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(10)
+        assert not any(thread.is_alive() for thread in threads)
+        assert drained == {"a": 1, "b": 0}
+        assert cache.drain_dropped() == 0
         assert registry.count("cache.entries.dropped") == 1
 
     def test_fresh_cache_layout_is_not_a_wipe(self, tmp_path):
@@ -257,8 +294,6 @@ class TestDroppedEntryAccounting:
         assert registry.count("cache.wipes") == 0
 
     def test_version_mismatch_counts_a_wipe(self, tmp_path):
-        from repro.obs.metrics import MetricsRegistry
-
         root = str(tmp_path / "c")
         ResultCache(root)
         meta = os.path.join(root, "meta.json")
@@ -269,184 +304,87 @@ class TestDroppedEntryAccounting:
         assert registry.count("cache.wipes") == 1
 
 
-class TestResultJournal:
+class TestResultStore:
+    """Every check result is one ``results/<fp>.json``, written at put."""
+
     FP1 = "ab" * 32
     FP2 = "cd" * 32
-    FP3 = "ef" * 32
 
-    def _registry_cache(self, tmp_path):
-        from repro.obs.metrics import MetricsRegistry
+    def _results(self, cache):
+        return sorted(os.listdir(os.path.join(cache.root, "results")))
 
-        registry = MetricsRegistry()
-        return ResultCache(str(tmp_path / "c"), metrics=registry), registry
-
-    def _journal_path(self, cache):
-        return os.path.join(cache.root, "results", "journal.jsonl")
-
-    def test_batch_is_one_append_not_per_unit_files(self, tmp_path):
-        cache, registry = self._registry_cache(tmp_path)
-        with cache.batch():
-            cache.put_result(self.FP1, [_message()], suppressed=0)
-            cache.put_result(self.FP2, [_message()], suppressed=1)
-        # One flush for the whole batch; no per-fingerprint files yet.
-        assert registry.count("cache.journal.flushes") == 1
-        assert registry.count("cache.journal.entries") == 2
-        assert not os.path.exists(
-            os.path.join(cache.root, "results", self.FP1 + ".json")
-        )
-        with open(self._journal_path(cache)) as handle:
-            lines = handle.read().splitlines()
-        assert len(lines) == 2
-
-    def test_batched_results_visible_before_and_after_flush(self, tmp_path):
-        cache, _ = self._registry_cache(tmp_path)
-        with cache.batch():
-            cache.put_result(self.FP1, [_message()], suppressed=3)
-            # Visible mid-batch (the engine re-reads what it wrote).
-            assert cache.get_result(self.FP1)[1] == 3
-        assert cache.get_result(self.FP1)[1] == 3
-
-    def test_journal_survives_reopen(self, tmp_path):
-        cache, _ = self._registry_cache(tmp_path)
-        with cache.batch():
-            cache.put_result(self.FP1, [_message()], suppressed=2)
+    def test_put_is_one_file_read_at_once_and_after_reopen(self, tmp_path):
+        cache = ResultCache(str(tmp_path / "c"))
+        cache.put_result(self.FP1, [_message()], suppressed=2)
+        assert self._results(cache) == [self.FP1 + ".json"]
+        assert cache.get_result(self.FP1)[1] == 2
         reopened = ResultCache(cache.root)
-        loaded = reopened.get_result(self.FP1)
-        assert loaded is not None
-        assert loaded[1] == 2
+        assert reopened.get_result(self.FP1)[1] == 2
 
-    def test_nested_batches_flush_once_at_outermost_exit(self, tmp_path):
-        cache, registry = self._registry_cache(tmp_path)
-        with cache.batch():
-            cache.put_result(self.FP1, [_message()], suppressed=0)
-            with cache.batch():
-                cache.put_result(self.FP2, [_message()], suppressed=0)
-            assert registry.count("cache.journal.flushes") == 0
-        assert registry.count("cache.journal.flushes") == 1
-
-    def test_unbatched_put_is_an_immediate_file_write(self, tmp_path):
-        cache, registry = self._registry_cache(tmp_path)
-        cache.put_result(self.FP1, [_message()], suppressed=0)
-        assert os.path.exists(
-            os.path.join(cache.root, "results", self.FP1 + ".json")
-        )
-        assert registry.count("cache.journal.flushes") == 0
-
-    def test_mid_append_kill_heals_on_next_load(self, tmp_path):
-        # A process killed mid-append leaves a truncated final line; the
-        # next open drops exactly that line and rewrites the journal so
-        # the corruption is reported once, not on every run.
-        cache, _ = self._registry_cache(tmp_path)
-        with cache.batch():
-            cache.put_result(self.FP1, [_message()], suppressed=5)
-            cache.put_result(self.FP2, [_message()], suppressed=6)
-        path = self._journal_path(cache)
-        with open(path, "rb") as handle:
-            whole = handle.read()
-        with open(path, "wb") as handle:
-            handle.write(whole[: len(whole) - 40])  # torn final append
-        from repro.obs.metrics import MetricsRegistry
-
-        registry = MetricsRegistry()
-        healed = ResultCache(cache.root, metrics=registry)
-        assert healed.get_result(self.FP1)[1] == 5  # intact prefix kept
-        assert healed.get_result(self.FP2) is None  # torn line dropped
-        assert registry.count("cache.journal.healed") == 1
-        assert healed.dropped == 1
-        # Healed: reopening again reports no further corruption.
-        registry2 = MetricsRegistry()
-        again = ResultCache(cache.root, metrics=registry2)
-        assert registry2.count("cache.journal.healed") == 0
-        assert again.verify_integrity()["corrupt"] == 0
-
-    def test_garbage_journal_line_is_dropped_not_fatal(self, tmp_path):
-        cache, _ = self._registry_cache(tmp_path)
-        with cache.batch():
-            cache.put_result(self.FP1, [_message()], suppressed=0)
-        with open(self._journal_path(cache), "ab") as handle:
-            handle.write(b"\x00\xffnot json at all\n")
-            handle.write(b'{"fp": "zz", "messages": [], "suppressed": 0}\n')
-        reopened = ResultCache(cache.root)
-        assert reopened.get_result(self.FP1) is not None
-        assert reopened.dropped == 2
-
-    def test_compaction_folds_into_files_and_truncates(self, tmp_path):
-        cache, registry = self._registry_cache(tmp_path)
-        with cache.batch():
-            cache.put_result(self.FP1, [_message()], suppressed=1)
-            cache.put_result(self.FP2, [_message()], suppressed=2)
-        cache.compact_journal()
-        assert registry.count("cache.journal.compactions") == 1
-        assert os.path.getsize(self._journal_path(cache)) == 0
-        for fp, suppressed in ((self.FP1, 1), (self.FP2, 2)):
-            assert os.path.exists(
-                os.path.join(cache.root, "results", fp + ".json")
-            )
-            assert cache.get_result(fp)[1] == suppressed
-
-    def test_oversized_journal_compacts_on_load(self, tmp_path, monkeypatch):
-        from repro.incremental import cache as cache_mod
-
-        monkeypatch.setattr(cache_mod, "JOURNAL_COMPACT_ENTRIES", 2)
-        cache, _ = self._registry_cache(tmp_path)
-        with cache.batch():
-            for fp in (self.FP1, self.FP2, self.FP3):
-                cache.put_result(fp, [_message()], suppressed=0)
-        # The flush itself compacts once past the (patched) threshold.
-        assert os.path.getsize(self._journal_path(cache)) == 0
-        reopened = ResultCache(cache.root)
-        for fp in (self.FP1, self.FP2, self.FP3):
-            assert reopened.get_result(fp) is not None
-
-    def test_bad_fingerprint_fails_at_put_even_in_a_batch(self, tmp_path):
-        cache, _ = self._registry_cache(tmp_path)
+    def test_bad_fingerprint_fails_at_put(self, tmp_path):
+        cache = ResultCache(str(tmp_path / "c"))
         with pytest.raises(ValueError):
-            with cache.batch():
-                cache.put_result("not-hex", [_message()], suppressed=0)
-
-    def test_compaction_rereads_disk_under_the_lock(self, tmp_path):
-        # Another process's appended entries must survive a compaction
-        # that started before they landed: compact folds what is on
-        # disk, not a possibly stale in-memory view.
-        cache, _ = self._registry_cache(tmp_path)
-        with cache.batch():
-            cache.put_result(self.FP1, [_message()], suppressed=1)
-        other = ResultCache(cache.root)
-        with other.batch():
-            other.put_result(self.FP2, [_message()], suppressed=2)
-        cache.compact_journal()  # never saw FP2 in memory
-        fresh = ResultCache(cache.root)
-        assert fresh.get_result(self.FP1)[1] == 1
-        assert fresh.get_result(self.FP2)[1] == 2
-        assert fresh.verify_integrity()["corrupt"] == 0
+            cache.put_result("not-hex", [_message()], suppressed=0)
+        assert self._results(cache) == []
 
     def test_verify_integrity_counts_and_flags(self, tmp_path):
-        cache, _ = self._registry_cache(tmp_path)
+        cache = ResultCache(str(tmp_path / "c"))
         cache.put_result(self.FP1, [_message()], suppressed=0)
-        with cache.batch():
-            cache.put_result(self.FP2, [_message()], suppressed=0)
-        report = cache.verify_integrity()
-        assert report["results"] == 1
-        assert report["journal"] == 1
-        assert report["corrupt"] == 0
-        # Corrupt a per-fingerprint file: the report flags it.
+        cache.put_result(self.FP2, [_message()], suppressed=0)
+        cache.put_unit_memo(
+            self.FP1, UnitMemo("t", "i", b"\x80\x04N.", [], {})
+        )
+        assert cache.verify_integrity() == {
+            "results": 2, "unit_memos": 1, "corrupt": 0,
+        }
+        # Corrupt one result file: the report flags it.
         victim = os.path.join(cache.root, "results", self.FP1 + ".json")
         with open(victim, "w") as handle:
             handle.write("{broken")
-        fresh = ResultCache(cache.root)
-        assert fresh.verify_integrity()["corrupt"] >= 1
+        assert ResultCache(cache.root).verify_integrity() == {
+            "results": 1, "unit_memos": 1, "corrupt": 1,
+        }
+
+    def test_format_1_directory_with_a_journal_is_rebuilt_once(
+        self, tmp_path
+    ):
+        # Format 1 appended results to results/journal.jsonl. Read as
+        # format 2 its results would silently miss and the journal would
+        # stay behind, so the format stamp differs and the directory is
+        # rebuilt, once.
+        root = tmp_path / "c"
+        results = root / "results"
+        results.mkdir(parents=True)
+        (root / "units").mkdir()
+        (root / "meta.json").write_text(
+            json.dumps({"format": 1, "engine": ENGINE_VERSION})
+        )
+        entry = {"messages": [], "suppressed": 0}
+        (results / "journal.jsonl").write_text(
+            json.dumps(dict(entry, fp=self.FP1)) + "\n"
+        )
+        (results / (self.FP2 + ".json")).write_text(json.dumps(entry))
+        registry = MetricsRegistry()
+        cache = ResultCache(str(root), metrics=registry)
+        assert any(
+            "has a different version; rebuilding" in note
+            for note in cache.notes
+        )
+        assert registry.count("cache.wipes") == 1
+        assert self._results(cache) == []
+        assert cache.get_result(self.FP2) is None
+        assert ResultCache(str(root)).notes == []
 
 
 @pytest.mark.skipif(
     not hasattr(os, "fork"), reason="needs fork for a two-process stress"
 )
-class TestConcurrentCompaction:
-    """Two writers interleaving appends with compactions lose nothing.
+class TestConcurrentProcesses:
+    """Two processes writing and reading one directory lose nothing.
 
-    This is the regression test for the fold-then-truncate race: before
-    compaction took ``CacheDirLock`` and re-read the journal from disk,
-    a compactor could truncate away entries another process appended
-    after the compactor's in-memory snapshot, silently dropping results.
+    Each writes its own fingerprints and a shared range with the same
+    contents, as two checkers of one program do; a reader sees one whole
+    file or the other, never a torn one.
     """
 
     PER_CHILD = 120
@@ -455,12 +393,11 @@ class TestConcurrentCompaction:
         cache = ResultCache(root)
         start_evt.wait(10)
         for i in range(self.PER_CHILD):
-            fp = f"{child_id:02x}{i:062x}"
-            with cache.batch():
+            for fp in (f"{child_id:02x}{i:062x}", f"ff{i:062x}"):
                 cache.put_result(fp, [_message()], suppressed=i)
-            if i % 7 == 0:
-                cache.compact_journal()
-        cache.compact_journal()
+                found = cache.get_result(fp)
+                assert found is not None and found[1] == i
+        assert cache.drain_dropped() == 0
 
     def test_no_result_lost_and_integrity_holds(self, tmp_path):
         import multiprocessing
@@ -480,34 +417,27 @@ class TestConcurrentCompaction:
             proc.join(60)
             assert proc.exitcode == 0
         fresh = ResultCache(root)
-        for cid in (1, 2):
+        for prefix in ("01", "02", "ff"):
             for i in range(self.PER_CHILD):
-                fp = f"{cid:02x}{i:062x}"
+                fp = f"{prefix}{i:062x}"
                 found = fresh.get_result(fp)
                 assert found is not None, f"lost result {fp}"
                 assert found[1] == i
-        assert fresh.verify_integrity()["corrupt"] == 0
+        assert fresh.verify_integrity() == {
+            "results": 3 * self.PER_CHILD, "unit_memos": 0, "corrupt": 0,
+        }
 
 
 class TestThreadSafety:
-    """The checking service's worker threads share one ``ResultCache``.
-
-    Regression test for the unguarded journal state: ``flush_batch``
-    iterated the pending buffer while another thread's ``put_result``
-    inserted into it ("dictionary changed size during iteration"), and
-    its final clear could drop the other thread's results. A reader
-    thread also checks that a put result stays readable while the batch
-    holding it is being flushed.
-    """
+    """The checking service's worker threads share one ``ResultCache``:
+    puts and gets from many threads raise nothing, and a put result
+    reads back at once, from the same cache and from a fresh one."""
 
     PUTS_PER_THREAD = 200
     SECONDS = 2.0
 
-    def test_concurrent_batches_raise_nothing_and_lose_nothing(
-        self, tmp_path
-    ):
+    def test_concurrent_puts_raise_nothing_and_lose_nothing(self, tmp_path):
         import sys
-        import threading
         import time
 
         cache = ResultCache(str(tmp_path / "c"))
@@ -520,13 +450,10 @@ class TestThreadSafety:
             try:
                 i = 0
                 while i < self.PUTS_PER_THREAD and time.monotonic() < deadline:
-                    # Small batches flush often, which is what races.
-                    with cache.batch():
-                        for _ in range(1 + i % 2):
-                            fp = f"{tid:04x}{i:060x}"
-                            cache.put_result(fp, [_message()], suppressed=i % 7)
-                            written[tid].append((fp, i % 7))
-                            i += 1
+                    fp = f"{tid:04x}{i:060x}"
+                    cache.put_result(fp, [_message()], suppressed=i % 7)
+                    written[tid].append((fp, i % 7))
+                    i += 1
             except BaseException as exc:  # reported by the main thread
                 errors.append(exc)
 
@@ -535,7 +462,7 @@ class TestThreadSafety:
 
         def reader() -> None:
             # Every entry in written[] was put before it was appended, so
-            # it must read back at any moment, mid-flush included.
+            # it must read back at any moment.
             try:
                 while not writers_done.is_set():
                     for entries in written:
@@ -573,3 +500,98 @@ class TestThreadSafety:
                     found = view.get_result(fp)
                     assert found is not None, f"lost result {fp}"
                     assert found[1] == suppressed
+
+
+class TestCacheDirLock:
+    """The advisory flock on ``<root>/lock`` that serializes opening
+    processes' version checks and wipes (puts do not take it)."""
+
+    def test_lock_file_created(self, tmp_path):
+        with _flock(str(tmp_path / "cache")):
+            assert (tmp_path / "cache" / LOCK_FILE_NAME).exists()
+
+    @pytest.mark.skipif(cache_mod.fcntl is None, reason="needs fcntl")
+    def test_released_on_exit(self, tmp_path):
+        root = str(tmp_path / "cache")
+        with _flock(root):
+            pass
+        fd = os.open(os.path.join(root, LOCK_FILE_NAME), os.O_RDWR)
+        try:
+            # Raises BlockingIOError while anyone still holds it.
+            cache_mod.fcntl.flock(
+                fd, cache_mod.fcntl.LOCK_EX | cache_mod.fcntl.LOCK_NB
+            )
+        finally:
+            os.close(fd)
+
+    def test_one_holder_excludes_another(self, tmp_path):
+        # Two holds on one directory exclude each other even within a
+        # process (each opens the lock file anew, as two processes do).
+        root = str(tmp_path / "cache")
+        order = []
+        entered = threading.Event()
+        release = threading.Event()
+
+        def holder():
+            with _flock(root):
+                order.append("holder-in")
+                entered.set()
+                release.wait(10)
+                order.append("holder-out")
+
+        def contender():
+            entered.wait(10)
+            with _flock(root):
+                order.append("contender-in")
+
+        threads = [threading.Thread(target=holder),
+                   threading.Thread(target=contender)]
+        threads[0].start()
+        threads[1].start()
+        entered.wait(10)
+        release.set()
+        for thread in threads:
+            thread.join(10)
+        assert not any(thread.is_alive() for thread in threads)
+        assert order == ["holder-in", "holder-out", "contender-in"]
+
+    def test_a_wipe_keeps_the_lock_file(self, tmp_path):
+        root = tmp_path / "c"
+        ResultCache(str(root))
+        (root / "meta.json").write_text(json.dumps({"format": -1}))
+        cache = ResultCache(str(root))
+        assert any("rebuilding" in note for note in cache.notes)
+        assert (root / LOCK_FILE_NAME).exists()
+
+    def test_without_fcntl_the_cache_still_works(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cache_mod, "fcntl", None)
+        cache = ResultCache(str(tmp_path / "c"))
+        cache.put_result("ab" * 32, [_message()], suppressed=1)
+        assert cache.get_result("ab" * 32)[1] == 1
+        assert not (tmp_path / "c" / LOCK_FILE_NAME).exists()
+
+    def test_a_failing_flock_still_runs_the_wipe(self, tmp_path, monkeypatch):
+        # Some network filesystems refuse flock: the cache then works
+        # without cross-process exclusion instead of failing.
+        def refuse(fd, operation):
+            raise OSError(errno.ENOLCK, "no locks available")
+
+        monkeypatch.setattr(
+            cache_mod, "fcntl", types.SimpleNamespace(LOCK_EX=2, flock=refuse)
+        )
+        root = tmp_path / "c"
+        ResultCache(str(root))
+        (root / "meta.json").write_text(json.dumps({"format": -1}))
+        cache = ResultCache(str(root))
+        assert any("rebuilding" in note for note in cache.notes)
+        cache.put_result("ab" * 32, [_message()], suppressed=1)
+        assert cache.get_result("ab" * 32)[1] == 1
+
+    def test_the_cache_imports_nothing_from_the_service(self):
+        import ast
+
+        with open(cache_mod.__file__, encoding="utf-8") as handle:
+            tree = ast.parse(handle.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                assert "service" not in (node.module or ""), ast.unparse(node)

@@ -551,6 +551,22 @@ class TestContainedFailures:
             run(source)
         assert caught.value.location.line == 4
 
+    @pytest.mark.parametrize("call", [
+        # A fuzz-smoke find: NULL expands to a parenthesized pointer, so
+        # `malloc NULL` is a call with a pointer for the size.
+        "char *p = malloc NULL;",
+        "char *p = calloc(2, NULL);",
+        "char *p = realloc(NULL, NULL);",
+    ])
+    def test_pointer_for_an_allocation_size_is_contained(self, call):
+        source = (
+            "#include <stdlib.h>\n"
+            f"int main(void) {{\n  {call}\n  return 0;\n}}\n"
+        )
+        with pytest.raises(InterpreterError, match="expected a size") as caught:
+            run(source)
+        assert caught.value.location.line == 3
+
     def test_function_designators_still_compare_for_equality(self):
         source = (
             "int g(void) { return 1; }\n"

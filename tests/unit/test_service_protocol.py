@@ -1,19 +1,17 @@
 """Units for the checking-service protocol layer: request parsing,
-correlation-id recovery, the reply builders, and the advisory cache-dir
-lock. These are the pieces the stdin shim and the asyncio service share,
-so pinning them here pins both transports at once."""
+correlation-id recovery and the reply builders. These are the pieces the
+stdin shim and the asyncio service share, so pinning them here pins both
+transports at once."""
 
 import json
 import os
 import subprocess
 import sys
-import threading
 
 import pytest
 
 import repro
 
-from repro.service.locking import LOCK_FILE_NAME, CacheDirLock
 from repro.service.protocol import (
     MAX_REQUEST_BYTES,
     PRIORITIES,
@@ -163,57 +161,6 @@ class TestPriorities:
 
     def test_unknown_priority_ranks_as_batch(self):
         assert Request("check", [], priority="??").rank == PRIORITIES["batch"]
-
-
-class TestCacheDirLock:
-    def test_lock_file_created(self, tmp_path):
-        lock = CacheDirLock(str(tmp_path / "cache"))
-        with lock.exclusive():
-            assert (tmp_path / "cache" / LOCK_FILE_NAME).exists()
-
-    def test_reentrant(self, tmp_path):
-        lock = CacheDirLock(str(tmp_path / "cache"))
-        with lock.exclusive():
-            with lock.exclusive():
-                pass
-            # Still held by the outer level after the inner exit.
-            assert lock.held
-
-    def test_released_after_outermost_exit(self, tmp_path):
-        lock = CacheDirLock(str(tmp_path / "cache"))
-        with lock.exclusive():
-            pass
-        assert not lock.held
-
-    def test_exclusion_across_threads(self, tmp_path):
-        # The lock serializes critical sections even for independent
-        # lock objects on the same directory (as two processes have).
-        root = str(tmp_path / "cache")
-        order = []
-        entered = threading.Event()
-        release = threading.Event()
-
-        def holder():
-            with CacheDirLock(root).exclusive():
-                order.append("holder-in")
-                entered.set()
-                release.wait(10)
-                order.append("holder-out")
-
-        def contender():
-            entered.wait(10)
-            with CacheDirLock(root).exclusive():
-                order.append("contender-in")
-
-        threads = [threading.Thread(target=holder),
-                   threading.Thread(target=contender)]
-        threads[0].start()
-        threads[1].start()
-        entered.wait(10)
-        release.set()
-        for thread in threads:
-            thread.join(10)
-        assert order == ["holder-in", "holder-out", "contender-in"]
 
 
 class TestFreshInterpreterImports:
