@@ -5,9 +5,11 @@ simple comparison (e.g., ``x != NULL``) or a function call" annotated
 ``truenull`` (returns true iff the argument is null) or ``falsenull``
 (returns true only if the argument is not null).
 
-:func:`split_condition` produces the per-branch null-state refinements
-for a condition expression, handling ``!``, ``&&``, ``||``, comparisons
-against NULL, bare pointer tests, and truenull/falsenull predicates.
+:meth:`GuardAnalyzer.split` produces the per-branch refinements for a
+condition expression that is not a ``!``, ``&&`` or ``||`` (the
+checker splits those itself, in ``FunctionChecker.eval_condition``):
+comparisons against NULL, bare pointer tests, truenull/falsenull
+predicates, and integer comparisons.
 """
 
 from __future__ import annotations
@@ -41,18 +43,6 @@ class GuardFacts:
         merged = intersect_range(existing, rng)
         if merged is not None:
             self.ranges[ref] = merged
-
-    def merge_and(self, other: "GuardFacts") -> "GuardFacts":
-        out = GuardFacts(dict(self.facts), dict(self.ranges))
-        for ref, st in other.facts.items():
-            out.add(ref, st)
-        for ref, rng in other.ranges.items():
-            out.add_range(ref, rng)
-        return out
-
-    @staticmethod
-    def empty() -> "GuardFacts":
-        return GuardFacts()
 
 
 def strip_assignments(expr: A.Expr) -> A.Expr:
@@ -92,52 +82,13 @@ class GuardAnalyzer:
     def _resolve(self, expr: A.Expr) -> Ref | None:
         return self._resolve_ref(strip_assignments(expr))
 
-    def split(self, cond: A.Expr) -> tuple[GuardFacts, GuardFacts]:
-        true_facts = GuardFacts.empty()
-        false_facts = GuardFacts.empty()
-        self._walk(cond, true_facts, false_facts, negated=False)
-        return true_facts, false_facts
-
-    def _walk(
-        self,
-        expr: A.Expr,
-        true_facts: GuardFacts,
-        false_facts: GuardFacts,
-        negated: bool,
-    ) -> None:
-        if negated:
-            true_facts, false_facts = false_facts, true_facts
-
-        if isinstance(expr, A.Unary) and expr.op == "!":
-            self._walk(expr.operand, false_facts, true_facts, negated=False)
-            return
-
-        if isinstance(expr, A.Binary) and expr.op == "&&":
-            # Both conjunct's true-facts hold on the true branch; the false
-            # branch learns nothing (either side may have failed).
-            lhs_t, _ = self.split(expr.lhs)
-            rhs_t, _ = self.split(expr.rhs)
-            both = lhs_t.merge_and(rhs_t)
-            for ref, st in both.facts.items():
-                true_facts.add(ref, st)
-            for ref, rng in both.ranges.items():
-                true_facts.add_range(ref, rng)
-            return
-
-        if isinstance(expr, A.Binary) and expr.op == "||":
-            # Both disjunct's false-facts hold on the false branch.
-            _, lhs_f = self.split(expr.lhs)
-            _, rhs_f = self.split(expr.rhs)
-            both = lhs_f.merge_and(rhs_f)
-            for ref, st in both.facts.items():
-                false_facts.add(ref, st)
-            for ref, rng in both.ranges.items():
-                false_facts.add_range(ref, rng)
-            return
-
+    def split(self, expr: A.Expr) -> tuple[GuardFacts, GuardFacts]:
+        """The facts each branch of the leaf condition *expr* learns."""
+        true_facts = GuardFacts()
+        false_facts = GuardFacts()
         if isinstance(expr, A.Binary) and expr.op in ("<", "<=", ">", ">="):
             self._relational(expr, true_facts, false_facts)
-            return
+            return true_facts, false_facts
 
         if isinstance(expr, A.Binary) and expr.op in ("==", "!="):
             ptr_side: A.Expr | None = None
@@ -161,7 +112,7 @@ class GuardAnalyzer:
                     true_facts.add_range(ref, (const, const))
                 else:                # (i != c): false => i is exactly c
                     false_facts.add_range(ref, (const, const))
-            return
+            return true_facts, false_facts
 
         if isinstance(expr, A.Call) and isinstance(expr.func, A.Ident) and expr.args:
             kind = self._null_predicate(expr.func.name)
@@ -172,13 +123,14 @@ class GuardAnalyzer:
                     false_facts.add(ref, NullState.NOTNULL)
                 else:  # falsenull: returns true only if argument is not null
                     true_facts.add(ref, NullState.NOTNULL)
-            return
+            return true_facts, false_facts
 
         # Bare expression used as a truth value: 'if (p)'.
         ref = self._resolve(expr)
         if ref is not None:
             true_facts.add(ref, NullState.NOTNULL)
             false_facts.add(ref, NullState.ISNULL)
+        return true_facts, false_facts
 
     def _ref_vs_const(
         self, expr: A.Binary

@@ -7,6 +7,9 @@
                    [--no-shrink] [--metrics-out FILE] [-flag | +flag ...]
     repro difftest --replay [PATH | all] [--corpus DIR]
 
+Options follow ``pylclint``'s grammar (``-name`` or ``--name``, a value
+next or after ``--name=``); ``-j`` is ``--jobs``.
+
 Campaign mode generates N seeded variants, runs the static checker and
 the instrumented-heap oracle over each, prints the per-class TP/FP/FN
 comparison table, and shrinks + persists every static/ground-truth
@@ -32,6 +35,15 @@ from __future__ import annotations
 
 import sys
 
+from ..driver.options import (
+    UsageError,
+    integer,
+    number,
+    optional,
+    parse,
+    switch,
+    value,
+)
 from ..flags.registry import Flags, UnknownFlag
 from .campaign import CampaignConfig, run_campaign
 from .corpus import (
@@ -41,7 +53,6 @@ from .corpus import (
     load_corpus,
     replay_case,
 )
-from .runner import DualRunner
 
 USAGE = __doc__ or ""
 
@@ -54,160 +65,94 @@ class DifftestCliError(Exception):
     pass
 
 
-def _int_arg(name: str, value: str, minimum: int = 1) -> int:
-    try:
-        out = int(value)
-    except ValueError:
-        raise DifftestCliError(
-            f"{name} expects an integer, got {value!r}"
-        ) from None
-    if out < minimum:
-        raise DifftestCliError(f"{name} expects a value >= {minimum}")
+def _positive(text: str) -> int:
+    out = integer(text)
+    if out < 1:
+        raise ValueError("expects a value >= 1")
     return out
 
 
-def _float_arg(name: str, value: str) -> float:
-    try:
-        out = float(value)
-    except ValueError:
-        raise DifftestCliError(
-            f"{name} expects a number, got {value!r}"
-        ) from None
+def _fraction(text: str) -> float:
+    out = number(text)
     if not 0.0 <= out <= 1.0:
-        raise DifftestCliError(f"{name} expects a value in [0, 1]")
+        raise ValueError("expects a value in [0, 1]")
     return out
+
+
+#: The subcommand's options (see :mod:`repro.driver.options` for the
+#: grammar); most fill the :class:`CampaignConfig` field they name, and
+#: ``-flag`` / ``+flag`` operands pass through to the checker.
+OPTIONS = {
+    "help": switch("help", ends=True),
+    "h": switch("help", ends=True),
+    "seeds": value("seeds", _positive),
+    "jobs": value("jobs", _positive),
+    "j": value("jobs", _positive),
+    "coverage": value("coverage", _fraction),
+    "max-steps": value("max_steps", _positive),
+    "corpus": value("corpus_dir"),
+    "no-corpus": switch("corpus_dir", None),
+    "no-shrink": switch("shrink", False),
+    "metrics-out": value("metrics_out"),
+    "replay": optional("replay", "all"),  # a path, or every case
+    "quiet": switch("quiet"),
+}
 
 
 def parse_args(argv: list[str]) -> dict:
-    opts = {
-        "seeds": 50,
-        "jobs": 1,
-        "coverage": 0.5,
-        "corpus": DEFAULT_CORPUS_DIR,
-        "max_steps": 200_000,
-        "shrink": True,
-        "flag_args": [],
-        "replay": None,        # None | 'all' | path
-        "quiet": False,
-        "metrics_out": None,
-    }
-    i = 0
-    while i < len(argv):
-        arg = argv[i]
-
-        def _value(name: str) -> str:
-            nonlocal i
-            i += 1
-            if i >= len(argv):
-                raise DifftestCliError(f"{name} requires an argument")
-            return argv[i]
-
-        if arg in ("-h", "--help", "-help"):
-            opts["help"] = True
-            return opts
-        if arg == "--seeds":
-            opts["seeds"] = _int_arg("--seeds", _value("--seeds"))
-        elif arg.startswith("--seeds="):
-            opts["seeds"] = _int_arg("--seeds", arg.split("=", 1)[1])
-        elif arg in ("--jobs", "-j"):
-            opts["jobs"] = _int_arg("--jobs", _value("--jobs"))
-        elif arg.startswith("--jobs="):
-            opts["jobs"] = _int_arg("--jobs", arg.split("=", 1)[1])
-        elif arg == "--coverage":
-            opts["coverage"] = _float_arg("--coverage", _value("--coverage"))
-        elif arg.startswith("--coverage="):
-            opts["coverage"] = _float_arg("--coverage", arg.split("=", 1)[1])
-        elif arg == "--max-steps":
-            opts["max_steps"] = _int_arg("--max-steps", _value("--max-steps"))
-        elif arg.startswith("--max-steps="):
-            opts["max_steps"] = _int_arg("--max-steps", arg.split("=", 1)[1])
-        elif arg == "--corpus":
-            opts["corpus"] = _value("--corpus")
-        elif arg.startswith("--corpus="):
-            opts["corpus"] = arg.split("=", 1)[1]
-        elif arg == "--no-corpus":
-            opts["corpus"] = None
-        elif arg == "--metrics-out":
-            opts["metrics_out"] = _value("--metrics-out")
-        elif arg.startswith("--metrics-out="):
-            opts["metrics_out"] = arg.split("=", 1)[1]
-        elif arg == "--no-shrink":
-            opts["shrink"] = False
-        elif arg == "--replay":
-            # optional operand: a path, or 'all' (default)
-            if i + 1 < len(argv) and not argv[i + 1].startswith(("-", "+")):
-                i += 1
-                opts["replay"] = argv[i]
-            else:
-                opts["replay"] = "all"
-        elif arg == "--quiet":
-            opts["quiet"] = True
-        elif arg.startswith(("-", "+")) and len(arg) > 1:
-            opts["flag_args"].append(arg)   # checker flag passthrough
-        else:
-            raise DifftestCliError(f"unexpected argument {arg!r}")
-        i += 1
-    return opts
-
-
-def _validate_flags(flag_args: list[str]) -> None:
+    """Walk *argv* through :data:`OPTIONS`: the settings given, and the
+    checker flag arguments as ``flag_args``."""
+    opts: dict = {}
     try:
-        Flags.from_args(flag_args)
-    except UnknownFlag as exc:
-        raise DifftestCliError(str(exc)) from exc
+        operands = parse(argv, OPTIONS, opts)
+    except UsageError as exc:
+        raise DifftestCliError(str(exc)) from None
+    stray = [a for a in operands if len(a) < 2 or a[0] not in "-+"]
+    if stray:
+        raise DifftestCliError(f"unexpected argument {stray[0]!r}")
+    opts["flag_args"] = tuple(operands)
+    return opts
 
 
 def run_difftest(argv: list[str]) -> tuple[int, str]:
     """Run the subcommand; returns (exit_status, output_text)."""
     opts = parse_args(argv)
-    if opts.get("help"):
+    if opts.pop("help", False):
         return EXIT_OK, USAGE
-    _validate_flags(opts["flag_args"])
+    try:
+        Flags.from_args(list(opts["flag_args"]))
+    except UnknownFlag as exc:
+        raise DifftestCliError(str(exc)) from exc
+    replay = opts.pop("replay", None)
+    quiet = opts.pop("quiet", False)
+    metrics_out = opts.pop("metrics_out", None)
+    config = CampaignConfig(**opts)
+    if replay is not None:
+        return _run_replay(config, replay)
 
-    if opts["replay"] is not None:
-        return _run_replay(opts)
-
-    config = CampaignConfig(
-        seeds=opts["seeds"],
-        jobs=opts["jobs"],
-        coverage=opts["coverage"],
-        max_steps=opts["max_steps"],
-        flag_args=tuple(opts["flag_args"]),
-        corpus_dir=opts["corpus"],
-        shrink=opts["shrink"],
-    )
     out: list[str] = []
-    progress = None if opts["quiet"] else out.append
-    result = run_campaign(config, progress=progress)
+    result = run_campaign(config, progress=None if quiet else out.append)
     out.append(result.render())
-    if opts["metrics_out"] is not None:
+    if metrics_out is not None:
         from ..obs.metrics import GLOBAL_METRICS
 
-        GLOBAL_METRICS.dump_json(opts["metrics_out"])
+        GLOBAL_METRICS.dump_json(metrics_out)
     return (
         EXIT_OK if result.clean_exit else EXIT_DISCREPANT,
         "\n".join(out),
     )
 
 
-def _run_replay(opts: dict) -> tuple[int, str]:
-    runner = DualRunner(
-        flags=(
-            Flags.from_args(opts["flag_args"])
-            if opts["flag_args"] else None
-        ),
-        max_steps=opts["max_steps"],
-    )
+def _run_replay(config: CampaignConfig, replay: str) -> tuple[int, str]:
+    runner = config.runner()
+    corpus = config.corpus_dir or DEFAULT_CORPUS_DIR
     try:
-        if opts["replay"] == "all":
-            cases = load_corpus(opts["corpus"] or DEFAULT_CORPUS_DIR)
+        if replay == "all":
+            cases = load_corpus(corpus)
             if not cases:
-                return EXIT_OK, (
-                    f"no corpus cases under "
-                    f"{opts['corpus'] or DEFAULT_CORPUS_DIR}/"
-                )
+                return EXIT_OK, f"no corpus cases under {corpus}/"
         else:
-            cases = [load_case(opts["replay"])]
+            cases = [load_case(replay)]
     except CorpusError as exc:
         raise DifftestCliError(str(exc)) from exc
     reports = [replay_case(case, runner) for case in cases]

@@ -4,6 +4,11 @@ Usage follows LCLint's conventions::
 
     pylclint [options] file.c [file2.c ...]
 
+Every option below may be spelled ``-name`` or ``--name``; a value is
+the next argument, or follows ``=`` in ``--name=VALUE``. Any other
+argument starting with ``-`` or ``+`` is an LCLint flag setting, and the
+rest are files. The same grammar holds for ``difftest`` and the servers.
+
     -flagname / +flagname   turn a named check or behaviour off / on
                             (e.g. -allimponly, +gcmode; see -flags)
     -dump lib.lcd           write an interface library after checking
@@ -91,7 +96,9 @@ from ..analysis.cfg import build_cfg
 from ..flags.registry import FLAG_REGISTRY, Flags, UnknownFlag
 from ..core.api import Checker, CheckResult, unit_symtab
 from ..frontend.symtab import SymbolTable
+from ..incremental.cache import DEFAULT_CACHE_DIR, ResultCache
 from ..incremental.engine import IncrementalChecker
+from .options import UsageError, parse, repeated, switch, value
 
 USAGE = __doc__ or ""
 
@@ -152,6 +159,52 @@ def _print_flags() -> str:
     return "\n".join(lines)
 
 
+#: The driver's options (see :mod:`repro.driver.options` for the
+#: grammar); every other argument is an LCLint flag setting or a file.
+OPTIONS = {
+    "help": switch("mode", "help", ends=True),
+    "h": switch("mode", "help", ends=True),
+    "flags": switch("mode", "flags", ends=True),
+    "daemon": switch("mode", "--daemon", ends=True),
+    "serve": switch("mode", "--serve", ends=True),
+    "dump": value("dump"),
+    "load": repeated("load"),
+    "dot": value("dot"),
+    "trace": value("trace"),
+    "stats": switch("stats"),
+    "profile": switch("profile"),
+    "quiet": switch("quiet"),
+    "cache": switch("cache_dir", DEFAULT_CACHE_DIR),
+    "cache-dir": value("cache_dir"),
+    "no-cache": switch("no_cache"),
+    "cache-server": value("cache_server"),
+    "trace-out": value("trace_out"),
+    "trace-format": value("trace_format"),
+    "metrics-out": value("metrics_out"),
+}
+
+#: main() dispatches the server modes; run() refuses them.
+_SERVER_MODES = {
+    "--daemon": "starts a server session; invoke it through the pylclint "
+    "entry point or python -m repro.incremental.server",
+    "--serve": "starts the checking service; invoke it through the "
+    "pylclint entry point or python -m repro.service",
+}
+
+
+def parse_args(argv: list[str]) -> tuple[dict, list[str], list[str]]:
+    """Walk *argv* through :data:`OPTIONS`: the settings given, the
+    LCLint flag arguments and the files, in order."""
+    settings: dict = {}
+    try:
+        operands = parse(argv, OPTIONS, settings)
+    except UsageError as exc:
+        raise CliError(str(exc)) from None
+    flag_args = [a for a in operands if len(a) > 1 and a[0] in "-+"]
+    paths = [a for a in operands if not (len(a) > 1 and a[0] in "-+")]
+    return settings, flag_args, paths
+
+
 def run(argv: list[str], cache=None) -> tuple[int, str]:
     """Run the driver; returns (exit_status, output_text).
 
@@ -161,112 +214,14 @@ def run(argv: list[str], cache=None) -> tuple[int, str]:
     """
     _RUN_STATS.value = None
     run_t0 = time.perf_counter()
-    paths: list[str] = []
-    flag_args: list[str] = []
-    dump_path: str | None = None
-    load_paths: list[str] = []
-    dot_function: str | None = None
-    trace_function_name: str | None = None
-    want_stats = False
-    want_profile = False
-    quiet = False
-    cache_dir: str | None = None
-    no_cache = False
-    cache_server: str | None = None
-    trace_out: str | None = None
-    trace_format = "jsonl"
-    metrics_out: str | None = None
-
-    i = 0
-    while i < len(argv):
-        arg = argv[i]
-        if arg in ("-h", "--help", "-help"):
-            return 0, USAGE
-        if arg == "-flags":
-            return 0, _print_flags()
-        if arg in ("--daemon", "-daemon"):
-            raise CliError(
-                "--daemon starts a server session; invoke it through the "
-                "pylclint entry point or python -m repro.incremental.server"
-            )
-        if arg in ("--serve", "-serve"):
-            raise CliError(
-                "--serve starts the checking service; invoke it through "
-                "the pylclint entry point or python -m repro.service"
-            )
-        if arg == "-dump":
-            i += 1
-            if i >= len(argv):
-                raise CliError("-dump requires a file argument")
-            dump_path = argv[i]
-        elif arg == "-load":
-            i += 1
-            if i >= len(argv):
-                raise CliError("-load requires a file argument")
-            load_paths.append(argv[i])
-        elif arg == "-dot":
-            i += 1
-            if i >= len(argv):
-                raise CliError("-dot requires a function name")
-            dot_function = argv[i]
-        elif arg == "-trace":
-            i += 1
-            if i >= len(argv):
-                raise CliError("-trace requires a function name")
-            trace_function_name = argv[i]
-        elif arg in ("--cache-dir", "-cache-dir"):
-            i += 1
-            if i >= len(argv):
-                raise CliError("--cache-dir requires a directory")
-            cache_dir = argv[i]
-        elif arg.startswith("--cache-dir="):
-            cache_dir = arg.split("=", 1)[1]
-        elif arg in ("--cache", "-cache"):
-            from ..incremental.cache import DEFAULT_CACHE_DIR
-
-            cache_dir = DEFAULT_CACHE_DIR
-        elif arg in ("--no-cache", "-no-cache"):
-            no_cache = True
-        elif arg in ("--cache-server", "-cache-server"):
-            i += 1
-            if i >= len(argv):
-                raise CliError("--cache-server requires an address")
-            cache_server = argv[i]
-        elif arg.startswith("--cache-server="):
-            cache_server = arg.split("=", 1)[1]
-        elif arg in ("--trace-out", "-trace-out"):
-            i += 1
-            if i >= len(argv):
-                raise CliError("--trace-out requires a file argument")
-            trace_out = argv[i]
-        elif arg.startswith("--trace-out="):
-            trace_out = arg.split("=", 1)[1]
-        elif arg in ("--trace-format", "-trace-format"):
-            i += 1
-            if i >= len(argv):
-                raise CliError("--trace-format requires a format name")
-            trace_format = argv[i]
-        elif arg.startswith("--trace-format="):
-            trace_format = arg.split("=", 1)[1]
-        elif arg in ("--metrics-out", "-metrics-out"):
-            i += 1
-            if i >= len(argv):
-                raise CliError("--metrics-out requires a file argument")
-            metrics_out = argv[i]
-        elif arg.startswith("--metrics-out="):
-            metrics_out = arg.split("=", 1)[1]
-        elif arg == "-stats":
-            want_stats = True
-        elif arg in ("--profile", "-profile"):
-            want_profile = True
-        elif arg == "-quiet":
-            quiet = True
-        elif arg.startswith(("-", "+")) and len(arg) > 1:
-            flag_args.append(arg)
-        else:
-            paths.append(arg)
-        i += 1
-
+    opts, flag_args, paths = parse_args(argv)
+    mode = opts.get("mode")
+    if mode == "help":
+        return 0, USAGE
+    if mode == "flags":
+        return 0, _print_flags()
+    if mode is not None:
+        raise CliError(f"{mode} {_SERVER_MODES[mode]}")
     if not paths:
         raise CliError("no input files (try --help)")
 
@@ -275,22 +230,21 @@ def run(argv: list[str], cache=None) -> tuple[int, str]:
     except UnknownFlag as exc:
         raise CliError(str(exc)) from exc
 
-    if no_cache:
+    if opts.get("no_cache"):
         cache = None
-    elif cache_dir is not None:
-        from ..incremental.cache import ResultCache
-
-        cache = ResultCache(cache_dir)
+    elif "cache_dir" in opts:
+        cache = ResultCache(opts["cache_dir"])
 
     remote = None
-    if cache_server is not None:
+    if "cache_server" in opts:
         from ..incremental.cacheserver import CacheClient
 
         try:
-            remote = CacheClient(cache_server)
+            remote = CacheClient(opts["cache_server"])
         except ValueError as exc:
             raise CliError(str(exc)) from exc
 
+    trace_format = opts.get("trace_format", "jsonl")
     if trace_format not in ("jsonl", "chrome"):
         raise CliError(
             f"unknown trace format {trace_format!r} "
@@ -303,12 +257,12 @@ def run(argv: list[str], cache=None) -> tuple[int, str]:
     from .library import LibraryError
 
     obs = None
-    if trace_out is not None or metrics_out is not None:
+    if "trace_out" in opts or "metrics_out" in opts:
         from ..obs.context import Observability
 
         try:
             obs = Observability.from_options(
-                trace_out, trace_format, metrics_out
+                opts.get("trace_out"), trace_format, opts.get("metrics_out")
             )
         except OSError as exc:
             raise CliError(str(exc)) from exc
@@ -326,9 +280,7 @@ def run(argv: list[str], cache=None) -> tuple[int, str]:
                     # interned types, so its library pickle would differ
                     # from a cold run's.
                     keep_units=(
-                        dot_function is not None
-                        or trace_function_name is not None
-                        or dump_path is not None
+                        not opts.keys().isdisjoint(("dot", "trace", "dump"))
                     ),
                     tracer=tracer,
                     remote=remote,
@@ -336,7 +288,7 @@ def run(argv: list[str], cache=None) -> tuple[int, str]:
                 if incremental
                 else Checker(flags=flags, tracer=tracer)
             )
-            for lib in load_paths:
+            for lib in opts.get("load", ()):
                 checker.load_library(lib)
             prologue_s = time.perf_counter() - run_t0
             result = checker.check_sources(files)
@@ -362,37 +314,37 @@ def run(argv: list[str], cache=None) -> tuple[int, str]:
     for message in result.messages:
         out.append(message.render())
 
-    if dot_function is not None:
-        out.append(_dot_for(result, dot_function))
+    if "dot" in opts:
+        out.append(_dot_for(result, opts["dot"]))
 
-    if trace_function_name is not None:
-        out.append(_trace_for(checker, result, trace_function_name))
+    if "trace" in opts:
+        out.append(_trace_for(checker, result, opts["trace"]))
 
-    if want_stats:
+    if "stats" in opts:
         out.append(_stats_for(result))
         if incremental:
             out.append(stats.render())
 
-    if want_profile:
+    if "profile" in opts:
         stats.render_s = time.perf_counter() - render_t0
         out.append(stats.render_profile())
 
-    if result.internal_errors and not quiet:
+    if result.internal_errors and "quiet" not in opts:
         out.append(
             f"pylclint: {result.internal_errors} internal error(s) contained "
             f"(crash bundle(s) written; run completed)"
         )
 
-    if not quiet:
+    if "quiet" not in opts:
         out.append(f"{len(result.messages)} code warning(s)")
 
-    if dump_path is not None:
+    if "dump" in opts:
         from .library import save_library
 
         assert result.symtab is not None
-        save_library(result.symtab, dump_path)
-        if not quiet:
-            out.append(f"interface library written to {dump_path}")
+        save_library(result.symtab, opts["dump"])
+        if "quiet" not in opts:
+            out.append(f"interface library written to {opts['dump']}")
 
     return _exit_status(result), "\n".join(out)
 

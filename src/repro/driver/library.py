@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import pickle
 
+from ..frontend import safe_pickle
 from ..frontend.symtab import SymbolTable
 
 LIBRARY_MAGIC = b"PYLCLINT-LCD"
@@ -42,7 +43,10 @@ def load_library(path: str) -> SymbolTable:
         magic = handle.read(len(LIBRARY_MAGIC))
         if magic != LIBRARY_MAGIC:
             raise LibraryError(f"{path}: not a pylclint library file")
-        payload = pickle.load(handle)
+        try:
+            payload = safe_pickle.load(handle)
+        except pickle.UnpicklingError as exc:
+            raise LibraryError(f"{path}: {exc}") from None
     if payload.get("version") != LIBRARY_VERSION:
         raise LibraryError(
             f"{path}: unsupported library version {payload.get('version')!r}"

@@ -77,6 +77,11 @@ def _is_ident_char(ch: str) -> bool:
     return ch.isalnum() or ch == "_"
 
 
+def _is_digit(ch: str) -> bool:
+    """C's decimal digits are ASCII; ``'²'.isdigit()`` is true too."""
+    return "0" <= ch <= "9"
+
+
 # -- the master regex ---------------------------------------------------------
 #
 # One compiled pattern per token: a *skip prefix* swallows whitespace,
@@ -106,7 +111,7 @@ MASTER_REGEX = re.compile(
     _SKIP_PATTERN
     + r"""
     (?:
-      (?P<IDENT>[^\W\d]\w*)
+      (?P<IDENT>[A-Za-z_]\w*)
     | (?P<NUMBER>
           0[xX][0-9a-fA-F]*[uUlLfF]*
         | (?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?[uUlLfF]*
@@ -290,9 +295,10 @@ class Lexer:
 class ReferenceLexer:
     """The retained character-at-a-time scanner (executable specification).
 
-    Kept verbatim from the original implementation apart from two fixes
-    shared with the production scanner: annotation skipping is a loop
-    (not recursion), and a hex prefix without digits is a ``LexError``.
+    Kept verbatim from the original implementation apart from three
+    fixes shared with the production scanner: annotation skipping is a
+    loop (not recursion), a hex prefix without digits is a
+    ``LexError``, and digits are ASCII.
     """
 
     def __init__(self, source: SourceFile, keep_annotations: bool = True) -> None:
@@ -345,7 +351,7 @@ class ReferenceLexer:
                 return tok
             if _is_ident_start(ch):
                 return self._scan_identifier()
-            if ch.isdigit() or (ch == "." and self._peek(1).isdigit()):
+            if _is_digit(ch) or (ch == "." and _is_digit(self._peek(1))):
                 return self._scan_number()
             if ch == '"':
                 return self._scan_string()
@@ -430,22 +436,22 @@ class ReferenceLexer:
                     "hexadecimal constant has no digits", self._loc(start)
                 )
         else:
-            while self.pos < len(self.text) and self._peek().isdigit():
+            while self.pos < len(self.text) and _is_digit(self._peek()):
                 self.pos += 1
             if self._peek() == ".":
                 is_float = True
                 self.pos += 1
-                while self.pos < len(self.text) and self._peek().isdigit():
+                while self.pos < len(self.text) and _is_digit(self._peek()):
                     self.pos += 1
             if self._peek() in "eE" and (
-                self._peek(1).isdigit()
-                or (self._peek(1) in "+-" and self._peek(2).isdigit())
+                _is_digit(self._peek(1))
+                or (self._peek(1) in "+-" and _is_digit(self._peek(2)))
             ):
                 is_float = True
                 self.pos += 1
                 if self._peek() in "+-":
                     self.pos += 1
-                while self.pos < len(self.text) and self._peek().isdigit():
+                while self.pos < len(self.text) and _is_digit(self._peek()):
                     self.pos += 1
         while self._peek() in "uUlLfF":
             if self._peek() in "fF":

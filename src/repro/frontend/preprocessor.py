@@ -16,6 +16,7 @@ anomaly "in the macro definition of erc_choose" at its use site).
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass
 
@@ -61,6 +62,36 @@ class _TokenCursor:
         return self.idx >= len(self.toks)
 
 
+def resolve_include(
+    sources: SourceManager,
+    system_headers: dict[str, str],
+    directory: str,
+    header: str,
+    angled: bool,
+) -> SourceFile | None:
+    """The file ``#include "header"`` (*angled*: ``<header>``) names from
+    a file in *directory*, or ``None``. A quoted header is the registered
+    file of that name, else the registered file or the file on disk at
+    *directory*/*header*, else *header* on disk from the working
+    directory; then either kind is the system header, then (angled) the
+    registered file of that name. Disk reads are never registered
+    (:meth:`SourceManager.read`): one unit's lookup changes no other's."""
+    if not angled:
+        sibling = os.path.join(directory, header)
+        found = (
+            sources.get(header) or sources.get(sibling)
+            or sources.read(sibling) or sources.read(header)
+        )
+        if found is not None:
+            return found
+    if header in system_headers:
+        synthetic = f"<{header}>"
+        return sources.get(synthetic) or sources.add(
+            synthetic, system_headers[header]
+        )
+    return sources.get(header)
+
+
 class Preprocessor:
     """Expand one entry file into a flat token stream."""
 
@@ -72,16 +103,23 @@ class Preprocessor:
         defines: dict[str, str] | None = None,
         system_headers: dict[str, str] | None = None,
         prelude_covered: frozenset[str] = frozenset(),
+        resolved: dict | None = None,
     ) -> None:
         self.sources = sources
         self.macros: dict[str, Macro] = {}
         self.system_headers = dict(system_headers or {})
         # System headers whose declarations the caller guarantees are
         # already in the program symbol table (the parsed prelude).
-        # Including one is recorded for the include closure but splices
+        # Including one is recorded in `followed` but splices
         # no tokens; see stdlib.specs.PRELUDE_COVERED_HEADERS.
         self.prelude_covered = prelude_covered
         self._included: set[str] = set()
+        #: (directory, header, angled) -> the file that ``#include``
+        #: names (see :func:`resolve_include`); the preprocessors of one
+        #: run share it, so each include is resolved once per run.
+        self.resolved = {} if resolved is None else resolved
+        #: The includes this unit followed, in order, each once.
+        self.followed: dict[tuple[str, str, bool], SourceFile] = {}
         #: Seconds spent inside the lexer (profiling; cache hits cost 0).
         self.lex_s = 0.0
         for name, value in (defines or {}).items():
@@ -91,52 +129,35 @@ class Preprocessor:
 
     # -- public entry points ----------------------------------------------
 
-    def preprocess(self, name: str) -> list[Token]:
-        """Preprocess the named source file into tokens (EOF appended)."""
-        out = self._process_file(name, depth=0)
+    def preprocess_text(self, text: str, name: str = "<string>") -> list[Token]:
+        """Preprocess one unit's *text* into tokens (EOF appended). The
+        unit is not registered: it is no ``#include`` target."""
+        out = self._process_file(SourceFile(name, text), depth=0)
         eof_loc = out[-1].location if out else Location(name, 1, 1)
         out.append(Token(TokenKind.EOF, "", eof_loc))
         return out
 
-    def preprocess_text(self, text: str, name: str = "<string>") -> list[Token]:
-        self.sources.add(name, text)
-        return self.preprocess(name)
-
     # -- file / line processing ---------------------------------------------
 
-    def _resolve(self, header: str, angled: bool, loc: Location) -> str | None:
-        import os
+    def _resolve(
+        self, directory: str, header: str, angled: bool
+    ) -> SourceFile | None:
+        key = (directory, header, angled)
+        if key not in self.resolved:
+            self.resolved[key] = resolve_include(
+                self.sources, self.system_headers, *key
+            )
+        source = self.resolved[key]
+        if source is not None:
+            self.followed.setdefault(key, source)
+        return source
 
-        if not angled:
-            if self.sources.get(header) is not None:
-                return header
-            # relative to the including file (standard "..." semantics)
-            sibling = os.path.join(os.path.dirname(loc.filename), header)
-            if self.sources.get(sibling) is not None:
-                return sibling
-            if os.path.isfile(sibling):
-                self.sources.load(sibling)
-                return sibling
-            if os.path.isfile(header):
-                self.sources.load(header)
-                return header
-        if header in self.system_headers:
-            synthetic = f"<{header}>"
-            if self.sources.get(synthetic) is None:
-                self.sources.add(synthetic, self.system_headers[header])
-            return synthetic
-        if self.sources.get(header) is not None:
-            return header
-        return None
-
-    def _process_file(self, name: str, depth: int) -> list[Token]:
+    def _process_file(self, source: SourceFile, depth: int) -> list[Token]:
         if depth > self.MAX_INCLUDE_DEPTH:
             raise PreprocessError(
-                f"include depth exceeds {self.MAX_INCLUDE_DEPTH}", Location(name, 1, 1)
+                f"include depth exceeds {self.MAX_INCLUDE_DEPTH}",
+                Location(source.name, 1, 1),
             )
-        source = self.sources.get(name)
-        if source is None:
-            source = self.sources.load(name)
         # Token lists are immutable; the source manager keeps an included
         # file's tokens so a header several units include lexes once. A
         # unit's own text is a new source on every preprocess_text call,
@@ -263,15 +284,15 @@ class Preprocessor:
             angled = True
         else:
             raise PreprocessError("malformed #include", loc)
-        resolved = self._resolve(header, angled, loc)
-        if resolved is None:
+        source = self._resolve(os.path.dirname(loc.filename), header, angled)
+        if source is None:
             raise PreprocessError(f"cannot find include file {header!r}", loc)
-        if resolved in self._included:
+        if source.name in self._included:
             return  # every include behaves as if guarded; headers here are interfaces
-        self._included.add(resolved)
-        if header in self.prelude_covered and resolved == f"<{header}>":
+        self._included.add(source.name)
+        if header in self.prelude_covered and source.name == f"<{header}>":
             return  # declarations already provided by the parsed prelude
-        out.extend(self._process_file(resolved, depth + 1))
+        out.extend(self._process_file(source, depth + 1))
 
     def _define(self, rest: list[Token], loc: Location) -> None:
         if not rest or rest[0].kind is not TokenKind.IDENT:

@@ -14,6 +14,7 @@ diagnostics and no parsed locations never pays for it.
 from __future__ import annotations
 
 import bisect
+import os
 import re
 from dataclasses import dataclass, field
 
@@ -119,6 +120,9 @@ class SourceManager:
         #: The manager this one was copied from, which still owns the
         #: tokens of the files it holds.
         self._base: SourceManager | None = None
+        #: path -> the file read from disk there (``None``: no file).
+        #: Kept apart from the registered files, never copied.
+        self._disk: dict[str, SourceFile | None] = {}
 
     def add(self, name: str, text: str) -> SourceFile:
         sf = SourceFile(name, text)
@@ -160,10 +164,12 @@ class SourceManager:
         """Keep *source*'s tokens for as long as its owner lives."""
         self._owner(source)._lexed[source.name] = (source, tokens)
 
-    def load(self, path: str) -> SourceFile:
-        """Load a file from disk (cached by path)."""
-        existing = self._files.get(path)
-        if existing is not None:
-            return existing
-        with open(path, "r", encoding="utf-8", errors="replace") as handle:
-            return self.add(path, handle.read())
+    def read(self, path: str) -> SourceFile | None:
+        """The file at *path* on disk, or ``None``, read once per manager
+        and never registered (:meth:`get` does not return it)."""
+        if path not in self._disk:
+            self._disk[path] = None
+            if os.path.isfile(path):
+                with open(path, "r", encoding="utf-8", errors="replace") as f:
+                    self._disk[path] = SourceFile(path, f.read())
+        return self._disk[path]

@@ -42,6 +42,7 @@ try:
 except ImportError:  # pragma: no cover - non-POSIX fallback
     fcntl = None
 
+from ..frontend import safe_pickle
 from ..messages.message import Message
 from ..obs.metrics import GLOBAL_METRICS
 from .fingerprint import ENGINE_VERSION
@@ -50,8 +51,8 @@ DEFAULT_CACHE_DIR = ".pylclint-cache"
 
 #: Format version of the on-disk layout itself (distinct from the engine
 #: version, which participates in fingerprints). 2: one file per result,
-#: no results journal.
-CACHE_FORMAT_VERSION = 2
+#: no results journal. 3: memo include records have five fields.
+CACHE_FORMAT_VERSION = 3
 
 #: The lock file inside the cache root: never an entry, never wiped.
 LOCK_FILE_NAME = "lock"
@@ -99,8 +100,19 @@ class UnitMemo:
     token_digest: str
     iface_digest: str
     iface_pickle: bytes  # pickled (SymbolTable slice, enum_consts)
-    includes: list[tuple[str, str]]  # (resolved name, text sha) closure
+    #: Every include the unit followed, once: (directory, header,
+    #: angled, the file it named, that file's text sha).
+    includes: list[tuple[str, str, bool, str, str]]
     enum_consts: dict[str, int] = field(default_factory=dict)
+
+
+def decode_includes(raw) -> list[tuple[str, str, bool, str, str]]:
+    """A stored memo's include records (raises ``TypeError`` or
+    ``ValueError`` on a malformed one)."""
+    return [
+        (str(directory), str(header), angled is True, str(name), str(sha))
+        for directory, header, angled, name, sha in raw
+    ]
 
 
 class ResultCache:
@@ -222,10 +234,11 @@ class ResultCache:
             return None  # absent entry: a plain miss, not corruption
         try:
             with handle:
-                return pickle.load(handle)
+                return safe_pickle.load(handle)
         except Exception:
-            # Any unpickling failure (truncation, garbage, missing class)
-            # is a miss; drop the bad entry so it is rewritten.
+            # Any unpickling failure (truncation, garbage, a class the
+            # checker's payloads never hold) is a miss; drop the bad
+            # entry so it is rewritten.
             self._discard(path)
             return None
 
@@ -269,12 +282,17 @@ class ResultCache:
                 token_digest=payload["token_digest"],
                 iface_digest=payload["iface_digest"],
                 iface_pickle=payload["iface_pickle"],
-                includes=[(str(n), str(s)) for n, s in payload["includes"]],
+                includes=decode_includes(payload["includes"]),
                 enum_consts=dict(payload["enum_consts"]),
             )
         except (KeyError, TypeError, ValueError):
             self._discard(self._entry_path("units", key, ".pkl"))
             return None
+
+    def drop_unit_memo(self, key: str) -> None:
+        """Discard the memo under *key* as corrupt: its interface slice
+        did not decode."""
+        self._discard(self._entry_path("units", key, ".pkl"))
 
     def put_unit_memo(self, key: str, memo: UnitMemo) -> None:
         payload = {

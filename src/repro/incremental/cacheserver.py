@@ -60,7 +60,7 @@ from ..messages.message import Message
 from ..obs.metrics import GLOBAL_METRICS
 from ..service.lineserver import LineServer, LineServerThread
 from ..service.protocol import parse_addr
-from .cache import DEFAULT_CACHE_DIR, ResultCache, UnitMemo
+from .cache import DEFAULT_CACHE_DIR, ResultCache, UnitMemo, decode_includes
 
 #: Line cap for cache traffic. Memo payloads carry a base64 pickled
 #: interface slice, so the bound is far above the checking protocol's
@@ -86,7 +86,7 @@ def _encode_memo(memo: UnitMemo) -> dict:
         "token_digest": memo.token_digest,
         "iface_digest": memo.iface_digest,
         "iface_pickle": base64.b64encode(memo.iface_pickle).decode("ascii"),
-        "includes": [[name, sha] for name, sha in memo.includes],
+        "includes": memo.includes,  # tuples encode as JSON arrays
         "enum_consts": dict(memo.enum_consts),
     }
 
@@ -103,7 +103,7 @@ def _decode_memo(payload) -> UnitMemo | None:
             iface_pickle=base64.b64decode(
                 payload["iface_pickle"], validate=True
             ),
-            includes=[(str(n), str(s)) for n, s in payload["includes"]],
+            includes=decode_includes(payload["includes"]),
             enum_consts={
                 str(k): int(v) for k, v in payload["enum_consts"].items()
             },

@@ -52,7 +52,12 @@ from ..core.faults import (
 from ..flags.registry import DEFAULT_FLAGS, Flags
 from ..frontend.lexer import LexError
 from ..frontend.parser import ParseError, Parser
-from ..frontend.preprocessor import PreprocessError, Preprocessor
+from ..frontend import safe_pickle
+from ..frontend.preprocessor import (
+    PreprocessError,
+    Preprocessor,
+    resolve_include,
+)
 from ..frontend.source import SourceManager
 from ..frontend.symtab import SymbolTable
 from ..frontend.tokens import Token
@@ -263,9 +268,15 @@ class _Run:
     #: stage built them.
     symtab: SymbolTable | None = None
     enum_consts: dict[str, int] = field(default_factory=dict)
-    #: Include name -> digest of its current text (``None`` when it
-    #: cannot be read): each include is digested once per run.
-    include_digests: dict[str, str | None] = field(default_factory=dict)
+    #: (directory, header, angled) -> the file that ``#include`` names,
+    #: shared by the run's preprocessors and memo probes.
+    resolved: dict = field(default_factory=dict)
+    #: The same keys -> (file name, digest of its text), or ``None`` when
+    #: nothing is found: each include is digested once per run.
+    include_digests: dict = field(default_factory=dict)
+    #: A memo's include record -> whether it still holds: memos share
+    #: most of theirs, and each is checked once per run.
+    include_checks: dict = field(default_factory=dict)
     #: For the write stage: remote result hits to copy into the local
     #: cache, and fresh memos to publish to the cache service.
     copies: list[tuple[str, list, int]] = field(default_factory=list)
@@ -472,7 +483,7 @@ class IncrementalChecker:
             internal_errors=stats.internal_errors,
             symtab_factory=(
                 (lambda: symtab) if symtab is not None
-                else lambda: self._program_symtab(plans, base)
+                else lambda: self._program_symtab(run, base)
             ),
         )
 
@@ -637,16 +648,16 @@ class IncrementalChecker:
     def _symtab(self, run: _Run) -> None:
         """Stage 3: the merged program symbol table and enum constants."""
         with self.tracer.span("symtab", cat="stage") as symtab_span:
+            run.symtab = self._program_symtab(run, self.base_symtab)
             for plan in run.plans:
                 run.enum_consts.update(plan.enum_consts)
-            run.symtab = self._program_symtab(run.plans, self.base_symtab)
         run.stats.symtab_s += symtab_span.duration
 
     def _program_symtab(
-        self, plans: list[_UnitPlan], base: SymbolTable | None
+        self, run: _Run, base: SymbolTable | None
     ) -> SymbolTable:
         return build_program_symtab(
-            [self._interface_of(p) for p in plans], base
+            [self._interface_of(p, run) for p in run.plans], base
         )
 
     def _check(self, run: _Run, misses: list[_UnitPlan]) -> None:
@@ -723,9 +734,7 @@ class IncrementalChecker:
         """
         stats = run.stats
         try:
-            tokens, included = self._preprocess(
-                plan.name, plan.text, run.sources, stats
-            )
+            tokens, included = self._preprocess(plan.name, plan.text, run)
         except Exception as exc:
             self._fail_plan(plan, exc, "preprocess", "preprocessing")
             return
@@ -764,9 +773,8 @@ class IncrementalChecker:
                     (plan.interface, plan.enum_consts)
                 )
                 closure = [
-                    (name, self._include_digest(name, run))
-                    for name in sorted(included)
-                    if run.sources.get(name) is not None
+                    (*key, *self._include_digest(key, run))
+                    for key in included
                 ]
                 memo = UnitMemo(
                     token_digest=plan.token_digest,
@@ -810,17 +818,16 @@ class IncrementalChecker:
             plan.iface_digest = FAILED_INTERFACE_DIGEST
 
     def _preprocess(
-        self,
-        name: str,
-        text: str,
-        sources: SourceManager,
-        stats: CheckStats,
-    ) -> tuple[list[Token], set[str]]:
+        self, name: str, text: str, run: _Run
+    ) -> tuple[list[Token], list[tuple]]:
+        """The unit's tokens, and the includes it followed."""
+        stats = run.stats
         with self.tracer.span("preprocess", cat="phase", unit=name) as sp:
             pp = Preprocessor(
-                sources, defines=dict(self.defines),
+                run.sources, defines=dict(self.defines),
                 system_headers=SYSTEM_HEADERS,
                 prelude_covered=PRELUDE_COVERED_HEADERS,
+                resolved=run.resolved,
             )
             tokens = pp.preprocess_text(text, name)
             # The lexer's share is interleaved inside preprocessing and
@@ -831,7 +838,7 @@ class IncrementalChecker:
             )
         stats.preprocess_s += sp.duration
         stats.lex_s += pp.lex_s
-        return tokens, set(pp._included)
+        return tokens, list(pp.followed)
 
     def _parse_tokens(self, tokens: list[Token], name: str) -> ParsedUnit:
         # .lcl files are LCL interface specifications: annotations appear
@@ -849,53 +856,53 @@ class IncrementalChecker:
             parse_errors=list(parser.parse_errors),
         )
 
-    def _interface_of(self, plan: _UnitPlan) -> SymbolTable:
+    def _interface_of(self, plan: _UnitPlan, run: _Run) -> SymbolTable:
         """The unit's interface slice: decoded from its memo, or read off
-        a unit :meth:`check_units` was handed."""
-        if plan.interface is None:
-            if plan.memo is not None:
-                plan.interface, enum_consts = pickle.loads(
+        a unit :meth:`check_units` was handed. A slice that does not
+        decode (corrupt, or naming a class no slice holds) drops the
+        memo like any corrupt entry, and the unit is parsed instead."""
+        if plan.interface is None and plan.memo is not None:
+            try:
+                plan.interface, enum_consts = safe_pickle.loads(
                     plan.memo.iface_pickle
                 )
                 plan.enum_consts = dict(enum_consts)
-            else:
-                plan.interface = unit_interface(plan.parsed)
+            except Exception:
+                if self.cache is not None:
+                    self.cache.drop_unit_memo(plan.key)
+                else:
+                    self.metrics.inc("cache.entries.dropped")
+                plan.memo = None
+                self._parse_plan(plan, run)
+        if plan.interface is None:
+            plan.interface = unit_interface(plan.parsed)
         return plan.interface
 
-    def _includes_unchanged(
-        self, closure: list[tuple[str, str]], run: _Run
-    ) -> bool:
-        for name, recorded_sha in closure:
-            current = self._include_digest(name, run)
-            if current is None or current != recorded_sha:
+    def _includes_unchanged(self, closure: list[tuple], run: _Run) -> bool:
+        """Every include the memo followed names the same file and text."""
+        checks = run.include_checks
+        for record in closure:
+            holds = checks.get(record)
+            if holds is None:
+                holds = checks[record] = (
+                    self._include_digest(record[:3], run) == record[3:]
+                )
+            if not holds:
                 return False
         return True
 
-    def _include_digest(self, name: str, run: _Run) -> str | None:
-        """Digest of include *name*'s current text (``None`` when it is
-        gone), computed once per run. Recording a memo's closure and
-        validating one both read it, so they see the same text."""
-        if name not in run.include_digests:
-            text = self._current_include_text(name, run.files)
-            run.include_digests[name] = (
-                None if text is None else text_digest(text)
+    def _include_digest(self, key: tuple, run: _Run) -> tuple | None:
+        """(file name, text digest) of what the include *key* names in
+        this run, or ``None``: resolved and digested once per run, so
+        recording a memo and validating one see the same file."""
+        if key not in run.include_digests:
+            if key not in run.resolved:
+                run.resolved[key] = resolve_include(
+                    run.sources, SYSTEM_HEADERS, *key
+                )
+            source = run.resolved[key]
+            run.include_digests[key] = (
+                None if source is None
+                else (source.name, text_digest(source.text))
             )
-        return run.include_digests[name]
-
-    def _current_include_text(
-        self, name: str, files: dict[str, str]
-    ) -> str | None:
-        if name in files:
-            return files[name]
-        registered = self.sources.get(name)
-        if registered is not None:
-            return registered.text
-        if name.startswith("<") and name.endswith(">"):
-            return SYSTEM_HEADERS.get(name[1:-1])
-        if os.path.isfile(name):
-            try:
-                with open(name, "r", encoding="utf-8", errors="replace") as f:
-                    return f.read()
-            except OSError:
-                return None
-        return None
+        return run.include_digests[key]

@@ -39,7 +39,10 @@ from ..stdlib.specs import PRELUDE_DEFINES, PRELUDE_TEXT, SYSTEM_HEADERS
 #: numeric character escapes and size unions by their largest member,
 #: so memoized enum values and array sizes changed; source keys now
 #: carry the version too.
-ENGINE_VERSION = 3
+#: v4: a memo records each include it followed as (directory, header,
+#: kind, file, text sha), re-resolved on every probe; files read from
+#: disk no longer shadow another unit's siblings.
+ENGINE_VERSION = 4
 
 
 #: The interface digest of a unit whose frontend gave up. Its interface
@@ -254,8 +257,9 @@ def source_key(
     """Fast-path key over the *raw* unit text (ccache-style direct mode).
 
     Maps to a memo holding the token digest, interface digest, and the
-    include closure observed the last time the unit was preprocessed; the
-    memo is valid only while every recorded include's text is unchanged.
+    includes followed the last time the unit was preprocessed; the memo
+    is valid only while each include still names the same file, with
+    the same text.
     The engine version is part of the key, so a cache server filled by an
     older engine never hands its memos to a newer one. Callers keying
     many units pass the precomputed ``defines_fp``.

@@ -9,6 +9,7 @@ static checker's home turf — are invisible to it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -224,7 +225,8 @@ class Interpreter:
     def call_function(self, name: str, args: list, loc: Location | None):
         builtin = _BUILTINS.get(name)
         if builtin is not None and name not in self.functions:
-            return builtin(self, args, loc)
+            model, kinds = builtin
+            return model(self, _model_args(name, kinds, args, loc), loc)
         fdef = self.functions.get(name)
         if fdef is None:
             raise InterpreterError(f"call to undefined function {name!r}", loc)
@@ -927,20 +929,44 @@ class Interpreter:
 # ---------------------------------------------------------------------------
 
 
-def _size_arg(args, i: int, default: int, loc) -> int:
-    """Argument *i* of an allocation model as a byte count. A pointer
-    there (``malloc NULL``: ``NULL`` expands to a parenthesized pointer)
-    is a program the interpreter cannot model."""
-    if i >= len(args):
-        return default
-    value = args[i]
-    if isinstance(value, (int, float)):
-        return int(value)
-    raise InterpreterError(f"expected a size, got {value!r}", loc)
+_WANTED = {"p": "a pointer", "i": "an integer", "n": "a size"}
+
+
+def _model_args(name: str, kinds: str, args: list, loc) -> list:
+    """The arguments of a call to library model *name*, read by its
+    parameter *kinds*: ``p`` a pointer (the constant 0 reads as NULL),
+    ``i`` an integer, ``n`` a size, ``v`` any value; a final ``*`` takes
+    any more. A call the model cannot run (``malloc NULL``: ``NULL`` is
+    a pointer) is a contained :class:`InterpreterError` naming it."""
+    fixed = kinds.rstrip("*")
+    if len(args) < len(fixed) or (len(args) > len(fixed) and fixed == kinds):
+        more = " or more" if fixed != kinds else ""
+        raise InterpreterError(
+            f"{name} takes {len(fixed)}{more} argument(s), got {len(args)}",
+            loc,
+        )
+    out = list(args)
+    for i, kind in enumerate(fixed):
+        value = args[i]
+        if kind == "v" or (kind == "p" and isinstance(value, Pointer)):
+            continue
+        if kind == "p" and type(value) is int and value == 0:
+            out[i] = NULL
+        elif kind != "p" and isinstance(value, (int, float)) and (
+            math.isfinite(value)
+        ):
+            out[i] = int(value)
+        else:
+            raise InterpreterError(
+                f"{name}: argument {i + 1} expected {_WANTED[kind]}, "
+                f"got {value!r}",
+                loc,
+            )
+    return out
 
 
 def _bi_malloc(interp: Interpreter, args, loc):
-    size = _size_arg(args, 0, 0, loc)
+    size = args[0]
     obj = interp.heap.new_object("heap", max(size, 1), max(size, 1), loc,
                                  label="malloc")
     obj._raw = True  # type: ignore[attr-defined]
@@ -948,8 +974,7 @@ def _bi_malloc(interp: Interpreter, args, loc):
 
 
 def _bi_calloc(interp: Interpreter, args, loc):
-    n = _size_arg(args, 0, 0, loc)
-    size = _size_arg(args, 1, 1, loc)
+    n, size = args
     total = max(n * size, 1)
     obj = interp.heap.new_object("heap", total, total, loc, label="calloc",
                                  defined=True, fill=0)
@@ -959,7 +984,7 @@ def _bi_calloc(interp: Interpreter, args, loc):
 
 
 def _bi_free(interp: Interpreter, args, loc):
-    ptr = args[0] if args else NULL
+    ptr = args[0]
     if isinstance(ptr, int) and ptr == 0:
         ptr = NULL
     if not isinstance(ptr, Pointer):
@@ -971,10 +996,9 @@ def _bi_free(interp: Interpreter, args, loc):
 
 
 def _bi_realloc(interp: Interpreter, args, loc):
-    ptr = args[0] if args else NULL
-    size = _size_arg(args, 1, 0, loc)
+    ptr, size = args
     new = _bi_malloc(interp, [size], loc)
-    if isinstance(ptr, Pointer) and not ptr.is_null and ptr.obj is not None:
+    if not ptr.is_null and ptr.obj is not None:
         old = ptr.obj
         assert new.obj is not None
         keep = min(len(old.slots), len(new.obj.slots))
@@ -985,7 +1009,7 @@ def _bi_realloc(interp: Interpreter, args, loc):
 
 
 def _bi_exit(interp: Interpreter, args, loc):
-    raise _ExitProgram(int(args[0]) if args else 0)
+    raise _ExitProgram(args[0])
 
 
 def _bi_abort(interp: Interpreter, args, loc):
@@ -993,7 +1017,7 @@ def _bi_abort(interp: Interpreter, args, loc):
 
 
 def _bi_assert(interp: Interpreter, args, loc):
-    if args and not interp._truthy(args[0]):
+    if not interp._truthy(args[0]):
         interp.output.append("assertion failed\n")
         raise _ExitProgram(134)
     return 0
@@ -1018,7 +1042,7 @@ def _bi_strcpy(interp: Interpreter, args, loc):
 
 
 def _bi_strncpy(interp: Interpreter, args, loc):
-    dst, src, n = args[0], args[1], int(args[2])
+    dst, src, n = args
     done = False
     for i in range(n):
         ch = 0 if done else interp.heap.load(
@@ -1038,7 +1062,7 @@ def _bi_strcmp(interp: Interpreter, args, loc):
 
 
 def _bi_strncmp(interp: Interpreter, args, loc):
-    n = int(args[2])
+    n = args[2]
     a = interp.read_c_string(args[0], loc)[:n]
     b = interp.read_c_string(args[1], loc)[:n]
     return 0 if a == b else (-1 if a < b else 1)
@@ -1054,7 +1078,7 @@ def _bi_strcat(interp: Interpreter, args, loc):
 
 def _bi_strchr(interp: Interpreter, args, loc):
     text = interp.read_c_string(args[0], loc)
-    target = chr(int(args[1]) & 0xFF)
+    target = chr(args[1] & 0xFF)
     idx = text.find(target)
     if idx < 0:
         return NULL
@@ -1063,8 +1087,8 @@ def _bi_strchr(interp: Interpreter, args, loc):
 
 
 def _bi_memset(interp: Interpreter, args, loc):
-    ptr, value, n = args[0], int(args[1]), int(args[2])
-    if isinstance(ptr, Pointer) and ptr.obj is not None:
+    ptr, value, n = args
+    if ptr.obj is not None:
         count = min(n, len(ptr.obj.slots) - ptr.slot)
         for i in range(max(count, 0)):
             interp.heap.store(Pointer(ptr.obj, ptr.slot + i), value, loc)
@@ -1072,8 +1096,8 @@ def _bi_memset(interp: Interpreter, args, loc):
 
 
 def _bi_memcpy(interp: Interpreter, args, loc):
-    dst, src, n = args[0], args[1], int(args[2])
-    if isinstance(dst, Pointer) and isinstance(src, Pointer) and dst.obj and src.obj:
+    dst, src, n = args
+    if dst.obj and src.obj:
         count = min(n, len(src.obj.slots) - src.slot,
                     len(dst.obj.slots) - dst.slot)
         for i in range(max(count, 0)):
@@ -1134,14 +1158,14 @@ def _format_printf(interp: Interpreter, fmt: str, args: list, loc) -> str:
 
 
 def _bi_printf(interp: Interpreter, args, loc):
-    fmt = interp.read_c_string(args[0], loc) if args else ""
+    fmt = interp.read_c_string(args[0], loc)
     text = _format_printf(interp, fmt, args[1:], loc)
     interp.output.append(text)
     return len(text)
 
 
 def _bi_fprintf(interp: Interpreter, args, loc):
-    fmt = interp.read_c_string(args[1], loc) if len(args) > 1 else ""
+    fmt = interp.read_c_string(args[1], loc)
     text = _format_printf(interp, fmt, args[2:], loc)
     interp.output.append(text)
     return len(text)
@@ -1149,7 +1173,7 @@ def _bi_fprintf(interp: Interpreter, args, loc):
 
 def _bi_sprintf(interp: Interpreter, args, loc):
     dst = args[0]
-    fmt = interp.read_c_string(args[1], loc) if len(args) > 1 else ""
+    fmt = interp.read_c_string(args[1], loc)
     text = _format_printf(interp, fmt, args[2:], loc)
     for i, ch in enumerate(text):
         interp.heap.store(Pointer(dst.obj, dst.slot + i), ord(ch), loc)
@@ -1158,14 +1182,14 @@ def _bi_sprintf(interp: Interpreter, args, loc):
 
 
 def _bi_puts(interp: Interpreter, args, loc):
-    text = interp.read_c_string(args[0], loc) if args else ""
+    text = interp.read_c_string(args[0], loc)
     interp.output.append(text + "\n")
     return 0
 
 
 def _bi_putchar(interp: Interpreter, args, loc):
-    interp.output.append(chr(int(args[0]) & 0x10FFFF))
-    return int(args[0])
+    interp.output.append(chr(args[0] & 0x10FFFF))
+    return args[0]
 
 
 def _bi_rand(interp: Interpreter, args, loc):
@@ -1174,7 +1198,7 @@ def _bi_rand(interp: Interpreter, args, loc):
 
 
 def _bi_srand(interp: Interpreter, args, loc):
-    interp._rand_state = int(args[0]) if args else 0
+    interp._rand_state = args[0]
     return 0
 
 
@@ -1193,11 +1217,11 @@ def _bi_atoi(interp: Interpreter, args, loc):
 
 
 def _bi_abs(interp: Interpreter, args, loc):
-    return abs(int(args[0])) if args else 0
+    return abs(args[0])
 
 
 def _bi_memcmp(interp: Interpreter, args, loc):
-    a, b, n = args[0], args[1], int(args[2])
+    a, b, n = args
     for i in range(n):
         va = interp.heap.load(Pointer(a.obj, a.slot + i), loc, "memcmp")
         vb = interp.heap.load(Pointer(b.obj, b.slot + i), loc, "memcmp")
@@ -1208,7 +1232,7 @@ def _bi_memcmp(interp: Interpreter, args, loc):
 
 def _bi_strrchr(interp: Interpreter, args, loc):
     text = interp.read_c_string(args[0], loc)
-    target = chr(int(args[1]) & 0xFF)
+    target = chr(args[1] & 0xFF)
     idx = text.rfind(target)
     if idx < 0:
         return NULL
@@ -1226,71 +1250,57 @@ def _bi_strstr(interp: Interpreter, args, loc):
     return Pointer(base.obj, base.slot + idx)
 
 
-def _bi_isalpha(interp: Interpreter, args, loc):
-    return 1 if chr(int(args[0]) & 0x10FFFF).isalpha() else 0
+def _ctype(test):
+    """A ``<ctype.h>`` classifier: 1 when *test* holds for the character."""
+    return lambda interp, args, loc: int(test(chr(args[0] & 0x10FFFF)))
 
 
-def _bi_isdigit(interp: Interpreter, args, loc):
-    return 1 if chr(int(args[0]) & 0x10FFFF).isdigit() else 0
+def _case(convert):
+    """``toupper`` / ``tolower``: the character *convert* maps it to."""
+    return lambda interp, args, loc: ord(
+        convert(chr(args[0] & 0x10FFFF))[:1] or "\0"
+    )
 
 
-def _bi_isspace(interp: Interpreter, args, loc):
-    return 1 if chr(int(args[0]) & 0x10FFFF).isspace() else 0
-
-
-def _bi_isupper(interp: Interpreter, args, loc):
-    return 1 if chr(int(args[0]) & 0x10FFFF).isupper() else 0
-
-
-def _bi_islower(interp: Interpreter, args, loc):
-    return 1 if chr(int(args[0]) & 0x10FFFF).islower() else 0
-
-
-def _bi_toupper(interp: Interpreter, args, loc):
-    return ord(chr(int(args[0]) & 0x10FFFF).upper()[:1] or "\0")
-
-
-def _bi_tolower(interp: Interpreter, args, loc):
-    return ord(chr(int(args[0]) & 0x10FFFF).lower()[:1] or "\0")
-
-
+#: Library model by name: the function and its parameter kinds (see
+#: :func:`_model_args`).
 _BUILTINS = {
-    "malloc": _bi_malloc,
-    "calloc": _bi_calloc,
-    "realloc": _bi_realloc,
-    "free": _bi_free,
-    "exit": _bi_exit,
-    "abort": _bi_abort,
-    "assert": _bi_assert,
-    "strlen": _bi_strlen,
-    "strcpy": _bi_strcpy,
-    "strncpy": _bi_strncpy,
-    "strcmp": _bi_strcmp,
-    "strncmp": _bi_strncmp,
-    "strcat": _bi_strcat,
-    "strchr": _bi_strchr,
-    "memset": _bi_memset,
-    "memcpy": _bi_memcpy,
-    "printf": _bi_printf,
-    "fprintf": _bi_fprintf,
-    "sprintf": _bi_sprintf,
-    "puts": _bi_puts,
-    "putchar": _bi_putchar,
-    "rand": _bi_rand,
-    "srand": _bi_srand,
-    "atoi": _bi_atoi,
-    "abs": _bi_abs,
-    "labs": _bi_abs,
-    "memcmp": _bi_memcmp,
-    "strrchr": _bi_strrchr,
-    "strstr": _bi_strstr,
-    "isalpha": _bi_isalpha,
-    "isdigit": _bi_isdigit,
-    "isspace": _bi_isspace,
-    "isupper": _bi_isupper,
-    "islower": _bi_islower,
-    "toupper": _bi_toupper,
-    "tolower": _bi_tolower,
+    "malloc": (_bi_malloc, "n"),
+    "calloc": (_bi_calloc, "nn"),
+    "realloc": (_bi_realloc, "pn"),
+    "free": (_bi_free, "v"),  # a non-pointer is an invalid free
+    "exit": (_bi_exit, "i"),
+    "abort": (_bi_abort, ""),
+    "assert": (_bi_assert, "v"),
+    "strlen": (_bi_strlen, "p"),
+    "strcpy": (_bi_strcpy, "pp"),
+    "strncpy": (_bi_strncpy, "ppn"),
+    "strcmp": (_bi_strcmp, "pp"),
+    "strncmp": (_bi_strncmp, "ppn"),
+    "strcat": (_bi_strcat, "pp"),
+    "strchr": (_bi_strchr, "pi"),
+    "memset": (_bi_memset, "pin"),
+    "memcpy": (_bi_memcpy, "ppn"),
+    "printf": (_bi_printf, "p*"),
+    "fprintf": (_bi_fprintf, "vp*"),
+    "sprintf": (_bi_sprintf, "pp*"),
+    "puts": (_bi_puts, "p"),
+    "putchar": (_bi_putchar, "i"),
+    "rand": (_bi_rand, ""),
+    "srand": (_bi_srand, "i"),
+    "atoi": (_bi_atoi, "p"),
+    "abs": (_bi_abs, "i"),
+    "labs": (_bi_abs, "i"),
+    "memcmp": (_bi_memcmp, "ppn"),
+    "strrchr": (_bi_strrchr, "pi"),
+    "strstr": (_bi_strstr, "pp"),
+    "isalpha": (_ctype(str.isalpha), "i"),
+    "isdigit": (_ctype(str.isdigit), "i"),
+    "isspace": (_ctype(str.isspace), "i"),
+    "isupper": (_ctype(str.isupper), "i"),
+    "islower": (_ctype(str.islower), "i"),
+    "toupper": (_case(str.upper), "i"),
+    "tolower": (_case(str.lower), "i"),
 }
 
 

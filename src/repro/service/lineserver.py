@@ -19,6 +19,7 @@ import signal
 import sys
 import threading
 
+from ..driver.options import integer, number, parse, repeated, switch, value
 from ..obs.metrics import GLOBAL_METRICS
 from .protocol import MAX_REQUEST_BYTES, LineReader, parse_addr
 
@@ -277,58 +278,41 @@ class LineServerThread:
 # -- the option table --------------------------------------------------------
 
 
-def _count(value: str) -> int:
-    return max(1, int(value))
+def _count(text: str) -> int:
+    return max(1, integer(text))
 
 
-def _deadline(value: str) -> float | None:
-    seconds = float(value)
+def _deadline(text: str) -> float | None:
+    seconds = number(text)
     return seconds if seconds > 0 else None  # 0 or less: no deadline
 
 
-#: Every server option by name (after ``--`` or ``-``): the constructor
-#: setting it fills and how its value converts; ``None`` marks the one
-#: flag. ``--addr`` fills ``host``/``port`` or ``unix_path``, by kind.
+#: Every server option by name: the constructor setting it fills and
+#: how (see :mod:`repro.driver.options` for the grammar). ``--addr``
+#: fills ``host``/``port`` or ``unix_path``, by kind.
 OPTION_TABLE = {
-    "cache-dir": ("cache_dir", str),
-    "no-cache": ("cache_dir", None),
-    "addr": ("addr", parse_addr),
-    "max-inflight": ("max_inflight", _count),
-    "request-timeout": ("request_timeout", _deadline),
-    "workers": ("workers", _count),
+    "cache-dir": value("cache_dir"),
+    "no-cache": switch("cache_dir", None),
+    "addr": repeated("addr"),
+    "max-inflight": value("max_inflight", _count),
+    "request-timeout": value("request_timeout", _deadline),
+    "workers": value("workers", _count),
 }
 
 
 def parse_options(argv: list[str], accepted: tuple[str, ...]) -> dict:
-    """Walk *argv* against :data:`OPTION_TABLE` into constructor settings.
-
-    An option is spelled ``--name value``, ``--name=value`` or ``-name
-    value``; only the *accepted* names are allowed. Raises
-    :class:`ValueError` for an unknown option or a missing or malformed
-    value.
-    """
-    args: list[str] = []
-    for arg in argv:
-        args.extend(arg.split("=", 1) if arg.startswith("--") else [arg])
+    """Walk *argv* through the *accepted* rows of :data:`OPTION_TABLE`
+    into constructor settings. Raises :class:`ValueError` for an unknown
+    option or a missing or malformed value."""
     settings: dict = {}
-    while args:
-        arg = args.pop(0)
-        name = arg[2:] if arg.startswith("--") else arg[1:]
-        if not arg.startswith("-") or name not in accepted:
-            raise ValueError(f"unknown option {arg!r}")
-        setting, convert = OPTION_TABLE[name]
-        if convert is None:
-            settings[setting] = None
-            continue
-        if not args:
-            raise ValueError(f"--{setting.replace('_', '-')} requires a value")
-        value = convert(args.pop(0))
-        if setting != "addr":
-            settings[setting] = value
-        elif value[2] is not None:
-            settings["unix_path"] = value[2]
+    stray = parse(argv, {n: OPTION_TABLE[n] for n in accepted}, settings)
+    if stray:
+        raise ValueError(f"unknown option {stray[0].split('=', 1)[0]!r}")
+    for host, port, unix_path in map(parse_addr, settings.pop("addr", ())):
+        if unix_path is not None:
+            settings["unix_path"] = unix_path
         else:
-            settings["host"], settings["port"] = value[:2]
+            settings["host"], settings["port"] = host, port
     if "unix_path" in settings:
         settings.setdefault("port", None)  # a unix address alone: no TCP
     return settings

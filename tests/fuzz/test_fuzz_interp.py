@@ -18,6 +18,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.core.api import Checker
 from repro.frontend.symtab import SymbolTable
 from repro.runtime.interp import (
+    _BUILTINS,
     Interpreter,
     InterpreterError,
     StepBudgetExceeded,
@@ -142,6 +143,26 @@ class TestFuzzInterpreter:
             "char *a;\n" + ("  " + body + "\n" if body else "")
             + "}\n"
         )
+        _execute_everything(source)
+
+    @FUZZ_SETTINGS
+    @given(st.lists(
+        st.tuples(
+            st.sampled_from(sorted(_BUILTINS)),
+            st.lists(st.sampled_from(["b", "p", "3", "0", "NULL"]), max_size=3),
+        ),
+        min_size=1, max_size=8,
+    ))
+    def test_every_model_with_any_arguments_is_contained(self, calls):
+        # Pointer, integer and NULL arguments, zero to three of them, in
+        # any model: a call the model cannot run is an InterpreterError.
+        body = "".join(f"  {name}({', '.join(args)});\n" for name, args in calls)
+        source = (
+            "#include <stdlib.h>\n"
+            "void fuzz_entry(void)\n{\n  char b[8];\n  char *p = b;\n"
+            + body + "}\n"
+        )
+        assert _parse(source) is not None
         _execute_everything(source)
 
     def test_well_formed_baseline_runs(self):

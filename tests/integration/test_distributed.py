@@ -147,15 +147,15 @@ def _content(symtab) -> str:
 
 @pytest.fixture()
 def count_decodes(monkeypatch):
-    """Counts ``pickle.loads`` calls: the engine decodes an interface
-    slice from a unit memo with it, and nothing else on a warm run
-    does."""
-    import pickle
+    """Counts ``safe_pickle.loads`` calls: the engine decodes an
+    interface slice from a unit memo with it, and nothing else on a warm
+    run does."""
+    from repro.frontend import safe_pickle
 
     calls = []
-    real = pickle.loads
+    real = safe_pickle.loads
     monkeypatch.setattr(
-        pickle, "loads", lambda data, **kw: calls.append(1) or real(data, **kw)
+        safe_pickle, "loads", lambda data: calls.append(1) or real(data)
     )
     return calls
 

@@ -123,6 +123,80 @@ class TestInvalidation:
         assert _renders(result) == _renders(classic)
 
 
+class TestIncludeResolution:
+    """A warm cache answers what a plain run would: a memo holds only
+    while each ``#include`` it followed names the same file, with the
+    same text, and one unit's includes never depend on the units
+    checked before it."""
+
+    PLAIN = "extern char *get(void);\n"
+    NULL = "extern /*@null@*/ char *get(void);\n"
+    DEREF = "Dereference of possibly null pointer p"
+
+    @staticmethod
+    def _unit(header: str, name: str, getter: str = "get") -> str:
+        return (
+            f'#include "{header}"\n'
+            f"char {name}(void) {{ char *p = {getter}(); return *p; }}\n"
+        )
+
+    @staticmethod
+    def _write(root, files: dict[str, str]) -> None:
+        for name, text in files.items():
+            path = root / name
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(text)
+
+    def test_a_header_named_on_the_command_line_wins_over_the_memo(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        self._write(tmp_path, {
+            "dir/a.c": self._unit("foo.h", "first"),
+            "dir/foo.h": self.PLAIN,
+            "foo.h": self.NULL,
+        })
+        cold = run(["--cache-dir", "C", "dir/a.c"])
+        assert cold == run(["dir/a.c"])
+        plain = run(["dir/a.c", "foo.h"])
+        assert self.DEREF in plain[1]
+        assert run(["--cache-dir", "C", "dir/a.c", "foo.h"]) == plain
+
+    def test_a_new_sibling_header_wins_over_the_memo(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        self._write(tmp_path, {
+            "dir/a.c": self._unit("foo.h", "first"),
+            "foo.h": self.PLAIN,
+        })
+        cold = run(["--cache-dir", "C", "dir/a.c"])
+        assert self.DEREF not in cold[1]
+        self._write(tmp_path, {"dir/foo.h": self.NULL})
+        plain = run(["dir/a.c"])
+        assert self.DEREF in plain[1]
+        assert run(["--cache-dir", "C", "dir/a.c"]) == plain
+
+    def test_a_unit_finds_its_own_sibling_whatever_ran_before(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        # Each header declares its own getter, so the program's merged
+        # symbol table cannot carry one unit's annotation to the other.
+        self._write(tmp_path, {
+            "x/a.c": self._unit("h.h", "first"),
+            "y/b.c": self._unit("h.h", "second", "get2"),
+            "h.h": self.PLAIN,
+            "y/h.h": self.NULL.replace("get", "get2"),
+        })
+        forward = run(["-quiet", "x/a.c", "y/b.c"])[1].splitlines()
+        backward = run(["-quiet", "y/b.c", "x/a.c"])[1].splitlines()
+        assert sorted(forward) == sorted(backward)
+        assert [line for line in forward if self.DEREF in line] == [
+            f"y/b.c:2: {self.DEREF}: *p"
+        ]
+
+
 class TestWarmSpeedup:
     def test_warm_recheck_at_least_5x_faster(self, tmp_path):
         files = db_sources()  # final stage: the full annotated program

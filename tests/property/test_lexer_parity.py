@@ -104,6 +104,14 @@ class TestHypothesisParity:
     def test_number_spelling_parity(self, text):
         assert_parity("0" + text + " end")
 
+    @given(st.text(alphabet="ax_9 ;=(\n²³½Ⅷⅻé٠١ªµßπ", max_size=40))
+    @settings(max_examples=300, deadline=None)
+    def test_non_ascii_letter_and_numeral_parity(self, text):
+        """Identifiers start at an ASCII letter or ``_`` in both engines;
+        a non-ASCII letter or numeral starts whatever the reference
+        scanner reads there."""
+        assert_parity(text)
+
 
 class TestAdversarialFragments:
     FRAGMENTS = [
@@ -131,6 +139,14 @@ class TestAdversarialFragments:
         '"\\\\"',
         "x;\t// trailing\n",
         "/*@null@*//*@out@*/int*p;",
+        "int ²x;",
+        "x = ²;",
+        "int Ⅷ;",
+        "a² b",
+        "٠x",
+        "int café = 1;",
+        "int éa;",
+        "ªb",
     ]
 
     @pytest.mark.parametrize("text", FRAGMENTS)

@@ -36,7 +36,7 @@ def _memo():
         token_digest="11" * 32,
         iface_digest="22" * 32,
         iface_pickle=b"\x80\x04N.",  # pickled None: payload is opaque bytes
-        includes=[("u.h", "33" * 32)],
+        includes=[("", "u.h", False, "u.h", "33" * 32)],
         enum_consts={"N": 4},
     )
 

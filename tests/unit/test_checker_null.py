@@ -57,6 +57,12 @@ class TestDereference:
         src = "int f(/*@null@*/ int *p) { if (!p) { return 0; } return *p; }"
         assert codes(src) == []
 
+    def test_double_negation_guards_the_true_branch(self):
+        src = "int f(/*@null@*/ int *p) { if (!!p) { return *p; } return 0; }"
+        assert codes(src) == []
+        src = "int f(/*@null@*/ int *p) { if (!!p) { return 0; } return *p; }"
+        assert MessageCode.NULL_DEREF in codes(src)
+
     def test_arrow_access_message_shape(self):
         src = """struct s { int v; };
         int f(/*@null@*/ struct s *p) { return p->v; }"""

@@ -2,7 +2,6 @@
 
 from repro.analysis.guards import (
     GuardAnalyzer,
-    GuardFacts,
     is_null_literal,
     strip_assignments,
 )
@@ -81,33 +80,6 @@ class TestGuardSplitting:
         assert t.facts[Ref.local("p")] is NullState.NOTNULL
         assert f.facts[Ref.local("p")] is NullState.ISNULL
 
-    def test_negation_swaps(self):
-        cond = A.Unary(LOC, op="!", operand=ident("p"))
-        t, f = analyzer().split(cond)
-        assert t.facts[Ref.local("p")] is NullState.ISNULL
-        assert f.facts[Ref.local("p")] is NullState.NOTNULL
-
-    def test_double_negation(self):
-        cond = A.Unary(LOC, op="!",
-                       operand=A.Unary(LOC, op="!", operand=ident("p")))
-        t, _ = analyzer().split(cond)
-        assert t.facts[Ref.local("p")] is NullState.NOTNULL
-
-    def test_conjunction_true_side_learns_both(self):
-        cond = A.Binary(LOC, op="&&", lhs=ident("p"), rhs=ident("q"))
-        t, f = analyzer().split(cond)
-        assert t.facts[Ref.local("p")] is NullState.NOTNULL
-        assert t.facts[Ref.local("q")] is NullState.NOTNULL
-        assert Ref.local("p") not in f.facts  # false side learns nothing
-
-    def test_disjunction_false_side_learns_both(self):
-        notnull_p = A.Binary(LOC, op="==", lhs=ident("p"), rhs=null_lit())
-        notnull_q = A.Binary(LOC, op="==", lhs=ident("q"), rhs=null_lit())
-        cond = A.Binary(LOC, op="||", lhs=notnull_p, rhs=notnull_q)
-        _, f = analyzer().split(cond)
-        assert f.facts[Ref.local("p")] is NullState.NOTNULL
-        assert f.facts[Ref.local("q")] is NullState.NOTNULL
-
     def test_field_reference_guard(self):
         member = A.Member(LOC, obj=ident("c"), fieldname="vals", arrow=True)
         cond = A.Binary(LOC, op="!=", lhs=member, rhs=null_lit())
@@ -130,12 +102,6 @@ class TestGuardSplitting:
         call = A.Call(LOC, func=ident("mystery"), args=[ident("p")])
         t, f = analyzer().split(call)
         assert t.facts == {} and f.facts == {}
-
-    def test_guard_facts_merge_prefers_notnull(self):
-        a = GuardFacts({Ref.local("p"): NullState.ISNULL})
-        b = GuardFacts({Ref.local("p"): NullState.NOTNULL})
-        merged = a.merge_and(b)
-        assert merged.facts[Ref.local("p")] is NullState.NOTNULL
 
 
 def assign(target, value):

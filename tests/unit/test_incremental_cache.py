@@ -184,7 +184,7 @@ class TestResultCache:
             token_digest="t" * 8,
             iface_digest="i" * 8,
             iface_pickle=b"\x80\x04N.",  # pickled None
-            includes=[("h.h", "s" * 8)],
+            includes=[("", "h.h", False, "h.h", "s" * 8)],
             enum_consts={"LIMIT": 4},
         )
         cache.put_unit_memo(self.FP, memo)

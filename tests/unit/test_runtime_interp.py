@@ -567,6 +567,32 @@ class TestContainedFailures:
             run(source)
         assert caught.value.location.line == 3
 
+    @pytest.mark.parametrize("call, problem", [
+        ("memset(b, 0)", "memset takes 3 argument"),
+        ("strlen()", "strlen takes 1 argument"),
+        ("memcpy(p, p)", "memcpy takes 3 argument"),
+        ("isalpha()", "isalpha takes 1 argument"),
+        ("strchr(b)", "strchr takes 2 argument"),
+        ("strcpy(b, 5)", "strcpy: argument 2 expected a pointer"),
+        ("memset(p, p, 2)", "memset: argument 2 expected an integer"),
+        ('strncpy(p, "ab", p)', "strncpy: argument 3 expected a size"),
+        ("malloc(1e308 * 10)", "malloc: argument 1 expected a size, got inf"),
+    ])
+    def test_a_call_a_model_cannot_run_is_contained(self, call, problem):
+        source = (
+            "#include <string.h>\n#include <ctype.h>\n"
+            f"int main(void) {{\n  char b[4];\n  char *p = b;\n  {call};\n"
+            "  return 0;\n}\n"
+        )
+        with pytest.raises(InterpreterError, match=problem) as caught:
+            run(source)
+        assert caught.value.location.line == 6
+
+    def test_the_constant_zero_is_a_null_pointer_argument(self):
+        res = run("#include <string.h>\n"
+                  "int main(void) { return (int) strlen(0); }")
+        assert [e.kind for e in res.events] == [RuntimeEventKind.NULL_DEREF]
+
     def test_function_designators_still_compare_for_equality(self):
         source = (
             "int g(void) { return 1; }\n"

@@ -62,11 +62,15 @@ class TestSourceManager:
         mgr.add("a.c", "")
         assert mgr.names() == ["a.c", "z.c"]
 
-    def test_load_from_disk(self, tmp_path):
+    def test_read_from_disk(self, tmp_path):
         path = tmp_path / "disk.c"
         path.write_text("int y;\n")
         mgr = SourceManager()
-        sf = mgr.load(str(path))
+        sf = mgr.read(str(path))
         assert sf.text == "int y;\n"
-        # Cached: same object on second load.
-        assert mgr.load(str(path)) is sf
+        # Cached: same object on second read.
+        assert mgr.read(str(path)) is sf
+        # Read, not registered: no later lookup by name finds it.
+        assert mgr.get(str(path)) is None
+        assert mgr.read(str(tmp_path / "missing.h")) is None
+        assert mgr.read(str(tmp_path)) is None  # a directory is no file
