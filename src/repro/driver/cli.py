@@ -241,8 +241,8 @@ def run(argv: list[str], cache=None) -> tuple[int, str]:
 
         try:
             remote = CacheClient(opts["cache_server"])
-        except ValueError as exc:
-            raise CliError(str(exc)) from exc
+        except ValueError as exc:  # the address does not parse
+            raise CliError(f"--cache-server {exc}") from exc
 
     trace_format = opts.get("trace_format", "jsonl")
     if trace_format not in ("jsonl", "chrome"):

@@ -5,17 +5,25 @@ Layout::
     <root>/meta.json            cache-format + engine version stamp
     <root>/lock                 advisory flock held around a version wipe
     <root>/units/<key>.pkl      per-unit memo: token digest, interface
-                                digest + pickled interface slice, include
+                                digest, pickled interface slice, include
                                 closure, enum constants
     <root>/results/<fp>.json    per-unit check result: serialized messages
                                 and the suppressed-message count
 
-Each result is one file, written the moment it is put: the engine, the
+This module alone knows how an entry turns into bytes and back: one
+encode/decode pair per kind (:func:`encode_memo`/:func:`decode_memo`,
+:func:`encode_result`/:func:`decode_result`), plus the interface slice
+inside a memo (:func:`encode_slice`/:func:`decode_slice`). Those bytes
+are also the cache service's wire form, so a server stores what a
+client put and serves what it stored (:meth:`ResultCache.read_entry`,
+:meth:`ResultCache.write_entry`).
+
+Each entry is one file, written the moment it is put: the engine, the
 cache service and every process sharing the directory write the same
-form, and a reader needs no state beyond the file. Writes go through a
+bytes, and a reader needs no state beyond the file. Writes go through a
 temp file + ``os.replace``, so a reader sees the old entry or the new
-one, never a mix, and two writers of one fingerprint write the same
-bytes. Nothing is fsync'd: a lost or torn entry after a crash is a miss.
+one, never a mix. Nothing is fsync'd: a lost or torn entry after a crash
+is a miss.
 
 Every load path is corruption-tolerant: a truncated, garbled, or
 version-mismatched file is treated as a miss and discarded, never an
@@ -36,6 +44,7 @@ import tempfile
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 try:
     import fcntl
@@ -43,6 +52,7 @@ except ImportError:  # pragma: no cover - non-POSIX fallback
     fcntl = None
 
 from ..frontend import safe_pickle
+from ..frontend.symtab import SymbolTable
 from ..messages.message import Message
 from ..obs.metrics import GLOBAL_METRICS
 from .fingerprint import ENGINE_VERSION
@@ -51,8 +61,9 @@ DEFAULT_CACHE_DIR = ".pylclint-cache"
 
 #: Format version of the on-disk layout itself (distinct from the engine
 #: version, which participates in fingerprints). 2: one file per result,
-#: no results journal. 3: memo include records have five fields.
-CACHE_FORMAT_VERSION = 3
+#: no results journal. 3: memo include records have five fields. 4: a
+#: memo is a pickled tuple and its slice holds the symbol table alone.
+CACHE_FORMAT_VERSION = 4
 
 #: The lock file inside the cache root: never an entry, never wiped.
 LOCK_FILE_NAME = "lock"
@@ -99,20 +110,94 @@ class UnitMemo:
 
     token_digest: str
     iface_digest: str
-    iface_pickle: bytes  # pickled (SymbolTable slice, enum_consts)
+    iface_pickle: bytes  # the interface slice (encode_slice)
     #: Every include the unit followed, once: (directory, header,
     #: angled, the file it named, that file's text sha).
     includes: list[tuple[str, str, bool, str, str]]
     enum_consts: dict[str, int] = field(default_factory=dict)
 
 
-def decode_includes(raw) -> list[tuple[str, str, bool, str, str]]:
-    """A stored memo's include records (raises ``TypeError`` or
-    ``ValueError`` on a malformed one)."""
-    return [
-        (str(directory), str(header), angled is True, str(name), str(sha))
-        for directory, header, angled, name, sha in raw
-    ]
+# Each decoder returns ``None`` for bytes that are not an entry of its
+# kind, whatever is wrong with them: they come from disk or from a
+# cache-service client, and a bad entry must cost a miss, never a crash.
+
+
+def encode_slice(interface: SymbolTable) -> bytes:
+    """A unit's interface slice as a memo stores it."""
+    return pickle.dumps(interface)
+
+
+def decode_slice(data: bytes) -> SymbolTable | None:
+    """A memo's interface slice (decoded only when a run builds the
+    program symbol table); ``None`` when it is corrupt or names a class
+    no slice holds."""
+    try:
+        interface = safe_pickle.loads(data)
+    except Exception:
+        return None
+    return interface if isinstance(interface, SymbolTable) else None
+
+
+def encode_memo(memo: UnitMemo) -> bytes:
+    return pickle.dumps((
+        memo.token_digest, memo.iface_digest, memo.iface_pickle,
+        memo.includes, memo.enum_consts,
+    ))
+
+
+def decode_memo(data: bytes) -> UnitMemo | None:
+    """The memo *data* holds; its slice stays encoded."""
+    try:
+        token_digest, iface_digest, iface_pickle, includes, enum_consts = (
+            safe_pickle.loads(data)
+        )
+        if not isinstance(iface_pickle, bytes):
+            return None
+        return UnitMemo(
+            str(token_digest), str(iface_digest), iface_pickle,
+            [
+                (str(directory), str(header), angled is True, str(name),
+                 str(sha))
+                for directory, header, angled, name, sha in includes
+            ],
+            {str(name): int(value) for name, value in enum_consts.items()},
+        )
+    except Exception:
+        return None
+
+
+def encode_result(messages: list[Message], suppressed: int) -> bytes:
+    return json.dumps({
+        "messages": [m.to_dict() for m in messages],
+        "suppressed": suppressed,
+    }).encode("utf-8")
+
+
+def decode_result(data: bytes) -> tuple[list[Message], int] | None:
+    """``(messages, suppressed)`` from a stored result."""
+    try:
+        payload = json.loads(data)
+        return (
+            [Message.from_dict(m) for m in payload["messages"]],
+            int(payload["suppressed"]),
+        )
+    except Exception:
+        return None
+
+
+class EntryKind(NamedTuple):
+    """Where entries of one kind live under the root, and their decoder."""
+
+    directory: str
+    suffix: str
+    decode: Callable[[bytes], object]
+
+
+#: The entry kinds, by the name the cache service uses.
+ENTRY_KINDS = {
+    "memo": EntryKind("units", ".pkl", decode_memo),
+    "result": EntryKind("results", ".json", decode_result),
+}
 
 
 class ResultCache:
@@ -227,21 +312,6 @@ class ResultCache:
             self._discard(path)
             return None
 
-    def _read_pickle(self, path: str):
-        try:
-            handle = open(path, "rb")
-        except OSError:
-            return None  # absent entry: a plain miss, not corruption
-        try:
-            with handle:
-                return safe_pickle.load(handle)
-        except Exception:
-            # Any unpickling failure (truncation, garbage, a class the
-            # checker's payloads never hold) is a miss; drop the bad
-            # entry so it is rewritten.
-            self._discard(path)
-            return None
-
     def _discard(self, path: str, corrupt: bool = True) -> None:
         """Remove a cache file; *corrupt* entries are counted so the drop
         is visible in metrics and run notes (temp-file cleanup is not)."""
@@ -266,82 +336,67 @@ class ResultCache:
             self.metrics.inc("cache.write.failures")
             self._discard(tmp, corrupt=False)
 
-    def _entry_path(self, kind: str, key: str, suffix: str) -> str:
+    def _entry_path(self, kind: str, key: str) -> str:
         if not key or any(ch not in _HEX for ch in key):
             raise ValueError(f"cache key is not a hex digest: {key!r}")
-        return os.path.join(self.root, kind, key + suffix)
+        directory, suffix, _ = ENTRY_KINDS[kind]
+        return os.path.join(self.root, directory, key + suffix)
+
+    # -- entries, as bytes ---------------------------------------------------
+
+    def read_entry(self, kind: str, key: str) -> bytes | None:
+        """The stored bytes of a *kind* entry, undecoded; ``None`` when
+        there is none."""
+        path = self._entry_path(kind, key)
+        try:
+            with open(path, "rb") as handle:
+                return handle.read()
+        except OSError:
+            return None
+
+    def write_entry(self, kind: str, key: str, data: bytes) -> bool:
+        """Store *data* as it is when it decodes as a *kind* entry;
+        ``False``, and nothing written, when it does not."""
+        if ENTRY_KINDS[kind].decode(data) is None:
+            return False
+        self._write_bytes(self._entry_path(kind, key), data)
+        return True
+
+    def _get(self, kind: str, key: str):
+        data = self.read_entry(kind, key)
+        if data is None:
+            return None  # absent entry: a plain miss, not corruption
+        entry = ENTRY_KINDS[kind].decode(data)
+        if entry is None:
+            self._discard(self._entry_path(kind, key))
+        return entry
 
     # -- unit memos ----------------------------------------------------------
 
     def get_unit_memo(self, key: str) -> UnitMemo | None:
-        payload = self._read_pickle(self._entry_path("units", key, ".pkl"))
-        if not isinstance(payload, dict):
-            return None
-        try:
-            return UnitMemo(
-                token_digest=payload["token_digest"],
-                iface_digest=payload["iface_digest"],
-                iface_pickle=payload["iface_pickle"],
-                includes=decode_includes(payload["includes"]),
-                enum_consts=dict(payload["enum_consts"]),
-            )
-        except (KeyError, TypeError, ValueError):
-            self._discard(self._entry_path("units", key, ".pkl"))
-            return None
+        return self._get("memo", key)
 
     def drop_unit_memo(self, key: str) -> None:
         """Discard the memo under *key* as corrupt: its interface slice
         did not decode."""
-        self._discard(self._entry_path("units", key, ".pkl"))
+        self._discard(self._entry_path("memo", key))
 
     def put_unit_memo(self, key: str, memo: UnitMemo) -> None:
-        payload = {
-            "token_digest": memo.token_digest,
-            "iface_digest": memo.iface_digest,
-            "iface_pickle": memo.iface_pickle,
-            "includes": list(memo.includes),
-            "enum_consts": dict(memo.enum_consts),
-        }
-        self._write_bytes(
-            self._entry_path("units", key, ".pkl"), pickle.dumps(payload)
-        )
+        self._write_bytes(self._entry_path("memo", key), encode_memo(memo))
 
     # -- check results -------------------------------------------------------
 
-    @staticmethod
-    def _decode_result(payload) -> tuple[list[Message], int] | None:
-        """Parse a result payload dict; ``None`` when malformed."""
-        if not isinstance(payload, dict):
-            return None
-        try:
-            messages = [Message.from_dict(m) for m in payload["messages"]]
-            suppressed = int(payload["suppressed"])
-        except (KeyError, TypeError, ValueError):
-            return None
-        return messages, suppressed
-
     def get_result(self, fingerprint: str):
         """Return ``(messages, suppressed)`` or ``None`` on a miss."""
-        path = self._entry_path("results", fingerprint, ".json")
-        payload = self._read_json(path)
-        if payload is None:
-            return None
-        decoded = self._decode_result(payload)
-        if decoded is None:
-            self._discard(path)
-        return decoded
+        return self._get("result", fingerprint)
 
     def put_result(
         self, fingerprint: str, messages: list[Message], suppressed: int
     ) -> None:
         """Store a check result: one atomic ``results/<fp>.json`` write."""
-        payload = {
-            "messages": [m.to_dict() for m in messages],
-            "suppressed": suppressed,
-        }
         self._write_bytes(
-            self._entry_path("results", fingerprint, ".json"),
-            json.dumps(payload).encode("utf-8"),
+            self._entry_path("result", fingerprint),
+            encode_result(messages, suppressed),
         )
 
     def flush_batch(self) -> None:
@@ -365,14 +420,12 @@ class ResultCache:
         hot-path read would drop it).
         """
         report = {"results": 0, "unit_memos": 0, "corrupt": 0}
-        for kind, suffix, get, counter in (
-            ("results", ".json", self.get_result, "results"),
-            ("units", ".pkl", self.get_unit_memo, "unit_memos"),
-        ):
+        for kind, counter in (("result", "results"), ("memo", "unit_memos")):
+            directory, suffix, _ = ENTRY_KINDS[kind]
             for name in self._entry_names(
-                os.path.join(self.root, kind), suffix
+                os.path.join(self.root, directory), suffix
             ):
-                if get(name[: -len(suffix)]) is None:
+                if self._get(kind, name[: -len(suffix)]) is None:
                     report["corrupt"] += 1
                 else:
                     report[counter] += 1

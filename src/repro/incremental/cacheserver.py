@@ -29,16 +29,19 @@ Wire schema (one JSON object per line, one reply per request)::
     → {"op": "ping"}
     ← {"ok": true, "pong": true}
     → {"op": "get", "kind": "result" | "memo", "key": "<hex>"}
-    ← {"ok": true, "hit": true, "payload": {...}} | {"ok": true, "hit": false}
-    → {"op": "put", "kind": "result" | "memo", "key": "<hex>", "payload": {...}}
+    ← {"ok": true, "hit": true, "payload": "<base64>"} | {"ok": true, "hit": false}
+    → {"op": "put", "kind": "result" | "memo", "key": "<hex>", "payload": "<base64>"}
     ← {"ok": true, "stored": true}
     → {"op": "stats"}
     ← {"ok": true, "counters": {...}, "cache": "<root>"}
 
-Result payloads are the cache's own serialized form (``messages`` +
-``suppressed``); memo payloads carry the pickled interface slice
-base64-encoded (JSON transport). Malformed requests get
-``{"ok": false, "error": ...}`` and the connection stays up.
+For both kinds a ``payload`` is an entry's bytes as the cache stores
+them (:mod:`.cache` owns that form), in base64. The server decodes only
+puts, with the cache's own decoder, and writes what it received; a
+``get`` is a file read. A stored entry that no longer decodes is a miss
+for the client, and that run's publish overwrites it. Malformed
+requests get ``{"ok": false, "error": ...}`` and the connection stays
+up.
 
 The server answers one connection's requests in order, so the client
 pipelines: it writes a window of request lines (at most
@@ -50,7 +53,6 @@ check's 50 memo probes and 50 result probes are two round trips, not
 from __future__ import annotations
 
 import base64
-import binascii
 import json
 import os
 import socket
@@ -60,7 +62,14 @@ from ..messages.message import Message
 from ..obs.metrics import GLOBAL_METRICS
 from ..service.lineserver import LineServer, LineServerThread
 from ..service.protocol import parse_addr
-from .cache import DEFAULT_CACHE_DIR, ResultCache, UnitMemo, decode_includes
+from .cache import (
+    DEFAULT_CACHE_DIR,
+    ENTRY_KINDS,
+    ResultCache,
+    UnitMemo,
+    encode_memo,
+    encode_result,
+)
 
 #: Line cap for cache traffic. Memo payloads carry a base64 pickled
 #: interface slice, so the bound is far above the checking protocol's
@@ -81,34 +90,14 @@ CLIENT_TIMEOUT_S = 10.0
 PIPELINE_WINDOW_BYTES = 64 << 10
 
 
-def _encode_memo(memo: UnitMemo) -> dict:
-    return {
-        "token_digest": memo.token_digest,
-        "iface_digest": memo.iface_digest,
-        "iface_pickle": base64.b64encode(memo.iface_pickle).decode("ascii"),
-        "includes": memo.includes,  # tuples encode as JSON arrays
-        "enum_consts": dict(memo.enum_consts),
-    }
-
-
-def _decode_memo(payload) -> UnitMemo | None:
-    """Payload dict → :class:`UnitMemo`; ``None`` when malformed (the
-    same tolerance every cache load path has)."""
-    if not isinstance(payload, dict):
+def _entry_bytes(payload) -> bytes | None:
+    """The entry bytes a ``payload`` carries; ``None`` unless it is
+    base64 text."""
+    if not isinstance(payload, str):
         return None
     try:
-        return UnitMemo(
-            token_digest=str(payload["token_digest"]),
-            iface_digest=str(payload["iface_digest"]),
-            iface_pickle=base64.b64decode(
-                payload["iface_pickle"], validate=True
-            ),
-            includes=decode_includes(payload["includes"]),
-            enum_consts={
-                str(k): int(v) for k, v in payload["enum_consts"].items()
-            },
-        )
-    except (KeyError, TypeError, ValueError, binascii.Error):
+        return base64.b64decode(payload, validate=True)
+    except ValueError:  # binascii.Error, or text that is not ASCII
         return None
 
 
@@ -188,10 +177,18 @@ class CacheServer(LineServer):
                         )
                     },
                 }
-            if op == "get":
-                return self._handle_get(request)
-            if op == "put":
-                return self._handle_put(request)
+            if op in ("get", "put"):
+                kind, key = request.get("kind"), request.get("key")
+                if not (isinstance(kind, str) and isinstance(key, str)) \
+                        or kind not in ENTRY_KINDS:
+                    self.metrics.inc("cacheserver.errors")
+                    return {
+                        "ok": False,
+                        "error": f"{op} needs kind result|memo + key",
+                    }
+                if op == "get":
+                    return self._get_entry(kind, key)
+                return self._put_entry(kind, key, request.get("payload"))
         except ValueError as exc:
             # A non-hex key raises from the cache's path validation.
             self.metrics.inc("cacheserver.errors")
@@ -199,52 +196,25 @@ class CacheServer(LineServer):
         self.metrics.inc("cacheserver.errors")
         return {"ok": False, "error": f"unknown op {op!r}"}
 
-    def _handle_get(self, request: dict) -> dict:
-        kind = request.get("kind")
-        key = request.get("key")
-        if kind not in ("result", "memo") or not isinstance(key, str):
-            self.metrics.inc("cacheserver.errors")
-            return {"ok": False, "error": "get needs kind result|memo + key"}
-        if kind == "result":
-            found = self.cache.get_result(key)
-            if found is not None:
-                messages, suppressed = found
-                self.metrics.inc("cacheserver.hits")
-                return {
-                    "ok": True,
-                    "hit": True,
-                    "payload": {
-                        "messages": [m.to_dict() for m in messages],
-                        "suppressed": suppressed,
-                    },
-                }
-        else:
-            memo = self.cache.get_unit_memo(key)
-            if memo is not None:
-                self.metrics.inc("cacheserver.hits")
-                return {"ok": True, "hit": True, "payload": _encode_memo(memo)}
-        self.metrics.inc("cacheserver.misses")
-        return {"ok": True, "hit": False}
+    def _get_entry(self, kind: str, key: str) -> dict:
+        """A file read: the stored bytes go out as they are."""
+        data = self.cache.read_entry(kind, key)
+        if data is None:
+            self.metrics.inc("cacheserver.misses")
+            return {"ok": True, "hit": False}
+        self.metrics.inc("cacheserver.hits")
+        return {
+            "ok": True,
+            "hit": True,
+            "payload": base64.b64encode(data).decode("ascii"),
+        }
 
-    def _handle_put(self, request: dict) -> dict:
-        kind = request.get("kind")
-        key = request.get("key")
-        payload = request.get("payload")
-        if kind not in ("result", "memo") or not isinstance(key, str):
+    def _put_entry(self, kind: str, key: str, payload) -> dict:
+        """Store the payload's bytes as received, if they decode."""
+        data = _entry_bytes(payload)
+        if data is None or not self.cache.write_entry(kind, key, data):
             self.metrics.inc("cacheserver.errors")
-            return {"ok": False, "error": "put needs kind result|memo + key"}
-        if kind == "result":
-            decoded = ResultCache._decode_result(payload)
-            if decoded is None:
-                self.metrics.inc("cacheserver.errors")
-                return {"ok": False, "error": "malformed result payload"}
-            self.cache.put_result(key, decoded[0], decoded[1])
-        else:
-            memo = _decode_memo(payload)
-            if memo is None:
-                self.metrics.inc("cacheserver.errors")
-                return {"ok": False, "error": "malformed memo payload"}
-            self.cache.put_unit_memo(key, memo)
+            return {"ok": False, "error": f"malformed {kind} payload"}
         self.metrics.inc("cacheserver.puts")
         return {"ok": True, "stored": True}
 
@@ -397,7 +367,8 @@ class CacheClient:
     def stats(self) -> dict | None:
         return self._request({"op": "stats"})
 
-    def _get(self, kind: str, keys: list[str], decode) -> list:
+    def _get(self, kind: str, keys: list[str]) -> list:
+        decode = ENTRY_KINDS[kind].decode
         replies = self._exchange(
             [{"op": "get", "kind": kind, "key": key} for key in keys]
         )
@@ -405,7 +376,9 @@ class CacheClient:
         for reply in replies:
             value = None
             if reply is not None and reply.get("hit"):
-                value = decode(reply.get("payload"))
+                data = _entry_bytes(reply.get("payload"))
+                if data is not None:
+                    value = decode(data)
             self.metrics.inc(
                 "cacheserver.client.misses" if value is None
                 else "cacheserver.client.hits"
@@ -413,10 +386,11 @@ class CacheClient:
             found.append(value)
         return found
 
-    def _put(self, kind: str, entries: list[tuple[str, dict]]) -> None:
+    def _put(self, kind: str, entries: list[tuple[str, bytes]]) -> None:
         replies = self._exchange([
-            {"op": "put", "kind": kind, "key": key, "payload": payload}
-            for key, payload in entries
+            {"op": "put", "kind": kind, "key": key,
+             "payload": base64.b64encode(data).decode("ascii")}
+            for key, data in entries
         ])
         stored = sum(1 for reply in replies if reply is not None)
         if stored:
@@ -425,29 +399,24 @@ class CacheClient:
     def get_results(self, fingerprints: list[str]) -> list:
         """One ``(messages, suppressed)`` per fingerprint on a remote hit,
         ``None`` on a miss, in one pipelined exchange."""
-        return self._get("result", fingerprints, ResultCache._decode_result)
+        return self._get("result", fingerprints)
 
     def get_memos(self, keys: list[str]) -> list[UnitMemo | None]:
         """One :class:`UnitMemo` (or ``None``) per source key."""
-        return self._get("memo", keys, _decode_memo)
+        return self._get("memo", keys)
 
     def put_results(
         self, entries: list[tuple[str, list[Message], int]]
     ) -> None:
         """Publish ``(fingerprint, messages, suppressed)`` results."""
         self._put("result", [
-            (fingerprint, {
-                "messages": [m.to_dict() for m in messages],
-                "suppressed": suppressed,
-            })
+            (fingerprint, encode_result(messages, suppressed))
             for fingerprint, messages, suppressed in entries
         ])
 
     def put_memos(self, entries: list[tuple[str, UnitMemo]]) -> None:
         """Publish ``(source key, memo)`` pairs."""
-        self._put("memo", [
-            (key, _encode_memo(memo)) for key, memo in entries
-        ])
+        self._put("memo", [(key, encode_memo(memo)) for key, memo in entries])
 
     def get_result(self, fingerprint: str):
         """``(messages, suppressed)`` on a remote hit, else ``None``."""

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import gc
 import os
-import pickle
 import time
 from dataclasses import dataclass, field
 
@@ -52,7 +51,6 @@ from ..core.faults import (
 from ..flags.registry import DEFAULT_FLAGS, Flags
 from ..frontend.lexer import LexError
 from ..frontend.parser import ParseError, Parser
-from ..frontend import safe_pickle
 from ..frontend.preprocessor import (
     PreprocessError,
     Preprocessor,
@@ -68,7 +66,7 @@ from ..stdlib.specs import (
     PRELUDE_DEFINES,
     SYSTEM_HEADERS,
 )
-from .cache import ResultCache, UnitMemo
+from .cache import ResultCache, UnitMemo, decode_slice, encode_slice
 from .fingerprint import (
     FAILED_INTERFACE_DIGEST,
     check_fingerprint,
@@ -158,6 +156,15 @@ class CheckStats:
         "lex", "preprocess", "parse", "analyze",
         "prelude", "symtab", "fingerprint", "cache",
     )
+
+    def rows_s(self) -> float:
+        """The seconds the ``--profile`` rows hold so far (lex is part
+        of preprocess)."""
+        return (
+            self.preprocess_s + self.parse_s + self.check_s
+            + self.prelude_s + self.symtab_s + self.fingerprint_s
+            + self.cache_s
+        )
 
     def phase_timings(self) -> dict[str, float]:
         """Disjoint per-phase seconds (cold work only; warm units skip all).
@@ -646,12 +653,19 @@ class IncrementalChecker:
         return misses
 
     def _symtab(self, run: _Run) -> None:
-        """Stage 3: the merged program symbol table and enum constants."""
+        """Stage 3: the merged program symbol table and enum constants.
+
+        A unit whose memo slice does not decode is parsed here, and
+        :meth:`_parse_plan` already counts that work in its own rows, so
+        the symtab row leaves it out: each second lands in one row.
+        """
+        stats = run.stats
+        counted = stats.rows_s()
         with self.tracer.span("symtab", cat="stage") as symtab_span:
             run.symtab = self._program_symtab(run, self.base_symtab)
             for plan in run.plans:
                 run.enum_consts.update(plan.enum_consts)
-        run.stats.symtab_s += symtab_span.duration
+        stats.symtab_s += symtab_span.duration - (stats.rows_s() - counted)
 
     def _program_symtab(
         self, run: _Run, base: SymbolTable | None
@@ -769,9 +783,6 @@ class IncrementalChecker:
             with self.tracer.span(
                 "cache", cat="phase", unit=plan.name
             ) as memo_span:
-                iface_pickle = pickle.dumps(
-                    (plan.interface, plan.enum_consts)
-                )
                 closure = [
                     (*key, *self._include_digest(key, run))
                     for key in included
@@ -779,7 +790,7 @@ class IncrementalChecker:
                 memo = UnitMemo(
                     token_digest=plan.token_digest,
                     iface_digest=plan.iface_digest,
-                    iface_pickle=iface_pickle,
+                    iface_pickle=encode_slice(plan.interface),
                     includes=closure,
                     enum_consts=plan.enum_consts,
                 )
@@ -862,12 +873,8 @@ class IncrementalChecker:
         decode (corrupt, or naming a class no slice holds) drops the
         memo like any corrupt entry, and the unit is parsed instead."""
         if plan.interface is None and plan.memo is not None:
-            try:
-                plan.interface, enum_consts = safe_pickle.loads(
-                    plan.memo.iface_pickle
-                )
-                plan.enum_consts = dict(enum_consts)
-            except Exception:
+            plan.interface = decode_slice(plan.memo.iface_pickle)
+            if plan.interface is None:
                 if self.cache is not None:
                     self.cache.drop_unit_memo(plan.key)
                 else:

@@ -42,7 +42,9 @@ from ..stdlib.specs import PRELUDE_DEFINES, PRELUDE_TEXT, SYSTEM_HEADERS
 #: v4: a memo records each include it followed as (directory, header,
 #: kind, file, text sha), re-resolved on every probe; files read from
 #: disk no longer shadow another unit's siblings.
-ENGINE_VERSION = 4
+#: v5: a memo's interface slice holds the symbol table alone, and the
+#: cache service carries each entry as its stored bytes.
+ENGINE_VERSION = 5
 
 
 #: The interface digest of a unit whose frontend gave up. Its interface

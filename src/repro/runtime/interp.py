@@ -170,6 +170,19 @@ class Interpreter:
                     )
                     self.global_cells[dtor.name] = Pointer(obj, 0)
                     self.global_types[dtor.name] = dtor.ctype
+        # The standard streams, unless the program declares them itself:
+        # three distinct FILEs, whose one slot holds the descriptor.
+        # fprintf writes to any of them as printf writes.
+        for fileno, name in enumerate(("stdin", "stdout", "stderr")):
+            if name not in self.global_cells:
+                stream = self.heap.new_object(
+                    "static", 1, 4, label=name, defined=True, fill=fileno,
+                )
+                cell = self.heap.new_object(
+                    "global", 1, 8, label=name, defined=True,
+                    fill=Pointer(stream, 0),
+                )
+                self.global_cells[name] = Pointer(cell, 0)
         # initializers run after all cells exist (C has no ordering issues
         # for the constant initializers this subset supports)
         for unit in self.units:

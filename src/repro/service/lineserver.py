@@ -293,7 +293,7 @@ def _deadline(text: str) -> float | None:
 OPTION_TABLE = {
     "cache-dir": value("cache_dir"),
     "no-cache": switch("cache_dir", None),
-    "addr": repeated("addr"),
+    "addr": repeated("addr", parse_addr),
     "max-inflight": value("max_inflight", _count),
     "request-timeout": value("request_timeout", _deadline),
     "workers": value("workers", _count),
@@ -308,7 +308,7 @@ def parse_options(argv: list[str], accepted: tuple[str, ...]) -> dict:
     stray = parse(argv, {n: OPTION_TABLE[n] for n in accepted}, settings)
     if stray:
         raise ValueError(f"unknown option {stray[0].split('=', 1)[0]!r}")
-    for host, port, unix_path in map(parse_addr, settings.pop("addr", ())):
+    for host, port, unix_path in settings.pop("addr", ()):
         if unix_path is not None:
             settings["unix_path"] = unix_path
         else:

@@ -316,12 +316,14 @@ def parse_addr(value: str) -> tuple[str | None, int | None, str | None]:
     """``HOST:PORT`` or ``unix:PATH`` → (host, port, unix_path).
 
     Shared by ``--serve``'s ``--addr`` and the cache service's
-    ``--cache-server`` / ``--addr`` options.
+    ``--cache-server`` / ``--addr`` options. The :class:`ValueError`
+    text leaves the option out, for the caller to name the one it read
+    (as :func:`repro.driver.options.parse` does).
     """
     if value.startswith("unix:"):
         path = value[len("unix:"):]
         if not path:
-            raise ValueError("unix: address requires a socket path")
+            raise ValueError("expects a socket path after 'unix:'")
         return None, None, path
     host, sep, port_text = value.rpartition(":")
     if not sep:
@@ -330,7 +332,7 @@ def parse_addr(value: str) -> tuple[str | None, int | None, str | None]:
         port = int(port_text)
     except ValueError:
         raise ValueError(
-            f"bad --addr {value!r} (expected HOST:PORT or unix:PATH)"
+            f"expects HOST:PORT or unix:PATH, got {value!r}"
         ) from None
     return host or "127.0.0.1", port, None
 

@@ -147,15 +147,15 @@ def _content(symtab) -> str:
 
 @pytest.fixture()
 def count_decodes(monkeypatch):
-    """Counts ``safe_pickle.loads`` calls: the engine decodes an
-    interface slice from a unit memo with it, and nothing else on a warm
-    run does."""
-    from repro.frontend import safe_pickle
+    """Counts the engine's calls to the slice decoder
+    (``cache.decode_slice``): each decodes one unit memo's interface
+    slice."""
+    from repro.incremental import engine
 
     calls = []
-    real = safe_pickle.loads
+    real = engine.decode_slice
     monkeypatch.setattr(
-        safe_pickle, "loads", lambda data: calls.append(1) or real(data)
+        engine, "decode_slice", lambda data: calls.append(1) or real(data)
     )
     return calls
 
@@ -215,6 +215,36 @@ class TestWarmPulls:
         assert warm.stats.cache_hits == warm.stats.units
         assert count_decodes == []
         assert _content(result.symtab) == cold_content
+
+    def test_entries_garbled_on_the_server_are_misses_then_replaced(
+        self, corpus, serial_renders, tmp_path
+    ):
+        shared = tmp_path / "shared"
+        server = CacheServerThread(cache_dir=str(shared))
+        client = CacheClient(server.addr)
+        try:
+            IncrementalChecker(remote=client).check_sources(dict(corpus))
+            entries = sorted(shared.glob("units/*.pkl")) + sorted(
+                shared.glob("results/*.json")
+            )
+            for path in entries:
+                path.write_bytes(path.read_bytes()[:-7])  # torn writes
+            garbled = IncrementalChecker(remote=client)
+            result = garbled.check_sources(dict(corpus))
+            units = garbled.stats.units
+            assert _renders(result) == serial_renders
+            assert (garbled.stats.remote_hits, garbled.stats.remote_misses) \
+                == (0, 2 * units)
+            assert len(entries) == 2 * units
+            pull = IncrementalChecker(remote=client)
+            assert _renders(pull.check_sources(dict(corpus))) \
+                == serial_renders
+            assert (pull.stats.remote_hits, pull.stats.remote_misses) \
+                == (2 * units, 0)
+            assert not client.dead
+        finally:
+            client.close()
+            server.close()
 
     def test_server_dying_mid_window(self, corpus, serial_renders, tmp_path):
         from tests.unit.test_cacheserver import DyingServer

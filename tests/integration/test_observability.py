@@ -6,6 +6,7 @@ non-zero cache and phase counters, while a run *without* ``--trace-out``
 is byte-identical to a traced one.
 """
 
+import dataclasses
 import io
 import json
 import os
@@ -19,6 +20,7 @@ import repro
 from repro.bench.dbexample import db_sources
 from repro.core.api import Checker
 from repro.driver.cli import CliError, run
+from repro.flags.registry import Flags
 from repro.incremental import DaemonServer, IncrementalChecker, ResultCache
 from repro.obs import MemorySink, Tracer
 
@@ -304,6 +306,32 @@ class TestDifftestMetrics:
         assert status in (0, 1)
         counters = json.loads(metrics.read_text())["counters"]
         assert counters.get("difftest.variants", 0) >= 3
+
+
+class TestProfileRows:
+    def test_a_unit_parsed_for_its_slice_is_counted_once(self, tmp_path):
+        # Every memo slice garbled and a flag flipped, so every result
+        # misses and the symtab stage parses each unit again: the
+        # preprocess and parse rows count that work, the symtab row not.
+        files = _example_db()
+        root = str(tmp_path / "cache")
+        IncrementalChecker(cache=ResultCache(root)).check_sources(dict(files))
+        cache = ResultCache(root)
+        keys = [n[:-4] for n in os.listdir(os.path.join(root, "units"))]
+        assert len(keys) == 6
+        for key in keys:
+            cache.put_unit_memo(key, dataclasses.replace(
+                cache.get_unit_memo(key), iface_pickle=b"garbled"
+            ))
+        checker = IncrementalChecker(
+            flags=Flags.from_args(["-mustfree"]), cache=ResultCache(root)
+        )
+        checker.check_sources(dict(files))
+        stats = checker.stats
+        assert (stats.memo_hits, stats.cache_misses) == (6, 6)
+        assert any("dropped 6 corrupt" in note for note in stats.notes)
+        timings = stats.phase_timings()
+        assert sum(timings[p] for p in stats.PHASES) <= timings["total"]
 
 
 class TestProfileCollector:

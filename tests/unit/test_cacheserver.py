@@ -1,5 +1,6 @@
 """Unit tests for the shared cache service (repro.incremental.cacheserver)."""
 
+import base64
 import json
 import socket
 import threading
@@ -8,14 +9,10 @@ import time
 import pytest
 
 from repro.frontend.source import Location
+from repro.incremental import cache as cache_mod
 from repro.incremental.cache import ResultCache, UnitMemo
 from repro.incremental import cacheserver
-from repro.incremental.cacheserver import (
-    CacheClient,
-    CacheServerThread,
-    _decode_memo,
-    _encode_memo,
-)
+from repro.incremental.cacheserver import CacheClient, CacheServerThread
 from repro.messages.message import Message, MessageCode
 from repro.obs.metrics import MetricsRegistry
 
@@ -102,34 +99,49 @@ class TestRoundTrips:
         client.close()
 
 
-class TestServerRobustness:
-    def _raw(self, server, *lines):
-        host, port = server.addr.rsplit(":", 1)
-        with socket.create_connection((host, int(port)), timeout=5) as sock:
-            file = sock.makefile("rwb")
-            file.readline()  # ready line
-            replies = []
-            for line in lines:
-                file.write(line + b"\n")
-                file.flush()
-                replies.append(json.loads(file.readline()))
-            return replies
+def _raw(server, *lines):
+    """Send raw request *lines* on one connection; their replies."""
+    host, port = server.addr.rsplit(":", 1)
+    with socket.create_connection((host, int(port)), timeout=5) as sock:
+        file = sock.makefile("rwb")
+        file.readline()  # ready line
+        replies = []
+        for line in lines:
+            file.write(line + b"\n")
+            file.flush()
+            replies.append(json.loads(file.readline()))
+        return replies
 
+
+class TestServerRobustness:
     def test_garbage_line_gets_error_reply_and_connection_survives(
         self, server
     ):
-        replies = self._raw(
+        replies = _raw(
             server, b"not json", json.dumps({"op": "ping"}).encode()
         )
         assert replies[0]["ok"] is False
         assert replies[1] == {"ok": True, "pong": True}
 
     def test_unknown_op_is_rejected(self, server):
-        (reply,) = self._raw(server, json.dumps({"op": "explode"}).encode())
+        (reply,) = _raw(server, json.dumps({"op": "explode"}).encode())
         assert reply["ok"] is False and "unknown op" in reply["error"]
 
+    @pytest.mark.parametrize("op", ["get", "put"])
+    @pytest.mark.parametrize("kind", [None, "unit", [], {}])
+    def test_a_bad_kind_is_rejected(self, server, op, kind):
+        request = {"op": op, "kind": kind, "key": FP, "payload": ""}
+        reply, pong = _raw(
+            server, json.dumps(request).encode(),
+            json.dumps({"op": "ping"}).encode(),
+        )
+        assert reply == {
+            "ok": False, "error": f"{op} needs kind result|memo + key",
+        }
+        assert pong == {"ok": True, "pong": True}
+
     def test_non_hex_key_is_rejected(self, server):
-        (reply,) = self._raw(
+        (reply,) = _raw(
             server,
             json.dumps(
                 {"op": "get", "kind": "result", "key": "../escape"}
@@ -138,7 +150,7 @@ class TestServerRobustness:
         assert reply["ok"] is False
 
     def test_malformed_put_payload_is_rejected(self, server):
-        (reply,) = self._raw(
+        (reply,) = _raw(
             server,
             json.dumps(
                 {"op": "put", "kind": "result", "key": FP,
@@ -361,17 +373,61 @@ class TestReplyCap:
         assert metrics.count("cacheserver.client.errors") == 1
 
 
-class TestMemoCodec:
-    def test_round_trip(self):
-        assert _decode_memo(_encode_memo(_memo())) == _memo()
+class TestStoredBytesOnTheWire:
+    """An entry's wire form is its stored bytes: a put lands on disk as
+    a local put writes it, and a get serves the file undecoded."""
 
-    @pytest.mark.parametrize("broken", [
-        None,
-        [],
-        {},
-        {"token_digest": "x"},
-        {**_encode_memo(_memo()), "iface_pickle": "!!not base64!!"},
-        {**_encode_memo(_memo()), "enum_consts": {"N": "wat"}},
-    ])
-    def test_malformed_payloads_decode_to_none(self, broken):
-        assert _decode_memo(broken) is None
+    def _ask(self, server, request):
+        return _raw(server, json.dumps(request).encode())[0]
+
+    def test_puts_land_byte_identical_to_local_puts(self, server, tmp_path):
+        client = CacheClient(server.addr)
+        client.put_memo(KEY, _memo())
+        client.put_result(FP, [_message()], suppressed=2)
+        client.close()
+        local = ResultCache(str(tmp_path / "local"))
+        local.put_unit_memo(KEY, _memo())
+        local.put_result(FP, [_message()], suppressed=2)
+        shared = ResultCache(str(tmp_path / "shared"))
+        for kind, key in (("memo", KEY), ("result", FP)):
+            stored = shared.read_entry(kind, key)
+            assert stored == local.read_entry(kind, key)
+            reply = self._ask(server, {"op": "get", "kind": kind, "key": key})
+            assert base64.b64decode(reply["payload"]) == stored
+
+    def test_a_get_decodes_nothing(self, server, monkeypatch):
+        client = CacheClient(server.addr)
+        client.put_memo(KEY, _memo())
+        client.put_result(FP, [_message()], suppressed=2)
+
+        def refuse(data):
+            raise AssertionError("the server decoded an entry on a get")
+
+        kinds = dict(cache_mod.ENTRY_KINDS)
+        for kind, entry_kind in kinds.items():
+            monkeypatch.setitem(
+                cache_mod.ENTRY_KINDS, kind, entry_kind._replace(decode=refuse)
+            )
+        for name in ("decode_memo", "decode_result", "decode_slice"):
+            monkeypatch.setattr(cache_mod, name, refuse)
+        for kind, key in (("memo", KEY), ("result", FP)):
+            reply = self._ask(server, {"op": "get", "kind": kind, "key": key})
+            assert reply["ok"] and reply["hit"]
+            assert kinds[kind].decode(base64.b64decode(reply["payload"]))
+        client.close()
+
+    @pytest.mark.parametrize("kind", ["memo", "result"])
+    @pytest.mark.parametrize("payload", [
+        None, 7, {"messages": [], "suppressed": 0}, "!!not base64!!",
+        "é", base64.b64encode(b"\x80\x04 truncated").decode(),
+    ], ids=["null", "number", "object", "not-base64", "not-ascii",
+            "garbage"])
+    def test_a_malformed_put_is_rejected_and_writes_nothing(
+        self, server, tmp_path, kind, payload
+    ):
+        reply = self._ask(server, {
+            "op": "put", "kind": kind, "key": KEY, "payload": payload,
+        })
+        assert reply == {"ok": False, "error": f"malformed {kind} payload"}
+        shared = ResultCache(str(tmp_path / "shared"))
+        assert shared.read_entry(kind, KEY) is None

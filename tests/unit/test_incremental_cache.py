@@ -3,6 +3,7 @@
 import errno
 import json
 import os
+import pickle
 import threading
 import types
 
@@ -18,6 +19,12 @@ from repro.incremental.cache import (
     ResultCache,
     UnitMemo,
     _flock,
+    decode_memo,
+    decode_result,
+    decode_slice,
+    encode_memo,
+    encode_result,
+    encode_slice,
 )
 from repro.incremental import fingerprint
 from repro.incremental.fingerprint import (
@@ -207,6 +214,83 @@ class TestResultCache:
             cache.get_result("../../../etc/passwd")
 
 
+def _memo_fields(**changed) -> tuple:
+    """A memo's fields in order, some of them *changed*."""
+    fields = dict(
+        token_digest="11" * 32, iface_digest="22" * 32,
+        iface_pickle=b"\x80\x04N.",  # opaque to the memo codec
+        includes=[("", "u.h", False, "u.h", "33" * 32)],
+        enum_consts={"N": 4},
+    )
+    fields.update(changed)
+    return tuple(fields.values())
+
+
+def _memo() -> UnitMemo:
+    return UnitMemo(*_memo_fields())
+
+
+class TestEntryCodec:
+    """One encode/decode pair per entry kind, and the slice's: these
+    bytes are what a cache directory stores and what the cache service
+    carries, so every malformed form decodes to ``None``."""
+
+    def test_memo_round_trip(self):
+        assert decode_memo(encode_memo(_memo())) == _memo()
+
+    def test_result_round_trip(self):
+        messages, suppressed = decode_result(encode_result([_message()], 2))
+        assert [m.render() for m in messages] == [_message().render()]
+        assert suppressed == 2
+
+    def test_slice_round_trip(self):
+        symtab = Checker().check_sources(
+            {"m.c": "extern /*@null@*/ char *gp;\nint f(int x);\n"}
+        ).symtab
+        decoded = decode_slice(encode_slice(symtab))
+        assert interface_digest(decoded, {}) == interface_digest(symtab, {})
+
+    @pytest.mark.parametrize("data", [
+        b"",
+        b"\x80\x04 truncated garbage",
+        pickle.dumps(None),
+        pickle.dumps([]),
+        pickle.dumps({}),
+        pickle.dumps({"token_digest": "x"}),
+        pickle.dumps(_memo_fields()[:4]),
+        pickle.dumps(_memo_fields(iface_pickle="not bytes")),
+        pickle.dumps(_memo_fields(includes=[("", "u.h")])),
+        pickle.dumps(_memo_fields(enum_consts={"N": "wat"})),
+        pickle.dumps(_memo_fields(enum_consts={"N": float("inf")})),
+        pickle.dumps(_memo_fields(enum_consts=[("N", 4)])),
+    ])
+    def test_malformed_memos_decode_to_none(self, data):
+        assert decode_memo(data) is None
+
+    @pytest.mark.parametrize("data", [
+        b"",
+        b"not json at all",
+        b"\xff\xfe\x00garbage",
+        b"null",
+        b"[]",
+        b"{}",
+        b'{"token_digest": "x"}',
+        b'{"messages": "nope", "suppressed": 0}',
+        b'{"messages": [{"nope": 1}], "suppressed": 0}',
+        b'{"messages": [], "suppressed": "wat"}',
+        b'{"messages": [], "suppressed": 1e999}',
+        b"[" * 100_000,
+    ])
+    def test_malformed_results_decode_to_none(self, data):
+        assert decode_result(data) is None
+
+    @pytest.mark.parametrize("data", [
+        b"", b"\x80\x04 truncated", pickle.dumps(None), pickle.dumps({}),
+    ])
+    def test_malformed_slices_decode_to_none(self, data):
+        assert decode_slice(data) is None
+
+
 class TestDroppedEntryAccounting:
     """Discarded corrupt entries are counted; plain misses are not."""
 
@@ -373,6 +457,32 @@ class TestResultStore:
         assert registry.count("cache.wipes") == 1
         assert self._results(cache) == []
         assert cache.get_result(self.FP2) is None
+        assert ResultCache(str(root)).notes == []
+
+    def test_format_3_directory_is_rebuilt_once(self, tmp_path):
+        # Format 3 stored a memo as a pickled dict, whose slice also
+        # held the enum constants: read as format 4 every memo would be
+        # a dropped entry, so the directory is rebuilt, once.
+        root = tmp_path / "c"
+        (root / "units").mkdir(parents=True)
+        (root / "results").mkdir()
+        (root / "meta.json").write_text(
+            json.dumps({"format": 3, "engine": ENGINE_VERSION - 1})
+        )
+        (root / "units" / (self.FP1 + ".pkl")).write_bytes(pickle.dumps({
+            "token_digest": "t", "iface_digest": "i",
+            "iface_pickle": pickle.dumps((None, {})), "includes": [],
+            "enum_consts": {},
+        }))
+        registry = MetricsRegistry()
+        cache = ResultCache(str(root), metrics=registry)
+        assert any(
+            "has a different version; rebuilding" in note
+            for note in cache.notes
+        )
+        assert registry.count("cache.wipes") == 1
+        assert os.listdir(root / "units") == []
+        assert cache.drain_dropped() == 0
         assert ResultCache(str(root)).notes == []
 
 

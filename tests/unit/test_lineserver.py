@@ -109,7 +109,8 @@ class TestOptionTable:
     @pytest.mark.parametrize("entry, argv, message", [
         (run_service, ["--workers"], "--workers requires a value"),
         (run_service, ["--workers", "abc"], "'abc'"),
-        (run_service, ["--addr", "nope"], "bad --addr"),
+        (run_service, ["--addr", "nope"],
+         "pylclint: --addr expects HOST:PORT or unix:PATH, got 'nope'"),
         (run_service, ["--bogus"], "unknown option '--bogus'"),
         (run_service, ["stray.c"], "unknown option 'stray.c'"),
         (run_cache_server, ["--workers", "2"], "unknown option '--workers'"),
@@ -127,6 +128,27 @@ class TestOptionTable:
     ):
         assert entry(argv) == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("entry, argv, message", [
+        (main, ["--cache-server", "nope", "f.c"],
+         "pylclint: --cache-server expects HOST:PORT or unix:PATH, "
+         "got 'nope'\n"),
+        (main, ["--cache-server=unix:", "f.c"],
+         "pylclint: --cache-server expects a socket path after 'unix:'\n"),
+        (main, ["--serve", "--addr=nope"],
+         "pylclint: --addr expects HOST:PORT or unix:PATH, got 'nope'\n"),
+        (run_cache_server, ["-addr", "unix:"],
+         "pylclint-cacheserver: -addr expects a socket path after "
+         "'unix:'\n"),
+        (run_cache_server, ["--addr", "nope"],
+         "pylclint-cacheserver: --addr expects HOST:PORT or unix:PATH, "
+         "got 'nope'\n"),
+    ])
+    def test_a_bad_address_names_the_option_given(
+        self, entry, argv, message, capsys
+    ):
+        assert entry(argv) == 2
+        assert capsys.readouterr().err == message
 
 
 # -- the runner --------------------------------------------------------------

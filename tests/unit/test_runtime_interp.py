@@ -305,6 +305,23 @@ class TestStringsAndStdlib:
         int main(void) { exit(3); }""")
         assert res.exit_code == 3
 
+    def test_the_standard_streams(self):
+        res = run("""#include <stdio.h>
+        int main(void) {
+            fprintf(stderr, "x");
+            fprintf(stdout, "%d", 1);
+            return stdin != NULL && stdout != NULL && stderr != NULL
+                && stdin != stdout && stdout != stderr && stdin != stderr;
+        }""")
+        assert res.output == "x1"
+        assert res.exit_code == 1
+        assert not res.events
+
+    def test_a_program_may_name_a_stream_itself(self):
+        res = run("""int stderr = 7;
+        int main(void) { return stderr; }""")
+        assert res.exit_code == 7
+
 
 class TestDetectors:
     def test_null_deref_detected(self):

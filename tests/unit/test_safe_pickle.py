@@ -20,7 +20,7 @@ from repro.driver.library import LIBRARY_MAGIC, LibraryError, load_library
 from repro.flags.registry import Flags
 from repro.frontend.safe_pickle import ALLOWED_CLASSES
 from repro.incremental import CacheServerThread
-from repro.incremental.cache import ResultCache
+from repro.incremental.cache import ResultCache, decode_memo
 from repro.incremental.cacheserver import CacheClient
 from repro.incremental.engine import IncrementalChecker
 
@@ -55,7 +55,7 @@ def _memo_classes(files: dict[str, str], root: str) -> set[tuple[str, str]]:
         with open(path, "rb") as handle:
             data = handle.read()
         seen |= _named(data)
-        seen |= _named(pickle.loads(data)["iface_pickle"])
+        seen |= _named(decode_memo(data).iface_pickle)
     return seen
 
 
