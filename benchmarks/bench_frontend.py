@@ -12,8 +12,8 @@ benchmarks this file carries the regex-lexer acceptance criteria:
 * both scanners must produce identical ``(kind, value, line, column)``
   streams — and identical token-stream digests, so incremental-cache
   fingerprints survive the rewrite;
-* a whole check of ``examples/db`` under either scanner must render
-  byte-identical messages;
+* a whole check of ``examples/db`` with the reference scanner patched
+  in over the preprocessor's lexer must render byte-identical messages;
 * a warm incremental run after a cold one must answer every unit from
   the result cache;
 * a cold parse of the generated 20k-line program may build at most
@@ -44,6 +44,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from unittest import mock
 
 if __name__ == "__main__":  # script mode: make src/ importable
     sys.path.insert(
@@ -63,8 +64,8 @@ from repro.core.api import (
     unit_interface,
 )
 from repro.flags.registry import Flags
-from repro.frontend.lexer import lexer_engine, reference_tokenize, tokenize
-from repro.frontend.parser import Parser, parser_engine
+from repro.frontend.lexer import ReferenceLexer, reference_tokenize, tokenize
+from repro.frontend.parser import Parser, ReferenceParser
 from repro.frontend.preprocessor import Preprocessor
 from repro.frontend.source import SourceFile, SourceManager
 from repro.frontend.symtab import SymbolTable
@@ -277,6 +278,8 @@ def measure_db_parity() -> dict:
 
     Token streams, token-stream digests (the incremental fingerprint
     input), and whole-check rendered messages must all be identical.
+    The reference run patches the reference scanner in where the
+    preprocessor lexes files, macro bodies and pasted tokens.
     """
     files = db_sources()
     streams_equal = True
@@ -297,7 +300,11 @@ def measure_db_parity() -> dict:
         regex_msgs = [
             m.render() for m in Checker().check_sources(dict(stage_files)).messages
         ]
-        with lexer_engine("reference"):
+        with mock.patch(
+            "repro.frontend.preprocessor.Lexer", ReferenceLexer
+        ), mock.patch(
+            "repro.frontend.preprocessor.tokenize", reference_tokenize
+        ):
             ref_msgs = [
                 m.render()
                 for m in Checker().check_sources(dict(stage_files)).messages
@@ -497,7 +504,8 @@ def _legacy_cold_once(files: dict[str, str], cache_root: str) -> float:
     can measure the seed's cost structure *live*, on whatever machine
     it runs on: every system header spliced into every unit's token
     stream (``prelude_covered`` disabled), the reference
-    precedence-cascade parser engine, a separate token-digest pass, the
+    precedence-cascade parser (:class:`ReferenceParser`, patched in for
+    ``#if`` lines too), a separate token-digest pass, the
     reflective object-graph interface digest, per-run prelude symtab
     re-merge, and per-unit memo + result cache writes.  The replay
     still benefits from retained structural wins (slots AST, interned
@@ -512,7 +520,7 @@ def _legacy_cold_once(files: dict[str, str], cache_root: str) -> float:
     units = [name for name in files if name.endswith(".c")]
     t0 = time.perf_counter()
     plans = []
-    with parser_engine("reference"):
+    with mock.patch("repro.frontend.preprocessor.Parser", ReferenceParser):
         for name in units:
             key = source_key(name, files[name], {})
             pp = Preprocessor(
@@ -522,7 +530,7 @@ def _legacy_cold_once(files: dict[str, str], cache_root: str) -> float:
             )
             tokens = pp.preprocess_text(files[name], name)
             token_digest = token_stream_digest(tokens)  # v1: its own pass
-            parser = Parser(tokens, name, preseed=prelude().scope)
+            parser = ReferenceParser(tokens, name, preseed=prelude().scope)
             unit = parser.parse_translation_unit()
             pu = ParsedUnit(
                 unit=unit, controls=parser.controls,

@@ -359,7 +359,9 @@ class CheckResult:
         """The merged program symbol table (``-dump``, ``-trace``,
         ``save_library``). A run that did not need it —
         a fully-warm engine run checks nothing — leaves it to be built
-        here, on first read."""
+        here, on first read. A memo slice that does not decode here is
+        replaced in the local cache only: the run has already published
+        to the cache service."""
         if self.symtab_factory is None:
             return None
         return self.symtab_factory()

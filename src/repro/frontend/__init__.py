@@ -3,15 +3,8 @@
 from __future__ import annotations
 
 from . import cast
-from .lexer import (
-    LexError,
-    Lexer,
-    ReferenceLexer,
-    lexer_engine,
-    reference_tokenize,
-    tokenize,
-)
-from .parser import ParseError, Parser, parse_tokens
+from .lexer import LexError, Lexer, tokenize
+from .parser import ParseError, Parser
 from .preprocessor import PreprocessError, Preprocessor
 from .source import BUILTIN_LOCATION, Location, SourceFile, SourceManager
 from .symtab import FunctionSignature, GlobalVariable, SymbolTable
@@ -21,13 +14,9 @@ __all__ = [
     "cast",
     "LexError",
     "Lexer",
-    "ReferenceLexer",
-    "lexer_engine",
-    "reference_tokenize",
     "tokenize",
     "ParseError",
     "Parser",
-    "parse_tokens",
     "PreprocessError",
     "Preprocessor",
     "BUILTIN_LOCATION",

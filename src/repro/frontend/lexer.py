@@ -10,28 +10,26 @@ message-suppression machinery.
 
 Two scanners live here:
 
-* :class:`Lexer` — the production scanner.  One compiled master regex
-  (a single alternation covering whitespace, comments, identifiers,
-  numbers, strings, chars, and every punctuator in reference precedence
-  order) advances through the file match by match; tokens carry a
-  ``(source, offset)`` pair and compute their ``Location`` lazily.
+* :class:`Lexer` — the one scanner the checker runs.  One compiled
+  master regex (a single alternation covering whitespace, comments,
+  identifiers, numbers, strings, chars, and every punctuator in
+  reference precedence order) advances through the file match by
+  match; where it matches nothing, a small miss handler finishes the
+  file, reads an identifier that starts with a non-ASCII letter, or
+  raises the ``LexError``.  Tokens carry a ``(source, offset)`` pair and
+  compute their ``Location`` lazily.
 
 * :class:`ReferenceLexer` — the retained character-at-a-time scanner the
-  project started with.  It is the executable specification: the parity
-  suite asserts the two produce identical ``(kind, value, line, column)``
-  streams, and when the master regex cannot match (exotic characters),
-  the production scanner delegates a single token to the reference
-  scanner so behaviour — including the exact ``LexError`` raised — stays
-  identical by construction.
-
-``lexer_engine("reference")`` switches the module default, which the
-benchmark harness uses to run whole checks against the reference scanner.
+  project started with.  It is the executable specification and a test
+  oracle only: the parity suite asserts the two produce identical
+  ``(kind, value, line, column)`` streams and identical ``LexError``
+  texts, and whole-pipeline parity runs patch it in over
+  ``repro.frontend.preprocessor.Lexer``.
 """
 
 from __future__ import annotations
 
 import re
-from contextlib import contextmanager
 from sys import intern as _intern
 
 from .source import SourceFile
@@ -107,6 +105,12 @@ _SKIP_PATTERN = r"""
     )*+
 """
 
+# A string or character constant without its closing quote: the master
+# regex adds the quote; the miss handler matches one alone to find where
+# a constant that does not close stops.
+_STRING_BODY = r'"(?:[^"\\\n]|\\[\s\S])*'
+_CHAR_BODY = r"'(?:[^'\\\n]|\\[\s\S])*"
+
 MASTER_REGEX = re.compile(
     _SKIP_PATTERN
     + r"""
@@ -117,12 +121,12 @@ MASTER_REGEX = re.compile(
         | (?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?[uUlLfF]*
       )
     | (?P<SPECIAL>/\*@)
-    | (?P<STRING>"(?:[^"\\\n]|\\[\s\S])*")
-    | (?P<CHAR>'(?:[^'\\\n]|\\[\s\S])*')
+    | (?P<STRING>%s")
+    | (?P<CHAR>%s')
     | (?P<PUNCT>%s)
     )
     """
-    % _PUNCT_PATTERN,
+    % (_STRING_BODY, _CHAR_BODY, _PUNCT_PATTERN),
     re.VERBOSE,
 )
 
@@ -135,6 +139,15 @@ _PUNCT_I = MASTER_REGEX.groupindex["PUNCT"]
 
 _HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
 
+# The miss handler's patterns. ``\w`` is exactly ``str.isalnum`` or
+# ``_``, the reference scanner's identifier-character rule.
+_SKIP_REGEX = re.compile(_SKIP_PATTERN, re.VERBOSE)
+_WORD_REGEX = re.compile(r"\w+")
+_UNCLOSED = {
+    '"': (re.compile(_STRING_BODY), "string literal"),
+    "'": (re.compile(_CHAR_BODY), "character constant"),
+}
+
 
 class Lexer:
     """Tokenize one source file with the compiled master regex.
@@ -143,32 +156,15 @@ class Lexer:
     the file including a trailing EOF.
     """
 
-    def __init__(
-        self,
-        source: SourceFile,
-        keep_annotations: bool = True,
-        engine: str | None = None,
-    ) -> None:
+    def __init__(self, source: SourceFile) -> None:
         self.source = source
         self.text = source.text
-        self.pos = 0
-        self.keep_annotations = keep_annotations
-        self.engine = engine
 
     def tokens(self) -> list[Token]:
-        engine = self.engine or _DEFAULT_ENGINE
-        if engine == "reference":
-            return ReferenceLexer(self.source, self.keep_annotations).tokens()
-        return self._scan()
-
-    # -- the hot loop ------------------------------------------------------
-
-    def _scan(self) -> list[Token]:
         text = self.text
         src = self.source
         n = len(text)
         match = MASTER_REGEX.match
-        keep = self.keep_annotations
         keywords = KEYWORD_SPELLINGS
         puncts = PUNCT_SPELLINGS
         intern = _intern
@@ -186,9 +182,7 @@ class Lexer:
         while pos < n:
             m = match(text, pos)
             if m is None:
-                # Trailing whitespace/comments, or a character no branch
-                # matches: the reference scanner decides (and diagnoses).
-                pos = self._slow_token(out, pos)
+                pos = self._miss(out, pos)
                 continue
             i = m.lastindex
             end = m.end()
@@ -231,18 +225,11 @@ class Lexer:
                 payload = (
                     body[:-1].strip() if body.endswith("@") else body.strip()
                 )
-                if _is_control_payload(payload):
-                    append(
-                        Token(
-                            TokenKind.CONTROL, payload, None, src, start,
-                        )
-                    )
-                elif keep:
-                    append(
-                        Token(
-                            TokenKind.ANNOTATION, payload, None, src, start,
-                        )
-                    )
+                kind = (
+                    TokenKind.CONTROL if _is_control_payload(payload)
+                    else TokenKind.ANNOTATION
+                )
+                append(Token(kind, payload, None, src, start))
                 pos = close + 2
                 continue
             pos = end
@@ -277,35 +264,48 @@ class Lexer:
                 return TokenKind.FLOAT_CONST
         return TokenKind.INT_CONST
 
-    def _slow_token(self, out: list[Token], pos: int) -> int:
-        """Regex miss: delegate one token to the reference scanner.
+    def _miss(self, out: list[Token], pos: int) -> int:
+        """The master regex matched nothing at *pos*.
 
-        This keeps behaviour on exotic inputs (Unicode identifier
-        characters, stray bytes) — and every diagnostic — identical to
-        the reference scanner, which raises the precise ``LexError``.
+        Past the whitespace and comments there lies the end of the file,
+        an identifier that starts with a non-ASCII letter (appended), a
+        string or character constant that does not close, or a character
+        no token starts with (both diagnosed as the reference scanner
+        does). Returns an offset beyond *pos*, or raises.
         """
-        ref = ReferenceLexer(self.source, keep_annotations=self.keep_annotations)
-        ref.pos = pos
-        tok = ref.next_token()
-        if tok.kind is not TokenKind.EOF:
-            out.append(tok)
-        return ref.pos
+        text = self.text
+        src = self.source
+        pos = _SKIP_REGEX.match(text, pos).end()
+        if pos == len(text):
+            return pos
+        ch = text[pos]
+        if ch.isalpha():
+            end = _WORD_REGEX.match(text, pos).end()
+            out.append(
+                Token(TokenKind.IDENT, _intern(text[pos:end]), None, src, pos)
+            )
+            return end
+        if ch in _UNCLOSED:
+            body, what = _UNCLOSED[ch]
+            end = body.match(text, pos).end()
+            problem = "newline in" if text.startswith("\n", end) else "unterminated"
+            raise LexError(f"{problem} {what}", src.location(pos))
+        raise LexError(f"unexpected character {ch!r}", src.location(pos))
 
 
 class ReferenceLexer:
     """The retained character-at-a-time scanner (executable specification).
 
-    Kept verbatim from the original implementation apart from three
-    fixes shared with the production scanner: annotation skipping is a
-    loop (not recursion), a hex prefix without digits is a
-    ``LexError``, and digits are ASCII.
+    Kept from the original implementation apart from two fixes shared
+    with the production scanner: a hex prefix without digits is a
+    ``LexError``, and digits are ASCII. A test oracle: nothing on the
+    checking path builds it.
     """
 
-    def __init__(self, source: SourceFile, keep_annotations: bool = True) -> None:
+    def __init__(self, source: SourceFile) -> None:
         self.source = source
         self.text = source.text
         self.pos = 0
-        self.keep_annotations = keep_annotations
 
     # -- helpers ---------------------------------------------------------
 
@@ -332,41 +332,33 @@ class ReferenceLexer:
                 return out
 
     def next_token(self) -> Token:
-        # Dropped annotations are skipped with a loop: a long run of
-        # /*@...@*/ comments must not recurse once per comment.
-        while True:
-            self._skip_whitespace_and_plain_comments()
-            if self.pos >= len(self.text):
+        self._skip_whitespace_and_plain_comments()
+        if self.pos >= len(self.text):
+            return Token(TokenKind.EOF, "", source=self.source, offset=self.pos)
+
+        start = self.pos
+        ch = self._peek()
+
+        if self._starts_with("/*@"):
+            return self._scan_special_comment()
+        if _is_ident_start(ch):
+            return self._scan_identifier()
+        if _is_digit(ch) or (ch == "." and _is_digit(self._peek(1))):
+            return self._scan_number()
+        if ch == '"':
+            return self._scan_string()
+        if ch == "'":
+            return self._scan_char()
+        for punct in PUNCTUATORS:
+            if self._starts_with(punct):
+                self.pos += len(punct)
                 return Token(
-                    TokenKind.EOF, "", source=self.source, offset=self.pos
+                    TokenKind.PUNCT,
+                    PUNCT_SPELLINGS[punct],
+                    source=self.source,
+                    offset=start,
                 )
-
-            start = self.pos
-            ch = self._peek()
-
-            if self._starts_with("/*@"):
-                tok = self._scan_special_comment()
-                if tok is None:
-                    continue
-                return tok
-            if _is_ident_start(ch):
-                return self._scan_identifier()
-            if _is_digit(ch) or (ch == "." and _is_digit(self._peek(1))):
-                return self._scan_number()
-            if ch == '"':
-                return self._scan_string()
-            if ch == "'":
-                return self._scan_char()
-            for punct in PUNCTUATORS:
-                if self._starts_with(punct):
-                    self.pos += len(punct)
-                    return Token(
-                        TokenKind.PUNCT,
-                        PUNCT_SPELLINGS[punct],
-                        source=self.source,
-                        offset=start,
-                    )
-            raise LexError(f"unexpected character {ch!r}", self._loc(start))
+        raise LexError(f"unexpected character {ch!r}", self._loc(start))
 
     def _skip_whitespace_and_plain_comments(self) -> None:
         while self.pos < len(self.text):
@@ -388,7 +380,7 @@ class ReferenceLexer:
             else:
                 return
 
-    def _scan_special_comment(self) -> Token | None:
+    def _scan_special_comment(self) -> Token:
         start = self.pos
         end = self.text.find("*/", self.pos + 3)
         if end == -1:
@@ -402,8 +394,6 @@ class ReferenceLexer:
             if _is_control_payload(payload)
             else TokenKind.ANNOTATION
         )
-        if not self.keep_annotations and kind is TokenKind.ANNOTATION:
-            return None
         return Token(kind, payload, source=self.source, offset=start)
 
     def _scan_identifier(self) -> Token:
@@ -512,40 +502,11 @@ class ReferenceLexer:
         )
 
 
-# -- engine selection ---------------------------------------------------------
-
-_DEFAULT_ENGINE = "regex"
-
-
-@contextmanager
-def lexer_engine(name: str):
-    """Temporarily switch the module-default scanning engine.
-
-    ``name`` is ``"regex"`` (production) or ``"reference"`` (the retained
-    character-at-a-time scanner). The benchmark harness uses this to run
-    complete checks against the reference scanner for parity and speedup
-    measurements.
-    """
-    global _DEFAULT_ENGINE
-    if name not in ("regex", "reference"):
-        raise ValueError(f"unknown lexer engine {name!r}")
-    previous = _DEFAULT_ENGINE
-    _DEFAULT_ENGINE = name
-    try:
-        yield
-    finally:
-        _DEFAULT_ENGINE = previous
-
-
-def tokenize(
-    source: SourceFile, keep_annotations: bool = True, engine: str | None = None
-) -> list[Token]:
+def tokenize(source: SourceFile) -> list[Token]:
     """Convenience wrapper: lex an entire :class:`SourceFile`."""
-    return Lexer(source, keep_annotations=keep_annotations, engine=engine).tokens()
+    return Lexer(source).tokens()
 
 
-def reference_tokenize(
-    source: SourceFile, keep_annotations: bool = True
-) -> list[Token]:
+def reference_tokenize(source: SourceFile) -> list[Token]:
     """Lex with the retained reference scanner (parity/spec baseline)."""
-    return ReferenceLexer(source, keep_annotations=keep_annotations).tokens()
+    return ReferenceLexer(source).tokens()

@@ -10,11 +10,16 @@ declarators may appear and attached to the declared entity, honouring the
 paper's *outer-level* rule: an annotation constrains the declared name's
 outermost type only. Control comments are collected on the side for the
 suppression machinery.
+
+Binary expressions are parsed by precedence climbing, one table lookup
+per operator (:meth:`Parser._binary_expression`). :class:`ReferenceParser`
+keeps the layered cascade the project started with, one recursive
+grammar level per precedence; it is a test oracle only, and nothing on
+the checking path builds it.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 from ..annotations.kinds import ANNOTATION_WORDS, AnnotationSet
@@ -169,7 +174,6 @@ class Parser:
         self, toks: list[Token], name: str = "<string>",
         lcl_mode: bool = False,
         preseed: "_Scope | None" = None,
-        engine: str | None = None,
     ) -> None:
         tokens: list[Token] = []
         controls: list[Token] = []
@@ -203,13 +207,6 @@ class Parser:
         # bare words before the type ('null out only void *malloc(...)')
         # rather than inside /*@...@*/ comments.
         self.lcl_mode = lcl_mode
-        if engine is None:
-            engine = _DEFAULT_ENGINE
-        if engine not in ("table", "reference"):
-            raise ValueError(f"unknown parser engine {engine!r}")
-        # A flag, not a bound method: a parser holding one of its own
-        # bound methods would be a reference cycle keeping its tokens.
-        self._climb = engine == "table"
 
     # -- token plumbing ----------------------------------------------------
 
@@ -947,10 +944,7 @@ class Parser:
         return lhs
 
     def _conditional_expression(self) -> A.Expr:
-        cond = (
-            self._binary_climb() if self._climb
-            else self._reference_binary_expression()
-        )
+        cond = self._binary_expression()
         tok = self.toks[self.idx]
         if tok.value == "?" and tok.kind is _PUNCT:
             self.idx += 1
@@ -961,7 +955,7 @@ class Parser:
         return cond
 
     #: Binary operator precedence (all left-associative in this grammar);
-    #: higher binds tighter. Level *i* of the reference grammar's
+    #: higher binds tighter. Level *i* of :class:`ReferenceParser`'s
     #: ``_BINARY_LEVELS`` corresponds to precedence ``i + 1`` here.
     _BIN_PREC = {
         "||": 1, "&&": 2, "|": 3, "^": 4, "&": 5,
@@ -972,14 +966,15 @@ class Parser:
         "*": 10, "/": 10, "%": 10,
     }
 
-    def _binary_climb(self, min_prec: int = 1) -> A.Expr:
-        """Precedence-climbing binary-expression core (production engine).
+    def _binary_expression(self, min_prec: int = 1) -> A.Expr:
+        """A binary expression whose operators bind at *min_prec* or
+        tighter, by precedence climbing.
 
         One table lookup per operator replaces the reference grammar's
         ten-deep recursive descent (which recursed through every level
         even for a lone primary expression). Left-associativity is the
         ``prec + 1`` on the right-operand climb; the resulting tree is
-        node-for-node identical to the reference engine's, which the
+        node-for-node identical to :class:`ReferenceParser`'s, which the
         parser parity suite asserts.
 
         An identifier or integer constant that no postfix operator
@@ -1007,41 +1002,8 @@ class Parser:
             if prec is None or prec < min_prec or tok.kind is not _PUNCT:
                 return expr
             self.idx += 1
-            rhs = self._binary_climb(prec + 1)
+            rhs = self._binary_expression(prec + 1)
             expr = A.Binary(tok, op=tok.value, lhs=expr, rhs=rhs)
-
-    _BINARY_LEVELS = (
-        ("||",),
-        ("&&",),
-        ("|",),
-        ("^",),
-        ("&",),
-        ("==", "!="),
-        ("<", ">", "<=", ">="),
-        ("<<", ">>"),
-        ("+", "-"),
-        ("*", "/", "%"),
-    )
-
-    def _reference_binary_expression(self) -> A.Expr:
-        return self._binary_expression(0)
-
-    def _binary_expression(self, level: int) -> A.Expr:
-        """Reference layered-grammar engine (retained for parity runs)."""
-        if level >= len(self._BINARY_LEVELS):
-            return self._cast_expression()
-        ops = self._BINARY_LEVELS[level]
-        expr = self._binary_expression(level + 1)
-        while True:
-            tok = self._peek()
-            if tok.kind is TokenKind.PUNCT and tok.value in ops:
-                # don't treat '&' before unary context wrongly: precedence
-                # climbing already handles this correctly.
-                self._next()
-                rhs = self._binary_expression(level + 1)
-                expr = A.Binary(tok, op=tok.value, lhs=expr, rhs=rhs)
-            else:
-                return expr
 
     def _cast_expression(self) -> A.Expr:
         idx = self.idx
@@ -1256,31 +1218,42 @@ def _escaped(read, tok: Token):
         raise ParseError(str(exc), tok.location) from None
 
 
-# -- engine selection ---------------------------------------------------------
+class ReferenceParser(Parser):
+    """The parser with the retained layered binary-expression cascade.
 
-_DEFAULT_ENGINE = "table"
-
-
-@contextmanager
-def parser_engine(name: str):
-    """Temporarily switch the module-default expression-parsing engine.
-
-    ``name`` is ``"table"`` (production precedence climbing) or
-    ``"reference"`` (the retained layered recursive descent). The parser
-    parity suite and the benchmark harness use this to run both engines
-    over the same inputs, mirroring :func:`repro.frontend.lexer.lexer_engine`.
+    One recursive grammar level per precedence, as the project started
+    with: the executable specification of :meth:`Parser._binary_expression`
+    and a test oracle only. The parser parity suite builds it directly;
+    whole-pipeline parity runs patch it in over
+    ``repro.incremental.engine.Parser`` and
+    ``repro.frontend.preprocessor.Parser`` (``#if`` lines).
     """
-    global _DEFAULT_ENGINE
-    if name not in ("table", "reference"):
-        raise ValueError(f"unknown parser engine {name!r}")
-    previous = _DEFAULT_ENGINE
-    _DEFAULT_ENGINE = name
-    try:
-        yield
-    finally:
-        _DEFAULT_ENGINE = previous
 
+    _BINARY_LEVELS = (
+        ("||",),
+        ("&&",),
+        ("|",),
+        ("^",),
+        ("&",),
+        ("==", "!="),
+        ("<", ">", "<=", ">="),
+        ("<<", ">>"),
+        ("+", "-"),
+        ("*", "/", "%"),
+    )
 
-def parse_tokens(toks: list[Token], name: str = "<string>") -> A.TranslationUnit:
-    """Parse a token stream into an AST."""
-    return Parser(toks, name).parse_translation_unit()
+    def _binary_expression(self, min_prec: int = 1) -> A.Expr:
+        """The grammar level for precedence *min_prec* (level
+        ``min_prec - 1`` of ``_BINARY_LEVELS``) and every tighter one."""
+        if min_prec > len(self._BINARY_LEVELS):
+            return self._cast_expression()
+        ops = self._BINARY_LEVELS[min_prec - 1]
+        expr = self._binary_expression(min_prec + 1)
+        while True:
+            tok = self._peek()
+            if tok.kind is TokenKind.PUNCT and tok.value in ops:
+                self._next()
+                rhs = self._binary_expression(min_prec + 1)
+                expr = A.Binary(tok, op=tok.value, lhs=expr, rhs=rhs)
+            else:
+                return expr

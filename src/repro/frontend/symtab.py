@@ -61,136 +61,84 @@ class SymbolTable:
     # -- construction -------------------------------------------------------
 
     def add_unit(self, unit: A.TranslationUnit) -> None:
+        """Add a unit's file-scope functions and globals in order, each
+        merged by the rule of :meth:`merge_interface`."""
         for item in unit.items:
             if isinstance(item, A.FunctionDef):
-                self.add_function_def(item)
-            elif isinstance(item, A.Declaration):
-                self.add_declaration(item)
-
-    def add_declaration(self, decl: A.Declaration) -> None:
-        if decl.is_typedef:
-            return
-        for dtor in decl.declarators:
-            actual = strip_typedefs(dtor.ctype)
-            if isinstance(actual, FunctionType):
-                self._add_function_decl(dtor, actual)
-            else:
-                self._add_global(dtor, decl.storage)
-
-    def _add_function_decl(self, dtor: A.Declarator, ftype: FunctionType) -> None:
-        existing = self.functions.get(dtor.name)
-        if existing is not None and existing.has_definition:
-            return  # the definition's interface wins
-        sig = FunctionSignature(
-            name=dtor.name,
-            ret_type=ftype.ret,
-            ret_annotations=dtor.annotations,
-            params=list(ftype.params),
-            variadic=ftype.variadic,
-            old_style=ftype.old_style,
-            globals_list=list(dtor.globals_list),
-            modifies_list=(
-                list(dtor.modifies_list)
-                if dtor.modifies_list is not None
-                else None
-            ),
-            location=dtor.location,
-        )
-        if existing is not None:
-            sig = _merge_signatures(existing, sig)
-        self.functions[dtor.name] = sig
-
-    def add_function_def(self, fdef: A.FunctionDef) -> None:
-        ftype = strip_typedefs(fdef.ctype)
-        assert isinstance(ftype, FunctionType)
-        params = [
-            ParamType(p.name, p.ctype, p.annotations) for p in fdef.params
-        ]
-        sig = FunctionSignature(
-            name=fdef.name,
-            ret_type=ftype.ret,
-            ret_annotations=fdef.annotations,
-            params=params,
-            variadic=ftype.variadic,
-            old_style=ftype.old_style,
-            globals_list=list(fdef.globals_list),
-            modifies_list=(
-                list(fdef.modifies_list)
-                if fdef.modifies_list is not None
-                else None
-            ),
-            location=fdef.location,
-            has_definition=True,
-        )
-        existing = self.functions.get(fdef.name)
-        if existing is not None and not existing.has_definition:
-            sig = _merge_signatures(sig, existing, prefer_first=True)
-        self.functions[fdef.name] = sig
-
-    def _add_global(self, dtor: A.Declarator, storage: str | None) -> None:
-        existing = self.globals.get(dtor.name)
-        gvar = GlobalVariable(
-            name=dtor.name,
-            ctype=dtor.ctype,
-            annotations=dtor.annotations,
-            location=dtor.location,
-            storage=storage,
-            has_initializer=dtor.init is not None,
-        )
-        if existing is not None:
-            # extern declaration + definition: keep the richer annotations
-            if existing.annotations.is_empty() and not dtor.annotations.is_empty():
-                existing.annotations = dtor.annotations
-            existing.has_initializer = existing.has_initializer or gvar.has_initializer
-            return
-        self.globals[dtor.name] = gvar
+                ftype = strip_typedefs(item.ctype)
+                assert isinstance(ftype, FunctionType)
+                params = [
+                    ParamType(p.name, p.ctype, p.annotations)
+                    for p in item.params
+                ]
+                self._merge_function(
+                    _signature(item, ftype, params, has_definition=True)
+                )
+            elif isinstance(item, A.Declaration) and not item.is_typedef:
+                for dtor in item.declarators:
+                    ftype = strip_typedefs(dtor.ctype)
+                    if isinstance(ftype, FunctionType):
+                        self._merge_function(
+                            _signature(dtor, ftype, list(ftype.params))
+                        )
+                        continue
+                    self._merge_global(GlobalVariable(
+                        name=dtor.name,
+                        ctype=dtor.ctype,
+                        annotations=dtor.annotations,
+                        location=dtor.location,
+                        storage=item.storage,
+                        has_initializer=dtor.init is not None,
+                    ))
 
     # -- merging --------------------------------------------------------------
 
     def merge_interface(self, other: "SymbolTable") -> None:
         """Merge another table's interface slice into this one.
 
-        Replicates the precedence of adding the underlying declarations
-        sequentially with :meth:`add_unit`: a later declaration's
-        annotations win over an earlier declaration's, a definition's
-        interface wins over any declaration, and declarations seen after
-        a definition are ignored. This is what lets the incremental
-        engine rebuild the program symbol table from cached per-unit
-        interface slices without reparsing every unit.
+        One rule, the one :meth:`add_unit` applies declaration by
+        declaration: a later declaration's annotations win over an
+        earlier declaration's, a definition's interface wins over any
+        declaration, and declarations seen after a definition are
+        ignored. This is what lets the incremental engine rebuild the
+        program symbol table from cached per-unit interface slices
+        without reparsing every unit.
         """
-        for name, sig in other.functions.items():
-            existing = self.functions.get(name)
-            if existing is None:
-                merged = sig
-            elif existing.has_definition and not sig.has_definition:
-                continue
-            elif sig.has_definition and not existing.has_definition:
-                merged = _merge_signatures(sig, existing, prefer_first=True)
-            elif sig.has_definition and existing.has_definition:
-                merged = sig
-            else:
-                merged = _merge_signatures(existing, sig)
-            self.functions[name] = merged
-        # Merged globals are replaced, never changed in place: the entry
-        # may be another table's object (a unit's interface slice, the
-        # prelude template), which must stay as that table built it.
-        for name, gvar in other.globals.items():
-            existing = self.globals.get(name)
-            if existing is None:
-                self.globals[name] = gvar
-                continue
-            annotations = existing.annotations
-            if annotations.is_empty() and not gvar.annotations.is_empty():
-                annotations = gvar.annotations
-            has_initializer = existing.has_initializer or gvar.has_initializer
-            if (
-                annotations is not existing.annotations
-                or has_initializer != existing.has_initializer
-            ):
-                self.globals[name] = replace(
-                    existing, annotations=annotations,
-                    has_initializer=has_initializer,
-                )
+        for sig in other.functions.values():
+            self._merge_function(sig)
+        for gvar in other.globals.values():
+            self._merge_global(gvar)
+
+    def _merge_function(self, sig: FunctionSignature) -> None:
+        existing = self.functions.get(sig.name)
+        if existing is not None and not existing.has_definition:
+            sig = _merge_signatures(sig, existing)
+        elif existing is not None and not sig.has_definition:
+            return  # the definition's interface wins
+        self.functions[sig.name] = sig
+
+    def _merge_global(self, gvar: GlobalVariable) -> None:
+        """An extern declaration and a definition: the first keeps its
+        type and location, the richer annotations win. Entries are
+        replaced, never changed in place: one may be another table's
+        object (a unit's interface slice, the prelude template), which
+        must stay as that table built it."""
+        existing = self.globals.get(gvar.name)
+        if existing is None:
+            self.globals[gvar.name] = gvar
+            return
+        annotations = existing.annotations
+        if annotations.is_empty() and not gvar.annotations.is_empty():
+            annotations = gvar.annotations
+        has_initializer = existing.has_initializer or gvar.has_initializer
+        if (
+            annotations is not existing.annotations
+            or has_initializer != existing.has_initializer
+        ):
+            self.globals[gvar.name] = replace(
+                existing, annotations=annotations,
+                has_initializer=has_initializer,
+            )
 
     # -- queries --------------------------------------------------------------
 
@@ -202,17 +150,15 @@ class SymbolTable:
 
 
 def _merge_signatures(
-    primary: FunctionSignature,
-    secondary: FunctionSignature,
-    prefer_first: bool = False,
+    first: FunctionSignature, second: FunctionSignature
 ) -> FunctionSignature:
-    """Merge a redeclaration into an existing signature.
+    """Merge an earlier declaration, *second*, under a later declaration
+    or the definition, *first*.
 
     Annotations accumulate: a prototype in a header usually carries the
     interface annotations, while the definition may carry none. Unset
     categories flow from the other declaration.
     """
-    first, second = (primary, secondary) if prefer_first else (secondary, primary)
     merged_ret = first.ret_annotations.merged_under(second.ret_annotations)
     params: list[ParamType] = []
     for i, param in enumerate(first.params):
@@ -236,4 +182,29 @@ def _merge_signatures(
         ),
         location=first.location,
         has_definition=first.has_definition or second.has_definition,
+    )
+
+
+def _signature(
+    node: A.Declarator | A.FunctionDef,
+    ftype: FunctionType,
+    params: list[ParamType],
+    has_definition: bool = False,
+) -> FunctionSignature:
+    """The signature a function declarator or definition declares."""
+    return FunctionSignature(
+        name=node.name,
+        ret_type=ftype.ret,
+        ret_annotations=node.annotations,
+        params=params,
+        variadic=ftype.variadic,
+        old_style=ftype.old_style,
+        globals_list=list(node.globals_list),
+        modifies_list=(
+            list(node.modifies_list)
+            if node.modifies_list is not None
+            else None
+        ),
+        location=node.location,
+        has_definition=has_definition,
     )

@@ -765,7 +765,7 @@ class IncrementalChecker:
             stats.fingerprint_s += digest_span.duration
         parse_span = self.tracer.span("parse", cat="phase", unit=plan.name)
         try:
-            plan.parsed = self._parse_tokens(tokens, plan.name)
+            plan.parsed = self._parse(tokens, plan.name)
         except Exception as exc:
             stats.parse_s += parse_span.end()
             self._fail_plan(plan, exc, "parse", "parsing")
@@ -851,7 +851,7 @@ class IncrementalChecker:
         stats.lex_s += pp.lex_s
         return tokens, list(pp.followed)
 
-    def _parse_tokens(self, tokens: list[Token], name: str) -> ParsedUnit:
+    def _parse(self, tokens: list[Token], name: str) -> ParsedUnit:
         # .lcl files are LCL interface specifications: annotations appear
         # as bare words before types (paper section 4).
         parser = Parser(
@@ -871,7 +871,13 @@ class IncrementalChecker:
         """The unit's interface slice: decoded from its memo, or read off
         a unit :meth:`check_units` was handed. A slice that does not
         decode (corrupt, or naming a class no slice holds) drops the
-        memo like any corrupt entry, and the unit is parsed instead."""
+        memo like any corrupt entry, and the unit is parsed instead,
+        recording a fresh memo in its place.
+
+        The symtab stage publishes that memo to the cache service in
+        the write stage; a :attr:`CheckResult.symtab` read after the run
+        only puts it in the local cache.
+        """
         if plan.interface is None and plan.memo is not None:
             plan.interface = decode_slice(plan.memo.iface_pickle)
             if plan.interface is None:
@@ -880,7 +886,7 @@ class IncrementalChecker:
                 else:
                     self.metrics.inc("cache.entries.dropped")
                 plan.memo = None
-                self._parse_plan(plan, run)
+                self._parse_plan(plan, run, memo_key=plan.key)
         if plan.interface is None:
             plan.interface = unit_interface(plan.parsed)
         return plan.interface

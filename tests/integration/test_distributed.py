@@ -246,6 +246,66 @@ class TestWarmPulls:
             client.close()
             server.close()
 
+    def test_undecodable_slices_on_the_server_are_replaced(
+        self, corpus, tmp_path, monkeypatch
+    ):
+        # Memos whose interface slice does not decode: every run that
+        # checks a unit decodes all slices, drops each bad one and
+        # parses its unit. The first such run must publish fresh memos,
+        # so later runs parse only the unit that was edited.
+        from dataclasses import replace
+
+        from repro.incremental.cache import decode_slice
+
+        local = tmp_path / "local"
+        cold = ResultCache(str(local))
+        IncrementalChecker(cache=cold).check_sources(dict(corpus))
+        keys = sorted(p.stem for p in local.glob("units/*.pkl"))
+        parsed = []
+        real = IncrementalChecker._parse
+        monkeypatch.setattr(
+            IncrementalChecker, "_parse",
+            lambda self, tokens, name: parsed.append(name)
+            or real(self, tokens, name),
+        )
+        server = CacheServerThread(cache_dir=str(tmp_path / "shared"))
+        client = CacheClient(server.addr)
+        try:
+            client.put_memos([
+                (key, replace(cold.get_unit_memo(key), iface_pickle=b"garbled"))
+                for key in keys
+            ])
+            runs = []
+            for edit in range(3):
+                files = dict(corpus)
+                files["drive.c"] = files["drive.c"].replace(
+                    "60000", str(60001 + edit)
+                )
+                expected = _renders(Checker().check_sources(dict(files)))
+                metrics = MetricsRegistry()
+                del parsed[:]
+                result = IncrementalChecker(
+                    remote=client, metrics=metrics
+                ).check_sources(dict(files))
+                assert _renders(result) == expected
+                runs.append(
+                    (sorted(parsed), metrics.count("cache.entries.dropped"))
+                )
+            still_bad = [
+                key for key in keys
+                if decode_slice(client.get_memo(key).iface_pickle) is None
+            ]
+        finally:
+            client.close()
+            server.close()
+        units = sorted(name for name in corpus if name.endswith(".c"))
+        assert len(keys) == len(units) == 6
+        assert runs == [
+            (units, len(units) - 1), (["drive.c"], 0), (["drive.c"], 0),
+        ]
+        # Only the unedited drive.c's memo, which no run probes, is left.
+        assert len(still_bad) == 1
+
     def test_server_dying_mid_window(self, corpus, serial_renders, tmp_path):
         from tests.unit.test_cacheserver import DyingServer
 

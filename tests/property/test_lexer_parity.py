@@ -1,12 +1,14 @@
 """Parity suite: the master-regex lexer against the reference scanner.
 
 The retained character-at-a-time :class:`ReferenceLexer` is the
-executable specification of the token language. These tests assert that
-the production regex lexer produces identical ``(kind, value, line,
-column)`` streams — on hypothesis-generated C-ish inputs, on adversarial
-hand-picked fragments, and on every file of the real ``examples/db``
-tree — and that lazily computed token locations round-trip offsets
-correctly at line boundaries.
+executable specification of the token language and a test oracle only:
+the checker never builds it. These tests assert that the regex lexer,
+which scans every file by itself, produces identical ``(kind, value,
+line, column)`` streams and identical ``LexError`` texts — on
+hypothesis-generated C-ish inputs, on adversarial hand-picked fragments,
+and on every file of the real ``examples/db`` tree — and that lazily
+computed token locations round-trip offsets correctly at line
+boundaries.
 """
 
 from pathlib import Path
@@ -14,13 +16,17 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.bench.dbexample import db_sources
+from repro.core.api import Checker
 from repro.frontend.lexer import (
     LexError,
+    ReferenceLexer,
     reference_tokenize,
     tokenize,
 )
 from repro.frontend.source import SourceFile
 from repro.frontend.tokens import TokenKind
+from tests.oracles import reference_lexer
 
 EXAMPLES_DB = Path(__file__).resolve().parents[2] / "examples" / "db"
 
@@ -29,20 +35,16 @@ def stream(tokens):
     return [(t.kind, t.value) + t.coords()[1:] for t in tokens]
 
 
-def assert_parity(text: str, keep_annotations: bool = True) -> None:
-    """Both engines agree on the stream — or raise the same LexError."""
+def assert_parity(text: str) -> None:
+    """Both scanners agree on the stream — or raise the same LexError."""
     regex_err = ref_err = None
     regex_toks = ref_toks = None
     try:
-        regex_toks = tokenize(
-            SourceFile("p.c", text), keep_annotations=keep_annotations
-        )
+        regex_toks = tokenize(SourceFile("p.c", text))
     except LexError as exc:
         regex_err = str(exc)
     try:
-        ref_toks = reference_tokenize(
-            SourceFile("p.c", text), keep_annotations=keep_annotations
-        )
+        ref_toks = reference_tokenize(SourceFile("p.c", text))
     except LexError as exc:
         ref_err = str(exc)
     assert regex_err == ref_err, (text, regex_err, ref_err)
@@ -81,11 +83,6 @@ class TestHypothesisParity:
     def test_cish_input_parity(self, text):
         assert_parity(text)
 
-    @given(_cish_programs())
-    @settings(max_examples=100, deadline=None)
-    def test_cish_input_parity_dropping_annotations(self, text):
-        assert_parity(text, keep_annotations=False)
-
     @given(
         st.text(
             alphabet=st.characters(min_codepoint=32, max_codepoint=126),
@@ -107,9 +104,8 @@ class TestHypothesisParity:
     @given(st.text(alphabet="ax_9 ;=(\n²³½Ⅷⅻé٠١ªµßπ", max_size=40))
     @settings(max_examples=300, deadline=None)
     def test_non_ascii_letter_and_numeral_parity(self, text):
-        """Identifiers start at an ASCII letter or ``_`` in both engines;
-        a non-ASCII letter or numeral starts whatever the reference
-        scanner reads there."""
+        """A letter (``str.isalpha``) or ``_`` starts an identifier in
+        both scanners; a non-ASCII numeral starts no token."""
         assert_parity(text)
 
 
@@ -152,7 +148,6 @@ class TestAdversarialFragments:
     @pytest.mark.parametrize("text", FRAGMENTS)
     def test_fragment_parity(self, text):
         assert_parity(text)
-        assert_parity(text, keep_annotations=False)
 
 
 class TestExamplesDbParity:
@@ -169,6 +164,43 @@ class TestExamplesDbParity:
 
     def test_db_files_found(self):
         assert len(list(EXAMPLES_DB.glob("*.[ch]"))) >= 10
+
+
+class TestWholeCheckParity:
+    """A check with the reference scanner patched in where the
+    preprocessor lexes files, command-line macros and pasted tokens
+    renders the same messages."""
+
+    PASTING = {
+        "p.c": "#include <stdlib.h>\n"
+               "#define CAT(a, b) a ## b\n"
+               "#define STR(x) #x\n"
+               "int CAT(x, 1) = 0;\n"
+               "char *name = STR(hi);\n"
+               "int f(void) { int *p = malloc(sizeof(int));\n"
+               "  return *p + CAT(x, 1) + LIMIT; }\n",
+    }
+
+    @pytest.mark.parametrize("files,pasted", [
+        (db_sources(1), set()), (PASTING, {"p.c:4", "p.c:7"}),
+    ], ids=["db-stage-1", "pasting"])
+    def test_messages_identical(self, files, pasted, monkeypatch):
+        built = []
+        real = ReferenceLexer.__init__
+        monkeypatch.setattr(
+            ReferenceLexer, "__init__",
+            lambda self, source: built.append(source.name)
+            or real(self, source),
+        )
+        checker = Checker(defines={"LIMIT": "(1 << 4)"})
+        regex = [m.render() for m in checker.check_sources(dict(files)).messages]
+        assert built == []
+        with reference_lexer():
+            reference = [
+                m.render() for m in checker.check_sources(dict(files)).messages
+            ]
+        assert regex and reference == regex
+        assert set(files) | {"<cmdline>"} | pasted <= set(built)
 
 
 class TestOffsetRoundTrip:

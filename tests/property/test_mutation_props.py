@@ -6,8 +6,10 @@ iteration order. These tests pin that: the engine's output is stable
 within a process (hypothesis over random seeds), identical across
 subprocesses launched with *different* ``PYTHONHASHSEED`` values, and
 every emitted variant — planted or clean, across all ten bug kinds —
-parses cleanly under both parser engines, so a mutation recipe can
-never silently degrade a campaign into parse-error exclusions.
+parses cleanly with the checker's parser and with the reference
+expression cascade patched in (``tests.oracles.reference_parser``), so a
+mutation recipe can never silently degrade a campaign into parse-error
+exclusions.
 """
 
 import hashlib
@@ -15,6 +17,7 @@ import json
 import os
 import subprocess
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
@@ -22,7 +25,7 @@ from hypothesis import given, settings, strategies as st
 from repro.bench.seeding import BugKind
 from repro.core.api import Checker
 from repro.difftest.mutations import MutationEngine
-from repro.frontend.parser import parser_engine
+from tests.oracles import reference_parser
 
 SRC_DIR = Path(__file__).resolve().parents[2] / "src"
 
@@ -80,11 +83,11 @@ class TestSeedPurity:
         assert a == b
 
 
-def _parse_errors(engine: str, files: dict[str, str]) -> list[str]:
-    """Parse every .c unit of a variant under one engine, preprocessed
+def _parse_errors(engines, files: dict[str, str]) -> list[str]:
+    """Parse every .c unit of a variant under *engines*, preprocessed
     against the variant's own headers; returns all frontend problems."""
     problems = []
-    with parser_engine(engine):
+    with engines:
         checker = Checker()
         for name, text in files.items():
             if name.endswith(".h"):
@@ -104,8 +107,8 @@ class TestVariantsParse:
     @settings(max_examples=30, deadline=None)
     def test_every_variant_parses_with_both_engines(self, seed):
         variant = MutationEngine().variant(seed)
-        assert _parse_errors("table", variant.files) == []
-        assert _parse_errors("reference", variant.files) == []
+        assert _parse_errors(nullcontext(), variant.files) == []
+        assert _parse_errors(reference_parser(), variant.files) == []
 
     def test_every_bug_kind_recipe_parses(self):
         # Deterministic sweep: keep drawing seeds until every kind has
@@ -116,7 +119,7 @@ class TestVariantsParse:
             variant = engine.variant(seed)
             if variant.planted is not None:
                 remaining.discard(variant.planted.kind)
-            assert _parse_errors("table", variant.files) == [], seed
+            assert _parse_errors(nullcontext(), variant.files) == [], seed
             if not remaining:
                 break
         assert not remaining

@@ -1,9 +1,11 @@
 """Tests for the annotation-preserving C lexer.
 
-Most tests are parameterized over both scanning engines: the production
-master-regex lexer and the retained character-at-a-time reference
-scanner must agree everywhere (the property suite in
-``tests/property/test_lexer_parity.py`` fuzzes this agreement).
+The tests pin the master-regex lexer's own behaviour: token kinds,
+spellings and locations, and every ``LexError`` text with its
+``file:line`` (``TestLexErrorTable``), without consulting the retained
+reference scanner. A few are parameterized over both scanners, pinning
+the oracle too; the property suite in
+``tests/property/test_lexer_parity.py`` fuzzes their agreement.
 """
 
 import pickle
@@ -68,6 +70,30 @@ class TestBasicTokens:
         assert toks[1].location.line == 2
         assert toks[1].location.column == 3
 
+    def test_identifiers_starting_with_non_ascii_letters(self):
+        # A letter starts an identifier and a letter or numeral
+        # continues it (``str.isalpha`` / ``str.isalnum``).
+        toks = lex("int éa, ªb²_1;\n  Ω x")
+        assert [(t.kind, t.value, t.coords()[1:]) for t in toks] == [
+            (TokenKind.KEYWORD, "int", (1, 1)),
+            (TokenKind.IDENT, "éa", (1, 5)),
+            (TokenKind.PUNCT, ",", (1, 7)),
+            (TokenKind.IDENT, "ªb²_1", (1, 9)),
+            (TokenKind.PUNCT, ";", (1, 14)),
+            (TokenKind.IDENT, "Ω", (2, 3)),
+            (TokenKind.IDENT, "x", (2, 5)),
+        ]
+
+    @pytest.mark.parametrize(
+        "text", ["x\n", "x \t\n\n", "x // tail", "x /* c */\n", "x\\\n"]
+    )
+    def test_trailing_whitespace_and_comments(self, text):
+        toks = tokenize(SourceFile("t.c", text))
+        assert [(t.kind, t.value) for t in toks] == [
+            (TokenKind.IDENT, "x"), (TokenKind.EOF, ""),
+        ]
+        assert toks[-1].offset == len(text)
+
 
 class TestComments:
     def test_plain_comments_discarded(self):
@@ -110,10 +136,6 @@ class TestComments:
         assert toks[0].value == "-null"
         assert toks[2].value == "+null"
 
-    def test_drop_annotations_mode(self):
-        toks = tokenize(SourceFile("t.c", "/*@null@*/ int x;"), keep_annotations=False)
-        assert toks[0].kind is TokenKind.KEYWORD
-
 
 class TestLexErrors:
     def test_unterminated_comment(self):
@@ -145,6 +167,43 @@ class TestLexErrors:
             pytest.fail("expected LexError")
 
 
+#: (source text of ``t.c``, the full ``LexError`` text): every error the
+#: lexer raises, at the end of the file and in its middle.
+LEX_ERROR_TABLE = [
+    ("int `x;", "t.c:1: unexpected character '`'"),
+    ("x;\n  @y = 1;\n", "t.c:2: unexpected character '@'"),
+    ("a\\b", "t.c:1: unexpected character '\\\\'"),
+    ("x = ²;", "t.c:1: unexpected character '²'"),
+    ("int x²;\ny = ²;\n", "t.c:2: unexpected character '²'"),
+    ("a;\n\x00", "t.c:2: unexpected character '\\x00'"),
+    ('"abc', "t.c:1: unterminated string literal"),
+    ('x;\ny = "abc\\', "t.c:2: unterminated string literal"),
+    ('x;\ny = "ab\\\ncd', "t.c:2: unterminated string literal"),
+    ('x;\ny = "ab\ncd";\nz;', "t.c:2: newline in string literal"),
+    ('x = "abc\n', "t.c:1: newline in string literal"),
+    ("'a", "t.c:1: unterminated character constant"),
+    ("x;\nc = '\\", "t.c:2: unterminated character constant"),
+    ("x;\nc = 'a\nb';\n", "t.c:2: newline in character constant"),
+    ("c = '\n", "t.c:1: newline in character constant"),
+    ("a /* never closed", "t.c:1: unterminated comment"),
+    ("a;\n/* never\nclosed */ b /* again\n", "t.c:3: unterminated comment"),
+    ("/*@null", "t.c:1: unterminated annotation comment"),
+    ("int\n/*@only@*/ p /*@null\nint q;", "t.c:2: unterminated annotation comment"),
+    ("0x", "t.c:1: hexadecimal constant has no digits"),
+    ("a;\nb;\nc = 0xUL + 1;", "t.c:3: hexadecimal constant has no digits"),
+]
+
+
+class TestLexErrorTable:
+    """Each ``LexError`` text and its ``file:line``, pinned directly."""
+
+    @pytest.mark.parametrize("text,expected", LEX_ERROR_TABLE)
+    def test_error_text_and_location(self, text, expected):
+        with pytest.raises(LexError) as exc:
+            tokenize(SourceFile("t.c", text))
+        assert str(exc.value) == expected
+
+
 class TestBackslashContinuation:
     def test_backslash_newline_joins(self):
         toks = lex("ab\\\ncd")
@@ -154,20 +213,27 @@ class TestBackslashContinuation:
 
 
 class TestAnnotationRunRegression:
-    """A long run of dropped annotations must not recurse per comment."""
+    """A long run of annotations must not recurse per comment."""
 
     @pytest.mark.parametrize("engine", ENGINES)
-    def test_many_dropped_annotations_no_recursion(self, engine):
-        # Far deeper than the default recursion limit: the old
-        # _scan_special_comment recursed once per skipped annotation.
+    def test_many_annotations_no_recursion(self, engine):
+        # Far deeper than the default recursion limit: an old
+        # _scan_special_comment recursed once per annotation it skipped.
         text = "/*@null@*/ " * 5000 + "int x;"
-        toks = engine(SourceFile("t.c", text), keep_annotations=False)
-        assert [t.value for t in toks[:3]] == ["int", "x", ";"]
+        toks = engine(SourceFile("t.c", text))
+        assert len(toks) == 5004
+        assert all(t.kind is TokenKind.ANNOTATION for t in toks[:5000])
+        assert toks[4999].coords() == ("t.c", 1, 4999 * 11 + 1)
+        assert [t.value for t in toks[5000:]] == ["int", "x", ";", ""]
 
     @pytest.mark.parametrize("engine", ENGINES)
-    def test_dropped_annotation_at_eof(self, engine):
-        toks = engine(SourceFile("t.c", "x /*@null@*/"), keep_annotations=False)
-        assert [t.kind for t in toks] == [TokenKind.IDENT, TokenKind.EOF]
+    def test_annotation_at_eof(self, engine):
+        toks = engine(SourceFile("t.c", "x /*@null@*/"))
+        assert [(t.kind, t.value) for t in toks] == [
+            (TokenKind.IDENT, "x"),
+            (TokenKind.ANNOTATION, "null"),
+            (TokenKind.EOF, ""),
+        ]
 
 
 class TestHexWithoutDigits:

@@ -20,7 +20,7 @@ from repro.driver.library import LIBRARY_MAGIC, LibraryError, load_library
 from repro.flags.registry import Flags
 from repro.frontend.safe_pickle import ALLOWED_CLASSES
 from repro.incremental import CacheServerThread
-from repro.incremental.cache import ResultCache, decode_memo
+from repro.incremental.cache import ResultCache, decode_memo, decode_slice
 from repro.incremental.cacheserver import CacheClient
 from repro.incremental.engine import IncrementalChecker
 
@@ -131,7 +131,17 @@ class TestPoisonedPayloads:
         assert [m.render() for m in result.messages] == _plain_renders()
         assert checker.stats.memo_hits == 2
         assert any("dropped 2 corrupt" in n for n in checker.stats.notes)
-        assert glob.glob(os.path.join(root, "units", "*.pkl")) == []
+        # Each poisoned memo was dropped, and the parse that replaced
+        # its slice recorded a fresh memo under the same key.
+        fresh = ResultCache(root)
+        assert sorted(
+            os.path.basename(p)[:-4]
+            for p in glob.glob(os.path.join(root, "units", "*.pkl"))
+        ) == sorted(keys)
+        for key in keys:
+            assert decode_slice(fresh.get_unit_memo(key).iface_pickle) \
+                is not None
+        assert not marker.exists()
 
     def test_a_memo_file_naming_os_system_is_dropped(self, tmp_path):
         marker = tmp_path / "ran"
