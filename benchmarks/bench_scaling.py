@@ -103,6 +103,7 @@ def measure_at_size(target_loc: int) -> dict:
         IncrementalChecker,
         ResultCache,
     )
+    from repro.obs.metrics import MetricsRegistry
 
     program = generate_program_of_size(target_loc)
     files = dict(program.files)
@@ -125,8 +126,10 @@ def measure_at_size(target_loc: int) -> dict:
         assert warm_engine.stats.cache_hits == warm_engine.stats.units
 
         # Distributed: a "new machine" with an empty local cache pulls
-        # everything from the cache service the cold run populated.
-        server = CacheServerThread(cache_dir=shared)
+        # everything from the cache service the cold run populated. The
+        # server counts the requests it answered and the bytes it sent.
+        served = MetricsRegistry()
+        server = CacheServerThread(cache_dir=shared, metrics=served)
         try:
             client = CacheClient(server.addr)
             dist_engine = IncrementalChecker(
@@ -142,6 +145,8 @@ def measure_at_size(target_loc: int) -> dict:
 
         row["remote_hits"] = dist_engine.stats.remote_hits
         row["remote_misses"] = dist_engine.stats.remote_misses
+        row["remote_requests"] = served.count("cacheserver.requests")
+        row["reply_bytes"] = served.count("cacheserver.reply_bytes")
         row["warm_speedup"] = round(row["cold_s"] / max(row["warm_s"], 1e-9), 1)
         row["distributed_speedup"] = round(
             row["cold_s"] / max(row["distributed_s"], 1e-9), 1

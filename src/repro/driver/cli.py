@@ -233,7 +233,12 @@ def run(argv: list[str], cache=None) -> tuple[int, str]:
     if opts.get("no_cache"):
         cache = None
     elif "cache_dir" in opts:
-        cache = ResultCache(opts["cache_dir"])
+        try:
+            cache = ResultCache(opts["cache_dir"])
+        except OSError as exc:
+            raise CliError(
+                f"cannot open cache directory {exc.filename}: {exc.strerror}"
+            ) from exc
 
     remote = None
     if "cache_server" in opts:

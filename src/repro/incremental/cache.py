@@ -208,7 +208,10 @@ class ResultCache:
         self.notes: list[str] = []
         self.metrics = metrics if metrics is not None else GLOBAL_METRICS
         self._drops = _Drops()
-        self._ensure_layout()
+        try:
+            self._ensure_layout()
+        except OSError as exc:  # name the directory, not the path in it
+            raise OSError(exc.errno, exc.strerror, self.root) from None
         # Opening may drop a garbled meta.json, counted on this thread;
         # the checking service opens its cache on one thread and runs
         # checks on others, so the next run reports it, as it reports

@@ -24,39 +24,45 @@ a timeout turns every remaining probe into a miss — the client disables
 itself after the first error, records one note, and the run completes
 locally with identical output.
 
-Wire schema (one JSON object per line, one reply per request)::
+Wire schema, version 2 (:data:`WIRE_VERSION`; one request per batch)::
 
+    ← {"ready": true, "cacheserver": true, "wire": 2, ...}
     → {"op": "ping"}
     ← {"ok": true, "pong": true}
-    → {"op": "get", "kind": "result" | "memo", "key": "<hex>"}
-    ← {"ok": true, "hit": true, "payload": "<base64>"} | {"ok": true, "hit": false}
-    → {"op": "put", "kind": "result" | "memo", "key": "<hex>", "payload": "<base64>"}
-    ← {"ok": true, "stored": true}
+    → {"op": "get", "kind": "result" | "memo", "keys": ["<hex>", ...]}
+    ← {"ok": true, "sizes": [n | null, ...]} + the entries' bytes
+    → {"op": "put", "kind": "result" | "memo", "keys": [...],
+       "sizes": [n, ...]} + the entries' bytes
+    ← {"ok": true, "stored": [true | false, ...]}
     → {"op": "stats"}
     ← {"ok": true, "counters": {...}, "cache": "<root>"}
 
-For both kinds a ``payload`` is an entry's bytes as the cache stores
-them (:mod:`.cache` owns that form), in base64. The server decodes only
-puts, with the cache's own decoder, and writes what it received; a
-``get`` is a file read. A stored entry that no longer decodes is a miss
-for the client, and that run's publish overwrites it. Malformed
-requests get ``{"ok": false, "error": ...}`` and the connection stays
-up.
+Each request and reply is one JSON header line; a get reply and a put
+request follow theirs with the entries' bytes, concatenated in key
+order, as many as ``sizes`` says for each key (``null``: a miss). An
+entry's bytes are the bytes the cache stores (:mod:`.cache` owns that
+form). The server decodes only puts, with the cache's own decoder, and
+writes the entries that decode as received; a get is file reads and one
+write. A stored entry that no longer decodes is a miss for the client,
+and that run's publish overwrites it. :data:`CACHE_LINE_MAX_BYTES`
+caps every header line and every entry, not a batch.
 
-The server answers one connection's requests in order, so the client
-pipelines: it writes a window of request lines (at most
-:data:`PIPELINE_WINDOW_BYTES`) and then reads their replies. A warm
-check's 50 memo probes and 50 result probes are two round trips, not
-100.
+A malformed request gets ``{"ok": false, "error": ...}`` and the
+connection stays up, with one exception: a put whose ``sizes`` the
+server cannot trust, since it then cannot find the next request. That
+put gets the error reply and the server closes the connection. A wire 1
+request (one ``key``, its entry inside the line) gets an error naming
+wire 2, and a client refuses a server that does not announce wire 2:
+either way the client's probes are misses.
 """
 
 from __future__ import annotations
 
-import base64
 import json
 import os
 import socket
 import sys
+from itertools import accumulate
 
 from ..messages.message import Message
 from ..obs.metrics import GLOBAL_METRICS
@@ -71,43 +77,39 @@ from .cache import (
     encode_result,
 )
 
-#: Line cap for cache traffic. Memo payloads carry a base64 pickled
-#: interface slice, so the bound is far above the checking protocol's
-#: request cap; it exists to keep a runaway client's cost bounded, not
-#: to police well-behaved payload sizes.
+#: The wire form this module speaks; the ready line announces it.
+WIRE_VERSION = 2
+
+#: Cap on one header line and on one entry's bytes, not on a batch. A
+#: memo carries a pickled interface slice, so the bound is far above the
+#: checking protocol's request cap; it exists to keep a runaway peer's
+#: cost bounded, not to police well-behaved entry sizes.
 CACHE_LINE_MAX_BYTES = 32 << 20
 
 #: Client-side socket timeout: a probe must never stall a check longer
 #: than this before the client declares the server unavailable.
 CLIENT_TIMEOUT_S = 10.0
 
-#: Request bytes the client writes before it stops to read their replies.
-#: The server answers each connection's lines in order, so a window of
-#: requests costs one round trip. The bound keeps unread requests within
-#: what the socket buffers hold: a client still writing a huge window
-#: while the server blocks on replies nobody reads yet would deadlock.
-#: A line longer than the window travels alone.
-PIPELINE_WINDOW_BYTES = 64 << 10
+
+def _entry_size(size) -> bool:
+    """Whether *size* may announce one entry's bytes."""
+    return type(size) is int and 0 <= size <= CACHE_LINE_MAX_BYTES
 
 
-def _entry_bytes(payload) -> bytes | None:
-    """The entry bytes a ``payload`` carries; ``None`` unless it is
-    base64 text."""
-    if not isinstance(payload, str):
-        return None
-    try:
-        return base64.b64decode(payload, validate=True)
-    except ValueError:  # binascii.Error, or text that is not ASCII
-        return None
+def _batch_ok(kind, keys) -> bool:
+    """Whether a batch names an entry kind and a list of keys."""
+    return isinstance(kind, str) and kind in ENTRY_KINDS \
+        and isinstance(keys, list) and all(isinstance(k, str) for k in keys)
 
 
 class CacheServer(LineServer):
     """Serve one cache directory's results and memos to many checkers.
 
     All cache access happens on the event loop thread: entry reads and
-    writes are small file operations. Each ``put`` is one atomic file
-    write, so nothing is left to flush at the drain, and puts from other
-    processes on the same directory are as safe as this server's own.
+    writes are small file operations. Each stored entry is one atomic
+    file write, so nothing is left to flush at the drain, and puts from
+    other processes on the same directory are as safe as this server's
+    own.
     """
 
     MAX_LINE_BYTES = CACHE_LINE_MAX_BYTES
@@ -129,6 +131,7 @@ class CacheServer(LineServer):
         return {
             "ready": True,
             "cacheserver": True,
+            "wire": WIRE_VERSION,
             "pid": os.getpid(),
             "cache": self.cache.root,
         }
@@ -137,86 +140,104 @@ class CacheServer(LineServer):
         return self.describe()
 
     def oversized(self, session, prefix: str, size: int) -> dict:
+        return self._refuse(
+            f"request of {size} bytes exceeds the "
+            f"{CACHE_LINE_MAX_BYTES}-byte line cap"
+        )
+
+    def _refuse(self, error: str) -> dict:
         self.metrics.inc("cacheserver.errors")
-        return {
-            "ok": False,
-            "error": f"request of {size} bytes exceeds the "
-            f"{CACHE_LINE_MAX_BYTES}-byte line cap",
-        }
+        return {"ok": False, "error": error}
 
-    async def handle_line(self, session, line: str) -> bool:
-        await session.send(self._handle_request(line))
-        return False
-
-    def _handle_request(self, line: str) -> dict:
+    async def handle_line(self, session, line: str, lines) -> bool:
         self.metrics.inc("cacheserver.requests")
+        reply, tail, close = await self._answer(line, lines)
+        sent = await session.send(reply, tail)
+        self.metrics.inc("cacheserver.reply_bytes", sent)
+        return close
+
+    async def _answer(self, line: str, lines) -> tuple[dict, bytes, bool]:
+        """A request's reply header, the bytes after it, and whether to
+        close the connection."""
         try:
             request = json.loads(line)
         except ValueError:
-            self.metrics.inc("cacheserver.errors")
-            return {"ok": False, "error": "request is not valid JSON"}
+            request = None
         if not isinstance(request, dict):
-            self.metrics.inc("cacheserver.errors")
-            return {"ok": False, "error": "request must be a JSON object"}
+            return self._refuse("request must be a JSON object"), b"", False
         op = request.get("op")
+        if "key" in request:  # wire 1 named one key, its entry in the line
+            return self._refuse(
+                f"a one-key {op} is wire 1; this cache server speaks wire "
+                f"{WIRE_VERSION}"
+            ), b"", False
+        if op == "get":
+            return (*self._get(request), False)
+        if op == "put":
+            return await self._put(lines, request)
+        if op == "ping":
+            return {"ok": True, "pong": True}, b"", False
+        if op == "stats":
+            return {
+                "ok": True,
+                "cache": self.cache.root,
+                "counters": {
+                    f"cacheserver.{name}": self.metrics.count(
+                        f"cacheserver.{name}"
+                    )
+                    for name in ("requests", "hits", "misses", "puts", "errors")
+                },
+            }, b"", False
+        return self._refuse(f"unknown op {op!r}"), b"", False
+
+    def _get(self, request: dict) -> tuple[dict, bytes]:
+        """The reply header and the found entries' stored bytes, read
+        from their files and never decoded."""
+        kind, keys = request.get("kind"), request.get("keys")
+        if not _batch_ok(kind, keys):
+            return self._refuse("get needs kind result|memo + keys"), b""
         try:
-            if op == "ping":
-                return {"ok": True, "pong": True}
-            if op == "stats":
-                return {
-                    "ok": True,
-                    "cache": self.cache.root,
-                    "counters": {
-                        name: self.metrics.count(name)
-                        for name in (
-                            "cacheserver.requests",
-                            "cacheserver.hits",
-                            "cacheserver.misses",
-                            "cacheserver.puts",
-                            "cacheserver.errors",
-                        )
-                    },
-                }
-            if op in ("get", "put"):
-                kind, key = request.get("kind"), request.get("key")
-                if not (isinstance(kind, str) and isinstance(key, str)) \
-                        or kind not in ENTRY_KINDS:
-                    self.metrics.inc("cacheserver.errors")
-                    return {
-                        "ok": False,
-                        "error": f"{op} needs kind result|memo + key",
-                    }
-                if op == "get":
-                    return self._get_entry(kind, key)
-                return self._put_entry(kind, key, request.get("payload"))
-        except ValueError as exc:
-            # A non-hex key raises from the cache's path validation.
-            self.metrics.inc("cacheserver.errors")
-            return {"ok": False, "error": str(exc)}
+            found = [self.cache.read_entry(kind, key) for key in keys]
+        except ValueError as exc:  # a key that is not a hex digest
+            return self._refuse(str(exc)), b""
+        hits = [data for data in found if data is not None]
+        self.metrics.inc("cacheserver.hits", len(hits))
+        self.metrics.inc("cacheserver.misses", len(found) - len(hits))
+        sizes = [None if data is None else len(data) for data in found]
+        return {"ok": True, "sizes": sizes}, b"".join(hits)
+
+    async def _put(self, lines, request: dict) -> tuple[dict, bytes, bool]:
+        """Read the entries after the header and store each one that
+        decodes, as received. Close the connection when the sizes cannot
+        be trusted to find the next request."""
+        sizes = request.get("sizes")
+        if not (isinstance(sizes, list) and all(map(_entry_size, sizes))):
+            return self._refuse(
+                "put needs sizes: one byte count per entry, at most "
+                f"{CACHE_LINE_MAX_BYTES}; closing the connection"
+            ), b"", True
+        kind, keys = request.get("kind"), request.get("keys")
+        well_formed = _batch_ok(kind, keys) and len(keys) == len(sizes)
+        stored = []
+        for index, size in enumerate(sizes):
+            data = await lines.read_exactly(size)
+            if well_formed:
+                stored.append(self._store(kind, keys[index], data))
+        if not well_formed:
+            return self._refuse(
+                "put needs kind result|memo + keys, one per size"
+            ), b"", False
+        self.metrics.inc("cacheserver.puts", sum(stored))
+        return {"ok": True, "stored": stored}, b"", False
+
+    def _store(self, kind: str, key: str, data: bytes) -> bool:
+        try:
+            if self.cache.write_entry(kind, key, data):
+                return True
+        except ValueError:  # a key that is not a hex digest
+            pass
         self.metrics.inc("cacheserver.errors")
-        return {"ok": False, "error": f"unknown op {op!r}"}
-
-    def _get_entry(self, kind: str, key: str) -> dict:
-        """A file read: the stored bytes go out as they are."""
-        data = self.cache.read_entry(kind, key)
-        if data is None:
-            self.metrics.inc("cacheserver.misses")
-            return {"ok": True, "hit": False}
-        self.metrics.inc("cacheserver.hits")
-        return {
-            "ok": True,
-            "hit": True,
-            "payload": base64.b64encode(data).decode("ascii"),
-        }
-
-    def _put_entry(self, kind: str, key: str, payload) -> dict:
-        """Store the payload's bytes as received, if they decode."""
-        data = _entry_bytes(payload)
-        if data is None or not self.cache.write_entry(kind, key, data):
-            self.metrics.inc("cacheserver.errors")
-            return {"ok": False, "error": f"malformed {kind} payload"}
-        self.metrics.inc("cacheserver.puts")
-        return {"ok": True, "stored": True}
+        return False
 
 
 class CacheServerThread(LineServerThread):
@@ -237,12 +258,12 @@ class CacheServerThread(LineServerThread):
 class CacheClient:
     """Synchronous client used by the engine on local cache misses.
 
-    The batch calls (``get_memos``, ``get_results``, ``put_memos``,
-    ``put_results``) pipeline their requests (:meth:`_exchange`); the
-    per-key calls are their one-key case. Every method degrades to a
-    miss / no-op on failure; the first transport or protocol error
-    marks the client dead so one unreachable server costs one connect
-    attempt, not one per unit. ``drain_notes`` hands the engine the
+    Each batch call (``get_memos``, ``get_results``, ``put_memos``,
+    ``put_results``) is one request (:meth:`_exchange`); the per-key
+    calls are their one-key case. Every method degrades to a miss /
+    no-op on failure; the first transport or protocol error marks the
+    client dead so one unreachable server costs one connect attempt,
+    not one per unit. ``drain_notes`` hands the engine the
     human-readable reason for the run's notes.
     """
 
@@ -273,44 +294,47 @@ class CacheClient:
         ready = json.loads(self._read_line())
         if not ready.get("ready"):
             raise ConnectionError("cache server did not announce ready")
+        if ready.get("wire") != WIRE_VERSION:
+            raise ConnectionError(
+                f"cache server speaks wire {ready.get('wire', 1)}, "
+                f"this client wire {WIRE_VERSION}"
+            )
 
-    def _exchange(self, requests: list[dict]) -> list[dict | None]:
-        """Send *requests* pipelined, one window at a time, and return
-        their replies in request order.
-
-        A request whose reply never arrived (the client failed on it or
-        on an earlier one, and is now dead) gets ``None``.
+    def _exchange(self, request: dict, tail: bytes = b"") -> dict | None:
+        """Send one request, its header line and *tail* in one write, and
+        return its reply. A get's reply gains ``entries``: each key's
+        bytes, or ``None``. ``None`` when the client is dead, or dies on
+        this request.
         """
-        replies: list[dict | None] = []
-        if self.dead or not requests:
-            return [None] * len(requests)
-        lines = [(json.dumps(r) + "\n").encode("utf-8") for r in requests]
+        if self.dead:
+            return None
+        self.metrics.inc("cacheserver.client.requests")
         try:
             if self._file is None:
                 self._connect()
-            assert self._file is not None
-            start = 0
-            while start < len(lines):
-                end, size = start + 1, len(lines[start])
-                while end < len(lines) and \
-                        size + len(lines[end]) <= PIPELINE_WINDOW_BYTES:
-                    size += len(lines[end])
-                    end += 1
-                self._file.write(b"".join(lines[start:end]))
-                self._file.flush()
-                for _ in range(start, end):
-                    replies.append(self._read_reply())
-                start = end
+            line = (json.dumps(request) + "\n").encode("utf-8")
+            self._file.write(line + tail)
+            self._file.flush()
+            reply = json.loads(self._read_line())
+            if not isinstance(reply, dict) or not reply.get("ok"):
+                raise ValueError(
+                    str(reply.get("error", "malformed reply"))
+                    if isinstance(reply, dict) else "malformed reply"
+                )
+            if request["op"] == "get":
+                reply["entries"] = self._read_entries(
+                    reply.get("sizes"), len(request["keys"])
+                )
+            return reply
         except (KeyboardInterrupt, SystemExit):
             raise
         except Exception as exc:
             self._fail(exc)
-        return replies + [None] * (len(requests) - len(replies))
+            return None
 
     def _read_line(self) -> str:
-        """One line from the server, at most the server's own line cap;
-        a longer or unterminated line is a transport failure."""
-        assert self._file is not None
+        """One line from the server, at most the line cap; a longer or
+        unterminated line is a transport failure."""
         line = self._file.readline(CACHE_LINE_MAX_BYTES + 1)
         if not line:
             raise ConnectionError("cache server closed the connection")
@@ -321,18 +345,23 @@ class CacheClient:
             )
         return line.decode("utf-8")
 
-    def _read_reply(self) -> dict:
-        reply = json.loads(self._read_line())
-        if not isinstance(reply, dict) or not reply.get("ok"):
+    def _read_entries(self, sizes, count: int) -> list[bytes | None]:
+        """The entry bytes after a get reply, split by its *sizes*."""
+        if not (isinstance(sizes, list) and len(sizes) == count and all(
+            size is None or _entry_size(size) for size in sizes
+        )):
             raise ValueError(
-                str((reply or {}).get("error", "malformed reply"))
-                if isinstance(reply, dict)
-                else "malformed reply"
+                f"get reply sizes are not {count} entry sizes of at most "
+                f"the {CACHE_LINE_MAX_BYTES}-byte cap"
             )
-        return reply
-
-    def _request(self, payload: dict) -> dict | None:
-        return self._exchange([payload])[0]
+        ends = list(accumulate((size or 0 for size in sizes), initial=0))
+        body = self._file.read(ends[-1])
+        if len(body) != ends[-1]:
+            raise ConnectionError(
+                "cache server closed the connection inside a reply"
+            )
+        return [None if size is None else body[end - size:end]
+                for size, end in zip(sizes, ends[1:])]
 
     def _fail(self, exc: Exception) -> None:
         self.dead = True
@@ -361,44 +390,45 @@ class CacheClient:
     # -- operations ----------------------------------------------------------
 
     def ping(self) -> bool:
-        reply = self._request({"op": "ping"})
+        reply = self._exchange({"op": "ping"})
         return bool(reply and reply.get("pong"))
 
     def stats(self) -> dict | None:
-        return self._request({"op": "stats"})
+        return self._exchange({"op": "stats"})
 
     def _get(self, kind: str, keys: list[str]) -> list:
-        decode = ENTRY_KINDS[kind].decode
-        replies = self._exchange(
-            [{"op": "get", "kind": kind, "key": key} for key in keys]
-        )
-        found = []
-        for reply in replies:
-            value = None
-            if reply is not None and reply.get("hit"):
-                data = _entry_bytes(reply.get("payload"))
-                if data is not None:
-                    value = decode(data)
-            self.metrics.inc(
-                "cacheserver.client.misses" if value is None
-                else "cacheserver.client.hits"
-            )
-            found.append(value)
+        found = [None] * len(keys)
+        reply = self._exchange({"op": "get", "kind": kind, "keys": keys}) \
+            if keys else None
+        if reply is not None:
+            decode = ENTRY_KINDS[kind].decode
+            found = [
+                None if data is None else decode(data)
+                for data in reply["entries"]
+            ]
+        hits = sum(1 for value in found if value is not None)
+        if hits:
+            self.metrics.inc("cacheserver.client.hits", hits)
+        if len(found) - hits:
+            self.metrics.inc("cacheserver.client.misses", len(found) - hits)
         return found
 
     def _put(self, kind: str, entries: list[tuple[str, bytes]]) -> None:
-        replies = self._exchange([
-            {"op": "put", "kind": kind, "key": key,
-             "payload": base64.b64encode(data).decode("ascii")}
-            for key, data in entries
-        ])
-        stored = sum(1 for reply in replies if reply is not None)
-        if stored:
-            self.metrics.inc("cacheserver.client.puts", stored)
+        if not entries:
+            return
+        reply = self._exchange(
+            {"op": "put", "kind": kind,
+             "keys": [key for key, _ in entries],
+             "sizes": [len(data) for _, data in entries]},
+            b"".join(data for _, data in entries),
+        )
+        stored = reply.get("stored") if reply is not None else None
+        if isinstance(stored, list) and stored.count(True):
+            self.metrics.inc("cacheserver.client.puts", stored.count(True))
 
     def get_results(self, fingerprints: list[str]) -> list:
         """One ``(messages, suppressed)`` per fingerprint on a remote hit,
-        ``None`` on a miss, in one pipelined exchange."""
+        ``None`` on a miss, in one request."""
         return self._get("result", fingerprints)
 
     def get_memos(self, keys: list[str]) -> list[UnitMemo | None]:

@@ -29,7 +29,7 @@ import sys
 
 from ..core.api import ensure_process_initialized
 from ..obs.metrics import GLOBAL_METRICS
-from ..service.lineserver import parse_options
+from ..service.lineserver import CannotStart, open_server, parse_options
 from ..service.protocol import (
     CHUNK_BYTES,
     MAX_REQUEST_BYTES,
@@ -112,10 +112,11 @@ def run_daemon(argv: list[str]) -> int:
     """Entry for ``pylclint --daemon [--cache-dir D] [--no-cache]``."""
     try:
         settings = parse_options(argv, DaemonServer.OPTIONS)
-    except ValueError as exc:
+        daemon = open_server(DaemonServer, settings)
+    except (ValueError, CannotStart) as exc:
         print(f"pylclint: {exc}", file=sys.stderr)
         return 2
-    return DaemonServer(**settings).serve()
+    return daemon.serve()
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -31,25 +31,28 @@ _THREAD_WAIT_S = 30.0
 
 
 class Connection:
-    """One client connection: reply lines written one at a time."""
+    """One client connection: replies written one at a time."""
 
     def __init__(self, writer: asyncio.StreamWriter) -> None:
         self.writer = writer
         self.closed = False
         self._write_lock = asyncio.Lock()
 
-    async def send(self, payload: dict) -> None:
-        """Write one reply line; a dead connection is abandoned instead
-        of raising."""
+    async def send(self, payload: dict, tail: bytes = b"") -> int:
+        """Write one reply line, and the bytes *tail* after it, in one
+        write; returns the bytes written. A dead connection is abandoned
+        instead of raising."""
         if self.closed:
-            return
-        data = (json.dumps(payload) + "\n").encode("utf-8")
+            return 0
+        data = (json.dumps(payload) + "\n").encode("utf-8") + tail
         try:
             async with self._write_lock:
                 self.writer.write(data)
                 await self.writer.drain()
         except (ConnectionError, RuntimeError, OSError):
             self.abandon("client disconnected")
+            return 0
+        return len(data)
 
     def abandon(self, reason: str) -> None:
         """Stop replying: the client is gone or the session is over."""
@@ -90,13 +93,13 @@ class LineServer:
     # -- lifecycle -----------------------------------------------------------
 
     async def start(self) -> None:
-        """Bind the listeners."""
+        """Bind the listeners; :class:`CannotStart` if one cannot bind."""
         self._stopped = asyncio.Event()
         if self.port is not None:
-            server = await asyncio.start_server(
-                self._serve_connection, host=self.host, port=self.port
+            server = await self._listen(
+                f"{self.host}:{self.port}", asyncio.start_server,
+                host=self.host, port=self.port,
             )
-            self._servers.append(server)
             host, port = server.sockets[0].getsockname()[:2]
             self.bound_addr = f"{host}:{port}"
         if self.unix_path is not None:
@@ -104,9 +107,20 @@ class LineServer:
                 os.unlink(self.unix_path)  # left by a killed server
             except OSError:
                 pass
-            self._servers.append(await asyncio.start_unix_server(
-                self._serve_connection, path=self.unix_path
-            ))
+            await self._listen(
+                f"unix:{self.unix_path}", asyncio.start_unix_server,
+                path=self.unix_path,
+            )
+
+    async def _listen(self, addr: str, start, **where):
+        try:
+            server = await start(self._serve_connection, **where)
+        except OSError as exc:
+            for bound in self._servers:
+                bound.close()
+            raise CannotStart(f"listen on {addr}", exc) from None
+        self._servers.append(server)
+        return server
 
     async def run(self, announce=None) -> int:
         """Serve until a drain finishes; returns the exit status (0)."""
@@ -177,12 +191,12 @@ class LineServer:
                 if kind == "oversized":
                     await session.send(self.oversized(session, *payload))
                 elif payload.strip() and await self.handle_line(
-                    session, payload
+                    session, payload, lines
                 ):
                     break
             await self.end_session(session, reader)
-        except (ConnectionError, OSError):
-            pass  # a mid-read reset is an ordinary disconnect
+        except (ConnectionError, OSError, asyncio.IncompleteReadError):
+            pass  # a reset, or a stream cut inside a payload: a disconnect
         except Exception:
             self.metrics.inc(f"{self.METRIC_PREFIX}.sessions.errors")
         finally:
@@ -208,8 +222,10 @@ class LineServer:
         """The reply to a *size*-byte line over the cap (*prefix*: its start)."""
         raise NotImplementedError
 
-    async def handle_line(self, session, line: str) -> bool:
-        """Answer one non-blank line; True ends the session."""
+    async def handle_line(self, session, line: str, lines) -> bool:
+        """Answer one non-blank line; True ends the session. *lines* is
+        the connection's :class:`LineReader`, which holds the bytes
+        after the line."""
         raise NotImplementedError
 
     async def end_session(self, session, reader) -> None:
@@ -222,21 +238,43 @@ class LineServer:
 
     @classmethod
     def serve_command(cls, argv: list[str], prog: str) -> int:
-        """Entry point: serve until a signal drains the server; 2 on bad usage."""
+        """Entry point: serve until a signal drains the server; 2 on bad
+        usage, or when the server cannot open its cache or bind."""
         try:
             settings = parse_options(argv, cls.OPTIONS)
         except ValueError as exc:
             print(f"{prog}: {exc}", file=sys.stderr)
             return 2
-        server = cls(**settings)
 
         def announce(payload: dict) -> None:
             print(json.dumps(payload), flush=True)
 
         try:
+            server = open_server(cls, settings)
             return asyncio.run(server.run(announce=announce))
+        except CannotStart as exc:
+            print(f"{prog}: {exc}", file=sys.stderr)
+            return 2
         except KeyboardInterrupt:  # pragma: no cover - signal-handler race
             return 0
+
+
+class CannotStart(Exception):
+    """A server could not open its cache directory or bind an address."""
+
+    def __init__(self, what: str, exc: OSError) -> None:
+        reason = os.strerror(exc.errno) if exc.errno else str(exc)
+        super().__init__(f"cannot {what}: {reason}")
+
+
+def open_server(cls, settings: dict):
+    """``cls(**settings)``, the server's cache opened; :class:`CannotStart`
+    if its cache directory cannot be."""
+    try:
+        return cls(**settings)
+    except OSError as exc:
+        raise CannotStart(f"open cache directory {exc.filename}", exc) \
+            from None
 
 
 class LineServerThread:

@@ -50,7 +50,6 @@ import asyncio
 import json
 import re
 import shlex
-from collections import deque
 from dataclasses import dataclass
 
 #: Hard cap on one request line. A client that streams a huge (or
@@ -288,7 +287,13 @@ def _prefix(line: bytearray) -> str:
 
 
 class LineReader:
-    """A :class:`LineFramer` over an asyncio stream."""
+    """A :class:`LineFramer` over an asyncio stream, one line at a time.
+
+    It keeps the bytes it has read but not framed, and feeds the framer
+    only whole lines (or a line's first bytes past the cap), so the bytes
+    after a line stay unframed until asked for: :meth:`read_exactly`
+    takes a payload that follows its request line from the same buffer.
+    """
 
     def __init__(
         self,
@@ -296,20 +301,40 @@ class LineReader:
         max_bytes: int = MAX_REQUEST_BYTES,
     ) -> None:
         self._reader = reader
+        self._max_bytes = max_bytes
         self._framer = LineFramer(max_bytes)
-        self._events: deque = deque()
+        self._pending = bytearray()
 
     async def next_line(self):
         """Returns ``("line", text)``, ``("oversized", (prefix, size))``,
         or ``("eof", None)``."""
-        while not self._events:
+        pending = self._pending
+        while (idx := pending.find(b"\n")) < 0:
+            if len(pending) > self._max_bytes:
+                self._framer.feed(bytes(pending))  # starts dropping the line
+                pending.clear()
             chunk = await self._reader.read(CHUNK_BYTES)
-            if chunk:
-                self._events.extend(self._framer.feed(chunk))
-            else:
-                self._events.extend(self._framer.close())
-                self._events.append(("eof", None))
-        return self._events.popleft()
+            if not chunk:
+                events = self._framer.feed(bytes(pending))
+                events += self._framer.close()
+                pending.clear()
+                return events[0] if events else ("eof", None)
+            pending += chunk
+        line = bytes(pending[:idx + 1])
+        del pending[:idx + 1]
+        return self._framer.feed(line)[0]
+
+    async def read_exactly(self, size: int) -> bytes:
+        """The next *size* bytes after the last line; raises
+        :class:`asyncio.IncompleteReadError` if the stream ends first."""
+        pending = self._pending
+        if len(pending) >= size:
+            data = bytes(pending[:size])
+            del pending[:size]
+            return data
+        head = bytes(pending)
+        pending.clear()
+        return head + await self._reader.readexactly(size - len(head))
 
 
 def parse_addr(value: str) -> tuple[str | None, int | None, str | None]:

@@ -165,13 +165,13 @@ class CheckingService(LineServer):
     # -- lifecycle -----------------------------------------------------------
 
     async def start(self) -> None:
-        """Pay the prelude parse once, bind listeners, start workers."""
+        """Bind listeners, pay the prelude parse once, start workers."""
+        await super().start()
         loop = asyncio.get_running_loop()
         self._pool = ThreadPoolExecutor(
             max_workers=self.workers, thread_name_prefix="pylclint-check"
         )
         await loop.run_in_executor(self._pool, ensure_process_initialized)
-        await super().start()
         for _ in range(self.workers):
             self._worker_tasks.append(asyncio.ensure_future(self._worker()))
 
@@ -222,7 +222,7 @@ class CheckingService(LineServer):
         await session.send_bye()
         await _close_after_bye(reader, session.writer)
 
-    async def handle_line(self, session: Session, line: str) -> bool:
+    async def handle_line(self, session: Session, line: str, lines) -> bool:
         """Answer or admit one request line; True ends the session."""
         request = session.ledger.take(line)
         if request is None:

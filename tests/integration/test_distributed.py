@@ -162,27 +162,22 @@ def count_decodes(monkeypatch):
 
 class TestWarmPulls:
     """A fully-warm run answers every unit from the caches: two
-    pipelined exchanges with the cache service, no interface decoded,
-    no program symbol table built until a caller asks for it."""
+    requests to the cache service, no interface decoded, no program
+    symbol table built until a caller asks for it."""
 
     def test_remote_only_pull(
-        self, corpus, serial_renders, tmp_path, count_decodes, monkeypatch
+        self, corpus, serial_renders, tmp_path, count_decodes
     ):
         shared = str(tmp_path / "shared")
         cold = IncrementalChecker(cache=ResultCache(shared))
         cold_result = cold.check_sources(dict(corpus))
         cold_content = _content(cold_result.symtab)
 
-        server = CacheServerThread(cache_dir=shared)
+        served = MetricsRegistry()
+        server = CacheServerThread(cache_dir=shared, metrics=served)
         try:
-            exchanges = []
-            real = CacheClient._exchange
-            monkeypatch.setattr(
-                CacheClient, "_exchange",
-                lambda self, requests: exchanges.append(len(requests))
-                or real(self, requests),
-            )
-            client = CacheClient(server.addr)
+            metrics = MetricsRegistry()
+            client = CacheClient(server.addr, metrics=metrics)
             del count_decodes[:]
             pull = IncrementalChecker(remote=client)
             result = pull.check_sources(dict(corpus))
@@ -194,9 +189,11 @@ class TestWarmPulls:
         assert pull.stats.remote_hits == 2 * units
         assert pull.stats.remote_misses == 0
         assert pull.stats.symtab_s == 0.0
-        # One exchange of memo probes, one of result probes; the write
-        # stage has nothing to publish (empty exchanges send nothing).
-        assert [n for n in exchanges if n] == [units, units]
+        # One request of memo probes, one of result probes; the write
+        # stage has nothing to publish (an empty batch sends nothing).
+        assert metrics.count("cacheserver.client.requests") == 2
+        assert served.count("cacheserver.requests") == 2
+        assert served.count("cacheserver.hits") == 2 * units
         assert count_decodes == []
         # Reading the symbol table builds it from the memos' slices.
         assert _content(result.symtab) == cold_content
@@ -306,7 +303,7 @@ class TestWarmPulls:
         # Only the unedited drive.c's memo, which no run probes, is left.
         assert len(still_bad) == 1
 
-    def test_server_dying_mid_window(self, corpus, serial_renders, tmp_path):
+    def test_server_dying_mid_reply(self, corpus, serial_renders, tmp_path):
         from tests.unit.test_cacheserver import DyingServer
 
         dying = DyingServer(answer=1)

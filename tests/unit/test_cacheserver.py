@@ -2,6 +2,7 @@
 
 import base64
 import json
+import os
 import socket
 import threading
 import time
@@ -10,7 +11,12 @@ import pytest
 
 from repro.frontend.source import Location
 from repro.incremental import cache as cache_mod
-from repro.incremental.cache import ResultCache, UnitMemo
+from repro.incremental.cache import (
+    ResultCache,
+    UnitMemo,
+    encode_memo,
+    encode_result,
+)
 from repro.incremental import cacheserver
 from repro.incremental.cacheserver import CacheClient, CacheServerThread
 from repro.messages.message import Message, MessageCode
@@ -20,19 +26,19 @@ FP = "ab" * 32
 KEY = "cd" * 32
 
 
-def _message():
+def _message(text="possible null dereference of p"):
     return Message(
         code=MessageCode.NULL_DEREF,
         location=Location("u.c", 3, 1),
-        text="possible null dereference of p",
+        text=text,
     )
 
 
-def _memo():
+def _memo(iface_pickle=b"\x80\x04N."):  # pickled None: opaque bytes
     return UnitMemo(
         token_digest="11" * 32,
         iface_digest="22" * 32,
-        iface_pickle=b"\x80\x04N.",  # pickled None: payload is opaque bytes
+        iface_pickle=iface_pickle,
         includes=[("", "u.h", False, "u.h", "33" * 32)],
         enum_consts={"N": 4},
     )
@@ -98,66 +104,180 @@ class TestRoundTrips:
         assert stats["counters"]["cacheserver.misses"] >= 1
         client.close()
 
+    def test_entries_holding_newlines_round_trip(self, server):
+        # The entries travel as raw bytes after a header line, so a
+        # newline inside one must not end it.
+        memo = _memo(iface_pickle=b"\n" * 40 + b"\x80\x04N.\n")
+        assert b"\n" in encode_memo(memo)
+        message = _message("one line\nand the next")
+        client = CacheClient(server.addr)
+        client.put_memos([(KEY, memo), (FP, _memo())])
+        client.put_results([(FP, [message], 1), (KEY, [message], 0)])
+        assert client.get_memos([KEY, FP]) == [memo, _memo()]
+        found = client.get_results([KEY, FP])
+        assert [_shape(r) for r in found] == [
+            ([message.render()], 0), ([message.render()], 1),
+        ]
+        assert client.ping() and not client.dead
+        client.close()
 
-def _raw(server, *lines):
-    """Send raw request *lines* on one connection; their replies."""
-    host, port = server.addr.rsplit(":", 1)
-    with socket.create_connection((host, int(port)), timeout=5) as sock:
-        file = sock.makefile("rwb")
-        file.readline()  # ready line
-        replies = []
-        for line in lines:
-            file.write(line + b"\n")
-            file.flush()
-            replies.append(json.loads(file.readline()))
-        return replies
+    def test_an_empty_message_result_is_a_hit(self, server):
+        client = CacheClient(server.addr)
+        client.put_result(FP, [], 0)
+        assert client.get_result(FP) == ([], 0)
+        client.close()
+
+    def test_an_entry_larger_than_a_read_chunk_round_trips(
+        self, server, tmp_path
+    ):
+        memo = _memo(iface_pickle=os.urandom(200_000))  # > 64 KiB
+        client = CacheClient(server.addr)
+        client.put_memos([(KEY, memo), (FP, _memo())])
+        assert client.get_memos([FP, KEY, FP]) == [_memo(), memo, _memo()]
+        client.close()
+        shared = ResultCache(str(tmp_path / "shared"))
+        assert shared.read_entry("memo", KEY) == encode_memo(memo)
+
+
+class Raw:
+    """One raw connection to a cache server at *addr*: requests out,
+    replies (and the entry bytes after them) in."""
+
+    def __init__(self, addr: str) -> None:
+        host, port = addr.rsplit(":", 1)
+        self.sock = socket.create_connection((host, int(port)), timeout=5)
+        self.file = self.sock.makefile("rwb")
+        self.ready = json.loads(self.file.readline())
+
+    def ask(self, request, tail: bytes = b""):
+        """Send one request line (a dict, or raw bytes) and *tail*;
+        return its reply and the entry bytes its ``sizes`` announce."""
+        if isinstance(request, dict):
+            request = json.dumps(request).encode()
+        self.file.write(request + b"\n" + tail)
+        self.file.flush()
+        reply = json.loads(self.file.readline())
+        sizes = reply.get("sizes") or []
+        return reply, self.file.read(sum(n for n in sizes if n))
+
+    def closed_by_server(self) -> bool:
+        return self.file.read() == b""
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.file.close()
+        self.sock.close()
+
+
+def _put(kind, entries):
+    """A put request for ``(key, bytes)`` *entries*, and its tail."""
+    return (
+        {"op": "put", "kind": kind, "keys": [key for key, _ in entries],
+         "sizes": [len(data) for _, data in entries]},
+        b"".join(data for _, data in entries),
+    )
 
 
 class TestServerRobustness:
     def test_garbage_line_gets_error_reply_and_connection_survives(
         self, server
     ):
-        replies = _raw(
-            server, b"not json", json.dumps({"op": "ping"}).encode()
-        )
-        assert replies[0]["ok"] is False
-        assert replies[1] == {"ok": True, "pong": True}
+        with Raw(server.addr) as raw:
+            assert raw.ask(b"not json")[0]["ok"] is False
+            assert raw.ask(b"[1, 2]")[0]["ok"] is False
+            assert raw.ask({"op": "ping"}) == ({"ok": True, "pong": True}, b"")
 
     def test_unknown_op_is_rejected(self, server):
-        (reply,) = _raw(server, json.dumps({"op": "explode"}).encode())
+        with Raw(server.addr) as raw:
+            reply, _ = raw.ask({"op": "explode"})
         assert reply["ok"] is False and "unknown op" in reply["error"]
 
     @pytest.mark.parametrize("op", ["get", "put"])
     @pytest.mark.parametrize("kind", [None, "unit", [], {}])
-    def test_a_bad_kind_is_rejected(self, server, op, kind):
-        request = {"op": op, "kind": kind, "key": FP, "payload": ""}
-        reply, pong = _raw(
-            server, json.dumps(request).encode(),
-            json.dumps({"op": "ping"}).encode(),
-        )
-        assert reply == {
-            "ok": False, "error": f"{op} needs kind result|memo + key",
-        }
-        assert pong == {"ok": True, "pong": True}
+    def test_a_bad_kind_is_rejected(self, server, tmp_path, op, kind):
+        request, tail = _put(kind, [(FP, encode_result([], 0))])
+        if op == "get":
+            request, tail = {"op": "get", "kind": kind, "keys": [FP]}, b""
+        with Raw(server.addr) as raw:
+            reply, body = raw.ask(request, tail)
+            assert raw.ask({"op": "ping"})[0] == {"ok": True, "pong": True}
+        assert reply["ok"] is False and body == b""
+        assert reply["error"].startswith(f"{op} needs kind result|memo + keys")
+        shared = ResultCache(str(tmp_path / "shared"))
+        assert shared.read_entry("result", FP) is None
+
+    def test_a_put_with_keys_and_sizes_of_different_lengths_is_rejected(
+        self, server, tmp_path
+    ):
+        request, tail = _put("result", [(FP, encode_result([], 0))])
+        request["keys"].append(KEY)
+        with Raw(server.addr) as raw:
+            reply, _ = raw.ask(request, tail)
+            assert raw.ask({"op": "ping"})[0] == {"ok": True, "pong": True}
+        assert reply["ok"] is False
+        assert ResultCache(str(tmp_path / "shared")).read_entry(
+            "result", FP
+        ) is None
 
     def test_non_hex_key_is_rejected(self, server):
-        (reply,) = _raw(
-            server,
-            json.dumps(
-                {"op": "get", "kind": "result", "key": "../escape"}
-            ).encode(),
-        )
-        assert reply["ok"] is False
+        entry = encode_result([], 0)
+        with Raw(server.addr) as raw:
+            reply, body = raw.ask(
+                {"op": "get", "kind": "result", "keys": [FP, "../escape"]}
+            )
+            assert reply["ok"] is False and body == b""
+            reply, _ = raw.ask(
+                *_put("result", [("../escape", entry), (FP, entry)])
+            )
+            assert reply == {"ok": True, "stored": [False, True]}
 
-    def test_malformed_put_payload_is_rejected(self, server):
-        (reply,) = _raw(
-            server,
-            json.dumps(
-                {"op": "put", "kind": "result", "key": FP,
-                 "payload": {"messages": "nope"}}
-            ).encode(),
-        )
-        assert reply["ok"] is False
+    def test_malformed_put_payload_is_rejected(self, server, tmp_path):
+        good = encode_result([_message()], 1)
+        with Raw(server.addr) as raw:
+            reply, _ = raw.ask(*_put("result", [
+                (FP, good), (KEY, b'{"messages": "nope"}'), ("ef" * 32, good),
+            ]))
+        assert reply == {"ok": True, "stored": [True, False, True]}
+        shared = ResultCache(str(tmp_path / "shared"))
+        assert shared.read_entry("result", FP) == good
+        assert shared.read_entry("result", KEY) is None
+
+    @pytest.mark.parametrize("sizes", [
+        "missing", None, 7, [-1], ["7"], [1.5], [True], [None],
+        [32 << 20, 0, (32 << 20) + 1],
+    ])
+    def test_a_put_with_untrusted_sizes_closes_the_connection(
+        self, server, tmp_path, sizes
+    ):
+        # The server cannot tell where the next request starts, so it
+        # answers once and hangs up rather than read entry bytes as lines.
+        request = {"op": "put", "kind": "result", "keys": [FP], "sizes": sizes}
+        if sizes == "missing":
+            del request["sizes"]
+        with Raw(server.addr) as raw:
+            reply, _ = raw.ask(request, encode_result([], 0) + b"\n")
+            assert raw.closed_by_server()
+        assert reply["ok"] is False and "closing the connection" in \
+            reply["error"]
+        assert ResultCache(str(tmp_path / "shared")).read_entry(
+            "result", FP
+        ) is None
+
+    def test_put_sizes_at_the_cap_and_one_over(
+        self, server, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(cacheserver, "CACHE_LINE_MAX_BYTES", 100)
+        at_cap = encode_result([], 0).ljust(100)  # JSON allows the blanks
+        with Raw(server.addr) as raw:
+            reply, _ = raw.ask(*_put("result", [(FP, at_cap)]))
+            assert reply == {"ok": True, "stored": [True]}
+            reply, _ = raw.ask(*_put("result", [(KEY, at_cap + b" ")]))
+            assert reply["ok"] is False and raw.closed_by_server()
+        shared = ResultCache(str(tmp_path / "shared"))
+        assert shared.read_entry("result", FP) == at_cap
+        assert shared.read_entry("result", KEY) is None
 
 
 class TestClientDegradation:
@@ -174,6 +294,7 @@ class TestClientDegradation:
         assert len(notes) == 1 and "unavailable" in notes[0]
         assert client.drain_notes() == []
         assert metrics.count("cacheserver.client.errors") == 1
+        assert metrics.count("cacheserver.client.requests") == 1
 
     def test_protocol_garbage_marks_client_dead(self, server):
         client = CacheClient(server.addr)
@@ -218,10 +339,15 @@ def _shape(found):
     return [m.render() for m in messages], suppressed
 
 
+READY = b'{"ready": true, "cacheserver": true, "wire": 2}\n'
+ENTRY = encode_result([], 0)
+
+
 class DyingServer:
-    """A cache server that announces itself, answers the first *answer*
-    requests of its one connection with misses, and then drops the
-    connection while the client's window is still in flight."""
+    """A wire 2 cache server whose one connection answers its first
+    *answer* requests with misses (or stores), and answers the next with
+    a reply header that promises every key's entry, then drops the
+    connection after half of them."""
 
     def __init__(self, answer: int) -> None:
         self.answer = answer
@@ -234,13 +360,23 @@ class DyingServer:
     def _serve(self) -> None:
         conn, _ = self._listener.accept()
         with conn, conn.makefile("rwb") as stream:
-            stream.write(b'{"ready": true, "cacheserver": true}\n')
+            stream.write(READY)
             stream.flush()
-            while self.received < self.answer:
-                if not stream.readline():
-                    break
+            while line := stream.readline():
+                request = json.loads(line)
+                keys = request["keys"]
+                stream.read(sum(request.get("sizes", ())))  # a put's entries
                 self.received += 1
-                stream.write(b'{"ok": true, "hit": false}\n')
+                if self.received > self.answer:
+                    header = {"ok": True, "sizes": [len(ENTRY)] * len(keys)}
+                    stream.write(json.dumps(header).encode() + b"\n"
+                                 + ENTRY * (len(keys) // 2))
+                    stream.flush()
+                    break
+                reply = {"ok": True, "sizes": [None] * len(keys)} \
+                    if request["op"] == "get" \
+                    else {"ok": True, "stored": [True] * len(keys)}
+                stream.write(json.dumps(reply).encode() + b"\n")
                 stream.flush()
         self._listener.close()
 
@@ -255,6 +391,7 @@ class GarblingServer:
 
     def __init__(self, ready: bytes, reply: bytes) -> None:
         self.ready, self.reply = ready, reply
+        self.requests = []
         self._listener = socket.create_server(("127.0.0.1", 0))
         self.addr = "127.0.0.1:%d" % self._listener.getsockname()[1]
         self._thread = threading.Thread(target=self._serve, daemon=True)
@@ -265,7 +402,8 @@ class GarblingServer:
         with conn, conn.makefile("rwb") as stream:
             stream.write(self.ready)
             stream.flush()
-            if stream.readline():
+            if line := stream.readline():
+                self.requests.append(line)
                 stream.write(self.reply)
                 stream.flush()
             stream.read()  # until the client closes its end
@@ -275,20 +413,13 @@ class GarblingServer:
         self._thread.join(10)
 
 
-READY = b'{"ready": true, "cacheserver": true}\n'
-PADDED = b'{"ok": true, "ready": true, "hit": false, "pad": "%s"}\n' % (
+PADDED = b'{"ok": true, "ready": true, "wire": 2, "pad": "%s"}\n' % (
     b"x" * 200
 )
 
 
-class TestPipelining:
-    def test_batches_match_per_key_probes_across_many_windows(
-        self, server, tmp_path, monkeypatch
-    ):
-        # A window of a few hundred bytes holds two or three get lines,
-        # and every put line is longer than it, so these batches span
-        # many windows and put lines travel alone.
-        monkeypatch.setattr(cacheserver, "PIPELINE_WINDOW_BYTES", 300)
+class TestBatches:
+    def test_batches_match_per_key_probes(self, server, tmp_path):
         writer = CacheClient(server.addr)
         stored = range(0, 24, 2)  # every other key is a miss
         writer.put_results([(_key(i), [_message()], i) for i in stored])
@@ -314,18 +445,34 @@ class TestPipelining:
         batch.close()
         single.close()
 
-    def test_one_window_is_one_write(self, server, monkeypatch):
-        client = CacheClient(server.addr)
-        assert client.ping()
-        writes = []
-        real_write = client._file.write
-        monkeypatch.setattr(
-            client._file, "write",
-            lambda data: writes.append(len(data)) or real_write(data),
-        )
-        assert client.get_results([_key(i) for i in range(50)]) == [None] * 50
-        assert len(writes) == 1
-        client.close()
+    def test_one_batch_is_one_request_and_one_write(self, tmp_path):
+        served = MetricsRegistry()
+        thread = CacheServerThread(str(tmp_path / "shared"), metrics=served)
+        metrics = MetricsRegistry()
+        client = CacheClient(thread.addr, metrics=metrics)
+        try:
+            assert client.ping()
+            writes = []
+            real_write = client._file.write
+            client._file.write = (
+                lambda data: writes.append(len(data)) or real_write(data)
+            )
+            keys = [_key(i) for i in range(50)]
+            client.put_results([(key, [], 0) for key in keys[::2]])
+            assert client.get_results(keys) == [([], 0), None] * 25
+        finally:
+            client.close()
+            thread.close()
+        assert len(writes) == 2
+        assert metrics.count("cacheserver.client.requests") == 3
+        assert served.count("cacheserver.requests") == 3
+        # Hits, misses and puts still count keys.
+        assert (metrics.count("cacheserver.client.hits"),
+                metrics.count("cacheserver.client.misses"),
+                metrics.count("cacheserver.client.puts")) == (25, 25, 25)
+        assert (served.count("cacheserver.hits"),
+                served.count("cacheserver.misses"),
+                served.count("cacheserver.puts")) == (25, 25, 25)
 
     def test_empty_batch_does_not_connect(self):
         client = CacheClient("127.0.0.1:1", timeout=0.5)
@@ -333,12 +480,14 @@ class TestPipelining:
         client.put_results([])
         assert not client.dead and client.drain_notes() == []
 
-    def test_server_dying_mid_window_leaves_one_note(self):
-        dying = DyingServer(answer=2)
+    def test_server_dying_mid_reply_leaves_one_note_and_all_misses(self):
+        dying = DyingServer(answer=1)
         metrics = MetricsRegistry()
         client = CacheClient(dying.addr, metrics=metrics, timeout=5)
         keys = [_key(i) for i in range(6)]
         assert client.get_memos(keys) == [None] * 6
+        # Three whole results arrive before the cut: still all misses.
+        assert client.get_results(keys) == [None] * 6
         dying.join()
         assert dying.received == 2
         assert client.dead
@@ -348,7 +497,8 @@ class TestPipelining:
         notes = client.drain_notes()
         assert len(notes) == 1 and "unavailable" in notes[0]
         assert metrics.count("cacheserver.client.errors") == 1
-        assert metrics.count("cacheserver.client.misses") == 12
+        assert metrics.count("cacheserver.client.misses") == 18
+        assert metrics.count("cacheserver.client.hits") == 0
 
 
 class TestReplyCap:
@@ -356,29 +506,55 @@ class TestReplyCap:
         (READY, PADDED),         # a well-formed reply over the cap
         (READY, b"x" * 1000),    # an unterminated reply, connection held
         (PADDED, b""),           # a ready line over the cap
-    ], ids=["long-reply", "unterminated-reply", "long-ready"])
-    def test_an_overlong_line_is_one_failure(self, monkeypatch, ready, reply):
+        (READY, b'{"ok": true, "sizes": [101, null, 0]}\n' + b" " * 101),
+        (READY, b'{"ok": true, "sizes": [-1, null, 0]}\n'),
+        (READY, b'{"ok": true, "sizes": ["7", null, 0]}\n'),
+        (READY, b'{"ok": true, "sizes": [0, 0]}\n'),
+        (READY, b'{"ok": true}\n'),
+    ], ids=["long-reply", "unterminated-reply", "long-ready",
+            "entry-over-cap", "negative-size", "text-size", "sizes-short",
+            "no-sizes"])
+    def test_an_over_cap_or_malformed_reply_is_one_failure(
+        self, monkeypatch, ready, reply
+    ):
         monkeypatch.setattr(cacheserver, "CACHE_LINE_MAX_BYTES", 100)
         garbling = GarblingServer(ready, reply)
         metrics = MetricsRegistry()
         client = CacheClient(garbling.addr, metrics=metrics, timeout=5)
         keys = [_key(i) for i in range(3)]
-        assert client.get_memos(keys) == [None] * 3
+        assert client.get_results(keys) == [None] * 3
         assert client.dead
         garbling.join()
         # Later probes are free misses: no reconnect, no second note.
-        assert client.get_results(keys) == [None] * 3
+        assert client.get_memos(keys) == [None] * 3
         notes = client.drain_notes()
-        assert len(notes) == 1 and "100-byte line cap" in notes[0]
+        assert len(notes) == 1 and "unavailable" in notes[0]
+        if ready == READY and b"sizes" in reply:
+            assert "100-byte cap" in notes[0]
+        elif reply != b'{"ok": true}\n':
+            assert "100-byte line cap" in notes[0]
         assert metrics.count("cacheserver.client.errors") == 1
+
+    def test_an_entry_at_the_cap_is_a_hit(self, monkeypatch):
+        monkeypatch.setattr(cacheserver, "CACHE_LINE_MAX_BYTES", 100)
+        at_cap = ENTRY.ljust(100)
+        garbling = GarblingServer(
+            READY, b'{"ok": true, "sizes": [null, 100]}\n' + at_cap
+        )
+        client = CacheClient(garbling.addr, timeout=5)
+        assert client.get_results([FP, KEY]) == [None, ([], 0)]
+        assert not client.dead
+        client.close()
+        garbling.join()
 
 
 class TestStoredBytesOnTheWire:
     """An entry's wire form is its stored bytes: a put lands on disk as
     a local put writes it, and a get serves the file undecoded."""
 
-    def _ask(self, server, request):
-        return _raw(server, json.dumps(request).encode())[0]
+    def _get(self, server, kind, key):
+        with Raw(server.addr) as raw:
+            return raw.ask({"op": "get", "kind": kind, "keys": [key]})
 
     def test_puts_land_byte_identical_to_local_puts(self, server, tmp_path):
         client = CacheClient(server.addr)
@@ -392,8 +568,9 @@ class TestStoredBytesOnTheWire:
         for kind, key in (("memo", KEY), ("result", FP)):
             stored = shared.read_entry(kind, key)
             assert stored == local.read_entry(kind, key)
-            reply = self._ask(server, {"op": "get", "kind": kind, "key": key})
-            assert base64.b64decode(reply["payload"]) == stored
+            reply, body = self._get(server, kind, key)
+            assert reply == {"ok": True, "sizes": [len(stored)]}
+            assert body == stored
 
     def test_a_get_decodes_nothing(self, server, monkeypatch):
         client = CacheClient(server.addr)
@@ -411,23 +588,70 @@ class TestStoredBytesOnTheWire:
         for name in ("decode_memo", "decode_result", "decode_slice"):
             monkeypatch.setattr(cache_mod, name, refuse)
         for kind, key in (("memo", KEY), ("result", FP)):
-            reply = self._ask(server, {"op": "get", "kind": kind, "key": key})
-            assert reply["ok"] and reply["hit"]
-            assert kinds[kind].decode(base64.b64decode(reply["payload"]))
+            reply, body = self._get(server, kind, key)
+            assert reply["ok"] and reply["sizes"] == [len(body)]
+            assert kinds[kind].decode(body)
         client.close()
 
     @pytest.mark.parametrize("kind", ["memo", "result"])
     @pytest.mark.parametrize("payload", [
-        None, 7, {"messages": [], "suppressed": 0}, "!!not base64!!",
-        "é", base64.b64encode(b"\x80\x04 truncated").decode(),
-    ], ids=["null", "number", "object", "not-base64", "not-ascii",
-            "garbage"])
+        b"", b"null", b"7", b'{"messages": "nope"}', b"\xff\xfe not UTF-8",
+        b"\x80\x04 truncated", "the other kind",
+    ], ids=["empty", "null", "number", "object", "not-utf8", "garbage",
+            "other-kind"])
     def test_a_malformed_put_is_rejected_and_writes_nothing(
         self, server, tmp_path, kind, payload
     ):
-        reply = self._ask(server, {
-            "op": "put", "kind": kind, "key": KEY, "payload": payload,
-        })
-        assert reply == {"ok": False, "error": f"malformed {kind} payload"}
+        if payload == "the other kind":
+            payload = ENTRY if kind == "memo" else encode_memo(_memo())
+        with Raw(server.addr) as raw:
+            reply, _ = raw.ask(*_put(kind, [(KEY, payload)]))
+        assert reply == {"ok": True, "stored": [False]}
         shared = ResultCache(str(tmp_path / "shared"))
         assert shared.read_entry(kind, KEY) is None
+
+
+class TestWireVersions:
+    """A client and a server of different wire versions give misses and
+    one note, or a refusal that names wire 2: never a wrong answer."""
+
+    def test_the_ready_line_announces_wire_2(self, server):
+        with Raw(server.addr) as raw:
+            assert raw.ready["wire"] == cacheserver.WIRE_VERSION == 2
+
+    def test_a_client_refuses_a_wire_1_server(self):
+        # A wire 1 server announces no version, and would answer a one-key
+        # get with a base64 payload: a "hit" the client must never see.
+        payload = base64.b64encode(ENTRY).decode()
+        old = GarblingServer(
+            b'{"ready": true, "cacheserver": true}\n',
+            b'{"ok": true, "hit": true, "payload": "%s"}\n' % payload.encode(),
+        )
+        metrics = MetricsRegistry()
+        client = CacheClient(old.addr, metrics=metrics, timeout=5)
+        assert client.get_results([FP, KEY]) == [None, None]
+        assert client.dead
+        old.join()
+        assert old.requests == []  # it refused at the ready line
+        client.put_result(FP, [], 0)
+        notes = client.drain_notes()
+        assert len(notes) == 1
+        assert "wire 1" in notes[0] and "wire 2" in notes[0]
+        assert metrics.count("cacheserver.client.misses") == 2
+        assert metrics.count("cacheserver.client.errors") == 1
+
+    def test_a_wire_1_request_is_refused_and_writes_nothing(
+        self, server, tmp_path
+    ):
+        put = {"op": "put", "kind": "result", "key": FP,
+               "payload": base64.b64encode(ENTRY).decode()}
+        get = {"op": "get", "kind": "result", "key": FP}
+        with Raw(server.addr) as raw:
+            replies = [raw.ask(put), raw.ask(get)]
+            assert raw.ask({"op": "ping"})[0] == {"ok": True, "pong": True}
+        for reply, body in replies:
+            assert reply["ok"] is False and body == b""
+            assert "wire 2" in reply["error"]
+        assert ResultCache(str(tmp_path / "shared")).read_entry(
+            "result", FP
+        ) is None

@@ -260,3 +260,99 @@ class TestLaunch:
             "-addr", f"unix:{path}", "--cache-dir", str(tmp_path / "c"),
         ], both_greet)
         assert announce["unix"] == path
+
+
+# -- a server that cannot start ----------------------------------------------
+
+
+@pytest.fixture()
+def busy_port():
+    """A TCP port this test holds bound and listening."""
+    with socket.create_server(("127.0.0.1", 0)) as sock:
+        yield sock.getsockname()[1]
+
+
+@pytest.fixture()
+def a_file(tmp_path):
+    """A regular file, given where a cache directory is expected."""
+    path = tmp_path / "a-file"
+    path.write_text("not a directory\n")
+    return str(path)
+
+
+class TestCannotStart:
+    """An unusable cache directory or listen address is usage, not a
+    crash: one line on stderr and exit 2 (exit 1 means warnings)."""
+
+    @pytest.mark.parametrize("entry, argv, prog", [
+        (run_cache_server, ["--addr", "127.0.0.1:0"], "pylclint-cacheserver"),
+        (run_service, ["--addr", "127.0.0.1:0"], "pylclint"),
+        (run_daemon, [], "pylclint"),
+        (main, ["--serve", "--addr", "127.0.0.1:0"], "pylclint"),
+        (main, ["--daemon"], "pylclint"),
+        (main, ["f.c"], "pylclint"),
+    ])
+    def test_a_cache_dir_that_is_a_file(self, entry, argv, prog, a_file,
+                                        capsys):
+        assert entry(argv + ["--cache-dir", a_file]) == 2
+        assert capsys.readouterr().err == (
+            f"{prog}: cannot open cache directory {a_file}: Not a directory\n"
+        )
+
+    @pytest.mark.parametrize("entry, argv, prog", [
+        (run_cache_server, [], "pylclint-cacheserver"),
+        (run_service, ["--no-cache"], "pylclint"),
+        (main, ["--serve", "--no-cache"], "pylclint"),
+    ])
+    def test_a_port_already_bound(self, entry, argv, prog, busy_port,
+                                  tmp_path, capsys):
+        argv = argv + ["--addr", f"127.0.0.1:{busy_port}"]
+        if entry is run_cache_server:
+            argv += ["--cache-dir", str(tmp_path / "c")]
+        assert entry(argv) == 2
+        assert capsys.readouterr().err == (
+            f"{prog}: cannot listen on 127.0.0.1:{busy_port}: "
+            "Address already in use\n"
+        )
+
+    @pytest.mark.parametrize("entry, argv, prog", [
+        (run_cache_server, [], "pylclint-cacheserver"),
+        # The TCP listener binds first, and is closed when the UNIX one
+        # cannot bind.
+        (run_service, ["--no-cache", "--addr", "127.0.0.1:0"], "pylclint"),
+    ])
+    def test_a_socket_path_in_a_missing_directory(self, entry, argv, prog,
+                                                   tmp_path, capsys):
+        path = tmp_path / "missing" / "s.sock"
+        argv = argv + ["--addr", f"unix:{path}"]
+        if entry is run_cache_server:
+            argv += ["--cache-dir", str(tmp_path / "c")]
+        assert entry(argv) == 2
+        assert capsys.readouterr().err == (
+            f"{prog}: cannot listen on unix:{path}: No such file or directory\n"
+        )
+
+    def test_a_served_check_with_a_cache_dir_that_is_a_file_is_usage(
+        self, a_file
+    ):
+        reply = protocol.execute_check(
+            protocol.Request(verb="check", argv=["--cache-dir", a_file, "f.c"],
+                             id=1),
+            None,
+        )
+        assert (reply["kind"], reply["status"]) == ("usage", 2)
+        assert reply["error"] == (
+            f"cannot open cache directory {a_file}: Not a directory"
+        )
+
+    def test_the_cache_server_program_prints_no_traceback(self, tmp_path):
+        path = tmp_path / "missing" / "s.sock"
+        proc = _launch(["-m", "repro.incremental.cacheserver",
+                        "--cache-dir", str(tmp_path / "c"),
+                        "--addr", f"unix:{path}"])
+        out, err = proc.communicate(timeout=60)
+        assert (proc.returncode, out) == (2, b"")
+        assert err.decode() == (
+            f"pylclint-cacheserver: cannot listen on unix:{path}: "
+            "No such file or directory\n"
+        )
