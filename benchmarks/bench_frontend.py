@@ -25,7 +25,10 @@ benchmarks this file carries the regex-lexer acceptance criteria:
 * consecutive cold checks of that program in one process may leave
   at most ``MAX_UNREACHABLE_PER_CHECK`` objects for the cyclic
   collector (a count as well): reference counting frees what a run
-  builds.
+  builds;
+* and each of those checks may run at most
+  ``MAX_COLLECTIONS_PER_CHECK`` collections, all generations counted:
+  a collector that finds nothing should rarely run.
 
 Runs two ways:
 
@@ -193,6 +196,20 @@ ANALYZE_POSITIONS_BEFORE = {
 #: collector found ~185,000 per cold check of the 20k-line program
 #: (``CYCLIC_GARBAGE_BEFORE``).
 MAX_UNREACHABLE_PER_CHECK = 0
+
+#: A cold check of the 20k-line program may run this many collections,
+#: all generations counted. It leaves nothing for the collector (above),
+#: and the process's first check raises the young generation's threshold
+#: (``core.api.GC_YOUNG_THRESHOLD_FLOOR``). At CPython's default
+#: threshold of 700 each check ran ~346 that found nothing
+#: (``COLLECTIONS_BEFORE``).
+MAX_COLLECTIONS_PER_CHECK = 10
+
+#: ``measure_repeat_cold``'s collections by generation per check on the
+#: engine before the first check raised the young threshold (the
+#: committed row of that engine; the counts were the same in every
+#: sitting): the report's "before" side of the collections.
+COLLECTIONS_BEFORE = [[319, 28, 2], [316, 28, 2], [316, 28, 2]]
 
 #: Consecutive cold checks ``measure_repeat_cold`` makes in its child.
 REPEAT_COLD_CHECKS = 3
@@ -706,7 +723,8 @@ def measure_repeat_cold(checks: int = REPEAT_COLD_CHECKS) -> dict:
     Per check: ``unreachable``, the objects the cyclic collector found
     unreachable during the check plus those a ``gc.collect()`` right
     after it finds (the garbage reference counting could not free);
-    ``collections`` by generation; ``examined``, the objects in the
+    ``collections`` by generation (and, summed, in the summary's
+    ``collections``); ``examined``, the objects in the
     generations those collections examined, summed (from a second
     series of as many checks); and ``vm_hwm_mb``, the child's peak RSS
     after the check.
@@ -724,6 +742,8 @@ def measure_repeat_cold(checks: int = REPEAT_COLD_CHECKS) -> dict:
         "checks": rows,
         "unreachable": [row["unreachable"] for row in rows],
         "max_unreachable_per_check": MAX_UNREACHABLE_PER_CHECK,
+        "collections": [sum(row["collections"]) for row in rows],
+        "max_collections_per_check": MAX_COLLECTIONS_PER_CHECK,
     }
 
 
@@ -845,6 +865,7 @@ def test_repeat_cold_leaves_no_cyclic_garbage(benchmark, table_printer):
     table_printer("BENCH-FRONTEND: repeated cold checks, 20k lines",
                   summary["checks"])
     assert max(summary["unreachable"]) <= MAX_UNREACHABLE_PER_CHECK, summary
+    assert max(summary["collections"]) <= MAX_COLLECTIONS_PER_CHECK, summary
 
 
 def test_parse_unit_throughput(benchmark):
@@ -896,6 +917,7 @@ def main(argv=None) -> int:
     cold_analyze["before"] = ANALYZE_POSITIONS_BEFORE["cold_analyze"]
     repeat_cold = measure_repeat_cold()
     repeat_cold["before"] = CYCLIC_GARBAGE_BEFORE["repeat_cold"]
+    repeat_cold["collections_before"] = COLLECTIONS_BEFORE
     floor = measure_cold_floor()
     obs = measure_obs_overhead()
     report = {
@@ -931,7 +953,9 @@ def main(argv=None) -> int:
         f"{cold_analyze['locations_per_stmt']} Locations per statement "
         f"(cap {MAX_LOCATIONS_PER_STMT}); {REPEAT_COLD_CHECKS} cold "
         f"checks left {repeat_cold['unreachable']} unreachable objects "
-        f"(cap {MAX_UNREACHABLE_PER_CHECK} each); wrote {out_path}"
+        f"(cap {MAX_UNREACHABLE_PER_CHECK} each) and ran "
+        f"{repeat_cold['collections']} collections (cap "
+        f"{MAX_COLLECTIONS_PER_CHECK} each); wrote {out_path}"
     )
     ok = (
         speedup["speedup"] >= REQUIRED_SPEEDUP
@@ -946,6 +970,7 @@ def main(argv=None) -> int:
         and cold_parse["locations_per_token"] <= MAX_LOCATIONS_PER_TOKEN
         and cold_analyze["locations_per_stmt"] <= MAX_LOCATIONS_PER_STMT
         and max(repeat_cold["unreachable"]) <= MAX_UNREACHABLE_PER_CHECK
+        and max(repeat_cold["collections"]) <= MAX_COLLECTIONS_PER_CHECK
     )
     return 0 if ok else 1
 

@@ -18,6 +18,11 @@ are also the cache service's wire form, so a server stores what a
 client put and serves what it stored (:meth:`ResultCache.read_entry`,
 :meth:`ResultCache.write_entry`).
 
+A slice decodes once per process: :func:`decode_slice` keeps the last
+:data:`SLICE_MEMO_ENTRIES` distinct slices decoded, keyed by their
+bytes, and hands every run, local or remote memo, thread or engine, the
+same read-only table.
+
 Each entry is one file, written the moment it is put: the engine, the
 cache service and every process sharing the directory write the same
 bytes, and a reader needs no state beyond the file. Writes go through a
@@ -36,6 +41,7 @@ its run's count as a run note.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import pickle
@@ -127,10 +133,25 @@ def encode_slice(interface: SymbolTable) -> bytes:
     return pickle.dumps(interface)
 
 
+#: Distinct interface slices :func:`decode_slice` keeps decoded. A
+#: decoded slice of a generated unit holds about 38 KB; 64 cover both
+#: clients of perfbench's service-edit workload (14 units each) and the
+#: slices their interface edits replace.
+SLICE_MEMO_ENTRIES = 64
+
+
+@functools.lru_cache(maxsize=SLICE_MEMO_ENTRIES)
 def decode_slice(data: bytes) -> SymbolTable | None:
     """A memo's interface slice (decoded only when a run builds the
     program symbol table); ``None`` when it is corrupt or names a class
-    no slice holds."""
+    no slice holds.
+
+    Memoized by the exact bytes: every run that asks for a slice
+    decoded before gets the same table, which nothing may change (the
+    program table merges replace entries, and a unit's view is a new
+    table). Two threads decoding one new slice at once may both decode
+    it; either table is right. An evicted table is freed by the cyclic
+    collector, since a recursive struct type is a cycle."""
     try:
         interface = safe_pickle.loads(data)
     except Exception:

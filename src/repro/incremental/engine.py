@@ -115,10 +115,14 @@ class CheckStats:
     remote_used: bool = False
     remote_hits: int = 0
     remote_misses: int = 0
-    # Cyclic-collector passes during the run and their time (already
-    # inside whichever phases triggered them; see _CollectorClock).
+    # Cyclic-collector passes during the run (the total and by
+    # generation), their time and the objects they found unreachable
+    # (the time is already inside whichever phases triggered them; see
+    # _CollectorClock).
     gc_collections: int = 0
+    gc_generations: list[int] = field(default_factory=lambda: [0, 0, 0])
     gc_s: float = 0.0
+    gc_found: int = 0
     notes: list[str] = field(default_factory=list)
 
     def render(self) -> str:
@@ -204,8 +208,9 @@ class CheckStats:
             )
         lines.append(f"  {'total':<12} {timings['total'] * 1000:>8.1f} ms")
         lines.append(
-            f"  collector:   {self.gc_collections} collection(s), "
-            f"{self.gc_s * 1000:.1f} ms (inside the phases above)"
+            f"  collector:   {self.gc_collections} collection(s) "
+            f"{self.gc_generations}, {self.gc_s * 1000:.1f} ms, "
+            f"{self.gc_found} found (inside the phases above)"
         )
         if self.prologue_s or self.render_s:
             lines.append(
@@ -224,14 +229,16 @@ class CheckStats:
 
 
 class _CollectorClock:
-    """A ``gc.callbacks`` hook counting the cyclic collector's passes
-    and timing them. The hook is process-wide: while it is installed,
-    a concurrent run's collections count too."""
+    """A ``gc.callbacks`` hook counting the cyclic collector's passes by
+    generation, timing them and summing the objects they found
+    unreachable. The hook is process-wide: while it is installed, a
+    concurrent run's collections count too."""
 
-    __slots__ = ("collections", "seconds", "_start")
+    __slots__ = ("generations", "found", "seconds", "_start")
 
     def __init__(self) -> None:
-        self.collections = 0
+        self.generations = [0, 0, 0]
+        self.found = 0
         self.seconds = 0.0
         self._start = 0.0
 
@@ -239,7 +246,8 @@ class _CollectorClock:
         if phase == "start":
             self._start = time.perf_counter()
         elif self._start:  # not a pass that began before the hook
-            self.collections += 1
+            self.generations[info["generation"]] += 1
+            self.found += info["collected"]
             self.seconds += time.perf_counter() - self._start
             self._start = 0.0
 
@@ -464,8 +472,10 @@ class IncrementalChecker:
             batch_span.end()
             gc.callbacks.remove(collector)
         stats.total_s = batch_span.duration
-        stats.gc_collections = collector.collections
+        stats.gc_collections = sum(collector.generations)
+        stats.gc_generations = collector.generations
         stats.gc_s = collector.seconds
+        stats.gc_found = collector.found
         metrics.inc("engine.units", len(plans))
         metrics.inc("engine.units.degraded", stats.degraded_units)
         metrics.inc("engine.internal_errors", stats.internal_errors)
@@ -868,11 +878,13 @@ class IncrementalChecker:
         )
 
     def _interface_of(self, plan: _UnitPlan, run: _Run) -> SymbolTable:
-        """The unit's interface slice: decoded from its memo, or read off
-        a unit :meth:`check_units` was handed. A slice that does not
-        decode (corrupt, or naming a class no slice holds) drops the
-        memo like any corrupt entry, and the unit is parsed instead,
-        recording a fresh memo in its place.
+        """The unit's interface slice: its memo's, or read off a unit
+        :meth:`check_units` was handed. A memo's slice comes from
+        :func:`decode_slice`, which decodes each distinct slice once per
+        process and shares the table with every run, so the run only
+        reads it. A slice that does not decode (corrupt, or naming a
+        class no slice holds) drops the memo like any corrupt entry, and
+        the unit is parsed instead, recording a fresh memo in its place.
 
         The symtab stage publishes that memo to the cache service in
         the write stage; a :attr:`CheckResult.symtab` read after the run

@@ -281,12 +281,15 @@ class LineServerThread:
     """Run a :class:`LineServer` on its own event-loop thread (tests, the
     benchmarks, and any process that wants to both serve and check). The
     server listens once the constructor returns, at ``addr`` (``--addr``
-    syntax); :meth:`close` drains it and joins the thread."""
+    syntax); :meth:`close` drains it and joins the thread. A server that
+    cannot start (:class:`CannotStart`, or any other error of its start)
+    raises from the constructor, its thread already ended."""
 
     def __init__(self, server: LineServer) -> None:
         self.server = server
         self._loop: asyncio.AbstractEventLoop | None = None
         self._ready = threading.Event()
+        self._failure: Exception | None = None
         self._thread = threading.Thread(
             target=asyncio.run, args=(self._serve(),),
             name=f"pylclint-{server.METRIC_PREFIX}", daemon=True,
@@ -294,12 +297,21 @@ class LineServerThread:
         self._thread.start()
         if not self._ready.wait(_THREAD_WAIT_S):  # pragma: no cover
             raise RuntimeError(f"{type(server).__name__} did not start")
+        if self._failure is not None:
+            self._thread.join(_THREAD_WAIT_S)
+            failure, self._failure = self._failure, None
+            raise failure
         self.addr = server.bound_addr or f"unix:{server.unix_path}"
 
     async def _serve(self) -> None:
         self._loop = asyncio.get_running_loop()
-        await self.server.start()
-        self._ready.set()
+        try:
+            await self.server.start()
+        except Exception as exc:  # the constructor raises it
+            self._failure = exc
+            return
+        finally:
+            self._ready.set()
         await self.server._stopped.wait()
 
     def close(self) -> None:

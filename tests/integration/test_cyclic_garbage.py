@@ -8,7 +8,9 @@ unreachable: no object of a type defined under ``repro``, and no frame
 or traceback. ``repro.frontend.ctypes`` types, and what only they reach
 (a field's annotations), are exempt: recursive struct types are cyclic
 by nature. An interned type is freed when the pointer intern table is
-reset; one decoded from a memo slice dies with its slice.
+reset; one decoded from a memo slice lives in the process's slice memo
+(``cache.decode_slice``) until it is evicted. So a warm re-check whose
+slices were decoded before leaves nothing at all, exemption off.
 
 The lexing-scope tests pin who keeps a header's tokens: the run for its
 own headers, the engine for the headers registered on it.
@@ -26,7 +28,7 @@ from repro.bench.generator import generate_program
 from repro.core.api import Checker, check_source, ensure_process_initialized
 from repro.difftest.mutations import MutationEngine
 from repro.driver import cli
-from repro.frontend import preprocessor
+from repro.frontend import ctypes, preprocessor
 from repro.messages.message import MessageCode
 from repro.obs.metrics import MetricsRegistry
 from repro.service.client import ServiceClient
@@ -49,12 +51,16 @@ TWO_PARSE_ERRORS = "int x = 089;\nint y = ;\nint z;\n"
 _EXEMPT_MODULE = "repro.frontend.ctypes"
 
 
-def _forbidden(garbage: list) -> Counter:
-    """The forbidden objects of *garbage*, counted by type name."""
+def _forbidden(garbage: list, exempt_types: bool) -> Counter:
+    """The forbidden objects of *garbage*, counted by type name; with
+    *exempt_types*, the type graph is allowed."""
     members = {id(obj) for obj in garbage}
     # The type graph: exempt objects and the garbage they reach.
     exempt: set[int] = set()
-    stack = [o for o in garbage if type(o).__module__ == _EXEMPT_MODULE]
+    stack = [
+        o for o in garbage
+        if exempt_types and type(o).__module__ == _EXEMPT_MODULE
+    ]
     while stack:
         obj = stack.pop()
         if id(obj) in exempt:
@@ -71,7 +77,7 @@ def _forbidden(garbage: list) -> Counter:
     )
 
 
-def cyclic_garbage(run) -> Counter:
+def cyclic_garbage(run, exempt_types: bool = True) -> Counter:
     """Call *run* with automatic collection off; count the forbidden
     objects ``gc.collect()`` then finds unreachable, by type name."""
     ensure_process_initialized()
@@ -84,7 +90,7 @@ def cyclic_garbage(run) -> Counter:
         gc.set_debug(gc.DEBUG_SAVEALL)
         try:
             gc.collect()
-            found = _forbidden(gc.garbage)
+            found = _forbidden(gc.garbage, exempt_types)
         finally:
             del gc.garbage[:]
             gc.set_debug(debug)
@@ -109,6 +115,25 @@ def _cold(paths, tmp_path):
     return lambda: cli.run(argv)
 
 
+def _two_modules(tmp_path) -> list[str]:
+    program = generate_program(modules=2, filler_functions=2, seed=1)
+    return _write(tmp_path, program.files)
+
+
+def _edit_a_body(tmp_path) -> None:
+    """Bump one constant in a function body of ``rec0.c``."""
+    target = os.path.join(str(tmp_path), "rec0.c")
+    with open(target, encoding="utf-8") as handle:
+        text = handle.read()
+    edited, count = re.subn(
+        r"return acc \+ (\d+);",
+        lambda m: f"return acc + {int(m.group(1)) + 1};", text, count=1,
+    )
+    assert count == 1
+    with open(target, "w", encoding="utf-8") as handle:
+        handle.write(edited)
+
+
 class TestNoCyclicGarbage:
     def test_plain_run_on_db(self):
         assert cyclic_garbage(lambda: cli.run(["-quiet", *DB_PATHS])) == {}
@@ -122,20 +147,10 @@ class TestNoCyclicGarbage:
         assert cyclic_garbage(_cold(paths, tmp_path)) == {}
 
     def test_warm_recheck_after_a_body_edit(self, tmp_path):
-        program = generate_program(modules=2, filler_functions=2, seed=1)
-        paths = _write(tmp_path, program.files)
+        paths = _two_modules(tmp_path)
         argv = ["--cache-dir", str(tmp_path / "cache"), "-quiet", *paths]
         cli.run(argv)
-        target = os.path.join(str(tmp_path), "rec0.c")
-        with open(target, encoding="utf-8") as handle:
-            text = handle.read()
-        edited, count = re.subn(
-            r"return acc \+ (\d+);",
-            lambda m: f"return acc + {int(m.group(1)) + 1};", text, count=1,
-        )
-        assert count == 1
-        with open(target, "w", encoding="utf-8") as handle:
-            handle.write(edited)
+        _edit_a_body(tmp_path)
 
         def recheck():
             cli.run(argv)
@@ -192,6 +207,60 @@ class TestNoCyclicGarbage:
         finally:
             runner.close()
         assert replies[0]["status"] == 0
+        assert found == {}
+
+
+class TestWarmPathLeavesNothing:
+    """A body-edit re-check that follows an earlier one finds every
+    unchanged unit's slice decoded already, so it leaves the collector
+    nothing, struct types included. The pointer intern table is reset
+    first, so that its own reset at its cap cannot fall inside the
+    measured run."""
+
+    def test_through_the_cli(self, tmp_path):
+        paths = _two_modules(tmp_path)
+        argv = ["--cache-dir", str(tmp_path / "cache"), "-quiet", *paths]
+
+        def recheck():
+            cli.run(argv)
+            assert cli.LAST_RUN_STATS.cache_misses == 1
+
+        cli.run(argv)
+        _edit_a_body(tmp_path)
+        recheck()
+        _edit_a_body(tmp_path)
+        ctypes._POINTER_INTERN.clear()
+        assert cyclic_garbage(recheck, exempt_types=False) == {}
+
+    def test_as_a_service_request(self, tmp_path):
+        paths = _two_modules(tmp_path)
+        runner = LineServerThread(CheckingService(
+            cache_dir=str(tmp_path / "svc"), workers=1,
+            metrics=MetricsRegistry(),
+        ))
+        replies = []
+        try:
+            host, port = runner.server.bound_addr.rsplit(":", 1)
+            with ServiceClient.connect_tcp(host, int(port)) as client:
+
+                def check():
+                    replies.append(client.check(
+                        ["-quiet", "-stats", *paths],
+                        request_id=len(replies) + 1,
+                    ))
+
+                check()
+                _edit_a_body(tmp_path)
+                check()
+                _edit_a_body(tmp_path)
+                ctypes._POINTER_INTERN.clear()
+                found = cyclic_garbage(check, exempt_types=False)
+        finally:
+            runner.close()
+        assert [reply["status"] for reply in replies] == [0, 0, 0]
+        assert "  result cache:      3 hit(s), 1 miss(es)" in (
+            replies[-1]["output"].splitlines()
+        )
         assert found == {}
 
 

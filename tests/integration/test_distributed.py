@@ -7,6 +7,9 @@ or dying server degrades to plain checking with a single note, never
 an error.
 """
 
+import sys
+import threading
+
 import pytest
 
 from repro.bench.dbexample import db_sources
@@ -158,6 +161,146 @@ def count_decodes(monkeypatch):
         engine, "decode_slice", lambda data: calls.append(1) or real(data)
     )
     return calls
+
+
+@pytest.fixture()
+def slice_unpickles(monkeypatch):
+    """Records each table the unpickler hands ``cache.decode_slice``,
+    with its re-encoding taken at once; the memo probes' unpickler calls
+    (``decode_memo``) are not recorded. Empties the slice memo first."""
+    from repro.frontend import safe_pickle
+    from repro.incremental.cache import decode_slice, encode_slice
+
+    decoded = []
+    real = safe_pickle.loads
+
+    def loads(data):
+        table = real(data)
+        if sys._getframe(1).f_code.co_name == "decode_slice":
+            decoded.append((table, encode_slice(table)))
+        return table
+
+    monkeypatch.setattr(safe_pickle, "loads", loads)
+    decode_slice.cache_clear()
+    return decoded
+
+
+class TestSliceMemo:
+    def test_a_second_body_edit_recheck_unpickles_no_slice(
+        self, corpus, tmp_path, count_decodes, slice_unpickles
+    ):
+        shared = str(tmp_path / "c")
+        IncrementalChecker(cache=ResultCache(shared)).check_sources(
+            dict(corpus)
+        )
+        runs = []
+        for edit in range(2):
+            files = dict(corpus)
+            files["drive.c"] = files["drive.c"].replace(
+                "60000", str(60001 + edit)
+            )
+            del count_decodes[:], slice_unpickles[:]
+            checker = IncrementalChecker(cache=ResultCache(shared))
+            result = checker.check_sources(dict(files))
+            assert _renders(result) == _renders(
+                Checker().check_sources(dict(files))
+            )
+            assert checker.stats.cache_misses == 1
+            runs.append((len(count_decodes), len(slice_unpickles)))
+        unchanged = checker.stats.units - 1
+        assert runs == [(unchanged, unchanged), (unchanged, 0)]
+
+    def test_shared_slices_stay_read_only(self, corpus, tmp_path,
+                                          slice_unpickles):
+        """Every slice the memo hands out is snapshotted (re-encoded)
+        right after its one decode; the cached engine's body-edit
+        re-checks, a remote-only engine, the checking service with four
+        workers and two clients (thread switches made frequent), and a
+        ``CheckResult.symtab`` read then leave every snapshot as it
+        was."""
+        from repro.driver.library import save_library
+        from repro.incremental.cache import decode_slice, encode_slice
+        from repro.service.client import ServiceClient
+        from repro.service.lineserver import LineServerThread
+        from repro.service.server import CheckingService
+
+        def edited(edit):
+            # Plus a global declared in one unit and defined in the
+            # next, so that a merge has an earlier slice's entry to
+            # replace.
+            files = dict(corpus, **{
+                "gdecl.c": "extern int g_count;\n"
+                           "int g_read(void) { return g_count; }\n",
+                "gdef.c": "int g_count = 1;\n",
+            })
+            files["drive.c"] = files["drive.c"].replace(
+                "60000", str(60000 + edit)
+            )
+            return files
+
+        shared = str(tmp_path / "shared")
+        for edit in range(4):
+            IncrementalChecker(cache=ResultCache(shared)).check_sources(
+                edited(edit)
+            )
+        server = CacheServerThread(cache_dir=shared)
+        client = CacheClient(server.addr)
+        try:
+            IncrementalChecker(remote=client).check_sources(edited(4))
+        finally:
+            client.close()
+            server.close()
+        warm = IncrementalChecker(cache=ResultCache(shared)).check_sources(
+            edited(3)
+        )
+        save_library(warm.symtab, str(tmp_path / "lib.lcd"))
+
+        service = LineServerThread(CheckingService(
+            cache_dir=str(tmp_path / "svc"), workers=4,
+            metrics=MetricsRegistry(),
+        ))
+        statuses = []
+
+        def edit_and_check(directory):
+            directory.mkdir()
+            host, port = service.server.bound_addr.rsplit(":", 1)
+            with ServiceClient.connect_tcp(host, int(port)) as session:
+                for edit in range(4):
+                    for name, text in edited(edit).items():
+                        (directory / name).write_text(text)
+                    reply = session.check(
+                        ["-quiet", *sorted(
+                            str(directory / name) for name in edited(0)
+                            if name.endswith(".c")
+                        )],
+                        request_id=edit + 1,
+                    )
+                    statuses.append(reply["status"])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            clients = [
+                threading.Thread(
+                    target=edit_and_check, args=(tmp_path / name,)
+                )
+                for name in ("a", "b")
+            ]
+            for thread in clients:
+                thread.start()
+            for thread in clients:
+                thread.join(120)
+            assert not any(thread.is_alive() for thread in clients)
+        finally:
+            sys.setswitchinterval(interval)
+            service.close()
+        assert len(statuses) == 8 and 3 not in statuses
+        hits = decode_slice.cache_info().hits
+        assert slice_unpickles and hits > len(slice_unpickles)
+        assert [
+            encode_slice(table) == snapshot
+            for table, snapshot in slice_unpickles
+        ] == [True] * len(slice_unpickles)
 
 
 class TestWarmPulls:

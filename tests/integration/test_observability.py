@@ -350,8 +350,8 @@ class TestProfileCollector:
             if line.startswith("  total ")
         )
         assert re.fullmatch(
-            r"  collector:   \d+ collection\(s\), \d+\.\d ms "
-            r"\(inside the phases above\)",
+            r"  collector:   \d+ collection\(s\) \[\d+, \d+, \d+\], "
+            r"\d+\.\d ms, \d+ found \(inside the phases above\)",
             lines[total + 1],
         ), lines[total + 1]
 
@@ -365,11 +365,17 @@ class TestProfileCollector:
         original = checker._check
 
         def collecting(run, misses):
-            gc.collect()
+            cycle = []
+            cycle.append(cycle)
+            del cycle
+            gc.collect()  # a full collection that finds the list
             original(run, misses)
 
         monkeypatch.setattr(checker, "_check", collecting)
         checker.check_sources(db_sources(1))
-        assert checker.stats.gc_collections >= 1
-        assert checker.stats.gc_s > 0
+        stats = checker.stats
+        assert stats.gc_generations[2] >= 1
+        assert stats.gc_collections == sum(stats.gc_generations)
+        assert stats.gc_found >= 1
+        assert stats.gc_s > 0
         assert gc.callbacks == hooks

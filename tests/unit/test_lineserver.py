@@ -8,6 +8,8 @@ import signal
 import socket
 import subprocess
 import sys
+import threading
+import time
 from unittest import mock
 
 import pytest
@@ -18,7 +20,11 @@ from repro.driver.cli import main
 from repro.incremental.cacheserver import CacheServer, run_cache_server
 from repro.incremental.server import DaemonServer, run_daemon
 from repro.service.client import ServiceClient
-from repro.service.lineserver import LineServerThread, parse_options
+from repro.service.lineserver import (
+    CannotStart,
+    LineServerThread,
+    parse_options,
+)
 from repro.service import protocol
 from repro.service.protocol import LineFramer
 from repro.service.server import CheckingService, run_service
@@ -344,6 +350,27 @@ class TestCannotStart:
         assert reply["error"] == (
             f"cannot open cache directory {a_file}: Not a directory"
         )
+
+    @pytest.mark.parametrize("make", [
+        lambda cache_dir, port: CacheServer(cache_dir=cache_dir, port=port),
+        lambda cache_dir, port: CheckingService(
+            cache_dir=cache_dir, port=port, workers=1
+        ),
+    ], ids=["cache-server", "checking-service"])
+    def test_a_server_thread_that_cannot_bind_raises_at_once(
+        self, make, busy_port, tmp_path, capfd
+    ):
+        server = make(str(tmp_path / "c"), busy_port)
+        before = set(threading.enumerate())
+        started = time.monotonic()
+        with pytest.raises(CannotStart) as raised:
+            LineServerThread(server)
+        assert time.monotonic() - started < 2
+        assert str(raised.value) == (
+            f"cannot listen on 127.0.0.1:{busy_port}: Address already in use"
+        )
+        assert set(threading.enumerate()) <= before
+        assert capfd.readouterr().err == ""
 
     def test_the_cache_server_program_prints_no_traceback(self, tmp_path):
         path = tmp_path / "missing" / "s.sock"
